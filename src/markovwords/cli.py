@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from . import theorems
 from .diatomic import stern
-from .spectrum import BQForm, MarkovValue, bqf_min, markov_value
+from .spectrum import BQForm, bqf_min, markov_value
 from .theorems import VerificationReport
 from .tree import block_labels, s_rec
 from .words import format_word, parse_word
@@ -113,8 +113,8 @@ def _surd_json(surd) -> dict:
     return {"p": p, "q": q, "r": r, "D": d}
 
 
-def _surd_text(surd) -> str:
-    return "({},{},{},{})".format(*surd.as_tuple())
+def _surd_text(fields: dict) -> str:
+    return "({p},{q},{r},{D})".format(**fields)
 
 
 def _report_lines(reports: Iterable[VerificationReport], check: str, as_json: bool):
@@ -157,11 +157,20 @@ def _equivalence_worker(payload) -> VerificationReport:
     return theorems.verify_equivalence_pair(idx, wa, wb, levels)
 
 
-def _scan_worker(payload) -> tuple[int, tuple, MarkovValue, bool]:
-    a, b, n = payload
-    period = s_rec(a, b, n)
+def _spectrum_payload(period, digits: int) -> dict:
     mv = markov_value(period)
-    return n, period, mv, mv.value.compare(3) < 0
+    return {
+        "period": list(period),
+        "surd": _surd_json(mv.value),
+        "decimal": mv.value.to_decimal(digits),
+        "argmin": mv.argmin,
+        "is_markov": mv.value.compare(3) < 0,
+    }
+
+
+def _scan_worker(payload) -> tuple[int, dict]:
+    a, b, n, digits = payload
+    return n, _spectrum_payload(s_rec(a, b, n), digits)
 
 
 def _chunks(items: list, size: int) -> list[list]:
@@ -169,9 +178,6 @@ def _chunks(items: list, size: int) -> list[list]:
 
 
 def _cmd_seq(args) -> int:
-    if args.n < 0:
-        print("error: --n must be >= 0", file=sys.stderr)
-        return 2
     seq = s_rec(args.A, args.B, args.n)
     labels = "".join(block_labels(args.n))
     if args.json:
@@ -191,9 +197,6 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_stern(args) -> int:
-    if args.upto < 0:
-        print("error: --upto must be >= 0", file=sys.stderr)
-        return 2
     for n in range(args.upto + 1):
         if args.json:
             _emit(json.dumps({"command": "stern", "n": n, "value": stern(n)}))
@@ -230,25 +233,13 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _spectrum_payload(period, digits: int) -> dict:
-    mv = markov_value(period)
-    return {
-        "period": list(period),
-        "surd": _surd_json(mv.value),
-        "decimal": mv.value.to_decimal(digits),
-        "argmin": mv.argmin,
-        "is_markov": mv.value.compare(3) < 0,
-    }
-
-
 def _cmd_spectrum(args) -> int:
     payload = _spectrum_payload(args.period, args.digits)
     if args.json:
         _emit(json.dumps({"command": "spectrum", **payload}))
     else:
-        mv = markov_value(args.period)
         _emit(
-            f"period={format_word(args.period)} surd={_surd_text(mv.value)} "
+            f"period={format_word(payload['period'])} surd={_surd_text(payload['surd'])} "
             f"decimal={payload['decimal']} argmin={payload['argmin']} "
             f"markov={str(payload['is_markov']).lower()}"
         )
@@ -259,24 +250,16 @@ def _cmd_scan(args) -> int:
     if args.n_max < 1:
         print("error: --n-max must be >= 1", file=sys.stderr)
         return 2
-    payloads = [(args.A, args.B, n) for n in range(1, args.n_max + 1)]
+    payloads = [(args.A, args.B, n, args.digits) for n in range(1, args.n_max + 1)]
     rows = _parallel(_scan_worker, payloads, args.workers)
-    for n, period, mv, markov in rows:
+    for n, payload in rows:
         if args.json:
-            _emit(json.dumps({
-                "command": "scan",
-                "n": n,
-                "period": list(period),
-                "surd": _surd_json(mv.value),
-                "decimal": mv.value.to_decimal(args.digits),
-                "argmin": mv.argmin,
-                "is_markov": markov,
-            }))
+            _emit(json.dumps({"command": "scan", "n": n, **payload}))
         else:
             _emit(
-                f"n={n} period={format_word(period)} surd={_surd_text(mv.value)} "
-                f"decimal={mv.value.to_decimal(args.digits)} "
-                f"markov={str(markov).lower()}"
+                f"n={n} period={format_word(payload['period'])} "
+                f"surd={_surd_text(payload['surd'])} decimal={payload['decimal']} "
+                f"markov={str(payload['is_markov']).lower()}"
             )
     return 0
 
@@ -287,6 +270,7 @@ def _cmd_bqf(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    normalized = _surd_json(result.normalized)
     decimal = result.normalized.to_decimal(args.digits)
     if args.json:
         _emit(json.dumps({
@@ -295,14 +279,14 @@ def _cmd_bqf(args) -> int:
             "radius": args.radius,
             "min_abs": result.min_abs,
             "point": list(result.point),
-            "normalized": _surd_json(result.normalized),
+            "normalized": normalized,
             "decimal": decimal,
         }))
     else:
         _emit(
             f"form={args.form.a},{args.form.b},{args.form.c} radius={args.radius} "
             f"min_abs={result.min_abs} point=({result.point[0]},{result.point[1]}) "
-            f"normalized={_surd_text(result.normalized)} decimal={decimal}"
+            f"normalized={_surd_text(normalized)} decimal={decimal}"
         )
     return 0
 
@@ -317,9 +301,18 @@ _HANDLERS = {
 }
 
 
+# smallest accepted value of each integer flag checked before dispatch
+_MINIMA = {"n": 0, "upto": 0, "digits": 0, "workers": 1}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, low in _MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            print(f"error: --{name} must be >= {low}", file=sys.stderr)
+            return 2
     return _HANDLERS[args.command](args)
 
 

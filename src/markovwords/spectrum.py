@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple, Sequence, Union
 
-from .words import reverse, rotate, word
+from .words import word
 
 
 def _sign(n: int) -> int:
@@ -171,6 +171,8 @@ class QuadraticSurd:
         return (self.q * other.r) ** 2 * self.d == (other.q * self.r) ** 2 * other.d
 
     def __hash__(self) -> int:
+        if self.q == 0:
+            return hash(Fraction(self.p, self.r))  # equal to the int or Fraction
         # (p/r, sign q, q^2 d / r^2) determines the value, so hash on that
         return hash((Fraction(self.p, self.r), _sign(self.q),
                      Fraction(self.q * self.q * self.d, self.r * self.r)))
@@ -204,9 +206,10 @@ class QuadraticSurd:
             raise ValueError("digits must be >= 0")
         scale = 10 ** digits
         scaled = self._floor_scaled(scale)
-        if self.sign() < 0 and not self._is_exact_at(scale):
+        negative = self.sign() < 0
+        if negative and not self._is_exact_at(scale):
             scaled += 1  # floor -> truncation for negative values
-        sign = "-" if scaled < 0 else ""
+        sign = "-" if negative else ""  # kept when truncation reaches zero
         scaled = abs(scaled)
         if digits == 0:
             return f"{sign}{scaled}"
@@ -283,23 +286,27 @@ def markov_value(period: Sequence[int]) -> MarkovValue:
 
     At each cyclic position i the sum is a_i plus the forward tail
     [0; a_{i+1}, a_{i+2}, ...] plus the backward tail [0; a_{i-1}, ...];
-    the spectrum value is the largest of these, compared exactly. Ties
-    resolve to the smallest position.
+    the spectrum value is the largest of these. That sum equals
+    sqrt(D)/q_i, where q_i is the lower-left entry of the convergent matrix
+    of the period rotated to start at i, and D = trace^2 - 4*det is the
+    same for every rotation. Rotating by one letter a conjugates the
+    matrix by [[a, 1], [1, 0]], so all q_i come from one walk in integer
+    arithmetic, and the value is sqrt(D)/min q_i. Ties resolve to the
+    smallest position.
     """
     w = word(period)
     if not w:
         raise ValueError("empty period")
-    n = len(w)
-    best: QuadraticSurd | None = None
-    best_i = 0
-    for i in range(n):
-        forward = zero_tail(rotate(w, (i + 1) % n))
-        backward = zero_tail(reverse(rotate(w, i)))
-        candidate = forward + backward + w[i]
-        if best is None or candidate.compare(best) > 0:
-            best, best_i = candidate, i
-    assert best is not None
-    return MarkovValue(best, best_i)
+    (m11, m12), (m21, m22) = cf_matrix(w)
+    d = (m11 + m22) ** 2 - 4 * (m11 * m22 - m12 * m21)
+    q_min, argmin = m21, 0
+    for i, a in enumerate(w[:-1], 1):
+        # M <- [[0, 1], [1, -a]] M [[a, 1], [1, 0]]: the period rotated by one
+        n11 = a * m21 + m22
+        m11, m12, m21, m22 = n11, m21, a * (m11 - n11) + m12, m11 - a * m21
+        if m21 < q_min:
+            q_min, argmin = m21, i
+    return MarkovValue(QuadraticSurd(0, 1, q_min, d), argmin)
 
 
 def markov_element(period: Sequence[int]) -> QuadraticSurd:
@@ -345,24 +352,40 @@ def bqf_min(form: BQForm, radius: int) -> LatticeMinimum:
     is the exact surd min|f|/sqrt(disc). The reported point is canonical:
     positive form value preferred, sign fixed so the first nonzero
     coordinate is positive, then lexicographically smallest.
+
+    Only candidates are evaluated. As f(-x, -y) = f(x, y), the half box
+    y > 0, plus x > 0 on y = 0, holds every value. On a row y > 0, f(., y)
+    has two real roots (its discriminant is disc*y^2 > 0), or one when
+    a = 0; |f| is strictly monotone outside them and strictly concave
+    between them, so every point of the row attaining its minimum is a
+    floor or ceiling of a root, clamped to [-radius, radius].
     """
     disc = form.discriminant()
     if disc <= 0:
         raise ValueError(f"form must be indefinite, discriminant is {disc}")
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    a, b, c = form.a, form.b, form.c
+    points = [(x, 0) for x in range(1, radius + 1)]
+    for y in range(1, radius + 1):
+        if a != 0:
+            t = isqrt(disc * y * y)
+            roots = ((-b * y - t) // (2 * a), (-b * y + t) // (2 * a))
+        else:
+            roots = ((-c * y) // b,)  # disc = b^2 > 0, so b != 0
+        # each estimate is within one of the root's floor; widen to cover
+        # its floor and ceiling
+        xs = {min(max(k + e, -radius), radius) for k in roots for e in (-1, 0, 1, 2)}
+        points.extend((x, y) for x in xs)
     best: int | None = None
     attaining: list[tuple[int, int, int]] = []
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
-            if x == 0 and y == 0:
-                continue
-            v = form(x, y)
-            av = abs(v)
-            if best is None or av < best:
-                best, attaining = av, [(v, x, y)]
-            elif av == best:
-                attaining.append((v, x, y))
+    for x, y in points:
+        v = form(x, y)
+        av = abs(v)
+        if best is None or av < best:
+            best, attaining = av, [(v, x, y)]
+        elif av == best:
+            attaining.append((v, x, y))
     assert best is not None
 
     def canonical(entry: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -1,9 +1,21 @@
-"""Independent floating-point oracles used by the exact-arithmetic tests.
+"""Independent oracles used by the exact-arithmetic tests.
 
-These deliberately avoid the library's surd pipeline: tails are evaluated
-by truncating the periodic continued fraction at a fixed depth in floats.
+The float oracles deliberately avoid the library's surd pipeline: tails
+are evaluated by truncating the periodic continued fraction at a fixed
+depth in floats. The exact oracles are the searches the library replaced
+by closed forms: a Perron value found by comparing the surd sums at every
+position, and a form minimum found by evaluating every point of the box.
 """
 from __future__ import annotations
+
+from markovwords.spectrum import (
+    BQForm,
+    LatticeMinimum,
+    MarkovValue,
+    QuadraticSurd,
+    zero_tail,
+)
+from markovwords.words import reverse, rotate, word
 
 
 def tail_float(period, depth: int = 60) -> float:
@@ -27,3 +39,50 @@ def perron_float(period, depth: int = 60) -> tuple[float, int]:
         if best is None or v > best + 1e-13:
             best, arg = v, i
     return best, arg
+
+
+def markov_value_by_tails(period) -> MarkovValue:
+    """Largest exact Perron sum a_i + forward tail + backward tail, ties low."""
+    w = word(period)
+    if not w:
+        raise ValueError("empty period")
+    n = len(w)
+    best: QuadraticSurd | None = None
+    best_i = 0
+    for i in range(n):
+        forward = zero_tail(rotate(w, (i + 1) % n))
+        backward = zero_tail(reverse(rotate(w, i)))
+        candidate = forward + backward + w[i]
+        if best is None or candidate.compare(best) > 0:
+            best, best_i = candidate, i
+    return MarkovValue(best, best_i)
+
+
+def bqf_min_brute(form: BQForm, radius: int) -> LatticeMinimum:
+    """Minimum of |f| over every nonzero point of the box, canonical point."""
+    disc = form.discriminant()
+    if disc <= 0:
+        raise ValueError(f"form must be indefinite, discriminant is {disc}")
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    best: int | None = None
+    attaining: list[tuple[int, int, int]] = []
+    for x in range(-radius, radius + 1):
+        for y in range(-radius, radius + 1):
+            if x == 0 and y == 0:
+                continue
+            v = form(x, y)
+            av = abs(v)
+            if best is None or av < best:
+                best, attaining = av, [(v, x, y)]
+            elif av == best:
+                attaining.append((v, x, y))
+
+    def canonical(entry: tuple[int, int, int]) -> tuple[int, int, int]:
+        v, x, y = entry
+        if x < 0 or (x == 0 and y < 0):
+            x, y = -x, -y
+        return (0 if v >= 0 else 1, x, y)
+
+    _, px, py = min(canonical(e) for e in attaining)
+    return LatticeMinimum(best, QuadraticSurd(0, best, disc, disc), (px, py))

@@ -4,6 +4,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from oracles import markov_value_by_tails
+
+from markovwords import cli
 from markovwords.cli import main
 from markovwords.words import parse_word
 
@@ -144,6 +147,63 @@ def test_scan(capsys, schema):
     assert all(r["is_markov"] for r in recs)
     assert recs[0]["period"] == [2, 2]
     assert recs[0]["decimal"] == "2.8284271247"
+
+
+def test_spectrum_text_evaluates_once(capsys, monkeypatch):
+    calls = []
+    original = cli.markov_value
+
+    def counted(period):
+        calls.append(period)
+        return original(period)
+
+    monkeypatch.setattr(cli, "markov_value", counted)
+    status, out, _ = run(capsys, "spectrum", "--period", "2,2,1,1", "--digits", "12")
+    assert status == 0
+    assert out == ("period=2,2,1,1 surd=(0,1,5,221) decimal=2.973213749463 "
+                   "argmin=0 markov=true\n")
+    assert calls == [(2, 2, 1, 1)]
+
+
+def test_scan_text(capsys):
+    status, out, _ = run(capsys, "scan", "--n-max", "2", "--digits", "10")
+    assert status == 0
+    assert out == (
+        "n=1 period=2,2 surd=(0,1,2,32) decimal=2.8284271247 markov=true\n"
+        "n=2 period=1,1,2,2 surd=(0,1,5,221) decimal=2.9732137494 markov=true\n"
+    )
+
+
+def test_scan_rows_match_tail_oracle(capsys, schema):
+    status, out, _ = run(capsys, "scan", "--n-max", "40", "--json")
+    assert status == 0
+    recs = validate_lines(schema, out)
+    assert [r["n"] for r in recs] == list(range(1, 41))
+    for rec in recs:
+        expected = markov_value_by_tails(rec["period"])
+        p, q, r, d = expected.value.as_tuple()
+        assert rec["surd"] == {"p": p, "q": q, "r": r, "D": d}, rec["n"]
+        assert rec["argmin"] == expected.argmin, rec["n"]
+        # value sqrt(D)/r lies below 3 exactly when D < 9 r^2
+        assert rec["is_markov"] == (d < 9 * r * r), rec["n"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--period", "1,2", "--digits", "-1"], "--digits must be >= 0"),
+    (["scan", "--n-max", "3", "--digits", "-1"], "--digits must be >= 0"),
+    (["bqf", "--form", "1,1,-1", "--digits", "-2"], "--digits must be >= 0"),
+    (["scan", "--n-max", "3", "--workers", "0"], "--workers must be >= 1"),
+    (["scan", "--n-max", "3", "--workers", "-3"], "--workers must be >= 1"),
+    (["verify", "prop-main", "--n-max", "3", "--workers", "0"], "--workers must be >= 1"),
+    (["verify", "lemmas", "--k-max", "8", "--workers", "-3"], "--workers must be >= 1"),
+    (["seq", "--n", "-1"], "--n must be >= 0"),
+    (["stern", "--upto", "-1"], "--upto must be >= 0"),
+])
+def test_out_of_range_flag_exits_2_with_one_line(capsys, argv, message):
+    status, out, err = run(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_bqf(capsys, schema):

@@ -1,10 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import perron_float, tail_float
+from oracles import bqf_min_brute, markov_value_by_tails, perron_float, tail_float
 
 from markovwords.spectrum import (
     BQForm,
@@ -108,6 +110,33 @@ def test_surd_decimal():
     assert QuadraticSurd(7, 0, 1, 0).to_decimal(3) == "7.000"
 
 
+@given(st.integers(-10**6, 10**6), st.integers(-50, 50), st.integers(1, 10**4),
+       st.integers(0, 30))
+def test_rational_surd_hash_matches_fraction(p, q, r, root):
+    # q*sqrt(root^2) folds into the rational part, so x is rational
+    x = QuadraticSurd(p, q, r, root * root)
+    f = Fraction(p + q * root, r)
+    assert x == f
+    assert hash(x) == hash(f)
+    assert len({x, f}) == 1
+
+
+@given(st.integers(-100, 100) | st.integers(-10**6, 10**6), st.integers(1, 10**4),
+       st.integers(0, 6))
+def test_decimal_of_fraction_truncates_toward_zero_keeping_sign(num, den, digits):
+    f = Fraction(num, den)
+    text = QuadraticSurd.from_fraction(f).to_decimal(digits)
+    assert text.startswith("-") == (f < 0)
+    scale = 10 ** digits
+    assert Fraction(text) == Fraction(math.trunc(f * scale), scale)
+
+
+def test_decimal_sign_survives_truncation_to_zero():
+    assert QuadraticSurd.from_fraction(Fraction(-1, 20)).to_decimal(1) == "-0.0"
+    assert QuadraticSurd(0, -1, 1000, 5).to_decimal(2) == "-0.00"
+    assert QuadraticSurd(0, 0, 1, 0).to_decimal(2) == "0.00"
+
+
 surd_ints = st.integers(min_value=-50, max_value=50)
 
 
@@ -140,6 +169,22 @@ def test_markov_value_examples():
     assert v3.argmin == 0  # position 1 attains the same value; ties go low
     with pytest.raises(ValueError):
         markov_value(())
+
+
+def assert_same_markov_value(w):
+    fast, slow = markov_value(w), markov_value_by_tails(w)
+    assert fast.value.as_tuple() == slow.value.as_tuple(), w
+    assert fast.argmin == slow.argmin, w
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=40).map(tuple))
+def test_markov_value_matches_tail_oracle(w):
+    assert_same_markov_value(w)
+
+
+def test_markov_value_matches_tail_oracle_on_tree_words():
+    for n in range(513):
+        assert_same_markov_value(s_rec((1, 1), (2, 2), n))
 
 
 def test_markov_value_rotation_invariant():
@@ -205,6 +250,21 @@ def test_bqf_min_examples():
         bqf_min(BQForm(1, 0, 1), 10)  # discriminant -4
     with pytest.raises(ValueError):
         bqf_min(BQForm(1, 1, -1), 0)
+
+
+def test_bqf_min_matches_brute_force_on_small_forms():
+    cases = 0
+    for a, b, c in itertools.product(range(-6, 7), repeat=3):
+        form = BQForm(a, b, c)
+        if form.discriminant() <= 0:
+            continue
+        for radius in (1, 2, 3, 5, 8):
+            fast, slow = bqf_min(form, radius), bqf_min_brute(form, radius)
+            assert fast.min_abs == slow.min_abs, (form, radius)
+            assert fast.point == slow.point, (form, radius)
+            assert fast.normalized.as_tuple() == slow.normalized.as_tuple(), (form, radius)
+            cases += 1
+    assert cases == 6940
 
 
 def test_bqf_cross_checks_markov_element():
