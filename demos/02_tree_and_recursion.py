@@ -39,18 +39,32 @@ for i, vert in enumerate(level(A, B, 3), start=1):
     print(f"level 3, vertex {i}: centre = S({n}) =", vert.center,
           "blocks:", "".join(block_labels(n)))
 
-# The index recursion builds the same words without touching the graph:
-#   S(2j) = S(j) + S(a(j)),  S(2j-1) = S(a*(j-1)) + S(j).
+# The index recursion builds the same words without touching the graph.
+# The vertex centred at S(n) is (S(a*(n-1)), S(n), S(a(n))), so
+#   S(n) = S(a*(n-1)) + S(a(n))   for n >= 2.
 print("\nindex 14 via graph:    ", s_graph(A, B, 14))
 print("index 14 via recursion:", s_rec(A, B, 14))
 assert all(s_graph(A, B, n) == s_rec(A, B, n) for n in range(257))
 print("builders agree for every index up to 256")
 
 # The left-flank rule a* must send EVERY power of two to 0, not just 1.
-# Zeroing only 1 looks plausible but diverges from the graph at index 5:
+# Zeroing only 1 looks plausible: in the even/odd form of the recursion,
+#   S(2j) = S(j) + S(a(j)),  S(2j-1) = S(a*(j-1)) + S(j),
+# it diverges from the graph first at index 5.
 literal = lambda x: 0 if x == 1 else a_of(x)
+
+
+def s_literal(n):
+    if n < 3:
+        return (A, B, A + B)[n]
+    j = (n + 1) // 2
+    if n % 2 == 0:
+        return s_literal(j) + s_literal(a_of(j))
+    return s_literal(literal(j - 1)) + s_literal(j)
+
+
 for n in range(3, 8):
-    lhs, rhs = s_rec(A, B, n, a_star_fn=literal), s_graph(A, B, n)
+    lhs, rhs = s_literal(n), s_graph(A, B, n)
     marker = "  <-- diverges" if lhs != rhs else ""
     print(f"n={n}: literal rule gives {lhs}{marker}")
 

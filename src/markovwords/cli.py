@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
 from . import theorems
@@ -135,28 +134,6 @@ def _report_lines(reports: Iterable[VerificationReport], check: str, as_json: bo
             yield rep.passed, f"{status} {rep.claim} n={rep.n}{extra}{counter}"
 
 
-def _parallel(worker, payloads: Sequence, workers: int) -> list:
-    if workers <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads))
-
-
-def _prop_main_worker(payload) -> list[VerificationReport]:
-    a, b, ns = payload
-    return [theorems.verify_shift_palindromic(a, b, n) for n in ns]
-
-
-def _theorem_worker(payload) -> VerificationReport:
-    idx, wa, wb, n_max = payload
-    return theorems.verify_rearrangement_pair(idx, wa, wb, n_max)
-
-
-def _equivalence_worker(payload) -> VerificationReport:
-    idx, wa, wb, levels = payload
-    return theorems.verify_equivalence_pair(idx, wa, wb, levels)
-
-
 def _spectrum_payload(period, digits: int) -> dict:
     mv = markov_value(period)
     return {
@@ -168,13 +145,8 @@ def _spectrum_payload(period, digits: int) -> dict:
     }
 
 
-def _scan_worker(payload) -> tuple[int, dict]:
-    a, b, n, digits = payload
-    return n, _spectrum_payload(s_rec(a, b, n), digits)
-
-
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[i: i + size] for i in range(0, len(items), size)]
+def _scan_row(a, b, n: int, digits: int) -> dict:
+    return {"n": n, **_spectrum_payload(s_rec(a, b, n), digits)}
 
 
 def _cmd_seq(args) -> int:
@@ -207,21 +179,14 @@ def _cmd_stern(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.check == "prop-main":
-        ns = list(range(1, args.n_max + 1))
-        chunked = _chunks(ns, max(1, len(ns) // max(1, args.workers * 4)))
-        payloads = [(args.a, args.b, chunk) for chunk in chunked]
-        reports = [r for batch in _parallel(_prop_main_worker, payloads, args.workers)
-                   for r in batch]
+        reports = theorems.iter_shift_palindromic(args.n_max, args.a, args.b, args.workers)
     elif args.check == "theorem":
-        pairs = theorems.random_seed_pairs(args.trials, args.seed)
-        payloads = [(i, wa, wb, args.n_max) for i, (wa, wb) in enumerate(pairs, 1)]
-        reports = _parallel(_theorem_worker, payloads, args.workers)
+        reports = theorems.iter_block_rearrangement(
+            args.n_max, args.trials, args.seed, workers=args.workers)
     elif args.check == "equivalence":
-        pairs = [((1, 1), (2, 2))] + theorems.random_word_pairs(args.pairs, args.seed)
-        payloads = [(i, wa, wb, args.levels) for i, (wa, wb) in enumerate(pairs)]
-        reports = _parallel(_equivalence_worker, payloads, args.workers)
+        reports = theorems.iter_equivalence(args.levels, args.pairs, args.seed, args.workers)
     else:
-        reports = list(theorems.iter_lemma_checks(args.k_max))
+        reports = theorems.iter_lemma_checks(args.k_max)
 
     failed = 0
     total = 0
@@ -247,19 +212,15 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.n_max < 1:
-        print("error: --n-max must be >= 1", file=sys.stderr)
-        return 2
-    payloads = [(args.A, args.B, n, args.digits) for n in range(1, args.n_max + 1)]
-    rows = _parallel(_scan_worker, payloads, args.workers)
-    for n, payload in rows:
+    cases = [(args.A, args.B, n, args.digits) for n in range(1, args.n_max + 1)]
+    for row in theorems.sweep(_scan_row, cases, args.workers):
         if args.json:
-            _emit(json.dumps({"command": "scan", "n": n, **payload}))
+            _emit(json.dumps({"command": "scan", **row}))
         else:
             _emit(
-                f"n={n} period={format_word(payload['period'])} "
-                f"surd={_surd_text(payload['surd'])} decimal={payload['decimal']} "
-                f"markov={str(payload['is_markov']).lower()}"
+                f"n={row['n']} period={format_word(row['period'])} "
+                f"surd={_surd_text(row['surd'])} decimal={row['decimal']} "
+                f"markov={str(row['is_markov']).lower()}"
             )
     return 0
 
@@ -301,8 +262,10 @@ _HANDLERS = {
 }
 
 
-# smallest accepted value of each integer flag checked before dispatch
-_MINIMA = {"n": 0, "upto": 0, "digits": 0, "workers": 1}
+# smallest accepted value of each integer flag checked before dispatch; below
+# k_max = 8 the lemma suite has too few levels to check every identity
+_MINIMA = {"n": 0, "upto": 0, "digits": 0, "workers": 1, "n_max": 1, "k_max": 8,
+           "levels": 0, "pairs": 0, "trials": 1}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -311,7 +274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     for name, low in _MINIMA.items():
         value = getattr(args, name, None)
         if value is not None and value < low:
-            print(f"error: --{name} must be >= {low}", file=sys.stderr)
+            print(f"error: --{name.replace('_', '-')} must be >= {low}", file=sys.stderr)
             return 2
     return _HANDLERS[args.command](args)
 

@@ -3,15 +3,17 @@
 Each check returns a :class:`VerificationReport`; batch runners stream
 reports instead of aborting, so a sweep always yields the complete
 regression surface. A failing report carries a reproducible witness.
+Every sweep, the command line's included, runs through :func:`sweep`.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import starmap
+from typing import Callable, Iterator, Optional, Sequence
 
 from .diatomic import a_of, a_star, stern
-from .tree import block_counts, block_labels, block_word, s_rec
+from .tree import block_counts, block_labels, block_word, run_lengths, s_rec
 from .words import (
     Word,
     format_word,
@@ -227,22 +229,7 @@ def block_exponent_profile(n: int) -> list[tuple[int, int]]:
     A leading zero alpha (word starts with B) or trailing zero beta (word
     ends with A) is kept so the pairs always alternate A-run, B-run.
     """
-    labels = block_labels(n)
-    runs: list[int] = []
-    expect = "A"
-    i = 0
-    while i < len(labels):
-        if labels[i] == expect:
-            j = i
-            while j < len(labels) and labels[j] == expect:
-                j += 1
-            runs.append(j - i)
-            i = j
-        else:
-            runs.append(0)
-        expect = "B" if expect == "A" else "A"
-    if len(runs) % 2:
-        runs.append(0)
+    runs = run_lengths(block_labels(n), "A")
     return [(runs[t], runs[t + 1]) for t in range(0, len(runs), 2)]
 
 
@@ -287,19 +274,37 @@ def verify_rearrangement_pair(
     )
 
 
+def sweep(fn: Callable, cases: Sequence[tuple], workers: int = 1) -> Iterator:
+    """``fn(*case)`` for every case, in the order of ``cases``.
+
+    With ``workers`` > 1 the cases are split into chunks over a process
+    pool; ``fn`` must then be a module-level function.
+    """
+    if workers <= 1:
+        yield from starmap(fn, cases)
+        return
+    # imported here so that serial runs never load the multiprocessing stack
+    from concurrent.futures import ProcessPoolExecutor
+    chunksize = max(1, len(cases) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, *zip(*cases), chunksize=chunksize)
+
+
 def iter_shift_palindromic(
-    n_max: int, a_sym: int = 1, b_sym: int = 2
+    n_max: int, a_sym: int = 1, b_sym: int = 2, workers: int = 1
 ) -> Iterator[VerificationReport]:
-    for n in range(1, n_max + 1):
-        yield verify_shift_palindromic(a_sym, b_sym, n)
+    cases = [(a_sym, b_sym, n) for n in range(1, n_max + 1)]
+    return sweep(verify_shift_palindromic, cases, workers)
 
 
 def iter_block_rearrangement(
-    n_max: int, trials: int, seed: int, lengths: Sequence[int] = range(1, 9)
+    n_max: int, trials: int, seed: int, lengths: Sequence[int] = range(1, 9),
+    workers: int = 1,
 ) -> Iterator[VerificationReport]:
     """One report per random palindromic seed pair, sweeping all n <= n_max."""
-    for idx, (wa, wb) in enumerate(random_seed_pairs(trials, seed, lengths), 1):
-        yield verify_rearrangement_pair(idx, wa, wb, n_max)
+    pairs = random_seed_pairs(trials, seed, lengths)
+    cases = [(idx, wa, wb, n_max) for idx, (wa, wb) in enumerate(pairs, 1)]
+    return sweep(verify_rearrangement_pair, cases, workers)
 
 
 def random_word_pairs(pairs: int, seed: int, max_len: int = 4) -> list[tuple[Word, Word]]:
@@ -334,12 +339,12 @@ def verify_equivalence_pair(
 
 
 def iter_equivalence(
-    levels: int, pairs: int = 20, seed: int = 42
+    levels: int, pairs: int = 20, seed: int = 42, workers: int = 1
 ) -> Iterator[VerificationReport]:
     """One equivalence report per seed pair: (1,1),(2,2) first, then random pairs."""
     seed_pairs = [((1, 1), (2, 2))] + random_word_pairs(pairs, seed)
-    for idx, (wa, wb) in enumerate(seed_pairs):
-        yield verify_equivalence_pair(idx, wa, wb, levels)
+    cases = [(idx, wa, wb, levels) for idx, (wa, wb) in enumerate(seed_pairs)]
+    return sweep(verify_equivalence_pair, cases, workers)
 
 
 def check_length_identity(k_hi: int) -> Optional[dict]:

@@ -3,15 +3,17 @@
 Vertices are triples (left, centre, right) with centre = left + right.
 From the root (A, A+B, B) the moves L and R produce an infinite binary
 tree; levels are ordered so that the centre of the i-th vertex of level n
-is the word with index 2^(n-1)+i. The same family is produced by an index
-recursion over ``a``/``a*``; both builders are exposed so each can serve
-as an oracle for the other.
+is the word with index 2^(n-1)+i. The vertex centred at S(n) is
+(S(a*(n-1)), S(n), S(a(n))), so S(n) = S(a*(n-1)) + S(a(n)) for n >= 2;
+that one index recursion builds the words, their label words over {A, B}
+and the block counts. :func:`s_graph` walks the graph instead and serves
+as the independent oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .diatomic import a_of, a_star
 from .words import Word, word
@@ -99,21 +101,22 @@ def _move_string(exponents: Sequence[int]) -> str:
     return "".join(("R" if pos % 2 == 0 else "L") * c for pos, c in enumerate(exponents))
 
 
-def _exponents_from_moves(moves: str) -> Path:
-    """Run-length exponents of an L/R move string, starting with the R-run."""
+def run_lengths(symbols: Iterable[Hashable], first: Hashable) -> tuple[int, ...]:
+    """Lengths of the alternating runs of a two-symbol sequence.
+
+    The first entry counts the leading run of ``first`` and is 0 when the
+    sequence starts with the other symbol; a trailing 0 keeps the length
+    even, so the entries pair up as (first-run, other-run).
+    """
     runs: list[int] = []
-    expect = "R"
-    i = 0
-    while i < len(moves):
-        if moves[i] == expect:
-            j = i
-            while j < len(moves) and moves[j] == expect:
-                j += 1
-            runs.append(j - i)
-            i = j
-        else:
-            runs.append(0)
-        expect = "L" if expect == "R" else "R"
+    prev, count = first, 0
+    for sym in symbols:
+        if sym != prev:
+            runs.append(count)
+            prev, count = sym, 0
+        count += 1
+    if count:
+        runs.append(count)
     if len(runs) % 2:
         runs.append(0)
     return tuple(runs)
@@ -130,7 +133,7 @@ def _level_entries(a: Sequence[int], b: Sequence[int], n: int) -> list[tuple[Pat
             for moves, v in entries
             for child in ((moves + "L", step_left(v)), (moves + "R", step_right(v)))
         ]
-    return [(_exponents_from_moves(moves), v) for moves, v in entries]
+    return [(run_lengths(moves, "R"), v) for moves, v in entries]
 
 
 def level(a: Sequence[int], b: Sequence[int], n: int) -> list[Vertex]:
@@ -163,59 +166,33 @@ def s_graph(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     return v.center
 
 
-def s_rec(
-    a: Sequence[int],
-    b: Sequence[int],
-    n: int,
-    *,
-    a_star_fn: Optional[Callable[[int], int]] = None,
-) -> Word:
+def s_rec(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     """The word with index n by the index recursion.
 
-    S(2j) = S(j) + S(a(j)) and S(2j-1) = S(a*(j-1)) + S(j); agrees with
-    :func:`s_graph` at every index. ``a_star_fn`` swaps in an alternative
-    left-flank rule; the regression tests use it to pin the first index at
-    which a wrong rule diverges.
+    S(0) = A, S(1) = B and S(n) = S(a*(n-1)) + S(a(n)) for n >= 2: the
+    left and right flanks of the vertex centred at S(n). Agrees with
+    :func:`s_graph` at every index.
     """
     if n < 0:
         raise ValueError("indices start at 0")
     wa, wb = word(a), word(b)
     if not wa or not wb:
         raise ValueError("seed words must be nonempty")
-    return _s_rec_cached(wa, wb, n, a_star_fn or a_star)
+    return _s_rec_cached(wa, wb, n)
 
 
 @lru_cache(maxsize=4096)
-def _s_rec_cached(a: Word, b: Word, n: int, fn: Callable[[int], int]) -> Word:
-    if n == 0:
-        return a
-    if n == 1:
-        return b
-    if n == 2:
-        return a + b
-    if n % 2 == 0:
-        j = n // 2
-        return _s_rec_cached(a, b, j, fn) + _s_rec_cached(a, b, a_of(j), fn)
-    j = (n + 1) // 2
-    return _s_rec_cached(a, b, fn(j - 1), fn) + _s_rec_cached(a, b, j, fn)
+def _s_rec_cached(a: tuple, b: tuple, n: int) -> tuple:
+    if n < 2:
+        return b if n else a
+    return _s_rec_cached(a, b, a_star(n - 1)) + _s_rec_cached(a, b, a_of(n))
 
 
-@lru_cache(maxsize=None)
 def block_labels(n: int) -> tuple[str, ...]:
-    """The label word of index n: the index recursion carried out over {A, B}."""
+    """The label word of index n: the index recursion on the seeds A, B."""
     if n < 0:
         raise ValueError("indices start at 0")
-    if n == 0:
-        return (LABEL_A,)
-    if n == 1:
-        return (LABEL_B,)
-    if n == 2:
-        return (LABEL_A, LABEL_B)
-    if n % 2 == 0:
-        j = n // 2
-        return block_labels(j) + block_labels(a_of(j))
-    j = (n + 1) // 2
-    return block_labels(a_star(j - 1)) + block_labels(j)
+    return _s_rec_cached((LABEL_A,), (LABEL_B,), n)
 
 
 def block_word(a: Sequence[int], b: Sequence[int], n: int) -> BlockWord:
@@ -226,44 +203,18 @@ def block_word(a: Sequence[int], b: Sequence[int], n: int) -> BlockWord:
     return BlockWord(block_labels(n), {LABEL_A: wa, LABEL_B: wb})
 
 
-@lru_cache(maxsize=None)
 def block_counts(n: int) -> tuple[int, int]:
     """(#A-blocks, #B-blocks) in the label word of index n.
 
     The total is d(2n-1) for n >= 1; the individual counts follow the
     index recursion and admit no comparable closed form.
     """
-    if n < 0:
-        raise ValueError("indices start at 0")
-    if n == 0:
-        return (1, 0)
-    if n == 1:
-        return (0, 1)
-    if n == 2:
-        return (1, 1)
-    if n % 2 == 0:
-        j = n // 2
-        xa, xb = block_counts(j)
-        ya, yb = block_counts(a_of(j))
-    else:
-        j = (n + 1) // 2
-        xa, xb = block_counts(a_star(j - 1))
-        ya, yb = block_counts(j)
-    return (xa + ya, xb + yb)
+    labels = block_labels(n)
+    return (labels.count(LABEL_A), labels.count(LABEL_B))
 
 
-@lru_cache(maxsize=None)
 def flank_indices(j: int) -> tuple[int, int]:
-    """Indices of the left and right words flanking the word with index j.
-
-    The vertex centred at S(j) is (S(l), S(j), S(r)) with l, r given by
-    l(2)=0, l(2j)=j, l(2j-1)=l(j) and r(2)=1, r(2j)=r(j), r(2j-1)=j; these
-    coincide with a*(j-1) and a(j).
-    """
+    """Indices (a*(j-1), a(j)) of the left and right words flanking S(j)."""
     if j < 2:
         raise ValueError("flank indices are defined for j >= 2")
-    if j == 2:
-        return (0, 1)
-    if j % 2 == 0:
-        return (j // 2, flank_indices(j // 2)[1])
-    return (flank_indices((j + 1) // 2)[0], (j + 1) // 2)
+    return (a_star(j - 1), a_of(j))

@@ -5,9 +5,12 @@ are evaluated by truncating the periodic continued fraction at a fixed
 depth in floats. The exact oracles are the searches the library replaced
 by closed forms: a Perron value found by comparing the surd sums at every
 position, and a form minimum found by evaluating every point of the box.
+The word oracle is the two-branch index recursion with an injectable
+left-flank rule, which the tests use to pin where a wrong rule diverges.
 """
 from __future__ import annotations
 
+from markovwords.diatomic import a_of
 from markovwords.spectrum import (
     BQForm,
     LatticeMinimum,
@@ -86,3 +89,21 @@ def bqf_min_brute(form: BQForm, radius: int) -> LatticeMinimum:
 
     _, px, py = min(canonical(e) for e in attaining)
     return LatticeMinimum(best, QuadraticSurd(0, best, disc, disc), (px, py))
+
+
+def s_rec_with_rule(a, b, n: int, rule) -> tuple[int, ...]:
+    """S(n) by the two-branch recursion with ``rule`` as the left-flank index.
+
+    S(2j) = S(j) + S(a(j)) and S(2j-1) = S(rule(j-1)) + S(j). With
+    ``rule = a_star`` it equals the library's single rule
+    S(n) = S(a*(n-1)) + S(a(n)); uncached.
+    """
+    if n < 2:
+        return word(b) if n else word(a)
+    if n == 2:
+        return word(a) + word(b)
+    if n % 2 == 0:
+        j = n // 2
+        return s_rec_with_rule(a, b, j, rule) + s_rec_with_rule(a, b, a_of(j), rule)
+    j = (n + 1) // 2
+    return s_rec_with_rule(a, b, rule(j - 1), rule) + s_rec_with_rule(a, b, j, rule)

@@ -9,7 +9,7 @@ test_odd_length_seed_failure_is_real), so those cases are counted, not judged.
 """
 import time
 
-from oracles import perron_float
+from oracles import perron_float, s_rec_with_rule
 
 from markovwords.diatomic import a_of, stern
 from markovwords.spectrum import BQForm, QuadraticSurd, bqf_min, is_markov_sequence, \
@@ -89,7 +89,7 @@ def test_criterion_3_builder_equivalence_level_10():
 
     first_divergence = next(
         n for n in range(0, 1025)
-        if s_rec(A, B, n, a_star_fn=literal_rule) != s_graph(A, B, n)
+        if s_rec_with_rule(A, B, n, literal_rule) != s_graph(A, B, n)
     )
     elapsed = time.perf_counter() - t0
     ok = not failures and first_divergence == 5 and elapsed < budget

@@ -113,11 +113,17 @@ def test_verify_theorem_reports_and_exit_status(capsys, schema):
     assert (status == 0) == all(r["passed"] for r in recs)
 
 
-def test_verify_workers_match_serial(capsys):
-    status1, out1, _ = run(capsys, "verify", "prop-main", "--n-max", "40")
-    status2, out2, _ = run(capsys, "verify", "prop-main", "--n-max", "40",
-                           "--workers", "2")
-    assert status1 == status2 == 0
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "prop-main", "--n-max", "40"], 0),
+    # odd-length random seeds fail the unscoped claim, so both sides exit 1
+    (["verify", "theorem", "--trials", "6", "--n-max", "24"], 1),
+    (["verify", "equivalence", "--levels", "5", "--pairs", "4"], 0),
+    (["scan", "--n-max", "12", "--json"], 0),
+], ids=["prop-main", "theorem", "equivalence", "scan"])
+def test_verify_workers_match_serial(capsys, argv, expected):
+    status1, out1, _ = run(capsys, *argv)
+    status2, out2, _ = run(capsys, *argv, "--workers", "2")
+    assert status1 == status2 == expected
     assert out1 == out2
 
 
@@ -198,6 +204,14 @@ def test_scan_rows_match_tail_oracle(capsys, schema):
     (["verify", "lemmas", "--k-max", "8", "--workers", "-3"], "--workers must be >= 1"),
     (["seq", "--n", "-1"], "--n must be >= 0"),
     (["stern", "--upto", "-1"], "--upto must be >= 0"),
+    (["verify", "prop-main", "--n-max", "0"], "--n-max must be >= 1"),
+    (["verify", "theorem", "--n-max", "-4"], "--n-max must be >= 1"),
+    (["scan", "--n-max", "0"], "--n-max must be >= 1"),
+    (["verify", "lemmas", "--k-max", "-5"], "--k-max must be >= 8"),
+    (["verify", "lemmas", "--k-max", "7"], "--k-max must be >= 8"),
+    (["verify", "equivalence", "--levels", "-2", "--pairs", "1"], "--levels must be >= 0"),
+    (["verify", "equivalence", "--pairs", "-1"], "--pairs must be >= 0"),
+    (["verify", "theorem", "--trials", "0"], "--trials must be >= 1"),
 ])
 def test_out_of_range_flag_exits_2_with_one_line(capsys, argv, message):
     status, out, err = run(capsys, *argv)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from oracles import s_rec_with_rule
+
 from markovwords.diatomic import a_of, a_star, stern
 from markovwords.tree import (
     Vertex,
@@ -150,9 +152,18 @@ def test_literal_a_star_rule_diverges_at_five():
         return 0 if x == 1 else a_of(x)
 
     diverged = [
-        n for n in range(0, 33) if s_rec(A, B, n, a_star_fn=literal) != s_graph(A, B, n)
+        n for n in range(0, 33) if s_rec_with_rule(A, B, n, literal) != s_graph(A, B, n)
     ]
     assert diverged[0] == 5
+
+
+def test_single_rule_matches_two_branch_rule():
+    # S(n) = S(a*(n-1)) + S(a(n)) is the even/odd rule S(2j) = S(j) + S(a(j)),
+    # S(2j-1) = S(a*(j-1)) + S(j), since a*(2j-1) = j, a(2j) = a(j),
+    # a*(2j-2) = a*(j-1) and a(2j-1) = j
+    for wa, wb in ((A, B), ((1, 2, 1), (3,))):
+        for n in range(0, 2049):
+            assert s_rec(wa, wb, n) == s_rec_with_rule(wa, wb, n, a_star), n
 
 
 def test_block_word_examples():
