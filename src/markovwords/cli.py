@@ -186,7 +186,7 @@ def _cmd_verify(args) -> int:
     elif args.check == "equivalence":
         reports = theorems.iter_equivalence(args.levels, args.pairs, args.seed, args.workers)
     else:
-        reports = theorems.iter_lemma_checks(args.k_max)
+        reports = theorems.iter_lemma_checks(args.k_max, args.workers)
 
     failed = 0
     total = 0
@@ -265,7 +265,7 @@ _HANDLERS = {
 # smallest accepted value of each integer flag checked before dispatch; below
 # k_max = 8 the lemma suite has too few levels to check every identity
 _MINIMA = {"n": 0, "upto": 0, "digits": 0, "workers": 1, "n_max": 1, "k_max": 8,
-           "levels": 0, "pairs": 0, "trials": 1}
+           "levels": 0, "pairs": 0, "trials": 1, "a": 1, "b": 1}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -276,6 +276,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if value is not None and value < low:
             print(f"error: --{name.replace('_', '-')} must be >= {low}", file=sys.stderr)
             return 2
+    if getattr(args, "check", None) == "prop-main" and args.a == args.b:
+        print("error: --a and --b must differ", file=sys.stderr)
+        return 2
     return _HANDLERS[args.command](args)
 
 

@@ -24,13 +24,12 @@ def stern(n: int) -> int:
 def a_of(j: int) -> int:
     """OEIS A003602: a(1)=a(2)=1, a(2j)=a(j), a(2j-1)=j for j>1.
 
-    Equivalently (k+1)/2 for the odd part k of j; computed that way.
+    Equivalently (k+1)/2 for the odd part k = j / (j & -j) of j, where
+    j & -j is the lowest set bit of j; computed that way.
     """
     if j < 1:
         raise ValueError("a_of is defined for j >= 1")
-    while j % 2 == 0:
-        j //= 2
-    return (j + 1) // 2 if j > 1 else 1
+    return (j // (j & -j) + 1) // 2
 
 
 def a_star(x: int) -> int:

@@ -19,14 +19,27 @@ def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
 
+def _surd_sign(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q*sqrt(d), by comparing p^2 against q^2*d where needed."""
+    if q == 0:
+        return _sign(p)
+    if q > 0:
+        if p >= 0:
+            return 1
+        return 1 if p * p < q * q * d else -1
+    if p <= 0:
+        return -1
+    return -1 if p * p < q * q * d else 1
+
+
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Exact value (p + q*sqrt(d))/r with arbitrary-precision integers.
 
     Normal form: r > 0, gcd(p, q, r) = 1, and a perfect-square d is folded
     into the rational part (leaving q = 0, d = 0). Two surds can be added or
-    order-compared when their d agree (rationals, q = 0, combine with any d);
-    equality is decided exactly across different d.
+    multiplied when their d agree (rationals, q = 0, combine with any d);
+    order and equality are decided exactly across different d.
     """
 
     p: int
@@ -137,38 +150,28 @@ class QuadraticSurd:
 
     def sign(self) -> int:
         """Exact sign, by comparing p^2 against q^2*d where needed."""
-        p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return _sign(p)
-        if q > 0:
-            if p >= 0:
-                return 1
-            return 1 if p * p < q * q * d else -1
-        if p <= 0:
-            return -1
-        return -1 if p * p < q * q * d else 1
+        return _surd_sign(self.p, self.q, self.d)
 
     def compare(self, other: Union["QuadraticSurd", int, Fraction]) -> int:
-        """-1, 0 or +1 as self is below, equal to or above other; exact."""
+        """-1, 0 or +1 as self is below, equal to or above other; exact.
+
+        r1*r2*(self - other) = u - v with u = x + y*sqrt(d1), v = z*sqrt(d2);
+        when u and v share a sign s, the result is s * sign(u^2 - v^2).
+        """
         o = self._coerce(other)
         if o is NotImplemented:
             raise TypeError(f"cannot compare with {other!r}")
-        return (self - o).sign()
+        x = self.p * o.r - o.p * self.r
+        y, z = self.q * o.r, o.q * self.r
+        su, sv = _surd_sign(x, y, self.d), _sign(z)
+        if su != sv:
+            return _sign(su - sv)
+        return su * _surd_sign(x * x + y * y * self.d - z * z * o.d, 2 * x * y, self.d)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
-        if not isinstance(other, QuadraticSurd):
+        if not isinstance(other, (QuadraticSurd, int, Fraction)):
             return NotImplemented
-        if self.q == 0 or other.q == 0:
-            # normal form is canonical for rationals
-            return (self.p, self.q, self.r, self.d) == (other.p, other.q, other.r, other.d)
-        # both irrational: rational parts and the radical parts must agree
-        if self.p * other.r != other.p * self.r:
-            return False
-        if _sign(self.q) != _sign(other.q):
-            return False
-        return (self.q * other.r) ** 2 * self.d == (other.q * self.r) ** 2 * other.d
+        return self.compare(other) == 0
 
     def __hash__(self) -> int:
         if self.q == 0:

@@ -139,8 +139,6 @@ def length_of_s(n: int, len_a: int = 2, len_b: int = 2) -> int:
         raise ValueError("indices start at 0")
     if n == 0:
         return len_a
-    if n == 1:
-        return len_b
     if len_a == len_b:
         return stern(2 * n - 1) * len_a
     ca, cb = block_counts(n)
@@ -150,58 +148,46 @@ def length_of_s(n: int, len_a: int = 2, len_b: int = 2) -> int:
 def even_index_factorization(k: int) -> tuple[int, int, int]:
     """Factor S(k), k even > 2, as S(prefix) + S(base)^power.
 
-    Halve k until odd (i steps including the start), then base=(odd+1)/2,
-    prefix=a*(base-1), power=i. Powers of two short-circuit to
-    S(2) + S(1)^(i-2), because their halving chain bottoms out at 1.
+    Halving k to its odd part takes v steps, with 2^v = k & -k: base = a(k),
+    prefix = a*(base-1), power = v+1 = (k & -k).bit_length(). Powers of two
+    short-circuit to S(2) + S(1)^(power-2); their chain bottoms out at 1.
     """
     if k <= 2 or k % 2 != 0:
         raise ValueError("defined for even k > 2")
     if k & (k - 1) == 0:
         return (2, 1, k.bit_length() - 2)
-    i = 1
-    o = k
-    while o % 2 == 0:
-        o //= 2
-        i += 1
-    base = (o + 1) // 2
-    return (a_star(base - 1), base, i)
+    base = a_of(k)
+    return (a_star(base - 1), base, (k & -k).bit_length())
 
 
 def odd_index_factorization(k: int) -> tuple[int, int, int]:
     """Factor S(k), k odd > 2, as S(base)^power + S(suffix).
 
-    Iterate k -> (k+1)/2 until the value is even (i steps including the
-    start); with e the even value: base=e/2, power=i, suffix=a(e/2), except
-    that e=2 degenerates to S(0)^i + S(1).
+    k -> (k+1)/2 halves k-1 until it is odd; with low = (k-1) & (1-k) the
+    lowest set bit of k-1, base = a(k-1), power = low.bit_length() and
+    suffix = a(base), except that k-1 = low degenerates to S(0)^power + S(1).
     """
     if k <= 2 or k % 2 == 0:
         raise ValueError("defined for odd k > 2")
-    i = 1
-    e = k
-    while e % 2 != 0:
-        e = (e + 1) // 2
-        i += 1
-    if e == 2:
-        return (0, i, 1)
-    return (e // 2, i, a_of(e // 2))
+    low = (k - 1) & (1 - k)
+    if low == k - 1:
+        return (0, low.bit_length(), 1)
+    base = a_of(k - 1)
+    return (base, low.bit_length(), a_of(base))
 
 
 def mirror_index(k: int) -> Optional[int]:
     """The index m with S_{A,B}(k) equal to the reverse of S_{B,A}(m).
 
     Defined when k = 6*2^(n-2) + i with n >= 2 and 1 <= i <= 2^(n-1)
-    (the upper half of each level); then m = 6*2^(n-2) - i + 1.
+    (the upper half of each level); then m = 6*2^(n-2) - i + 1. Such k lie
+    in (2^n, 2^(n+1)], so base = 6*2^(n-2) = 3 << ((k-1).bit_length() - 2);
+    max(base, 6) leaves out k = 4, on level 1.
     """
     if k < 3:
         raise ValueError("mirror_index is defined for k >= 3")
-    n = 2
-    while True:
-        base = 6 * 2 ** (n - 2)
-        if k <= base:
-            return None
-        if k <= base + 2 ** (n - 1):
-            return base - (k - base) + 1
-        n += 1
+    base = 3 << ((k - 1).bit_length() - 2)
+    return 2 * base - k + 1 if k > max(base, 6) else None
 
 
 def verify_mirror(a: Sequence[int], b: Sequence[int], k: int) -> VerificationReport:
@@ -465,7 +451,13 @@ def check_block_exponents(n_hi: int) -> Optional[dict]:
     return None
 
 
-def iter_lemma_checks(k_max: int) -> Iterator[VerificationReport]:
+def _lemma_report(claim: str, check: Callable, bound: int) -> VerificationReport:
+    counterexample = check(bound)
+    return VerificationReport(claim, bound, counterexample is None,
+                              counterexample=counterexample)
+
+
+def iter_lemma_checks(k_max: int, workers: int = 1) -> Iterator[VerificationReport]:
     """Run the supporting-identity suite; one report per claim.
 
     Index-arithmetic checks run to k_max; checks that materialise words are
@@ -483,11 +475,4 @@ def iter_lemma_checks(k_max: int) -> Iterator[VerificationReport]:
         ("index-identities", check_index_identities, min(n_levels, 14)),
         ("block-exponents", check_block_exponents, min(k_max, 4096)),
     ]
-    for claim, fn, bound in checks:
-        counterexample = fn(bound)
-        yield VerificationReport(
-            claim=claim,
-            n=bound,
-            passed=counterexample is None,
-            counterexample=counterexample,
-        )
+    return sweep(_lemma_report, checks, workers)

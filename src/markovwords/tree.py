@@ -97,10 +97,6 @@ def path_precedes(p: Sequence[int], q: Sequence[int]) -> bool:
     return False
 
 
-def _move_string(exponents: Sequence[int]) -> str:
-    return "".join(("R" if pos % 2 == 0 else "L") * c for pos, c in enumerate(exponents))
-
-
 def run_lengths(symbols: Iterable[Hashable], first: Hashable) -> tuple[int, ...]:
     """Lengths of the alternating runs of a two-symbol sequence.
 
@@ -145,23 +141,15 @@ def s_graph(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     """The word with index n, read off the ordered graph (the slow oracle).
 
     Index 2^(m-1)+i is the centre of the i-th vertex of level m, reached by
-    walking the binary digits of i-1 from the root (0 = L, 1 = R).
+    walking the binary digits of i-1 from the root (0 = L, 1 = R); they are
+    the digits of n-1 after its leading 1.
     """
-    wa, wb = word(a), word(b)
-    if not wa or not wb:
-        raise ValueError("seed words must be nonempty")
+    v = root(a, b)
     if n < 0:
         raise ValueError("indices start at 0")
-    if n == 0:
-        return wa
-    if n == 1:
-        return wb
-    if n == 2:
-        return wa + wb
-    m = (n - 1).bit_length()
-    i = n - 2 ** (m - 1)
-    v = Vertex(wa, wa + wb, wb)
-    for bit in format(i - 1, "b").zfill(m - 1):
+    if n < 2:
+        return v.right if n else v.left
+    for bit in bin(n - 1)[3:]:
         v = step_right(v) if bit == "1" else step_left(v)
     return v.center
 

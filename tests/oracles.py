@@ -7,10 +7,13 @@ by closed forms: a Perron value found by comparing the surd sums at every
 position, and a form minimum found by evaluating every point of the box.
 The word oracle is the two-branch index recursion with an injectable
 left-flank rule, which the tests use to pin where a wrong rule diverges.
+The index oracles are the loops the library replaced by bit arithmetic:
+halving to the odd part, walking the two factorization chains, and
+searching the levels for a mirror index.
 """
 from __future__ import annotations
 
-from markovwords.diatomic import a_of
+from markovwords.diatomic import a_of, a_star
 from markovwords.spectrum import (
     BQForm,
     LatticeMinimum,
@@ -107,3 +110,47 @@ def s_rec_with_rule(a, b, n: int, rule) -> tuple[int, ...]:
         return s_rec_with_rule(a, b, j, rule) + s_rec_with_rule(a, b, a_of(j), rule)
     j = (n + 1) // 2
     return s_rec_with_rule(a, b, rule(j - 1), rule) + s_rec_with_rule(a, b, j, rule)
+
+
+def a_of_by_halving(j: int) -> int:
+    """a(j) = (k+1)/2 for the odd part k of j, found by halving j until odd."""
+    while j % 2 == 0:
+        j //= 2
+    return (j + 1) // 2 if j > 1 else 1
+
+
+def even_index_factorization_by_halving(k: int) -> tuple[int, int, int]:
+    """(prefix, base, power) for even k > 2 by walking the halving chain."""
+    if k & (k - 1) == 0:
+        return (2, 1, k.bit_length() - 2)
+    i = 1
+    o = k
+    while o % 2 == 0:
+        o //= 2
+        i += 1
+    base = (o + 1) // 2
+    return (a_star(base - 1), base, i)
+
+
+def odd_index_factorization_by_chain(k: int) -> tuple[int, int, int]:
+    """(base, power, suffix) for odd k > 2 by iterating k -> (k+1)/2 until even."""
+    i = 1
+    e = k
+    while e % 2 != 0:
+        e = (e + 1) // 2
+        i += 1
+    if e == 2:
+        return (0, i, 1)
+    return (e // 2, i, a_of_by_halving(e // 2))
+
+
+def mirror_index_by_search(k: int) -> int | None:
+    """The mirror index of k >= 3, found by searching the levels upwards."""
+    n = 2
+    while True:
+        base = 6 * 2 ** (n - 2)
+        if k <= base:
+            return None
+        if k <= base + 2 ** (n - 1):
+            return base - (k - base) + 1
+        n += 1

@@ -119,7 +119,8 @@ def test_verify_theorem_reports_and_exit_status(capsys, schema):
     (["verify", "theorem", "--trials", "6", "--n-max", "24"], 1),
     (["verify", "equivalence", "--levels", "5", "--pairs", "4"], 0),
     (["scan", "--n-max", "12", "--json"], 0),
-], ids=["prop-main", "theorem", "equivalence", "scan"])
+    (["verify", "lemmas", "--k-max", "300"], 0),
+], ids=["prop-main", "theorem", "equivalence", "scan", "lemmas"])
 def test_verify_workers_match_serial(capsys, argv, expected):
     status1, out1, _ = run(capsys, *argv)
     status2, out2, _ = run(capsys, *argv, "--workers", "2")
@@ -212,6 +213,10 @@ def test_scan_rows_match_tail_oracle(capsys, schema):
     (["verify", "equivalence", "--levels", "-2", "--pairs", "1"], "--levels must be >= 0"),
     (["verify", "equivalence", "--pairs", "-1"], "--pairs must be >= 0"),
     (["verify", "theorem", "--trials", "0"], "--trials must be >= 1"),
+    (["verify", "prop-main", "--n-max", "3", "--a", "0"], "--a must be >= 1"),
+    (["verify", "prop-main", "--n-max", "3", "--b", "-1"], "--b must be >= 1"),
+    (["verify", "prop-main", "--n-max", "3", "--a", "1", "--b", "1"],
+     "--a and --b must differ"),
 ])
 def test_out_of_range_flag_exits_2_with_one_line(capsys, argv, message):
     status, out, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,37 @@ def test_surd_order_consistent_with_floats(p1, q1, p2, q2, r1, r2, d):
     fy = (p2 + q2 * d ** 0.5) / r2
     if abs(fx - fy) > 1e-9:
         assert (x.compare(y) < 0) == (fx < fy)
+
+
+CROSS_RADICANDS = [0, 2, 3, 5, 8, 12, 18, 20, 45]
+
+
+def _decimal_100(x: QuadraticSurd) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 100
+        return (x.p + x.q * Decimal(x.d).sqrt()) / x.r
+
+
+@given(surd_ints, surd_ints, st.integers(1, 9), st.sampled_from(CROSS_RADICANDS),
+       surd_ints, surd_ints, st.integers(1, 9), st.sampled_from(CROSS_RADICANDS))
+def test_surd_compare_across_fields_matches_decimal(p1, q1, r1, d1, p2, q2, r2, d2):
+    x = QuadraticSurd(p1, q1, r1, d1)
+    y = QuadraticSurd(p2, q2, r2, d2)
+    gap = _decimal_100(x) - _decimal_100(y)
+    # unequal values of this height differ by far more than 10^-80
+    expected = 0 if abs(gap) < Decimal(10) ** -80 else (1 if gap > 0 else -1)
+    assert x.compare(y) == expected
+    assert y.compare(x) == -expected
+    assert (x == y) == (expected == 0)
+
+
+def test_surd_compare_across_fields_examples():
+    assert QuadraticSurd(0, 1, 1, 8).compare(QuadraticSurd(0, 2, 1, 2)) == 0
+    assert QuadraticSurd(0, 1, 1, 8) == QuadraticSurd(0, 2, 1, 2)
+    # 1/sqrt(13) against sqrt(5)/5
+    value = bqf_min(BQForm(1, 3, -1), 3).normalized
+    assert value.compare(markov_element((1, 1))) == -1
+    assert markov_element((1, 1)) > value
 
 
 def test_markov_value_examples():

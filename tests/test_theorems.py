@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from markovwords.diatomic import stern
+from oracles import (
+    a_of_by_halving,
+    even_index_factorization_by_halving,
+    mirror_index_by_search,
+    odd_index_factorization_by_chain,
+)
+
+from markovwords.diatomic import a_of, stern
 from markovwords.theorems import (
     VerificationReport,
     block_exponent_profile,
@@ -161,6 +168,17 @@ def test_mirror_index():
     assert mirror_index(25) == 24
     with pytest.raises(ValueError):
         mirror_index(2)
+
+
+def test_index_closed_forms_match_loops():
+    for j in range(1, 2 ** 16):
+        assert a_of(j) == a_of_by_halving(j), j
+    for k in range(3, 2 ** 16):
+        if k % 2 == 0:
+            assert even_index_factorization(k) == even_index_factorization_by_halving(k), k
+        else:
+            assert odd_index_factorization(k) == odd_index_factorization_by_chain(k), k
+        assert mirror_index(k) == mirror_index_by_search(k), k
 
 
 def test_verify_mirror():
