@@ -13,7 +13,7 @@ import sys
 from typing import Iterable, Sequence
 
 from . import theorems
-from .diatomic import stern
+from .diatomic import stern_table
 from .spectrum import BQForm, bqf_min, markov_value
 from .theorems import VerificationReport
 from .tree import block_labels, s_rec
@@ -169,11 +169,11 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_stern(args) -> int:
-    for n in range(args.upto + 1):
+    for n, value in enumerate(stern_table(args.upto)):
         if args.json:
-            _emit(json.dumps({"command": "stern", "n": n, "value": stern(n)}))
+            _emit(json.dumps({"command": "stern", "n": n, "value": value}))
         else:
-            _emit(f"{n},{stern(n)}")
+            _emit(f"{n},{value}")
     return 0
 
 

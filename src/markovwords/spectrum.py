@@ -38,8 +38,9 @@ class QuadraticSurd:
 
     Normal form: r > 0, gcd(p, q, r) = 1, and a perfect-square d is folded
     into the rational part (leaving q = 0, d = 0). Two surds can be added or
-    multiplied when their d agree (rationals, q = 0, combine with any d);
-    order and equality are decided exactly across different d.
+    multiplied when they lie in one field: equal d, d1*d2 a perfect square
+    (the result is written over the left operand's d), or either one
+    rational; order and equality are decided exactly across different d.
     """
 
     p: int
@@ -92,20 +93,27 @@ class QuadraticSurd:
             return QuadraticSurd.from_fraction(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def _common_d(self, other: "QuadraticSurd") -> int:
+    def _common_d(self, other: "QuadraticSurd") -> tuple[int, "QuadraticSurd"]:
+        """A radicand both values can be written over, and ``other`` over it.
+
+        Distinct radicands d1, d2 span the same field exactly when d1*d2 is
+        a perfect square s^2; then sqrt(d2) = (s/d1)*sqrt(d1), and ``other``
+        is rescaled to d1 = self.d.
+        """
         if self.q == 0:
-            return other.d
-        if other.q == 0:
-            return self.d
-        if self.d != other.d:
+            return other.d, other
+        if other.q == 0 or other.d == self.d:
+            return self.d, other
+        s = isqrt(self.d * other.d)
+        if s * s != self.d * other.d:
             raise ValueError(f"incompatible radicands {self.d} and {other.d}")
-        return self.d
+        return self.d, QuadraticSurd(other.p * self.d, other.q * s, other.r * self.d, self.d)
 
     def __add__(self, other: Union["QuadraticSurd", int, Fraction]) -> "QuadraticSurd":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self._common_d(o)
+        d, o = self._common_d(o)
         return QuadraticSurd(
             self.p * o.r + o.p * self.r,
             self.q * o.r + o.q * self.r,
@@ -131,7 +139,7 @@ class QuadraticSurd:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self._common_d(o)
+        d, o = self._common_d(o)
         return QuadraticSurd(
             self.p * o.p + self.q * o.q * d,
             self.p * o.q + self.q * o.p,

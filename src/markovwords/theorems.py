@@ -7,23 +7,31 @@ Every sweep, the command line's included, runs through :func:`sweep`.
 """
 from __future__ import annotations
 
+import os
 import random
+from array import array
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain, compress, count, starmap
+from operator import add, eq, not_, sub
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .diatomic import a_of, a_star, stern
-from .tree import block_counts, block_labels, block_word, run_lengths, s_rec
+from .diatomic import a_of, a_star, a_table, stern, stern_table
+from .tree import block_counts, block_labels, block_word, run_lengths, s_rec, walk
 from .words import (
     Word,
     format_word,
     half_ceil,
     half_floor,
     is_palindrome,
+    is_palindromic_rotation,
     reverse,
     rotate,
     word,
 )
+
+# indices per case of the prop-main sweep: the serial sweep holds at most
+# this many reports at a time
+SHIFT_RANGE = 1024
 
 
 @dataclass(frozen=True)
@@ -45,23 +53,44 @@ class VerificationReport:
         return out
 
 
-def verify_shift_palindromic(a_sym: int, b_sym: int, n: int) -> VerificationReport:
-    """Check that rotating S(n) by d(n) gives a palindrome, seeds (a,a),(b,b)."""
+def _shift_seeds(a_sym: int, b_sym: int) -> tuple[Word, Word]:
     if a_sym == b_sym:
         raise ValueError("seed letters must differ")
-    if n < 1:
-        raise ValueError("indices start at 1")
-    seq = s_rec((a_sym, a_sym), (b_sym, b_sym), n)
-    shift = stern(n)
-    rotated = rotate(seq, shift)
-    ok = is_palindrome(rotated)
+    return (a_sym, a_sym), (b_sym, b_sym)
+
+
+def _shift_report(n: int, seq: Word, shift: int) -> VerificationReport:
+    ok = is_palindromic_rotation(seq, shift)
     return VerificationReport(
         claim="shift-palindromic",
         n=n,
         passed=ok,
         witness=shift,
-        counterexample=None if ok else format_word(rotated),
+        counterexample=None if ok else format_word(rotate(seq, shift)),
     )
+
+
+def verify_shift_palindromic(a_sym: int, b_sym: int, n: int) -> VerificationReport:
+    """Check that rotating S(n) by d(n) gives a palindrome, seeds (a,a),(b,b)."""
+    a, b = _shift_seeds(a_sym, b_sym)
+    if n < 1:
+        raise ValueError("indices start at 1")
+    return _shift_report(n, s_rec(a, b, n), stern(n))
+
+
+def verify_shift_palindromic_range(
+    a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]
+) -> list[VerificationReport]:
+    """:func:`verify_shift_palindromic` for n = lo, ..., lo + len(shifts) - 1.
+
+    ``shifts`` holds d(n) for those indices; the words come from one
+    :func:`~markovwords.tree.walk` of the range.
+    """
+    a, b = _shift_seeds(a_sym, b_sym)
+    if lo < 1:
+        raise ValueError("indices start at 1")
+    words = walk(a, b, lo, lo + len(shifts) - 1)
+    return list(map(_shift_report, range(lo, lo + len(shifts)), words, shifts))
 
 
 def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
@@ -264,8 +293,10 @@ def sweep(fn: Callable, cases: Sequence[tuple], workers: int = 1) -> Iterator:
     """``fn(*case)`` for every case, in the order of ``cases``.
 
     With ``workers`` > 1 the cases are split into chunks over a process
-    pool; ``fn`` must then be a module-level function.
+    pool of at most ``os.cpu_count()`` processes; ``fn`` must then be a
+    module-level function.
     """
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         yield from starmap(fn, cases)
         return
@@ -279,8 +310,15 @@ def sweep(fn: Callable, cases: Sequence[tuple], workers: int = 1) -> Iterator:
 def iter_shift_palindromic(
     n_max: int, a_sym: int = 1, b_sym: int = 2, workers: int = 1
 ) -> Iterator[VerificationReport]:
-    cases = [(a_sym, b_sym, n) for n in range(1, n_max + 1)]
-    return sweep(verify_shift_palindromic, cases, workers)
+    """One report per index n <= n_max, in index order.
+
+    d(1..n_max) is tabulated once and the indices go to
+    :func:`verify_shift_palindromic_range` in runs of SHIFT_RANGE.
+    """
+    shifts = stern_table(n_max)
+    cases = [(a_sym, b_sym, lo, shifts[lo:lo + SHIFT_RANGE])
+             for lo in range(1, n_max + 1, SHIFT_RANGE)]
+    return chain.from_iterable(sweep(verify_shift_palindromic_range, cases, workers))
 
 
 def iter_block_rearrangement(
@@ -333,29 +371,47 @@ def iter_equivalence(
     return sweep(verify_equivalence_pair, cases, workers)
 
 
+def _lengths(d: array) -> array:
+    """|S(0)|, |S(1)|, ... for length-2 seeds from d(0..N): |S(j)| = 2*d(2j-1).
+
+    The table ends at |S((N+1)//2)|, the last length N reaches.
+    """
+    return array("L", [2]) + array("L", map((2).__mul__, d[1::2]))
+
+
+def _first_false(flags: Iterable[bool], indices: Iterable[int]) -> Optional[int]:
+    """The index paired with the first false flag, or None when all hold."""
+    return next(compress(indices, map(not_, flags)), None)
+
+
 def check_length_identity(k_hi: int) -> Optional[dict]:
     """|S(k)| == |S(a(k))| + |S(a(k-1))| for length-2 seeds, arithmetically."""
-    for k in range(2, k_hi + 1):
-        if length_of_s(k) != length_of_s(a_of(k)) + length_of_s(a_of(k - 1)):
-            return {"k": k}
-    return None
+    lengths = _lengths(stern_table(2 * k_hi))
+    a = a_table(k_hi)
+    size = lengths.__getitem__
+    flanks = map(add, map(size, a[2:]), map(size, a[1:-1]))
+    k = _first_false(map(eq, lengths[2:k_hi + 1], flanks), count(2))
+    return None if k is None else {"k": k}
 
 
 def check_length_is_diatomic(k_hi: int) -> Optional[dict]:
     """|S(a(k))| == 2*d(k) for length-2 seeds."""
-    for k in range(1, k_hi + 1):
-        if length_of_s(a_of(k)) != 2 * stern(k):
-            return {"k": k}
-    return None
+    d = stern_table(k_hi)
+    lengths = _lengths(d)  # a(k) <= (k+1)/2
+    flanks = map(lengths.__getitem__, a_table(k_hi)[1:])
+    k = _first_false(map(eq, flanks, map((2).__mul__, d[1:])), count(1))
+    return None if k is None else {"k": k}
 
 
 def check_half_length_chain(k_hi: int) -> Optional[dict]:
     """For odd k, the halving-chain endpoint satisfies |S(end)|/2 == d(k-1)."""
+    d = stern_table(k_hi)
+    lengths = _lengths(d)
     for k in range(3, k_hi + 1, 2):
         e = k
         while e % 2 != 0:
             e = (e + 1) // 2
-        if length_of_s(e // 2) // 2 != stern(k - 1):
+        if lengths[e // 2] // 2 != d[k - 1]:
             return {"k": k, "chain_end": e // 2}
     return None
 
@@ -382,61 +438,75 @@ def check_shift_inequalities(k_hi: int) -> Optional[dict]:
     |S(a(base-1))| with L = d(k/2). Odd case: L = d((k+1)/2) must stay
     below (power-1)*|S(chain end)|.
     """
+    d = stern_table(k_hi)
+    lengths = _lengths(d)  # base <= (k+1)/2
+    a = a_table(k_hi // 2)
     for k in range(3, k_hi + 1):
         if k % 2 == 0:
             if k & (k - 1) == 0:
                 continue  # chain bottoms at 1; a(0) undefined
             prefix, base, power = even_index_factorization(k)
-            left = stern(k // 2)
-            right = left + (length_of_s(a_of(base - 1)) + (power - 1) * length_of_s(base)) // 2
-            if not right > length_of_s(a_of(base - 1)):
+            left = d[k // 2]
+            flank = lengths[a[base - 1]]
+            right = left + (flank + (power - 1) * lengths[base]) // 2
+            if not right > flank:
                 return {"k": k, "case": "even"}
         else:
             base, power, _ = odd_index_factorization(k)
             chain_end = base if base else 1  # degenerate chain bottoms at index 1
-            left = stern((k + 1) // 2)
-            if not left < (power - 1) * length_of_s(chain_end):
+            left = d[(k + 1) // 2]
+            if not left < (power - 1) * lengths[chain_end]:
                 return {"k": k, "case": "odd"}
     return None
 
 
 def check_mirror_arithmetic(n_hi: int) -> Optional[dict]:
-    """d(2(k'+1)-1) - d(k'+1) == d(k'') for the mirrored index pairs."""
+    """d(2(k'+1)-1) - d(k'+1) == d(k'') for the mirrored index pairs.
+
+    On level n, k' = base+i-1 and k'' = base-i+1 for i = 1..2^(n-1), with
+    base = 6*2^(n-2); every index read lies below 2^(n+2).
+    """
+    d = stern_table(4 << n_hi)
     for n in range(2, n_hi + 1):
-        base = 6 * 2 ** (n - 2)
-        for i in range(1, 2 ** (n - 1) + 1):
-            kp, kq = base + i - 1, base - i + 1
-            if stern(2 * (kp + 1) - 1) - stern(kp + 1) != stern(kq):
-                return {"n": n, "i": i}
+        base, half = 6 * 2 ** (n - 2), 2 ** (n - 1)
+        lhs = map(sub, d[2 * base + 1:2 * (base + half):2], d[base + 1:base + half + 1])
+        i = _first_false(map(eq, lhs, d[base:base - half:-1]), count(1))
+        if i is not None:
+            return {"n": n, "i": i}
     return None
 
 
 def check_index_identities(n_hi: int) -> Optional[dict]:
     """The a/a* index identities used by the level-to-level induction."""
+    a = a_table(1 << n_hi)
+    a_st = array("L", a)
+    for p in range(n_hi + 1):
+        a_st[1 << p] = 0  # a* sends every power of two to 0
     for n in range(3, n_hi + 1):
         for m in range(3, 2 ** (n - 1) + 1):
             if m % 2 == 0:
                 k = m // 2
-                if a_of(2 ** (n - 2) + k) != a_of(2 ** (n - 1) + m):
+                if a[2 ** (n - 2) + k] != a[2 ** (n - 1) + m]:
                     return {"n": n, "m": m, "eq": "a"}
                 if 2 * (2 ** (n - 2) + k) != 2 ** (n - 1) + m:
                     return {"n": n, "m": m, "eq": "double"}
             else:
                 k = (m + 1) // 2
-                if a_star(2 ** (n - 2) + k - 1) != a_star(2 ** (n - 1) + m - 1):
+                if a_st[2 ** (n - 2) + k - 1] != a_st[2 ** (n - 1) + m - 1]:
                     return {"n": n, "m": m, "eq": "a-star"}
-                if 2 ** (n - 2) + k != a_of(2 ** (n - 1) + m):
+                if 2 ** (n - 2) + k != a[2 ** (n - 1) + m]:
                     return {"n": n, "m": m, "eq": "a-odd"}
     return None
 
 
 def check_row_symmetry(n_hi: int) -> Optional[dict]:
     """d(2^n + i) == d(2^(n+1) - i), row by row."""
+    d = stern_table(2 << n_hi)
     for n in range(0, n_hi + 1):
         lo, hi = 2 ** n, 2 ** (n + 1)
-        for i in range(0, 2 ** n + 1):
-            if stern(lo + i) != stern(hi - i):
-                return {"n": n, "i": i}
+        i = _first_false(map(eq, d[lo:hi + 1], d[hi:lo - 1:-1]), count())
+        if i is not None:
+            return {"n": n, "i": i}
     return None
 
 

@@ -7,13 +7,14 @@ is the word with index 2^(n-1)+i. The vertex centred at S(n) is
 (S(a*(n-1)), S(n), S(a(n))), so S(n) = S(a*(n-1)) + S(a(n)) for n >= 2;
 that one index recursion builds the words, their label words over {A, B}
 and the block counts. :func:`s_graph` walks the graph instead and serves
-as the independent oracle.
+as the independent oracle; :func:`walk` visits it in index order for
+sweeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .diatomic import a_of, a_star
 from .words import Word, word
@@ -154,6 +155,45 @@ def s_graph(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     return v.center
 
 
+def walk(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> Iterator[Word]:
+    """The words with indices lo, lo+1, ..., hi, in index order.
+
+    A depth-first walk of the graph: the stack holds the vertices on the
+    path from the root to the current one, at most log2(hi) + 1 of them.
+    The path to lo follows the digits of lo-1 as in :func:`s_graph`. From
+    index n the walk climbs past the trailing R-moves of the path, one per
+    trailing zero of n, turns right, and descends leftwards to the same
+    depth; after the last index of a level, n = 2^m, it restarts at the
+    root and descends one level deeper. Each new vertex costs one
+    concatenation, its centre.
+    """
+    v = root(a, b)
+    if lo < 0:
+        raise ValueError("indices start at 0")
+    for n in range(lo, min(hi, 1) + 1):
+        yield v.right if n else v.left
+    n = max(lo, 2)
+    if n > hi:
+        return
+    path = [v]
+    for bit in bin(n - 1)[3:]:
+        path.append(step_right(path[-1]) if bit == "1" else step_left(path[-1]))
+    while True:
+        yield path[-1].center
+        if n == hi:
+            return
+        if n & (n - 1) == 0:
+            del path[1:]
+            turns = n.bit_length() - 1
+        else:
+            turns = (n & -n).bit_length() - 1
+            del path[len(path) - turns - 1:]
+            path.append(step_right(path[-1]))
+        for _ in range(turns):
+            path.append(step_left(path[-1]))
+        n += 1
+
+
 def s_rec(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     """The word with index n by the index recursion.
 
@@ -194,8 +234,7 @@ def block_word(a: Sequence[int], b: Sequence[int], n: int) -> BlockWord:
 def block_counts(n: int) -> tuple[int, int]:
     """(#A-blocks, #B-blocks) in the label word of index n.
 
-    The total is d(2n-1) for n >= 1; the individual counts follow the
-    index recursion and admit no comparable closed form.
+    Counted in :func:`block_labels`; the total is d(2n-1) for n >= 1.
     """
     labels = block_labels(n)
     return (labels.count(LABEL_A), labels.count(LABEL_B))

@@ -66,6 +66,27 @@ def is_palindrome(x: Sequence[int]) -> bool:
     return w == w[::-1]
 
 
+def is_palindromic_rotation(x: Sequence[int], s: int) -> bool:
+    """``is_palindrome(rotate(x, s))`` without building the rotation.
+
+    The rotation is a palindrome when the floor(m/2) letters read forwards
+    from position s equal the floor(m/2) letters read backwards from
+    position s-1, both windows wrapping around the end of the word.
+    """
+    w = tuple(x)
+    if not w:
+        raise ValueError("cannot rotate the empty word")
+    m = len(w)
+    s %= m
+    h = m // 2
+    forward = w[s:s + h] if s + h <= m else w[s:] + w[:s + h - m]
+    if s > h:
+        backward = w[s - 1:s - h - 1:-1]
+    else:  # w[s-1], ..., w[0], then w[m-1], ... down to h letters in all
+        backward = w[:s][::-1] + w[:m - h + s - 1:-1]
+    return forward == backward
+
+
 def evenly_palindromic_shift(x: Sequence[int]) -> Optional[int]:
     """Smallest rotation amount making an even-length word palindromic.
 

@@ -9,7 +9,10 @@ The word oracle is the two-branch index recursion with an injectable
 left-flank rule, which the tests use to pin where a wrong rule diverges.
 The index oracles are the loops the library replaced by bit arithmetic:
 halving to the odd part, walking the two factorization chains, and
-searching the levels for a mirror index.
+searching the levels for a mirror index. The diatomic oracle is the bit
+loop for d(n), and the lemma oracles are the per-index loops that the
+table-driven lemma checks replaced, reading d and a through callables so
+that a test can feed them a deliberately wrong table.
 """
 from __future__ import annotations
 
@@ -154,3 +157,77 @@ def mirror_index_by_search(k: int) -> int | None:
         if k <= base + 2 ** (n - 1):
             return base - (k - base) + 1
         n += 1
+
+
+def stern_by_bits(n: int) -> int:
+    """d(n) by one pass over the bits of n, lowest first, with no table or memo.
+
+    The pair (x, y) holds (d(m+1), d(m)) for the number m formed by the
+    bits not yet read; an odd bit adds x to y, an even bit adds y to x.
+    """
+    x, y = 1, 0
+    while n:
+        if n & 1:
+            y += x
+        else:
+            x += y
+        n >>= 1
+    return y
+
+
+def _length_by_index(d, j: int) -> int:
+    return 2 if j == 0 else 2 * d(2 * j - 1)
+
+
+def length_identity_by_index(k_hi: int, d, a):
+    for k in range(2, k_hi + 1):
+        if _length_by_index(d, k) != _length_by_index(d, a(k)) + _length_by_index(d, a(k - 1)):
+            return {"k": k}
+    return None
+
+
+def length_is_diatomic_by_index(k_hi: int, d, a):
+    for k in range(1, k_hi + 1):
+        if _length_by_index(d, a(k)) != 2 * d(k):
+            return {"k": k}
+    return None
+
+
+def mirror_arithmetic_by_index(n_hi: int, d, a):
+    for n in range(2, n_hi + 1):
+        base = 6 * 2 ** (n - 2)
+        for i in range(1, 2 ** (n - 1) + 1):
+            kp, kq = base + i - 1, base - i + 1
+            if d(2 * (kp + 1) - 1) - d(kp + 1) != d(kq):
+                return {"n": n, "i": i}
+    return None
+
+
+def index_identities_by_index(n_hi: int, d, a):
+    def a_st(x):
+        return 0 if x & (x - 1) == 0 else a(x)
+
+    for n in range(3, n_hi + 1):
+        for m in range(3, 2 ** (n - 1) + 1):
+            if m % 2 == 0:
+                k = m // 2
+                if a(2 ** (n - 2) + k) != a(2 ** (n - 1) + m):
+                    return {"n": n, "m": m, "eq": "a"}
+                if 2 * (2 ** (n - 2) + k) != 2 ** (n - 1) + m:
+                    return {"n": n, "m": m, "eq": "double"}
+            else:
+                k = (m + 1) // 2
+                if a_st(2 ** (n - 2) + k - 1) != a_st(2 ** (n - 1) + m - 1):
+                    return {"n": n, "m": m, "eq": "a-star"}
+                if 2 ** (n - 2) + k != a(2 ** (n - 1) + m):
+                    return {"n": n, "m": m, "eq": "a-odd"}
+    return None
+
+
+def row_symmetry_by_index(n_hi: int, d, a):
+    for n in range(0, n_hi + 1):
+        lo, hi = 2 ** n, 2 ** (n + 1)
+        for i in range(0, 2 ** n + 1):
+            if d(lo + i) != d(hi - i):
+                return {"n": n, "i": i}
+    return None

@@ -1,13 +1,15 @@
 import json
+import os
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from oracles import markov_value_by_tails
+from oracles import markov_value_by_tails, stern_by_bits
 
 from markovwords import cli
 from markovwords.cli import main
+from markovwords.diatomic import stern
 from markovwords.words import parse_word
 
 
@@ -126,6 +128,22 @@ def test_verify_workers_match_serial(capsys, argv, expected):
     status2, out2, _ = run(capsys, *argv, "--workers", "2")
     assert status1 == status2 == expected
     assert out1 == out2
+
+
+def test_verify_workers_capped_at_cpu_count(capsys, monkeypatch, stub_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = run(capsys, "verify", "prop-main", "--n-max", "40")
+    assert run(capsys, "verify", "prop-main", "--n-max", "40", "--workers", "64") == serial
+    assert run(capsys, "verify", "lemmas", "--k-max", "64", "--workers", "5")[0] == 0
+    assert stub_pool == [2, 2]
+
+
+def test_stern_reads_a_table_not_the_memo(capsys):
+    before = stern.cache_info()
+    status, out, _ = run(capsys, "stern", "--upto", "5000")
+    assert stern.cache_info() == before
+    assert status == 0
+    assert out.splitlines() == [f"{n},{stern_by_bits(n)}" for n in range(5001)]
 
 
 def test_spectrum_digits(capsys):

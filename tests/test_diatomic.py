@@ -1,6 +1,8 @@
 import pytest
 
-from markovwords.diatomic import a_of, a_star, stern, stern_row
+from oracles import a_of_by_halving, stern_by_bits
+
+from markovwords.diatomic import a_of, a_star, a_table, stern, stern_row, stern_table
 
 FIRST_TEN_D = (0, 1, 1, 2, 1, 3, 2, 3, 1, 4)
 FIRST_TEN_A = (1, 1, 2, 1, 3, 2, 4, 1, 5, 3)
@@ -103,3 +105,29 @@ def test_mirror_arithmetic_identity():
         for i in range(1, 2 ** (n - 1) + 1):
             kp, kq = base + i - 1, base - i + 1
             assert stern(2 * (kp + 1) - 1) - stern(kp + 1) == stern(kq)
+
+
+def test_stern_table_matches_memo_and_bit_loop():
+    table = stern_table(2 ** 16)
+    assert len(table) == 2 ** 16 + 1
+    assert list(table) == [stern(n) for n in range(2 ** 16 + 1)]
+    assert list(table) == [stern_by_bits(n) for n in range(2 ** 16 + 1)]
+
+
+def test_stern_table_every_small_length():
+    # the doubling passes are cut to n + 1 entries at every n
+    for n in range(70):
+        assert list(stern_table(n)) == [stern_by_bits(k) for k in range(n + 1)]
+    with pytest.raises(ValueError):
+        stern_table(-1)
+
+
+def test_a_table_matches_a_of_and_halving():
+    table = a_table(2 ** 16)
+    assert table[0] == 0
+    assert list(table[1:]) == [a_of(j) for j in range(1, 2 ** 16 + 1)]
+    assert list(table[1:]) == [a_of_by_halving(j) for j in range(1, 2 ** 16 + 1)]
+    for n in range(70):
+        assert list(a_table(n)[1:]) == [a_of(j) for j in range(1, n + 1)]
+    with pytest.raises(ValueError):
+        a_table(-1)

@@ -182,6 +182,39 @@ def test_surd_compare_across_fields_matches_decimal(p1, q1, r1, d1, p2, q2, r2, 
     assert (x == y) == (expected == 0)
 
 
+SAME_FIELD_RADICANDS = [2, 8, 18, 3, 12, 27]
+
+
+@given(surd_ints, surd_ints, st.integers(1, 9), st.sampled_from(SAME_FIELD_RADICANDS),
+       surd_ints, surd_ints, st.integers(1, 9), st.sampled_from(SAME_FIELD_RADICANDS))
+def test_surd_arithmetic_across_radicands_matches_decimal(p1, q1, r1, d1, p2, q2, r2, d2):
+    x = QuadraticSurd(p1, q1, r1, d1)
+    y = QuadraticSurd(p2, q2, r2, d2)
+    if math.isqrt(x.d * y.d) ** 2 != x.d * y.d:
+        # sqrt(2) and sqrt(3) span different fields: no exact sum or product
+        with pytest.raises(ValueError, match="incompatible radicands"):
+            x + y
+        with pytest.raises(ValueError, match="incompatible radicands"):
+            x * y
+        return
+    dx, dy = _decimal_100(x), _decimal_100(y)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        for exact, approx in ((x + y, dx + dy), (x * y, dx * dy)):
+            assert abs(_decimal_100(exact) - approx) < Decimal(10) ** -90
+            assert exact.r > 0 and math.gcd(exact.p, exact.q, exact.r) == 1
+
+
+def test_surd_arithmetic_across_radicands_examples():
+    root8, two_root2 = QuadraticSurd(0, 1, 1, 8), QuadraticSurd(0, 2, 1, 2)
+    assert root8 + two_root2 == QuadraticSurd(0, 2, 1, 8)
+    assert (root8 + two_root2).as_tuple() == (0, 2, 1, 8)
+    assert (two_root2 + root8).as_tuple() == (0, 4, 1, 2)
+    assert root8 * two_root2 == 8
+    # the normal form keeps the radicand: 2,2 still gives (0,1,2,32)
+    assert markov_value((2, 2)).value == QuadraticSurd(0, 1, 1, 8)
+
+
 def test_surd_compare_across_fields_examples():
     assert QuadraticSurd(0, 1, 1, 8).compare(QuadraticSurd(0, 2, 1, 2)) == 0
     assert QuadraticSurd(0, 1, 1, 8) == QuadraticSurd(0, 2, 1, 2)

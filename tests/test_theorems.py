@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -5,11 +6,17 @@ import pytest
 from oracles import (
     a_of_by_halving,
     even_index_factorization_by_halving,
+    index_identities_by_index,
+    length_identity_by_index,
+    length_is_diatomic_by_index,
+    mirror_arithmetic_by_index,
     mirror_index_by_search,
     odd_index_factorization_by_chain,
+    row_symmetry_by_index,
 )
 
-from markovwords.diatomic import a_of, stern
+from markovwords import theorems
+from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.theorems import (
     VerificationReport,
     block_exponent_profile,
@@ -22,12 +29,14 @@ from markovwords.theorems import (
     mirror_index,
     odd_index_factorization,
     random_palindrome,
+    sweep,
     verify_block_rearrangement,
     verify_mirror,
     verify_shift_palindromic,
+    verify_shift_palindromic_range,
 )
-from markovwords.tree import s_rec
-from markovwords.words import is_palindrome, rotate
+from markovwords.tree import _s_rec_cached, s_rec
+from markovwords.words import format_word, is_palindrome, rotate
 
 A, B = (1, 1), (2, 2)
 
@@ -53,6 +62,35 @@ def test_shift_palindromic_preconditions():
 
 def test_shift_palindromic_sweep_small():
     assert all(rep.passed for rep in iter_shift_palindromic(256))
+
+
+def test_shift_palindromic_sweep_matches_single_queries():
+    # 3000 crosses two range boundaries and the level boundary at 2048
+    single = [verify_shift_palindromic(3, 5, n) for n in range(1, 3001)]
+    assert list(iter_shift_palindromic(3000, 3, 5)) == single
+
+
+def test_shift_palindromic_sweep_short_ranges(monkeypatch):
+    monkeypatch.setattr(theorems, "SHIFT_RANGE", 7)
+    single = [verify_shift_palindromic(2, 7, n) for n in range(1, 301)]
+    assert list(iter_shift_palindromic(300, 2, 7)) == single
+
+
+def test_shift_palindromic_range_preconditions():
+    with pytest.raises(ValueError):
+        verify_shift_palindromic_range(1, 1, 3, [2])
+    with pytest.raises(ValueError):
+        verify_shift_palindromic_range(1, 2, 0, [0, 1])
+    assert verify_shift_palindromic_range(1, 2, 3, []) == []
+
+
+def test_failing_shift_report_prints_the_rotation(monkeypatch):
+    # the claim holds everywhere, so force the check to fail
+    monkeypatch.setattr(theorems, "is_palindromic_rotation", lambda w, s: False)
+    expected = format_word(rotate(s_rec(A, B, 14), 3))
+    for rep in (verify_shift_palindromic(1, 2, 14), list(iter_shift_palindromic(14))[-1]):
+        assert not rep.passed and rep.witness == 3
+        assert rep.counterexample == expected
 
 
 def test_arrangement_even_case():
@@ -254,3 +292,60 @@ def test_random_palindrome_generator():
         assert 1 <= len(w) <= 8
         assert w == w[::-1]
         assert all(1 <= x <= 9 for x in w)
+
+
+TABLE_CHECKS = [
+    (theorems.check_length_identity, length_identity_by_index, 1200),
+    (theorems.check_length_is_diatomic, length_is_diatomic_by_index, 1200),
+    (theorems.check_mirror_arithmetic, mirror_arithmetic_by_index, 8),
+    (theorems.check_index_identities, index_identities_by_index, 10),
+    (theorems.check_row_symmetry, row_symmetry_by_index, 10),
+]
+
+
+@pytest.mark.parametrize("kind", ["d", "a"])
+def test_table_checks_report_what_the_index_loops_report(monkeypatch, kind):
+    # one wrong table entry at a time: each slice-wise check must name the
+    # same first counterexample as its per-index loop, or pass with it
+    big = 2 ** 12
+    found = 0
+    for j in (3, 5, 6, 12, 37, 64, 100, 257, 700, 1023, 1500, 2048, 3001):
+        for delta in (1, -1):
+            d, a = stern_table(big), a_table(big)
+            (d if kind == "d" else a)[j] += delta
+
+            def wrong(table):
+                return lambda n: table[:n + 1]
+
+            monkeypatch.setattr(theorems, "stern_table", wrong(d))
+            monkeypatch.setattr(theorems, "a_table", wrong(a))
+            for check, by_index, bound in TABLE_CHECKS:
+                expected = by_index(bound, d.__getitem__, a.__getitem__)
+                assert check(bound) == expected, (check.__name__, kind, j, delta)
+                found += expected is not None
+    assert found > 20
+
+
+def test_sweeps_leave_the_memo_caches_alone():
+    # the words come from the walk and d(n), a(j) from tables, not from
+    # the memoised recursions that serve single queries
+    before = stern.cache_info(), _s_rec_cached.cache_info()
+    assert all(rep.passed for rep in iter_shift_palindromic(5000, 4, 9))
+    for check, bound in [
+        (theorems.check_length_identity, 5000), (theorems.check_length_is_diatomic, 5000),
+        (theorems.check_half_length_chain, 5000), (theorems.check_shift_inequalities, 5000),
+        (theorems.check_row_symmetry, 12), (theorems.check_mirror_arithmetic, 12),
+        (theorems.check_index_identities, 12),
+    ]:
+        assert check(bound) is None
+    assert (stern.cache_info(), _s_rec_cached.cache_info()) == before
+
+
+@pytest.mark.parametrize("cpus, requested, pool", [
+    (2, 64, [2]), (8, 3, [3]), (1, 64, []), (None, 4, []),
+])
+def test_sweep_caps_workers_at_cpu_count(monkeypatch, stub_pool, cpus, requested, pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cases = [(2, k) for k in range(10)]
+    assert list(sweep(pow, cases, workers=requested)) == [2 ** k for k in range(10)]
+    assert stub_pool == pool

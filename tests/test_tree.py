@@ -20,6 +20,7 @@ from markovwords.tree import (
     s_rec,
     step_left,
     step_right,
+    walk,
 )
 
 A, B = (1, 1), (2, 2)
@@ -224,3 +225,31 @@ def test_flank_indices_match_graph():
             left, right = flank_indices(j)
             assert v.left == s_rec(A, B, left)
             assert v.right == s_rec(A, B, right)
+
+
+@pytest.mark.parametrize("wa, wb", [(A, B), ((3, 3), (5, 5))])
+def test_walk_matches_graph_from_the_root(wa, wb):
+    assert list(walk(wa, wb, 0, 2 ** 12)) == [s_graph(wa, wb, n) for n in range(2 ** 12 + 1)]
+
+
+def test_walk_matches_graph_from_any_start():
+    rng = random.Random(11)
+    starts = [0, 1, 2, 3, 5, 200, 1000]
+    for m in range(2, 12):
+        starts += [2 ** m, 2 ** m + 1]
+    for _ in range(3):
+        wa = tuple(rng.randint(1, 9) for _ in range(rng.randint(2, 4)))
+        wb = tuple(rng.randint(1, 9) for _ in range(rng.randint(2, 4)))
+        while wa == wa[::-1] or wb == wb[::-1]:
+            wa, wb = wa + (rng.randint(1, 9),), wb + (rng.randint(1, 9),)
+        for lo in starts:
+            hi = lo + rng.randint(0, 300)
+            assert list(walk(wa, wb, lo, hi)) == [s_graph(wa, wb, n) for n in range(lo, hi + 1)]
+
+
+def test_walk_bounds():
+    assert list(walk(A, B, 5, 4)) == []
+    assert list(walk(A, B, 1, 1)) == [B]
+    assert list(walk(A, B, 4, 4)) == [s_graph(A, B, 4)]
+    with pytest.raises(ValueError):
+        list(walk(A, B, -1, 3))

@@ -9,6 +9,7 @@ from markovwords.words import (
     half_floor,
     is_oddly_palindromic,
     is_palindrome,
+    is_palindromic_rotation,
     parse_word,
     reverse,
     rotate,
@@ -136,3 +137,18 @@ def test_palindrome_iff_shift_zero(w):
     # for even-length words, being a palindrome is exactly shift 0
     assert evenly_palindromic_shift(w) == 0
     assert is_palindrome(w)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=40).map(tuple))
+def test_is_palindromic_rotation_matches_rotate(w):
+    for s in range(-len(w), 2 * len(w)):
+        assert is_palindromic_rotation(w, s) == is_palindrome(rotate(w, s)), (w, s)
+
+
+def test_is_palindromic_rotation_examples():
+    # S(5) for seeds (1,1),(2,2) rotated by d(5) = 3 is 1,1,1,2,2,1,1,1
+    w = (1, 1, 1, 1, 1, 1, 2, 2)
+    assert [s for s in range(8) if is_palindromic_rotation(w, s)] == [3, 7]
+    assert is_palindromic_rotation((7,), 5)
+    with pytest.raises(ValueError):
+        is_palindromic_rotation((), 0)
