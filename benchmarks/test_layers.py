@@ -5,11 +5,13 @@ testpaths is ``tests``):
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py \
         --benchmark-json=.benchmarks/layers.json
-    python benchmarks/summarize.py .benchmarks/layers.json BENCH_6.json
+    python benchmarks/summarize.py .benchmarks/layers.json BENCH_7.json
 
-Every round starts from cold memo caches, so the two lemma checks that
-still build words through ``s_rec`` pay for their words in each round.
-The lemma bounds are those ``verify lemmas --k-max 262144`` uses.
+Every round starts from cold memo caches. No case reads them: every sweep
+takes its words from ``walk`` and d(n) from ``stern_table``, so a case
+that came to read them would pay for them in each round. The lemma bounds
+are those ``verify lemmas --k-max 262144`` uses; the theorem sweep is the
+default ``verify theorem``.
 """
 from collections import deque
 
@@ -63,6 +65,13 @@ def test_prop_main_sweep(benchmark):
         assert all(rep.passed for rep in theorems.iter_shift_palindromic(32768, 1, 2))
 
     measure(benchmark, sweep, size=32768)
+
+
+def test_theorem_sweep(benchmark):
+    def sweep():
+        assert len(list(theorems.iter_block_rearrangement(512, 200, 42))) == 200
+
+    measure(benchmark, sweep, size=512)
 
 
 @pytest.mark.parametrize("name", list(LEMMA_BOUNDS))

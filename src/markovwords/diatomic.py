@@ -52,18 +52,20 @@ def a_star(x: int) -> int:
 def stern_table(n: int) -> array:
     """d(0), ..., d(n) as an ``array('L')``.
 
-    Each pass doubles the table of d(0..m) to d(0..2m) by d(2i) = d(i) and
-    d(2i+1) = d(i) + d(i+1); the last pass is cut to n + 1 entries.
+    The table is allocated once. Each pass fills the row d(2m+1..4m) from
+    the row d(m..2m) by d(2i) = d(i) and d(2i+1) = d(i) + d(i+1), cut at n.
     """
     if n < 0:
         raise ValueError("stern is defined for n >= 0")
-    table = array("L", [0, 1])
-    while len(table) <= n:
-        doubled = array("L", [0]) * (2 * len(table) - 1)
-        doubled[0::2] = table
-        doubled[1::2] = array("L", map(add, table, table[1:]))
-        table = doubled
-    del table[n + 1:]
+    table = array("L", [0]) * (n + 1)
+    table[:3] = array("L", [0, 1, 1])[:n + 1]
+    m = 1
+    while 2 * m < n:
+        new = min(4 * m, n) - 2 * m  # entries of the row up to index n
+        row = table[m:m + new - new // 2 + 1]
+        table[2 * m + 1:4 * m:2] = array("L", map(add, row, row[1:]))
+        table[2 * m + 2:4 * m + 1:2] = row[1:new // 2 + 1]
+        m *= 2
     return table
 
 

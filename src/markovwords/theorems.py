@@ -16,7 +16,7 @@ from operator import add, eq, not_, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .diatomic import a_of, a_star, a_table, stern, stern_table
-from .tree import block_counts, block_labels, block_word, run_lengths, s_rec, walk
+from .tree import block_counts, block_labels, run_lengths, s_graph, s_rec, walk
 from .words import (
     Word,
     format_word,
@@ -93,6 +93,27 @@ def verify_shift_palindromic_range(
     return list(map(_shift_report, range(lo, lo + len(shifts)), words, shifts))
 
 
+def _palindromic_seeds(a: Sequence[int], b: Sequence[int]) -> tuple[Word, Word]:
+    wa, wb = word(a), word(b)
+    if not wa or not wb:
+        raise ValueError("seed words must be nonempty")
+    if not (is_palindrome(wa) and is_palindrome(wb)):
+        raise ValueError("seed words must be palindromic")
+    return wa, wb
+
+
+def _arrangement(seeds: tuple[Word, Word], labels: Word, d: int) -> Word:
+    """The block rearrangement at shift d of a label word over {1, 2}."""
+    blocks = [seeds[lab - 1] for lab in labels]
+    if d % 2 == 0:
+        start = d // 2  # zero-based index of block d/2 + 1
+        return tuple(chain.from_iterable(blocks[start:] + blocks[:start]))
+    c = (d + 1) // 2
+    split = blocks[c - 1]
+    middle = chain.from_iterable(blocks[c:] + blocks[:c - 1])
+    return half_ceil(split) + tuple(middle) + half_floor(split)
+
+
 def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     """The block rearrangement of S(n) asserted to be palindromic.
 
@@ -115,25 +136,10 @@ def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     sometimes none exists: with seeds (1,2,1),(3), S(5) has even length and
     three 2s, so no rotation of it is palindromic.
     """
-    wa, wb = word(a), word(b)
-    if not wa or not wb:
-        raise ValueError("seed words must be nonempty")
-    if not (is_palindrome(wa) and is_palindrome(wb)):
-        raise ValueError("seed words must be palindromic")
+    seeds = _palindromic_seeds(a, b)
     if n < 1:
         raise ValueError("indices start at 1")
-    registry = block_word(wa, wb, n).registry
-    blocks = [registry[lab] for lab in block_labels(n)]
-    d = stern(n)
-    if d % 2 == 0:
-        start = d // 2  # zero-based index of block d/2 + 1
-        order = blocks[start:] + blocks[:start]
-        return tuple(x for blk in order for x in blk)
-    c = (d + 1) // 2
-    split = blocks[c - 1]
-    middle = blocks[c:] + blocks[: c - 1]
-    flat_middle = tuple(x for blk in middle for x in blk)
-    return half_ceil(split) + flat_middle + half_floor(split)
+    return _arrangement(seeds, s_rec((1,), (2,), n), stern(n))
 
 
 def verify_block_rearrangement(
@@ -145,8 +151,11 @@ def verify_block_rearrangement(
     (d(n)+1)/2 has even length (see :func:`block_rearrangement`); outside
     that scope a failing report records a fact, not a defect.
     """
-    arrangement = block_rearrangement(a, b, n)
+    seeds = _palindromic_seeds(a, b)
+    if n < 1:
+        raise ValueError("indices start at 1")
     d = stern(n)
+    arrangement = _arrangement(seeds, s_rec((1,), (2,), n), d)
     ok = is_palindrome(arrangement)
     return VerificationReport(
         claim="block-rearrangement",
@@ -271,21 +280,21 @@ def random_seed_pairs(
 def verify_rearrangement_pair(
     pair_index: int, a: Sequence[int], b: Sequence[int], n_max: int
 ) -> VerificationReport:
-    """Sweep one seed pair through all indices n <= n_max."""
+    """Sweep one seed pair through all indices n <= n_max, walking the label words."""
+    seeds = _palindromic_seeds(a, b)
+    shifts = stern_table(n_max)
     failure = None
-    for n in range(1, n_max + 1):
-        rep = verify_block_rearrangement(a, b, n)
-        if not rep.passed:
-            failure = rep
+    for n, labels in enumerate(walk((1,), (2,), 1, n_max), 1):
+        arrangement = _arrangement(seeds, labels, shifts[n])
+        if not is_palindrome(arrangement):
+            failure = {"n": n, "arrangement": format_word(arrangement)}
             break
     return VerificationReport(
         claim="block-rearrangement-pair",
         n=pair_index,
         passed=failure is None,
         witness={"A": format_word(a), "B": format_word(b)},
-        counterexample=None
-        if failure is None
-        else {"n": failure.n, "arrangement": failure.counterexample},
+        counterexample=failure,
     )
 
 
@@ -315,6 +324,8 @@ def iter_shift_palindromic(
     d(1..n_max) is tabulated once and the indices go to
     :func:`verify_shift_palindromic_range` in runs of SHIFT_RANGE.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     shifts = stern_table(n_max)
     cases = [(a_sym, b_sym, lo, shifts[lo:lo + SHIFT_RANGE])
              for lo in range(1, n_max + 1, SHIFT_RANGE)]
@@ -326,6 +337,8 @@ def iter_block_rearrangement(
     workers: int = 1,
 ) -> Iterator[VerificationReport]:
     """One report per random palindromic seed pair, sweeping all n <= n_max."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     pairs = random_seed_pairs(trials, seed, lengths)
     cases = [(idx, wa, wb, n_max) for idx, (wa, wb) in enumerate(pairs, 1)]
     return sweep(verify_rearrangement_pair, cases, workers)
@@ -346,8 +359,6 @@ def verify_equivalence_pair(
     pair_index: int, a: Sequence[int], b: Sequence[int], levels: int
 ) -> VerificationReport:
     """Compare the graph builder with the index recursion through 2**levels."""
-    from .tree import s_graph
-
     mismatch = None
     for n in range(0, 2 ** levels + 1):
         if s_rec(a, b, n) != s_graph(a, b, n):
@@ -366,6 +377,8 @@ def iter_equivalence(
     levels: int, pairs: int = 20, seed: int = 42, workers: int = 1
 ) -> Iterator[VerificationReport]:
     """One equivalence report per seed pair: (1,1),(2,2) first, then random pairs."""
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     seed_pairs = [((1, 1), (2, 2))] + random_word_pairs(pairs, seed)
     cases = [(idx, wa, wb, levels) for idx, (wa, wb) in enumerate(seed_pairs)]
     return sweep(verify_equivalence_pair, cases, workers)
@@ -418,15 +431,15 @@ def check_half_length_chain(k_hi: int) -> Optional[dict]:
 
 def check_factorizations(k_hi: int) -> Optional[dict]:
     """Materialised S(k) equals its halving-chain factorization."""
-    a, b = (1, 1), (2, 2)
+    s = list(walk((1, 1), (2, 2), 0, k_hi))
     for k in range(3, k_hi + 1):
         if k % 2 == 0:
             prefix, base, power = even_index_factorization(k)
-            rebuilt = s_rec(a, b, prefix) + s_rec(a, b, base) * power
+            rebuilt = s[prefix] + s[base] * power
         else:
             base, power, suffix = odd_index_factorization(k)
-            rebuilt = s_rec(a, b, base) * power + s_rec(a, b, suffix)
-        if rebuilt != s_rec(a, b, k):
+            rebuilt = s[base] * power + s[suffix]
+        if rebuilt != s[k]:
             return {"k": k}
     return None
 
@@ -512,12 +525,11 @@ def check_row_symmetry(n_hi: int) -> Optional[dict]:
 
 def check_block_exponents(n_hi: int) -> Optional[dict]:
     """In every run-length profile, all A-runs are 1 or all B-runs are 1."""
-    for n in range(1, n_hi + 1):
-        profile = block_exponent_profile(n)
-        alphas = [al for al, _ in profile]
-        betas = [be for _, be in profile]
+    for n, labels in enumerate(walk((1,), (2,), 1, n_hi), 1):
+        runs = run_lengths(labels, 1)
+        alphas, betas = runs[0::2], runs[1::2]
         if not (all(x == 1 for x in alphas) or all(x == 1 for x in betas)):
-            return {"n": n, "profile": profile}
+            return {"n": n, "profile": list(zip(alphas, betas))}
     return None
 
 
@@ -530,9 +542,12 @@ def _lemma_report(claim: str, check: Callable, bound: int) -> VerificationReport
 def iter_lemma_checks(k_max: int, workers: int = 1) -> Iterator[VerificationReport]:
     """Run the supporting-identity suite; one report per claim.
 
-    Index-arithmetic checks run to k_max; checks that materialise words are
-    capped at 4096 so CLI sweeps stay fast.
+    Index-arithmetic checks run to k_max on diatomic tables; the two checks
+    that materialise words take them from one walk each and are capped at
+    4096 so CLI sweeps stay fast.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     n_levels = max(2, k_max.bit_length() - 1)
     checks = [
         ("length-identity", check_length_identity, k_max),

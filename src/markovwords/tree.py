@@ -12,9 +12,8 @@ sweeps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .diatomic import a_of, a_star
 from .words import Word, word
@@ -30,23 +29,6 @@ Path = tuple[int, ...]
 
 LABEL_A = "A"
 LABEL_B = "B"
-
-
-@dataclass(frozen=True)
-class BlockWord:
-    """A word over the labels {A, B} plus the seed words the labels stand for."""
-
-    labels: tuple[str, ...]
-    registry: Mapping[str, Word]
-
-    def flatten(self) -> Word:
-        out: list[int] = []
-        for lab in self.labels:
-            out.extend(self.registry[lab])
-        return tuple(out)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def root(a: Sequence[int], b: Sequence[int]) -> Vertex:
@@ -221,14 +203,6 @@ def block_labels(n: int) -> tuple[str, ...]:
     if n < 0:
         raise ValueError("indices start at 0")
     return _s_rec_cached((LABEL_A,), (LABEL_B,), n)
-
-
-def block_word(a: Sequence[int], b: Sequence[int], n: int) -> BlockWord:
-    """The word with index n as a word over its two seed blocks."""
-    wa, wb = word(a), word(b)
-    if not wa or not wb:
-        raise ValueError("seed words must be nonempty")
-    return BlockWord(block_labels(n), {LABEL_A: wa, LABEL_B: wb})
 
 
 def block_counts(n: int) -> tuple[int, int]:

@@ -112,6 +112,10 @@ def test_stern_table_matches_memo_and_bit_loop():
     assert len(table) == 2 ** 16 + 1
     assert list(table) == [stern(n) for n in range(2 ** 16 + 1)]
     assert list(table) == [stern_by_bits(n) for n in range(2 ** 16 + 1)]
+    # the rows are filled up to n: sizes on both sides of a row boundary
+    for m in range(17):
+        for n in (2 ** m - 1, 2 ** m, 2 ** m + 1):
+            assert list(stern_table(n)) == [stern(k) for k in range(n + 1)], n
 
 
 def test_stern_table_every_small_length():

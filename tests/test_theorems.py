@@ -22,6 +22,7 @@ from markovwords.theorems import (
     block_exponent_profile,
     block_rearrangement,
     even_index_factorization,
+    iter_block_rearrangement,
     iter_equivalence,
     iter_lemma_checks,
     iter_shift_palindromic,
@@ -29,9 +30,11 @@ from markovwords.theorems import (
     mirror_index,
     odd_index_factorization,
     random_palindrome,
+    random_seed_pairs,
     sweep,
     verify_block_rearrangement,
     verify_mirror,
+    verify_rearrangement_pair,
     verify_shift_palindromic,
     verify_shift_palindromic_range,
 )
@@ -127,6 +130,21 @@ def test_arrangement_preconditions():
 def test_rearrangement_equals_rotation_for_length2_seeds():
     for n in range(1, 257):
         assert block_rearrangement(A, B, n) == rotate(s_rec(A, B, n), stern(n))
+
+
+def test_pair_sweep_reports_the_first_failing_index():
+    # the walk-and-table sweep of a pair names the first index whose
+    # single-index check fails, with the same arrangement
+    failed = 0
+    for idx, (wa, wb) in enumerate(random_seed_pairs(40, 7), 1):
+        rep = verify_rearrangement_pair(idx, wa, wb, 128)
+        first = next((r for r in (verify_block_rearrangement(wa, wb, n)
+                                  for n in range(1, 129)) if not r.passed), None)
+        assert rep.passed == (first is None)
+        if first is not None:
+            failed += 1
+            assert rep.counterexample == {"n": first.n, "arrangement": first.counterexample}
+    assert 0 < failed < 40
 
 
 def test_even_length_seeds_always_pass():
@@ -331,14 +349,50 @@ def test_sweeps_leave_the_memo_caches_alone():
     # the memoised recursions that serve single queries
     before = stern.cache_info(), _s_rec_cached.cache_info()
     assert all(rep.passed for rep in iter_shift_palindromic(5000, 4, 9))
+    assert len(list(iter_block_rearrangement(300, 8, 42))) == 8
     for check, bound in [
         (theorems.check_length_identity, 5000), (theorems.check_length_is_diatomic, 5000),
         (theorems.check_half_length_chain, 5000), (theorems.check_shift_inequalities, 5000),
         (theorems.check_row_symmetry, 12), (theorems.check_mirror_arithmetic, 12),
-        (theorems.check_index_identities, 12),
+        (theorems.check_index_identities, 12), (theorems.check_factorizations, 2000),
+        (theorems.check_block_exponents, 2000),
     ]:
         assert check(bound) is None
     assert (stern.cache_info(), _s_rec_cached.cache_info()) == before
+
+
+def walk_with(index, wrong):
+    """``theorems.walk`` with the word of one index replaced by ``wrong``."""
+    real = theorems.walk
+
+    def walk(a, b, lo, hi):
+        for n, w in enumerate(real(a, b, lo, hi), lo):
+            yield wrong if n == index else w
+    return walk
+
+
+@pytest.mark.parametrize("k", [3, 4, 8, 17, 100, 1023, 1024, 2000])
+def test_check_factorizations_names_a_wrong_word(monkeypatch, k):
+    monkeypatch.setattr(theorems, "walk", walk_with(k, s_rec(A, B, k) + A))
+    assert theorems.check_factorizations(2000) == {"k": k}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1024, 2000])
+def test_check_block_exponents_names_a_wrong_label_word(monkeypatch, n):
+    # an A-run and a B-run of length 2 break "all A-runs or all B-runs are 1"
+    monkeypatch.setattr(theorems, "walk", walk_with(n, (1, 1, 2, 2)))
+    assert theorems.check_block_exponents(2000) == {"n": n, "profile": [(2, 2)]}
+
+
+@pytest.mark.parametrize("sweep_fn, args, bound", [
+    (iter_shift_palindromic, (-1,), "n_max"),
+    (iter_block_rearrangement, (-1, 2, 42), "n_max"),
+    (iter_equivalence, (-1, 2), "levels"),
+    (iter_lemma_checks, (-5,), "k_max"),
+])
+def test_sweeps_reject_a_negative_bound(sweep_fn, args, bound):
+    with pytest.raises(ValueError, match=bound):
+        sweep_fn(*args)
 
 
 @pytest.mark.parametrize("cpus, requested, pool", [

@@ -11,7 +11,6 @@ from markovwords.tree import (
     apply_path,
     block_counts,
     block_labels,
-    block_word,
     flank_indices,
     level,
     path_precedes,
@@ -168,13 +167,15 @@ def test_single_rule_matches_two_branch_rule():
 
 
 def test_block_word_examples():
-    bw = block_word(A, B, 14)
-    assert "".join(bw.labels) == "ABABBABB"
-    assert len(bw) == 8 == stern(27)
-    assert bw.flatten() == s_rec(A, B, 14)
-    assert "".join(block_word(A, B, 2).labels) == "AB"
-    assert "".join(block_word(A, B, 12).labels) == "AABABAB"
-    assert len(block_word(A, B, 12)) == 7 == stern(23)
+    labels = block_labels(14)
+    assert "".join(labels) == "ABABBABB"
+    assert len(labels) == 8 == stern(27)
+    # substituting the seeds for the labels, A -> A and B -> B, gives S(14)
+    seeds = {"A": A, "B": B}
+    assert tuple(x for lab in labels for x in seeds[lab]) == s_rec(A, B, 14)
+    assert "".join(block_labels(2)) == "AB"
+    assert "".join(block_labels(12)) == "AABABAB"
+    assert len(block_labels(12)) == 7 == stern(23)
 
 
 def test_block_counts_match_labels():
