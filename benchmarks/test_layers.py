@@ -5,21 +5,25 @@ testpaths is ``tests``):
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py \
         --benchmark-json=.benchmarks/layers.json
-    python benchmarks/summarize.py .benchmarks/layers.json BENCH_7.json
+    python benchmarks/summarize.py .benchmarks/layers.json BENCH_8.json
 
-Every round starts from cold memo caches. No case reads them: every sweep
+Every round starts from cold memo caches. No sweep reads them: every sweep
 takes its words from ``walk`` and d(n) from ``stern_table``, so a case
-that came to read them would pay for them in each round. The lemma bounds
-are those ``verify lemmas --k-max 262144`` uses; the theorem sweep is the
-default ``verify theorem``.
+that came to read them would pay for them in each round; ``block_labels``
+is the one case that fills the ``s_rec`` cache, on purpose. The walk runs
+on the byte seeds the sweeps use. The lemma bounds are those
+``verify lemmas --k-max 262144`` uses; the theorem sweep is the default
+``verify theorem``. The spectrum cases take S(n) on (1,1), (2,2) at the
+smallest index of each length L, and the Markov form of ``bqf``.
 """
 from collections import deque
 
 import pytest
 
 from markovwords import theorems
-from markovwords.diatomic import stern, stern_table
-from markovwords.tree import _s_rec_cached, walk
+from markovwords.diatomic import a_of, stern, stern_table
+from markovwords.spectrum import BQForm, bqf_min, cf_matrix, markov_value
+from markovwords.tree import _s_rec_cached, block_labels, s_graph, walk
 
 ROUNDS = 7
 K_MAX = 262144
@@ -35,6 +39,8 @@ LEMMA_BOUNDS = {
     "check_index_identities": min(LEVELS, 14),
     "check_block_exponents": 4096,
 }
+# the smallest index n with |S(n)| = L, seeds (1,1), (2,2)
+SPECTRUM_INDEX = {178: 342, 1220: 5462, 3194: 21846}
 
 
 def cold_caches():
@@ -56,8 +62,41 @@ def test_stern_table(benchmark):
     assert len(table) == 2 ** 20 + 1
 
 
+def test_a_of(benchmark):
+    measure(benchmark, lambda: drain(map(a_of, range(1, 2 ** 20 + 1))), size=2 ** 20)
+
+
+def test_block_labels(benchmark):
+    measure(benchmark, lambda: drain(map(block_labels, range(4096))), size=4096)
+
+
 def test_walk(benchmark):
-    measure(benchmark, lambda: drain(walk((1, 1), (2, 2), 1, 2 ** 15)), size=2 ** 15)
+    measure(benchmark, lambda: drain(walk(*theorems.SHIFT_SEEDS, 1, 2 ** 15)), size=2 ** 15)
+
+
+def spectrum_word(length):
+    w = s_graph((1, 1), (2, 2), SPECTRUM_INDEX[length])
+    assert len(w) == length
+    return w
+
+
+@pytest.mark.parametrize("length", list(SPECTRUM_INDEX))
+def test_cf_matrix(benchmark, length):
+    measure(benchmark, cf_matrix, spectrum_word(length), size=length)
+
+
+@pytest.mark.parametrize("length", list(SPECTRUM_INDEX))
+def test_markov_value(benchmark, length):
+    measure(benchmark, markov_value, spectrum_word(length), size=length)
+
+
+def test_to_decimal(benchmark):
+    value = markov_value(spectrum_word(178)).value
+    assert len(measure(benchmark, value.to_decimal, 1000, size=1000)) == 1002
+
+
+def test_bqf_min(benchmark):
+    assert measure(benchmark, bqf_min, BQForm(1, 1, -1), 200, size=200).min_abs == 1
 
 
 def test_prop_main_sweep(benchmark):

@@ -11,8 +11,8 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, count, starmap
-from operator import add, eq, not_, sub
+from itertools import chain, compress, count, repeat, starmap
+from operator import add, eq, itemgetter, lt, not_, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .diatomic import a_of, a_star, a_table, stern, stern_table
@@ -32,6 +32,12 @@ from .words import (
 # indices per case of the prop-main sweep: the serial sweep holds at most
 # this many reports at a time
 SHIFT_RANGE = 1024
+
+# the seeds every walking sweep uses: S(n) on (1,1),(2,2) and the label
+# words on (1),(2), as bytes, so concatenations and comparisons copy and
+# compare whole blocks
+SHIFT_SEEDS = (b"\x01\x01", b"\x02\x02")
+LABEL_SEEDS = (b"\x01", b"\x02")
 
 
 @dataclass(frozen=True)
@@ -56,17 +62,21 @@ class VerificationReport:
 def _shift_seeds(a_sym: int, b_sym: int) -> tuple[Word, Word]:
     if a_sym == b_sym:
         raise ValueError("seed letters must differ")
-    return (a_sym, a_sym), (b_sym, b_sym)
+    return word((a_sym, a_sym)), word((b_sym, b_sym))
 
 
-def _shift_report(n: int, seq: Word, shift: int) -> VerificationReport:
+def _shift_report(
+    n: int, seq: Sequence[int], shift: int, letter: Callable[[int], int] = int
+) -> VerificationReport:
+    """The report on rotating ``seq`` by ``shift``. ``letter`` decodes each
+    letter of a failing rotation; the default keeps integer letters as they are."""
     ok = is_palindromic_rotation(seq, shift)
     return VerificationReport(
         claim="shift-palindromic",
         n=n,
         passed=ok,
         witness=shift,
-        counterexample=None if ok else format_word(rotate(seq, shift)),
+        counterexample=None if ok else format_word(map(letter, rotate(seq, shift))),
     )
 
 
@@ -84,13 +94,18 @@ def verify_shift_palindromic_range(
     """:func:`verify_shift_palindromic` for n = lo, ..., lo + len(shifts) - 1.
 
     ``shifts`` holds d(n) for those indices; the words come from one
-    :func:`~markovwords.tree.walk` of the range.
+    :func:`~markovwords.tree.walk` of the range on :data:`SHIFT_SEEDS`.
+    That walk is S(n) under the letter map a -> 1, b -> 2, which is
+    injective, so a rotation of it is a palindrome exactly when the same
+    rotation of S(n) is; a failing rotation is decoded back through (a, b).
     """
-    a, b = _shift_seeds(a_sym, b_sym)
+    _shift_seeds(a_sym, b_sym)
     if lo < 1:
         raise ValueError("indices start at 1")
-    words = walk(a, b, lo, lo + len(shifts) - 1)
-    return list(map(_shift_report, range(lo, lo + len(shifts)), words, shifts))
+    words = walk(*SHIFT_SEEDS, lo, lo + len(shifts) - 1)
+    letter = (0, a_sym, b_sym).__getitem__
+    return list(map(_shift_report, range(lo, lo + len(shifts)), words, shifts,
+                    repeat(letter)))
 
 
 def _palindromic_seeds(a: Sequence[int], b: Sequence[int]) -> tuple[Word, Word]:
@@ -284,7 +299,7 @@ def verify_rearrangement_pair(
     seeds = _palindromic_seeds(a, b)
     shifts = stern_table(n_max)
     failure = None
-    for n, labels in enumerate(walk((1,), (2,), 1, n_max), 1):
+    for n, labels in enumerate(walk(*LABEL_SEEDS, 1, n_max), 1):
         arrangement = _arrangement(seeds, labels, shifts[n])
         if not is_palindrome(arrangement):
             failure = {"n": n, "arrangement": format_word(arrangement)}
@@ -324,8 +339,8 @@ def iter_shift_palindromic(
     d(1..n_max) is tabulated once and the indices go to
     :func:`verify_shift_palindromic_range` in runs of SHIFT_RANGE.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     shifts = stern_table(n_max)
     cases = [(a_sym, b_sym, lo, shifts[lo:lo + SHIFT_RANGE])
              for lo in range(1, n_max + 1, SHIFT_RANGE)]
@@ -337,8 +352,8 @@ def iter_block_rearrangement(
     workers: int = 1,
 ) -> Iterator[VerificationReport]:
     """One report per random palindromic seed pair, sweeping all n <= n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     pairs = random_seed_pairs(trials, seed, lengths)
     cases = [(idx, wa, wb, n_max) for idx, (wa, wb) in enumerate(pairs, 1)]
     return sweep(verify_rearrangement_pair, cases, workers)
@@ -431,7 +446,7 @@ def check_half_length_chain(k_hi: int) -> Optional[dict]:
 
 def check_factorizations(k_hi: int) -> Optional[dict]:
     """Materialised S(k) equals its halving-chain factorization."""
-    s = list(walk((1, 1), (2, 2), 0, k_hi))
+    s = list(walk(*SHIFT_SEEDS, 0, k_hi))
     for k in range(3, k_hi + 1):
         if k % 2 == 0:
             prefix, base, power = even_index_factorization(k)
@@ -450,27 +465,37 @@ def check_shift_inequalities(k_hi: int) -> Optional[dict]:
     Even case: R = L + (|S(a(base-1))| + (power-1)|S(base)|)/2 must exceed
     |S(a(base-1))| with L = d(k/2). Odd case: L = d((k+1)/2) must stay
     below (power-1)*|S(chain end)|.
+
+    Each 2-adic class of k is one pass over slices. Even k = 2^v(2i+1),
+    i >= 1, has base i+1, power v+1 and L = d(2i+1); powers of two are
+    skipped, their chain bottoms at 1 and a(0) is undefined. Odd
+    k = 2^(u+1)(2j+1) + 1 has chain end j+1, power u+2 and
+    L = d(2^u(2j+1) + 1). The smallest failing k over all classes is named.
     """
     d = stern_table(k_hi)
     lengths = _lengths(d)  # base <= (k+1)/2
-    a = a_table(k_hi // 2)
-    for k in range(3, k_hi + 1):
-        if k % 2 == 0:
-            if k & (k - 1) == 0:
-                continue  # chain bottoms at 1; a(0) undefined
-            prefix, base, power = even_index_factorization(k)
-            left = d[k // 2]
-            flank = lengths[a[base - 1]]
-            right = left + (flank + (power - 1) * lengths[base]) // 2
-            if not right > flank:
-                return {"k": k, "case": "even"}
-        else:
-            base, power, _ = odd_index_factorization(k)
-            chain_end = base if base else 1  # degenerate chain bottoms at index 1
-            left = d[(k + 1) // 2]
-            if not left < (power - 1) * lengths[chain_end]:
-                return {"k": k, "case": "odd"}
-    return None
+    a = a_table(k_hi // 4)  # a(i) for 2(2i+1) <= k_hi
+    failures = []
+    v = 1
+    while 3 << v <= k_hi:
+        top = ((k_hi >> v) + 1) >> 1  # i < top
+        flanks = map(lengths.__getitem__, a[1:top])
+        holds = (left + (flank + v * size) // 2 > flank
+                 for left, flank, size in zip(d[3:2 * top:2], flanks, lengths[2:top + 1]))
+        k = _first_false(holds, count(3 << v, 2 << v))
+        if k is not None:
+            failures.append({"k": k, "case": "even"})
+        v += 1
+    u = 0
+    while (2 << u) + 1 <= k_hi:
+        top = (((k_hi - 1) >> (u + 1)) + 1) >> 1  # j < top
+        lefts = d[(1 << u) + 1::2 << u][:top]
+        holds = map(lt, lefts, map((u + 1).__mul__, lengths[1:top + 1]))
+        k = _first_false(holds, count((2 << u) + 1, 4 << u))
+        if k is not None:
+            failures.append({"k": k, "case": "odd"})
+        u += 1
+    return min(failures, key=itemgetter("k"), default=None)
 
 
 def check_mirror_arithmetic(n_hi: int) -> Optional[dict]:
@@ -525,7 +550,7 @@ def check_row_symmetry(n_hi: int) -> Optional[dict]:
 
 def check_block_exponents(n_hi: int) -> Optional[dict]:
     """In every run-length profile, all A-runs are 1 or all B-runs are 1."""
-    for n, labels in enumerate(walk((1,), (2,), 1, n_hi), 1):
+    for n, labels in enumerate(walk(*LABEL_SEEDS, 1, n_hi), 1):
         runs = run_lengths(labels, 1)
         alphas, betas = runs[0::2], runs[1::2]
         if not (all(x == 1 for x in alphas) or all(x == 1 for x in betas)):
@@ -544,10 +569,11 @@ def iter_lemma_checks(k_max: int, workers: int = 1) -> Iterator[VerificationRepo
 
     Index-arithmetic checks run to k_max on diatomic tables; the two checks
     that materialise words take them from one walk each and are capped at
-    4096 so CLI sweeps stay fast.
+    4096 so CLI sweeps stay fast. Below k_max = 8 the suite has too few
+    levels to check every identity, so smaller bounds are rejected.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    if k_max < 8:
+        raise ValueError("k_max must be >= 8")
     n_levels = max(2, k_max.bit_length() - 1)
     checks = [
         ("length-identity", check_length_identity, k_max),

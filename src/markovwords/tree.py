@@ -148,8 +148,16 @@ def walk(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> Iterator[Word]
     depth; after the last index of a level, n = 2^m, it restarts at the
     root and descends one level deeper. Each new vertex costs one
     concatenation, its centre.
+
+    Two ``bytes`` seeds are concatenated as they are, so the words are
+    ``bytes`` too: the sweeps walk the letters 1 and 2 that way, each
+    concatenation one block copy. Other seeds give tuples, as in
+    :func:`s_graph`. Both kinds are validated by
+    :func:`~markovwords.words.word`, so an empty seed or a zero byte raises.
     """
     v = root(a, b)
+    if isinstance(a, bytes) and isinstance(b, bytes):
+        v = Vertex(a, a + b, b)
     if lo < 0:
         raise ValueError("indices start at 0")
     for n in range(lo, min(hi, 1) + 1):

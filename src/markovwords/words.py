@@ -2,6 +2,9 @@
 
 A word doubles as a continued-fraction period, so letters are positive
 integers throughout. Words are plain tuples; all operations are pure.
+The sweeps of :mod:`markovwords.theorems` carry their words internally
+as ``bytes`` over the letters 1 and 2, which :func:`is_palindromic_rotation`
+reads as they are; the words the public API returns are tuples.
 """
 from __future__ import annotations
 
@@ -71,19 +74,20 @@ def is_palindromic_rotation(x: Sequence[int], s: int) -> bool:
 
     The rotation is a palindrome when the floor(m/2) letters read forwards
     from position s equal the floor(m/2) letters read backwards from
-    position s-1, both windows wrapping around the end of the word.
+    position s-1, both windows wrapping around the end of the word. The
+    windows are slices of ``x`` itself, so a ``bytes`` word is compared
+    without converting its letters.
     """
-    w = tuple(x)
-    if not w:
+    if not x:
         raise ValueError("cannot rotate the empty word")
-    m = len(w)
+    m = len(x)
     s %= m
     h = m // 2
-    forward = w[s:s + h] if s + h <= m else w[s:] + w[:s + h - m]
+    forward = x[s:s + h] if s + h <= m else x[s:] + x[:s + h - m]
     if s > h:
-        backward = w[s - 1:s - h - 1:-1]
-    else:  # w[s-1], ..., w[0], then w[m-1], ... down to h letters in all
-        backward = w[:s][::-1] + w[:m - h + s - 1:-1]
+        backward = x[s - 1:s - h - 1:-1]
+    else:  # x[s-1], ..., x[0], then x[m-1], ... down to h letters in all
+        backward = x[:s][::-1] + x[:m - h + s - 1:-1]
     return forward == backward
 
 

@@ -224,6 +224,27 @@ def index_identities_by_index(n_hi: int, d, a):
     return None
 
 
+def shift_inequalities_by_index(k_hi: int, d, a):
+    def length(j):
+        return _length_by_index(d, j)
+
+    for k in range(3, k_hi + 1):
+        if k % 2 == 0:
+            if k & (k - 1) == 0:
+                continue  # chain bottoms at 1; a(0) undefined
+            _, base, power = even_index_factorization_by_halving(k)
+            left = d(k // 2)
+            flank = length(a(base - 1))
+            if not left + (flank + (power - 1) * length(base)) // 2 > flank:
+                return {"k": k, "case": "even"}
+        else:
+            base, power, _ = odd_index_factorization_by_chain(k)
+            chain_end = base if base else 1  # degenerate chain bottoms at index 1
+            if not d((k + 1) // 2) < (power - 1) * length(chain_end):
+                return {"k": k, "case": "odd"}
+    return None
+
+
 def row_symmetry_by_index(n_hi: int, d, a):
     for n in range(0, n_hi + 1):
         lo, hi = 2 ** n, 2 ** (n + 1)

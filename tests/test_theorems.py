@@ -13,6 +13,7 @@ from oracles import (
     mirror_index_by_search,
     odd_index_factorization_by_chain,
     row_symmetry_by_index,
+    shift_inequalities_by_index,
 )
 
 from markovwords import theorems
@@ -68,9 +69,12 @@ def test_shift_palindromic_sweep_small():
 
 
 def test_shift_palindromic_sweep_matches_single_queries():
-    # 3000 crosses two range boundaries and the level boundary at 2048
-    single = [verify_shift_palindromic(3, 5, n) for n in range(1, 3001)]
-    assert list(iter_shift_palindromic(3000, 3, 5)) == single
+    # 3000 crosses two range boundaries and the level boundary at 2048; the
+    # sweep walks the letters 1, 2 while the single queries build S(n) on
+    # the real letters, some of them too large for a byte
+    for a_sym, b_sym in ((3, 5), (256, 1000), (300, 7)):
+        single = [verify_shift_palindromic(a_sym, b_sym, n) for n in range(1, 3001)]
+        assert list(iter_shift_palindromic(3000, a_sym, b_sym)) == single
 
 
 def test_shift_palindromic_sweep_short_ranges(monkeypatch):
@@ -82,18 +86,26 @@ def test_shift_palindromic_sweep_short_ranges(monkeypatch):
 def test_shift_palindromic_range_preconditions():
     with pytest.raises(ValueError):
         verify_shift_palindromic_range(1, 1, 3, [2])
+    # the range walks the letters 1, 2, but still rejects a letter below 1
+    for a_sym, b_sym in ((0, 2), (3, -1), (True, 2)):
+        with pytest.raises(ValueError):
+            verify_shift_palindromic_range(a_sym, b_sym, 3, [2])
     with pytest.raises(ValueError):
         verify_shift_palindromic_range(1, 2, 0, [0, 1])
     assert verify_shift_palindromic_range(1, 2, 3, []) == []
 
 
 def test_failing_shift_report_prints_the_rotation(monkeypatch):
-    # the claim holds everywhere, so force the check to fail
+    # the claim holds everywhere, so force the check to fail; the sweep's
+    # counterexample is decoded from the letters 1, 2 back to a and b
     monkeypatch.setattr(theorems, "is_palindromic_rotation", lambda w, s: False)
-    expected = format_word(rotate(s_rec(A, B, 14), 3))
-    for rep in (verify_shift_palindromic(1, 2, 14), list(iter_shift_palindromic(14))[-1]):
-        assert not rep.passed and rep.witness == 3
-        assert rep.counterexample == expected
+    for a_sym, b_sym in ((1, 2), (4, 9), (300, 2)):
+        expected = format_word(rotate(s_rec((a_sym, a_sym), (b_sym, b_sym), 14), 3))
+        assert set(expected.split(",")) == {str(a_sym), str(b_sym)}
+        for rep in (verify_shift_palindromic(a_sym, b_sym, 14),
+                    list(iter_shift_palindromic(14, a_sym, b_sym))[-1]):
+            assert not rep.passed and rep.witness == 3
+            assert rep.counterexample == expected
 
 
 def test_arrangement_even_case():
@@ -318,6 +330,7 @@ TABLE_CHECKS = [
     (theorems.check_mirror_arithmetic, mirror_arithmetic_by_index, 8),
     (theorems.check_index_identities, index_identities_by_index, 10),
     (theorems.check_row_symmetry, row_symmetry_by_index, 10),
+    (theorems.check_shift_inequalities, shift_inequalities_by_index, 1200),
 ]
 
 
@@ -344,6 +357,26 @@ def test_table_checks_report_what_the_index_loops_report(monkeypatch, kind):
     assert found > 20
 
 
+def test_shift_inequalities_name_the_first_failing_k(monkeypatch):
+    # a wrong entry of ±1 never breaks these inequalities, so double, zero
+    # or shift one entry: the class-by-class slices must name the same
+    # first failing k and case as the per-k loop
+    cases = set()
+    for kind in ("d", "a"):
+        for j in (3, 5, 6, 12, 37, 64, 100, 257, 700, 1023):
+            for wrong_entry in (lambda x: 2 * x, lambda x: 0, lambda x: x + j):
+                d, a = stern_table(1200), a_table(1200)
+                table = d if kind == "d" else a
+                table[j] = wrong_entry(table[j])
+                monkeypatch.setattr(theorems, "stern_table", lambda n: d[:n + 1])
+                monkeypatch.setattr(theorems, "a_table", lambda n: a[:n + 1])
+                expected = shift_inequalities_by_index(1200, d.__getitem__, a.__getitem__)
+                assert theorems.check_shift_inequalities(1200) == expected, (kind, j)
+                if expected is not None:
+                    cases.add(expected["case"])
+    assert cases == {"even", "odd"}
+
+
 def test_sweeps_leave_the_memo_caches_alone():
     # the words come from the walk and d(n), a(j) from tables, not from
     # the memoised recursions that serve single queries
@@ -362,12 +395,13 @@ def test_sweeps_leave_the_memo_caches_alone():
 
 
 def walk_with(index, wrong):
-    """``theorems.walk`` with the word of one index replaced by ``wrong``."""
+    """``theorems.walk`` with the word of one index replaced by ``wrong``,
+    converted to the type of the walked words so that only its letters differ."""
     real = theorems.walk
 
     def walk(a, b, lo, hi):
         for n, w in enumerate(real(a, b, lo, hi), lo):
-            yield wrong if n == index else w
+            yield type(w)(wrong) if n == index else w
     return walk
 
 
@@ -389,6 +423,11 @@ def test_check_block_exponents_names_a_wrong_label_word(monkeypatch, n):
     (iter_block_rearrangement, (-1, 2, 42), "n_max"),
     (iter_equivalence, (-1, 2), "levels"),
     (iter_lemma_checks, (-5,), "k_max"),
+    # the CLI's minima: n_max >= 1, k_max >= 8
+    (iter_shift_palindromic, (0,), "n_max"),
+    (iter_block_rearrangement, (0, 2, 42), "n_max"),
+    (iter_lemma_checks, (0,), "k_max"),
+    (iter_lemma_checks, (7,), "k_max"),
 ])
 def test_sweeps_reject_a_negative_bound(sweep_fn, args, bound):
     with pytest.raises(ValueError, match=bound):

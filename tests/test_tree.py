@@ -228,9 +228,11 @@ def test_flank_indices_match_graph():
             assert v.right == s_rec(A, B, right)
 
 
-@pytest.mark.parametrize("wa, wb", [(A, B), ((3, 3), (5, 5))])
+@pytest.mark.parametrize("wa, wb", [(A, B), ((3, 3), (5, 5)), (b"\x01\x01", b"\x02\x02")])
 def test_walk_matches_graph_from_the_root(wa, wb):
-    assert list(walk(wa, wb, 0, 2 ** 12)) == [s_graph(wa, wb, n) for n in range(2 ** 12 + 1)]
+    # bytes seeds give bytes words, equal to the graph's on the same letters
+    graph = [type(wa)(s_graph(tuple(wa), tuple(wb), n)) for n in range(2 ** 12 + 1)]
+    assert list(walk(wa, wb, 0, 2 ** 12)) == graph
 
 
 def test_walk_matches_graph_from_any_start():
@@ -245,7 +247,9 @@ def test_walk_matches_graph_from_any_start():
             wa, wb = wa + (rng.randint(1, 9),), wb + (rng.randint(1, 9),)
         for lo in starts:
             hi = lo + rng.randint(0, 300)
-            assert list(walk(wa, wb, lo, hi)) == [s_graph(wa, wb, n) for n in range(lo, hi + 1)]
+            graph = [s_graph(wa, wb, n) for n in range(lo, hi + 1)]
+            assert list(walk(wa, wb, lo, hi)) == graph
+            assert list(walk(bytes(wa), bytes(wb), lo, hi)) == list(map(bytes, graph))
 
 
 def test_walk_bounds():
@@ -254,3 +258,7 @@ def test_walk_bounds():
     assert list(walk(A, B, 4, 4)) == [s_graph(A, B, 4)]
     with pytest.raises(ValueError):
         list(walk(A, B, -1, 3))
+    # bytes seeds are validated like tuples: a zero byte or an empty seed raises
+    for wa, wb in ((b"\x00", b"\x02"), (b"\x01", b""), (b"", b"")):
+        with pytest.raises(ValueError):
+            list(walk(wa, wb, 0, 3))
