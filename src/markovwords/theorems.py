@@ -11,7 +11,7 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat, starmap
+from itertools import chain, compress, count, islice, repeat, starmap
 from operator import add, eq, itemgetter, lt, not_, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -20,8 +20,6 @@ from .tree import block_counts, block_labels, run_lengths, s_graph, s_rec, walk
 from .words import (
     Word,
     format_word,
-    half_ceil,
-    half_floor,
     is_palindrome,
     is_palindromic_rotation,
     reverse,
@@ -117,16 +115,21 @@ def _palindromic_seeds(a: Sequence[int], b: Sequence[int]) -> tuple[Word, Word]:
     return wa, wb
 
 
-def _arrangement(seeds: tuple[Word, Word], labels: Word, d: int) -> Word:
-    """The block rearrangement at shift d of a label word over {1, 2}."""
-    blocks = [seeds[lab - 1] for lab in labels]
-    if d % 2 == 0:
-        start = d // 2  # zero-based index of block d/2 + 1
-        return tuple(chain.from_iterable(blocks[start:] + blocks[:start]))
-    c = (d + 1) // 2
-    split = blocks[c - 1]
-    middle = chain.from_iterable(blocks[c:] + blocks[:c - 1])
-    return half_ceil(split) + tuple(middle) + half_floor(split)
+def _rearrangement_shift(seeds: tuple[Word, Word], labels: Sequence[int], d: int) -> int:
+    """How far :func:`block_rearrangement` rotates S(n), given its labels over {1, 2}."""
+    k = d // 2
+    n_a = labels[:k].count(1)
+    shift = n_a * len(seeds[0]) + (k - n_a) * len(seeds[1])
+    return shift + len(seeds[labels[k] - 1]) // 2 if d % 2 else shift
+
+
+def _rearranged(a: Sequence[int], b: Sequence[int], n: int) -> tuple[Word, int, int]:
+    """S(n) on the seeds a, b, the rotation that rearranges it, and d(n)."""
+    seeds = _palindromic_seeds(a, b)
+    if n < 1:
+        raise ValueError("indices start at 1")
+    d = stern(n)
+    return s_rec(*seeds, n), _rearrangement_shift(seeds, s_rec((1,), (2,), n), d), d
 
 
 def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
@@ -134,8 +137,9 @@ def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
 
     With d = d(n) and blocks B1..BN: for even d, concatenate blocks starting
     at block d/2+1; for odd d, split block c=(d+1)/2 into its ceil and floor
-    halves and wrap them around the remaining blocks. For length-2 seeds
-    this equals the d-step rotation of S(n).
+    halves and wrap them around the remaining blocks. That is S(n) rotated
+    left by n_A|A| + (k-n_A)|B|, k = floor(d/2) and n_A the A-labels of the
+    first k, plus floor(|B(k+1)|/2) for odd d; by d for length-2 seeds.
 
     The arrangement is palindromic when d is even or the split block has
     even length:
@@ -151,10 +155,8 @@ def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     sometimes none exists: with seeds (1,2,1),(3), S(5) has even length and
     three 2s, so no rotation of it is palindromic.
     """
-    seeds = _palindromic_seeds(a, b)
-    if n < 1:
-        raise ValueError("indices start at 1")
-    return _arrangement(seeds, s_rec((1,), (2,), n), stern(n))
+    s, shift, _ = _rearranged(a, b, n)
+    return rotate(s, shift)
 
 
 def verify_block_rearrangement(
@@ -166,18 +168,14 @@ def verify_block_rearrangement(
     (d(n)+1)/2 has even length (see :func:`block_rearrangement`); outside
     that scope a failing report records a fact, not a defect.
     """
-    seeds = _palindromic_seeds(a, b)
-    if n < 1:
-        raise ValueError("indices start at 1")
-    d = stern(n)
-    arrangement = _arrangement(seeds, s_rec((1,), (2,), n), d)
-    ok = is_palindrome(arrangement)
+    s, shift, d = _rearranged(a, b, n)
+    ok = is_palindromic_rotation(s, shift)
     return VerificationReport(
         claim="block-rearrangement",
         n=n,
         passed=ok,
         witness={"shift": d, "A": format_word(a), "B": format_word(b)},
-        counterexample=None if ok else format_word(arrangement),
+        counterexample=None if ok else format_word(rotate(s, shift)),
     )
 
 
@@ -272,12 +270,11 @@ def block_exponent_profile(n: int) -> list[tuple[int, int]]:
     return [(runs[t], runs[t + 1]) for t in range(0, len(runs), 2)]
 
 
-def random_palindrome(rng: random.Random, lengths: Sequence[int] = range(1, 9),
-                      max_letter: int = 9) -> Word:
-    """A uniform-length random palindrome, built by mirroring a random half."""
+def random_palindrome(rng: random.Random, lengths: Sequence[int] = range(1, 9)) -> Word:
+    """A uniform-length random palindrome over 1..9, built by mirroring a random half."""
     m = rng.choice(list(lengths))
-    half = [rng.randint(1, max_letter) for _ in range(m // 2)]
-    middle = [rng.randint(1, max_letter)] if m % 2 else []
+    half = [rng.randint(1, 9) for _ in range(m // 2)]
+    middle = [rng.randint(1, 9)] if m % 2 else []
     return tuple(half + middle + half[::-1])
 
 
@@ -295,14 +292,15 @@ def random_seed_pairs(
 def verify_rearrangement_pair(
     pair_index: int, a: Sequence[int], b: Sequence[int], n_max: int
 ) -> VerificationReport:
-    """Sweep one seed pair through all indices n <= n_max, walking the label words."""
+    """Sweep one seed pair through all n <= n_max, walking S(n) and its label word."""
     seeds = _palindromic_seeds(a, b)
     shifts = stern_table(n_max)
     failure = None
-    for n, labels in enumerate(walk(*LABEL_SEEDS, 1, n_max), 1):
-        arrangement = _arrangement(seeds, labels, shifts[n])
-        if not is_palindrome(arrangement):
-            failure = {"n": n, "arrangement": format_word(arrangement)}
+    pairs = zip(walk(*seeds, 1, n_max), walk(*LABEL_SEEDS, 1, n_max))
+    for n, (s, labels) in enumerate(pairs, 1):
+        shift = _rearrangement_shift(seeds, labels, shifts[n])
+        if not is_palindromic_rotation(s, shift):
+            failure = {"n": n, "arrangement": format_word(rotate(s, shift))}
             break
     return VerificationReport(
         claim="block-rearrangement-pair",
@@ -348,24 +346,23 @@ def iter_shift_palindromic(
 
 
 def iter_block_rearrangement(
-    n_max: int, trials: int, seed: int, lengths: Sequence[int] = range(1, 9),
-    workers: int = 1,
+    n_max: int, trials: int, seed: int, workers: int = 1
 ) -> Iterator[VerificationReport]:
     """One report per random palindromic seed pair, sweeping all n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    pairs = random_seed_pairs(trials, seed, lengths)
+    pairs = random_seed_pairs(trials, seed)
     cases = [(idx, wa, wb, n_max) for idx, (wa, wb) in enumerate(pairs, 1)]
     return sweep(verify_rearrangement_pair, cases, workers)
 
 
-def random_word_pairs(pairs: int, seed: int, max_len: int = 4) -> list[tuple[Word, Word]]:
-    """Deterministic random nonempty seed pairs (not necessarily palindromic)."""
+def random_word_pairs(pairs: int, seed: int) -> list[tuple[Word, Word]]:
+    """Deterministic random seed pairs of lengths 1..4 (not necessarily palindromic)."""
     rng = random.Random(seed)
     out = []
     for _ in range(pairs):
-        wa = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, max_len)))
-        wb = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, max_len)))
+        wa = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 4)))
+        wb = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 4)))
         out.append((wa, wb))
     return out
 
@@ -399,12 +396,9 @@ def iter_equivalence(
     return sweep(verify_equivalence_pair, cases, workers)
 
 
-def _lengths(d: array) -> array:
-    """|S(0)|, |S(1)|, ... for length-2 seeds from d(0..N): |S(j)| = 2*d(2j-1).
-
-    The table ends at |S((N+1)//2)|, the last length N reaches.
-    """
-    return array("L", [2]) + array("L", map((2).__mul__, d[1::2]))
+def _blocks(d: array) -> array:
+    """|S(j)|/2 for length-2 seeds and j <= (N+1)//2 from d(0..N): d(2j-1) for j >= 1."""
+    return array("L", [1]) + d[1::2]
 
 
 def _first_false(flags: Iterable[bool], indices: Iterable[int]) -> Optional[int]:
@@ -412,36 +406,44 @@ def _first_false(flags: Iterable[bool], indices: Iterable[int]) -> Optional[int]
     return next(compress(indices, map(not_, flags)), None)
 
 
+def _first_mismatch(x: array, y: array, indices: Iterable[int]) -> Optional[int]:
+    """:func:`_first_false` of x == y elementwise; one comparison when all hold."""
+    return None if x == y else _first_false(map(eq, x, y), indices)
+
+
 def check_length_identity(k_hi: int) -> Optional[dict]:
-    """|S(k)| == |S(a(k))| + |S(a(k-1))| for length-2 seeds, arithmetically."""
-    lengths = _lengths(stern_table(2 * k_hi))
+    """|S(k)| == |S(a(k))| + |S(a(k-1))| for length-2 seeds, in blocks."""
+    blocks = _blocks(stern_table(2 * k_hi))
     a = a_table(k_hi)
-    size = lengths.__getitem__
-    flanks = map(add, map(size, a[2:]), map(size, a[1:-1]))
-    k = _first_false(map(eq, lengths[2:k_hi + 1], flanks), count(2))
+    size = blocks.__getitem__
+    flanks = array("L", map(add, map(size, islice(a, 2, None)),
+                            map(size, islice(a, 1, k_hi))))
+    k = _first_mismatch(blocks[2:], flanks, count(2))
     return None if k is None else {"k": k}
 
 
 def check_length_is_diatomic(k_hi: int) -> Optional[dict]:
-    """|S(a(k))| == 2*d(k) for length-2 seeds."""
+    """|S(a(k))| == 2*d(k) for length-2 seeds: a(k) <= (k+1)/2 has d(k) blocks."""
     d = stern_table(k_hi)
-    lengths = _lengths(d)  # a(k) <= (k+1)/2
-    flanks = map(lengths.__getitem__, a_table(k_hi)[1:])
-    k = _first_false(map(eq, flanks, map((2).__mul__, d[1:])), count(1))
+    flanks = array("L", map(_blocks(d).__getitem__, islice(a_table(k_hi), 1, None)))
+    k = _first_mismatch(flanks, d[1:], count(1))
     return None if k is None else {"k": k}
 
 
 def check_half_length_chain(k_hi: int) -> Optional[dict]:
-    """For odd k, the halving-chain endpoint satisfies |S(end)|/2 == d(k-1)."""
+    """For odd k, the halving-chain endpoint satisfies |S(end)|/2 == d(k-1).
+
+    Odd k = 2^(u+1)(2j+1) + 1 reaches the even 2j+2 after u+1 halvings, so
+    its chain ends at j+1 and |S(j+1)|/2 = d(2j+1): one slice per class u.
+    """
     d = stern_table(k_hi)
-    lengths = _lengths(d)
-    for k in range(3, k_hi + 1, 2):
-        e = k
-        while e % 2 != 0:
-            e = (e + 1) // 2
-        if lengths[e // 2] // 2 != d[k - 1]:
-            return {"k": k, "chain_end": e // 2}
-    return None
+    failures = []
+    for u in range((k_hi - 1).bit_length() - 1):  # (2 << u) + 1 <= k_hi
+        top = (((k_hi - 1) >> (u + 1)) + 1) >> 1  # j < top
+        end = _first_mismatch(d[1:2 * top:2], d[2 << u::4 << u][:top], count(1))
+        if end is not None:
+            failures.append({"k": ((2 * end - 1) << (u + 1)) + 1, "chain_end": end})
+    return min(failures, key=itemgetter("k"), default=None)
 
 
 def check_factorizations(k_hi: int) -> Optional[dict]:
@@ -464,7 +466,8 @@ def check_shift_inequalities(k_hi: int) -> Optional[dict]:
 
     Even case: R = L + (|S(a(base-1))| + (power-1)|S(base)|)/2 must exceed
     |S(a(base-1))| with L = d(k/2). Odd case: L = d((k+1)/2) must stay
-    below (power-1)*|S(chain end)|.
+    below (power-1)*|S(chain end)|. Every |S(j)| is even, so both are read
+    exactly in blocks |S(j)|/2.
 
     Each 2-adic class of k is one pass over slices. Even k = 2^v(2i+1),
     i >= 1, has base i+1, power v+1 and L = d(2i+1); powers of two are
@@ -473,28 +476,23 @@ def check_shift_inequalities(k_hi: int) -> Optional[dict]:
     L = d(2^u(2j+1) + 1). The smallest failing k over all classes is named.
     """
     d = stern_table(k_hi)
-    lengths = _lengths(d)  # base <= (k+1)/2
+    blocks = _blocks(d)  # base <= (k+1)/2
     a = a_table(k_hi // 4)  # a(i) for 2(2i+1) <= k_hi
     failures = []
-    v = 1
-    while 3 << v <= k_hi:
+    for v in range(1, (k_hi // 3).bit_length()):  # 3 << v <= k_hi
         top = ((k_hi >> v) + 1) >> 1  # i < top
-        flanks = map(lengths.__getitem__, a[1:top])
-        holds = (left + (flank + v * size) // 2 > flank
-                 for left, flank, size in zip(d[3:2 * top:2], flanks, lengths[2:top + 1]))
-        k = _first_false(holds, count(3 << v, 2 << v))
+        flanks = map(blocks.__getitem__, a[1:top])
+        bounds = map(add, d[3:2 * top:2], map(v.__mul__, blocks[2:top + 1]))
+        k = _first_false(map(lt, flanks, bounds), count(3 << v, 2 << v))
         if k is not None:
             failures.append({"k": k, "case": "even"})
-        v += 1
-    u = 0
-    while (2 << u) + 1 <= k_hi:
+    for u in range((k_hi - 1).bit_length() - 1):  # (2 << u) + 1 <= k_hi
         top = (((k_hi - 1) >> (u + 1)) + 1) >> 1  # j < top
         lefts = d[(1 << u) + 1::2 << u][:top]
-        holds = map(lt, lefts, map((u + 1).__mul__, lengths[1:top + 1]))
+        holds = map(lt, lefts, map((2 * u + 2).__mul__, blocks[1:top + 1]))
         k = _first_false(holds, count((2 << u) + 1, 4 << u))
         if k is not None:
             failures.append({"k": k, "case": "odd"})
-        u += 1
     return min(failures, key=itemgetter("k"), default=None)
 
 
@@ -542,19 +540,21 @@ def check_row_symmetry(n_hi: int) -> Optional[dict]:
     d = stern_table(2 << n_hi)
     for n in range(0, n_hi + 1):
         lo, hi = 2 ** n, 2 ** (n + 1)
-        i = _first_false(map(eq, d[lo:hi + 1], d[hi:lo - 1:-1]), count())
+        i = _first_mismatch(d[lo:hi + 1], d[hi:lo - 1:-1], count())
         if i is not None:
             return {"n": n, "i": i}
     return None
 
 
 def check_block_exponents(n_hi: int) -> Optional[dict]:
-    """In every run-length profile, all A-runs are 1 or all B-runs are 1."""
+    """All A-runs are 1 or all B-runs are 1 in every run-length profile: the
+    word starts with A and has no AA, or ends with B and has no BB (the
+    profile opens with an A-run and closes with a B-run, either maybe empty)."""
     for n, labels in enumerate(walk(*LABEL_SEEDS, 1, n_hi), 1):
-        runs = run_lengths(labels, 1)
-        alphas, betas = runs[0::2], runs[1::2]
-        if not (all(x == 1 for x in alphas) or all(x == 1 for x in betas)):
-            return {"n": n, "profile": list(zip(alphas, betas))}
+        if not (labels[0] == 1 and b"\x01\x01" not in labels
+                or labels[-1] == 2 and b"\x02\x02" not in labels):
+            runs = run_lengths(labels, 1)
+            return {"n": n, "profile": list(zip(runs[0::2], runs[1::2]))}
     return None
 
 

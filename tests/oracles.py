@@ -12,9 +12,13 @@ halving to the odd part, walking the two factorization chains, and
 searching the levels for a mirror index. The diatomic oracle is the bit
 loop for d(n), and the lemma oracles are the per-index loops that the
 table-driven lemma checks replaced, reading d and a through callables so
-that a test can feed them a deliberately wrong table.
+that a test can feed them a deliberately wrong table. The block oracle
+builds the block rearrangement block by block, where the library rotates
+S(n).
 """
 from __future__ import annotations
+
+from itertools import chain
 
 from markovwords.diatomic import a_of, a_star
 from markovwords.spectrum import (
@@ -24,7 +28,7 @@ from markovwords.spectrum import (
     QuadraticSurd,
     zero_tail,
 )
-from markovwords.words import reverse, rotate, word
+from markovwords.words import half_ceil, half_floor, reverse, rotate, word
 
 
 def tail_float(period, depth: int = 60) -> float:
@@ -179,6 +183,23 @@ def _length_by_index(d, j: int) -> int:
     return 2 if j == 0 else 2 * d(2 * j - 1)
 
 
+def arrangement_by_blocks(seeds, labels, d: int) -> tuple[int, ...]:
+    """The block rearrangement at shift d of a label word over {1, 2}.
+
+    The blocks seeds[label - 1], rotated to start at block d/2 + 1 for even
+    d; for odd d, block c = (d+1)/2 is split into its ceil and floor halves,
+    which wrap around the remaining blocks.
+    """
+    blocks = [seeds[lab - 1] for lab in labels]
+    if d % 2 == 0:
+        start = d // 2  # zero-based index of block d/2 + 1
+        return tuple(chain.from_iterable(blocks[start:] + blocks[:start]))
+    c = (d + 1) // 2
+    split = blocks[c - 1]
+    middle = chain.from_iterable(blocks[c:] + blocks[:c - 1])
+    return half_ceil(split) + tuple(middle) + half_floor(split)
+
+
 def length_identity_by_index(k_hi: int, d, a):
     for k in range(2, k_hi + 1):
         if _length_by_index(d, k) != _length_by_index(d, a(k)) + _length_by_index(d, a(k - 1)):
@@ -190,6 +211,16 @@ def length_is_diatomic_by_index(k_hi: int, d, a):
     for k in range(1, k_hi + 1):
         if _length_by_index(d, a(k)) != 2 * d(k):
             return {"k": k}
+    return None
+
+
+def half_length_chain_by_index(k_hi: int, d, a):
+    for k in range(3, k_hi + 1, 2):
+        e = k
+        while e % 2 != 0:
+            e = (e + 1) // 2
+        if _length_by_index(d, e // 2) // 2 != d(k - 1):
+            return {"k": k, "chain_end": e // 2}
     return None
 
 

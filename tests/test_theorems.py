@@ -1,11 +1,14 @@
 import os
 import random
+from itertools import product
 
 import pytest
 
 from oracles import (
     a_of_by_halving,
+    arrangement_by_blocks,
     even_index_factorization_by_halving,
+    half_length_chain_by_index,
     index_identities_by_index,
     length_identity_by_index,
     length_is_diatomic_by_index,
@@ -39,7 +42,7 @@ from markovwords.theorems import (
     verify_shift_palindromic,
     verify_shift_palindromic_range,
 )
-from markovwords.tree import _s_rec_cached, s_rec
+from markovwords.tree import _s_rec_cached, run_lengths, s_rec
 from markovwords.words import format_word, is_palindrome, rotate
 
 A, B = (1, 1), (2, 2)
@@ -142,6 +145,22 @@ def test_arrangement_preconditions():
 def test_rearrangement_equals_rotation_for_length2_seeds():
     for n in range(1, 257):
         assert block_rearrangement(A, B, n) == rotate(s_rec(A, B, n), stern(n))
+
+
+def test_rearrangement_rotation_matches_the_block_construction():
+    # random palindromic seeds of lengths 1..8: the rotation of S(n) equals
+    # the blocks rearranged one by one, for even d(n) and for odd d(n) with
+    # a split block of even and of odd length
+    rng = random.Random(3)
+    cases = set()
+    for _ in range(12):
+        wa, wb = random_palindrome(rng), random_palindrome(rng)
+        for n in range(1, 257):
+            labels, d = s_rec((1,), (2,), n), stern(n)
+            expected = arrangement_by_blocks((wa, wb), labels, d)
+            assert block_rearrangement(wa, wb, n) == expected, (wa, wb, n)
+            cases.add("even d" if d % 2 == 0 else len((wa, wb)[labels[d // 2] - 1]) % 2)
+    assert cases == {"even d", 0, 1}
 
 
 def test_pair_sweep_reports_the_first_failing_index():
@@ -327,6 +346,7 @@ def test_random_palindrome_generator():
 TABLE_CHECKS = [
     (theorems.check_length_identity, length_identity_by_index, 1200),
     (theorems.check_length_is_diatomic, length_is_diatomic_by_index, 1200),
+    (theorems.check_half_length_chain, half_length_chain_by_index, 1200),
     (theorems.check_mirror_arithmetic, mirror_arithmetic_by_index, 8),
     (theorems.check_index_identities, index_identities_by_index, 10),
     (theorems.check_row_symmetry, row_symmetry_by_index, 10),
@@ -416,6 +436,21 @@ def test_check_block_exponents_names_a_wrong_label_word(monkeypatch, n):
     # an A-run and a B-run of length 2 break "all A-runs or all B-runs are 1"
     monkeypatch.setattr(theorems, "walk", walk_with(n, (1, 1, 2, 2)))
     assert theorems.check_block_exponents(2000) == {"n": n, "profile": [(2, 2)]}
+
+
+def test_check_block_exponents_follows_the_run_length_profile(monkeypatch):
+    # every word over {1, 2} of length 1..12, walked as the label word of
+    # n = 1: the check must fail exactly where the run-length profile has an
+    # A-run and a B-run other than 1, and print that profile
+    for length in range(1, 13):
+        for letters in product(b"\x01\x02", repeat=length):
+            labels = bytes(letters)
+            monkeypatch.setattr(theorems, "walk", lambda a, b, lo, hi: iter([labels]))
+            runs = run_lengths(labels, 1)
+            alphas, betas = runs[0::2], runs[1::2]
+            holds = all(x == 1 for x in alphas) or all(x == 1 for x in betas)
+            expected = None if holds else {"n": 1, "profile": list(zip(alphas, betas))}
+            assert theorems.check_block_exponents(1) == expected, labels
 
 
 @pytest.mark.parametrize("sweep_fn, args, bound", [
