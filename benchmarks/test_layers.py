@@ -5,7 +5,7 @@ testpaths is ``tests``):
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py \
         --benchmark-json=.benchmarks/layers.json
-    python benchmarks/summarize.py .benchmarks/layers.json BENCH_9.json
+    python benchmarks/summarize.py .benchmarks/layers.json BENCH_10.json
 
 Every round starts from cold memo caches. No sweep reads them: every sweep
 takes its words from ``walk`` and d(n) from ``stern_table``, so a case

@@ -103,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(line: str) -> None:
-    print(line)
-
-
 def _surd_json(surd) -> dict:
     p, q, r, d = surd.as_tuple()
     return {"p": p, "q": q, "r": r, "D": d}
@@ -153,7 +149,7 @@ def _cmd_seq(args) -> int:
     seq = s_rec(args.A, args.B, args.n)
     labels = "".join(block_labels(args.n))
     if args.json:
-        _emit(json.dumps({
+        print(json.dumps({
             "command": "seq",
             "n": args.n,
             "A": list(args.A),
@@ -162,18 +158,18 @@ def _cmd_seq(args) -> int:
             "blocks": labels,
         }))
     elif args.blocks:
-        _emit(labels)
+        print(labels)
     else:
-        _emit(format_word(seq))
+        print(format_word(seq))
     return 0
 
 
 def _cmd_stern(args) -> int:
     for n, value in enumerate(stern_table(args.upto)):
         if args.json:
-            _emit(json.dumps({"command": "stern", "n": n, "value": value}))
+            print(json.dumps({"command": "stern", "n": n, "value": value}))
         else:
-            _emit(f"{n},{value}")
+            print(f"{n},{value}")
     return 0
 
 
@@ -191,7 +187,7 @@ def _cmd_verify(args) -> int:
     failed = 0
     total = 0
     for passed, line in _report_lines(reports, args.check, args.json):
-        _emit(line)
+        print(line)
         total += 1
         failed += not passed
     print(f"{args.check}: {total - failed}/{total} passed", file=sys.stderr)
@@ -201,9 +197,9 @@ def _cmd_verify(args) -> int:
 def _cmd_spectrum(args) -> int:
     payload = _spectrum_payload(args.period, args.digits)
     if args.json:
-        _emit(json.dumps({"command": "spectrum", **payload}))
+        print(json.dumps({"command": "spectrum", **payload}))
     else:
-        _emit(
+        print(
             f"period={format_word(payload['period'])} surd={_surd_text(payload['surd'])} "
             f"decimal={payload['decimal']} argmin={payload['argmin']} "
             f"markov={str(payload['is_markov']).lower()}"
@@ -215,9 +211,9 @@ def _cmd_scan(args) -> int:
     cases = [(args.A, args.B, n, args.digits) for n in range(1, args.n_max + 1)]
     for row in theorems.sweep(_scan_row, cases, args.workers):
         if args.json:
-            _emit(json.dumps({"command": "scan", **row}))
+            print(json.dumps({"command": "scan", **row}))
         else:
-            _emit(
+            print(
                 f"n={row['n']} period={format_word(row['period'])} "
                 f"surd={_surd_text(row['surd'])} decimal={row['decimal']} "
                 f"markov={str(row['is_markov']).lower()}"
@@ -234,7 +230,7 @@ def _cmd_bqf(args) -> int:
     normalized = _surd_json(result.normalized)
     decimal = result.normalized.to_decimal(args.digits)
     if args.json:
-        _emit(json.dumps({
+        print(json.dumps({
             "command": "bqf",
             "form": [args.form.a, args.form.b, args.form.c],
             "radius": args.radius,
@@ -244,7 +240,7 @@ def _cmd_bqf(args) -> int:
             "decimal": decimal,
         }))
     else:
-        _emit(
+        print(
             f"form={args.form.a},{args.form.b},{args.form.c} radius={args.radius} "
             f"min_abs={result.min_abs} point=({result.point[0]},{result.point[1]}) "
             f"normalized={_surd_text(normalized)} decimal={decimal}"

@@ -292,15 +292,20 @@ def random_seed_pairs(
 def verify_rearrangement_pair(
     pair_index: int, a: Sequence[int], b: Sequence[int], n_max: int
 ) -> VerificationReport:
-    """Sweep one seed pair through all n <= n_max, walking S(n) and its label word."""
+    """Sweep one seed pair through all n <= n_max, walking its label word and S(n),
+    the latter over the pair's sorted letters relabelled 1..k, as bytes for k < 256."""
     seeds = _palindromic_seeds(a, b)
+    letters = (0, *sorted(set(seeds[0] + seeds[1])))
+    encode = bytes if len(letters) <= 256 else tuple
     shifts = stern_table(n_max)
     failure = None
-    pairs = zip(walk(*seeds, 1, n_max), walk(*LABEL_SEEDS, 1, n_max))
+    relabelled = (encode(map(letters.index, w)) for w in seeds)
+    pairs = zip(walk(*relabelled, 1, n_max), walk(*LABEL_SEEDS, 1, n_max))
     for n, (s, labels) in enumerate(pairs, 1):
         shift = _rearrangement_shift(seeds, labels, shifts[n])
         if not is_palindromic_rotation(s, shift):
-            failure = {"n": n, "arrangement": format_word(rotate(s, shift))}
+            arrangement = map(letters.__getitem__, rotate(s, shift))
+            failure = {"n": n, "arrangement": format_word(arrangement)}
             break
     return VerificationReport(
         claim="block-rearrangement-pair",

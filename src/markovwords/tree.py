@@ -101,23 +101,38 @@ def run_lengths(symbols: Iterable[Hashable], first: Hashable) -> tuple[int, ...]
     return tuple(runs)
 
 
-def _level_entries(a: Sequence[int], b: Sequence[int], n: int) -> list[tuple[Path, Vertex]]:
-    """(path, vertex) pairs of level n in order; the root is level 1."""
-    if n < 1:
-        raise ValueError("levels are numbered from 1")
-    entries = [("", root(a, b))]
-    for _ in range(n - 1):
-        entries = [
-            child
-            for moves, v in entries
-            for child in ((moves + "L", step_left(v)), (moves + "R", step_right(v)))
-        ]
-    return [(run_lengths(moves, "R"), v) for moves, v in entries]
+def _vertices(l: Word, r: Word, depth: int, start: int, stop: int) -> Iterator[tuple]:
+    """The vertices (left, centre, right) ``depth`` levels below (l, l+r, r)
+    at positions start..stop-1 of that level, in order; start < 2^depth and
+    stop > 0. Only the subtrees holding those positions are entered, and
+    each vertex costs one concatenation."""
+    c = l + r
+    if not depth:
+        yield l, c, r
+        return
+    half = 1 << (depth - 1)
+    if start < half:
+        yield from _vertices(l, c, depth - 1, start, stop)
+    if stop > half:
+        yield from _vertices(c, r, depth - 1, start - half, stop - half)
 
 
 def level(a: Sequence[int], b: Sequence[int], n: int) -> list[Vertex]:
-    """The 2^(n-1) vertices of level n, sorted by the path order."""
-    return [v for _, v in _level_entries(a, b, n)]
+    """The 2^(n-1) vertices of level n (the root is level 1) in path order:
+    the subtree of the root n-1 levels down, read by :func:`_vertices`."""
+    if n < 1:
+        raise ValueError("levels are numbered from 1")
+    l, _, r = root(a, b)
+    return [Vertex(*t) for t in _vertices(l, r, n - 1, 0, 1 << (n - 1))]
+
+
+def _level_entries(a: Sequence[int], b: Sequence[int], n: int) -> list[tuple[Path, Vertex]]:
+    """(path, vertex) pairs of level n in order; the i-th path (from 0) is
+    read off the n-1 binary digits of i (0 = L, 1 = R), as in :func:`s_graph`."""
+    return [
+        (run_lengths(bin(i | 1 << (n - 1))[3:], "1"), v)
+        for i, v in enumerate(level(a, b, n))
+    ]
 
 
 def s_graph(a: Sequence[int], b: Sequence[int], n: int) -> Word:
@@ -140,14 +155,10 @@ def s_graph(a: Sequence[int], b: Sequence[int], n: int) -> Word:
 def walk(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> Iterator[Word]:
     """The words with indices lo, lo+1, ..., hi, in index order.
 
-    A depth-first walk of the graph: the stack holds the vertices on the
-    path from the root to the current one, at most log2(hi) + 1 of them.
-    The path to lo follows the digits of lo-1 as in :func:`s_graph`. From
-    index n the walk climbs past the trailing R-moves of the path, one per
-    trailing zero of n, turns right, and descends leftwards to the same
-    depth; after the last index of a level, n = 2^m, it restarts at the
-    root and descends one level deeper. Each new vertex costs one
-    concatenation, its centre.
+    The centres ``depth`` levels below the root are the indices 2^depth+1,
+    ..., 2^(depth+1); each level the range touches is read by
+    :func:`_vertices`, which holds only the path from the root to the
+    current vertex, at most log2(hi) + 1 of them.
 
     Two ``bytes`` seeds are concatenated as they are, so the words are
     ``bytes`` too: the sweeps walk the letters 1 and 2 that way, each
@@ -155,33 +166,17 @@ def walk(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> Iterator[Word]
     :func:`s_graph`. Both kinds are validated by
     :func:`~markovwords.words.word`, so an empty seed or a zero byte raises.
     """
-    v = root(a, b)
+    l, _, r = root(a, b)
     if isinstance(a, bytes) and isinstance(b, bytes):
-        v = Vertex(a, a + b, b)
+        l, r = a, b
     if lo < 0:
         raise ValueError("indices start at 0")
     for n in range(lo, min(hi, 1) + 1):
-        yield v.right if n else v.left
-    n = max(lo, 2)
-    if n > hi:
-        return
-    path = [v]
-    for bit in bin(n - 1)[3:]:
-        path.append(step_right(path[-1]) if bit == "1" else step_left(path[-1]))
-    while True:
-        yield path[-1].center
-        if n == hi:
-            return
-        if n & (n - 1) == 0:
-            del path[1:]
-            turns = n.bit_length() - 1
-        else:
-            turns = (n & -n).bit_length() - 1
-            del path[len(path) - turns - 1:]
-            path.append(step_right(path[-1]))
-        for _ in range(turns):
-            path.append(step_left(path[-1]))
-        n += 1
+        yield r if n else l
+    for depth in range(max(lo - 1, 1).bit_length() - 1, max(hi - 1, 0).bit_length()):
+        base = 1 << depth
+        for _, center, _ in _vertices(l, r, depth, lo - base - 1, hi - base):
+            yield center
 
 
 def s_rec(a: Sequence[int], b: Sequence[int], n: int) -> Word:

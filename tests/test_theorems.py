@@ -167,7 +167,13 @@ def test_pair_sweep_reports_the_first_failing_index():
     # the walk-and-table sweep of a pair names the first index whose
     # single-index check fails, with the same arrangement
     failed = 0
-    for idx, (wa, wb) in enumerate(random_seed_pairs(40, 7), 1):
+    # letters >= 256, and more than 255 distinct letters (walked as tuples)
+    half = tuple(range(1, 151))
+    odd, even = half + (151,) + half[::-1], half + half[::-1]
+    wide = tuple(x + 1000 for x in even)
+    pairs = random_seed_pairs(40, 7) + [
+        ((300,), (7, 1000, 7)), ((300, 300), (7, 1000, 1000, 7)), (odd, wide), (even, wide)]
+    for idx, (wa, wb) in enumerate(pairs, 1):
         rep = verify_rearrangement_pair(idx, wa, wb, 128)
         first = next((r for r in (verify_block_rearrangement(wa, wb, n)
                                   for n in range(1, 129)) if not r.passed), None)

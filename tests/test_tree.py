@@ -240,6 +240,8 @@ def test_walk_matches_graph_from_any_start():
     starts = [0, 1, 2, 3, 5, 200, 1000]
     for m in range(2, 12):
         starts += [2 ** m, 2 ** m + 1]
+    # ranges that cross the level boundaries at 2^40 and 2^62
+    starts += [2 ** 40 - 1, 2 ** 62 - 2]
     for _ in range(3):
         wa = tuple(rng.randint(1, 9) for _ in range(rng.randint(2, 4)))
         wb = tuple(rng.randint(1, 9) for _ in range(rng.randint(2, 4)))
