@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from . import theorems
 from .diatomic import stern_table
@@ -103,6 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+WRITE_LINES = 1024  # per stdout write; under ``python -u`` each print is a write
+
+
+def _write_lines(lines: Iterator[str]) -> None:
+    """Write the lines to stdout in order, WRITE_LINES per write (fewer at the end)."""
+    while batch := list(islice(lines, WRITE_LINES)):
+        sys.stdout.write("\n".join(batch) + "\n")
+
+
 def _surd_json(surd) -> dict:
     p, q, r, d = surd.as_tuple()
     return {"p": p, "q": q, "r": r, "D": d}
@@ -112,22 +122,21 @@ def _surd_text(fields: dict) -> str:
     return "({p},{q},{r},{D})".format(**fields)
 
 
-def _report_lines(reports: Iterable[VerificationReport], check: str, as_json: bool):
-    """Yield (passed, line) pairs for a stream of reports."""
+def _report_lines(reports: Iterable[VerificationReport], check: str, as_json: bool,
+                  tally: list[int]):
+    """Yield the line of each report; tally[passed] counts the reports."""
     for rep in reports:
+        tally[rep.passed] += 1
         if as_json:
             payload = {"command": "verify", "check": check}
             payload.update(rep.to_json())
-            yield rep.passed, json.dumps(payload)
+            yield json.dumps(payload)
         else:
             status = "PASS" if rep.passed else "FAIL"
             extra = f" witness={rep.witness}" if rep.witness is not None else ""
-            counter = (
-                f" counterexample={rep.counterexample}"
-                if rep.counterexample is not None
-                else ""
-            )
-            yield rep.passed, f"{status} {rep.claim} n={rep.n}{extra}{counter}"
+            counter = ("" if rep.counterexample is None
+                       else f" counterexample={rep.counterexample}")
+            yield f"{status} {rep.claim} n={rep.n}{extra}{counter}"
 
 
 def _spectrum_payload(period, digits: int) -> dict:
@@ -165,11 +174,8 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_stern(args) -> int:
-    for n, value in enumerate(stern_table(args.upto)):
-        if args.json:
-            print(json.dumps({"command": "stern", "n": n, "value": value}))
-        else:
-            print(f"{n},{value}")
+    _write_lines(json.dumps({"command": "stern", "n": n, "value": value}) if args.json
+                 else f"{n},{value}" for n, value in enumerate(stern_table(args.upto)))
     return 0
 
 
@@ -184,13 +190,10 @@ def _cmd_verify(args) -> int:
     else:
         reports = theorems.iter_lemma_checks(args.k_max, args.workers)
 
-    failed = 0
-    total = 0
-    for passed, line in _report_lines(reports, args.check, args.json):
-        print(line)
-        total += 1
-        failed += not passed
-    print(f"{args.check}: {total - failed}/{total} passed", file=sys.stderr)
+    tally = [0, 0]  # failed, passed
+    _write_lines(_report_lines(reports, args.check, args.json, tally))
+    failed, passed = tally
+    print(f"{args.check}: {passed}/{failed + passed} passed", file=sys.stderr)
     return 0 if failed == 0 else 1
 
 

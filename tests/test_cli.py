@@ -81,6 +81,31 @@ def test_verify_prop_main_small(capsys):
     assert "3/3 passed" in err
 
 
+class _Writes:
+    """A stdout that records each write call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("stern", "--upto", "2099"),
+     [f"{n},{stern_by_bits(n)}" for n in range(2100)]),
+    (("verify", "prop-main", "--n-max", "2500"),
+     [f"PASS shift-palindromic n={n} witness={stern_by_bits(n)}" for n in range(1, 2501)]),
+])
+def test_long_listings_write_whole_batches(monkeypatch, argv, expected):
+    out = _Writes()
+    monkeypatch.setattr(cli.sys, "stdout", out)
+    assert main(list(argv)) == 0
+    assert "".join(out.calls) == "".join(f"{ln}\n" for ln in expected)
+    assert [c.count("\n") for c in out.calls] == [
+        min(cli.WRITE_LINES, len(expected) - i) for i in range(0, len(expected), cli.WRITE_LINES)]
+
+
 def test_verify_prop_main_json(capsys, schema):
     status, out, _ = run(capsys, "verify", "prop-main", "--n-max", "5", "--json")
     assert status == 0
