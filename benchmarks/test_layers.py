@@ -5,7 +5,7 @@ testpaths is ``tests``):
 
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py \
         --benchmark-json=.benchmarks/layers.json
-    python benchmarks/summarize.py .benchmarks/layers.json BENCH_10.json
+    python benchmarks/summarize.py .benchmarks/layers.json BENCH_11.json
 
 Every round starts from cold memo caches. No sweep reads them: every sweep
 takes its words from ``walk`` and d(n) from ``stern_table``, so a case
@@ -14,30 +14,34 @@ is the one case that fills the ``s_rec`` cache, on purpose. The walk runs
 on the byte seeds the sweeps use. The lemma bounds are those
 ``verify lemmas --k-max 262144`` uses; the theorem sweep is the default
 ``verify theorem``. The spectrum cases take S(n) on (1,1), (2,2) at the
-smallest index of each length L, and the Markov form of ``bqf``.
+smallest index of each length L, and the Markov form of ``bqf``. Each
+table-reading lemma check gets the tables ``verify lemmas`` shares, built
+once outside the timed calls; ``test_lemma_suite`` times the whole suite,
+its one table build included.
 """
 from collections import deque
 
 import pytest
 
 from markovwords import theorems
-from markovwords.diatomic import a_of, stern, stern_table
+from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.spectrum import BQForm, bqf_min, cf_matrix, markov_value
 from markovwords.tree import _s_rec_cached, block_labels, s_graph, walk
 
 ROUNDS = 7
 K_MAX = 262144
 LEVELS = K_MAX.bit_length() - 1
+# each lemma check: the tables it reads ("d", "a") and its bound
 LEMMA_BOUNDS = {
-    "check_length_identity": K_MAX,
-    "check_length_is_diatomic": K_MAX,
-    "check_half_length_chain": K_MAX,
-    "check_factorizations": 4096,
-    "check_shift_inequalities": K_MAX,
-    "check_row_symmetry": min(LEVELS, 16),
-    "check_mirror_arithmetic": min(LEVELS, 14),
-    "check_index_identities": min(LEVELS, 14),
-    "check_block_exponents": 4096,
+    "check_length_identity": ("d", K_MAX),
+    "check_length_is_diatomic": ("d", K_MAX),
+    "check_half_length_chain": ("d", K_MAX),
+    "check_factorizations": ("", 4096),
+    "check_shift_inequalities": ("da", K_MAX),
+    "check_row_symmetry": ("d", min(LEVELS, 16)),
+    "check_mirror_arithmetic": ("d", min(LEVELS, 14)),
+    "check_index_identities": ("a", min(LEVELS, 14)),
+    "check_block_exponents": ("", 4096),
 }
 # the smallest index n with |S(n)| = L, seeds (1,1), (2,2)
 SPECTRUM_INDEX = {178: 342, 1220: 5462, 3194: 21846}
@@ -113,7 +117,21 @@ def test_theorem_sweep(benchmark):
     measure(benchmark, sweep, size=512)
 
 
+@pytest.fixture(scope="module")
+def lemma_tables():
+    """The tables ``iter_lemma_checks(K_MAX)`` builds, built outside the timed calls."""
+    return {"d": stern_table(2 * K_MAX), "a": a_table(K_MAX // 4)}
+
+
 @pytest.mark.parametrize("name", list(LEMMA_BOUNDS))
-def test_lemma_check(benchmark, name):
-    bound = LEMMA_BOUNDS[name]
-    assert measure(benchmark, getattr(theorems, name), bound, size=bound) is None
+def test_lemma_check(benchmark, lemma_tables, name):
+    reads, bound = LEMMA_BOUNDS[name]
+    args = [lemma_tables[table] for table in reads]
+    assert measure(benchmark, getattr(theorems, name), *args, bound, size=bound) is None
+
+
+def test_lemma_suite(benchmark):
+    def suite():
+        assert all(rep.passed for rep in theorems.iter_lemma_checks(K_MAX))
+
+    measure(benchmark, suite, size=K_MAX)

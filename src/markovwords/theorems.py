@@ -11,9 +11,9 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat, starmap
+from itertools import chain, compress, repeat, starmap
 from operator import add, eq, itemgetter, lt, not_, sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Sized
 
 from .diatomic import a_of, a_star, a_table, stern, stern_table
 from .tree import block_counts, block_labels, run_lengths, s_graph, s_rec, walk
@@ -401,9 +401,11 @@ def iter_equivalence(
     return sweep(verify_equivalence_pair, cases, workers)
 
 
-def _blocks(d: array) -> array:
-    """|S(j)|/2 for length-2 seeds and j <= (N+1)//2 from d(0..N): d(2j-1) for j >= 1."""
-    return array("L", [1]) + d[1::2]
+def _same_length(*operands: Sized) -> None:
+    """Raise unless the operands have one length: ``map`` stops at the
+    shortest, so a comparison would pass on the entries it never reached."""
+    if len({len(x) for x in operands}) > 1:
+        raise ValueError(f"operand lengths differ: {[len(x) for x in operands]}")
 
 
 def _first_false(flags: Iterable[bool], indices: Iterable[int]) -> Optional[int]:
@@ -411,43 +413,64 @@ def _first_false(flags: Iterable[bool], indices: Iterable[int]) -> Optional[int]
     return next(compress(indices, map(not_, flags)), None)
 
 
-def _first_mismatch(x: array, y: array, indices: Iterable[int]) -> Optional[int]:
-    """:func:`_first_false` of x == y elementwise; one comparison when all hold."""
+def _first_mismatch(x: array, y: array, indices: range) -> Optional[int]:
+    """:func:`_first_false` of x == y elementwise; one comparison when all hold.
+    A table that ends early leaves x or y short of ``indices``, and raises."""
+    _same_length(x, y, indices)
     return None if x == y else _first_false(map(eq, x, y), indices)
 
 
-def check_length_identity(k_hi: int) -> Optional[dict]:
-    """|S(k)| == |S(a(k))| + |S(a(k-1))| for length-2 seeds, in blocks."""
-    blocks = _blocks(stern_table(2 * k_hi))
-    a = a_table(k_hi)
-    size = blocks.__getitem__
-    flanks = array("L", map(add, map(size, islice(a, 2, None)),
-                            map(size, islice(a, 1, k_hi))))
-    k = _first_mismatch(blocks[2:], flanks, count(2))
-    return None if k is None else {"k": k}
+def check_length_identity(d: array, k_hi: int) -> Optional[dict]:
+    """|S(k)| == |S(a(k))| + |S(a(k-1))| for length-2 seeds, in blocks.
+
+    ``d`` holds d(0..2*k_hi - 1) and |S(j)|/2 = d(2j-1). Each 2-adic class
+    v >= 1 is one slice sum per parity e. k = 2^v(2i+1) + e has
+    a(k) = i+1, a(k-1) = k/2 for even k and a(k) = (k+1)/2, a(k-1) = i+1
+    for odd k, so both read d(2k-1) == d(2i+1) + d(k-1+e).
+    """
+    firsts = []
+    for v in range(1, k_hi.bit_length()):  # 2^v <= k_hi
+        for e in (0, 1):
+            ks = range((1 << v) + e, k_hi + 1, 2 << v)
+            # no operand of add is longer than ks: a short one leaves
+            # flanks short, and _first_mismatch raises
+            flanks = array("L", map(add, d[1:2 * len(ks):2],
+                                    d[ks.start - 1 + e:k_hi + e:2 << v]))
+            k = _first_mismatch(d[2 * ks.start - 1:2 * k_hi:4 << v], flanks, ks)
+            if k is not None:
+                firsts.append(k)
+    return {"k": min(firsts)} if firsts else None
 
 
-def check_length_is_diatomic(k_hi: int) -> Optional[dict]:
-    """|S(a(k))| == 2*d(k) for length-2 seeds: a(k) <= (k+1)/2 has d(k) blocks."""
-    d = stern_table(k_hi)
-    flanks = array("L", map(_blocks(d).__getitem__, islice(a_table(k_hi), 1, None)))
-    k = _first_mismatch(flanks, d[1:], count(1))
-    return None if k is None else {"k": k}
+def check_length_is_diatomic(d: array, k_hi: int) -> Optional[dict]:
+    """|S(a(k))| == 2*d(k) for length-2 seeds: a(k) <= (k+1)/2 has d(k) blocks.
+
+    ``d`` holds d(0..k_hi). On the 2-adic class k = 2^v(2i+1), a(k) = i+1
+    and |S(i+1)|/2 = d(2i+1): one slice comparison per class.
+    """
+    firsts = []
+    for v in range(k_hi.bit_length()):  # 2^v <= k_hi
+        ks = range(1 << v, k_hi + 1, 2 << v)
+        k = _first_mismatch(d[1:2 * len(ks):2], d[ks.start:k_hi + 1:2 << v], ks)
+        if k is not None:
+            firsts.append(k)
+    return {"k": min(firsts)} if firsts else None
 
 
-def check_half_length_chain(k_hi: int) -> Optional[dict]:
+def check_half_length_chain(d: array, k_hi: int) -> Optional[dict]:
     """For odd k, the halving-chain endpoint satisfies |S(end)|/2 == d(k-1).
 
-    Odd k = 2^(u+1)(2j+1) + 1 reaches the even 2j+2 after u+1 halvings, so
-    its chain ends at j+1 and |S(j+1)|/2 = d(2j+1): one slice per class u.
+    ``d`` holds d(0..k_hi - 1). Odd k = 2^(u+1)(2j+1) + 1 reaches the even
+    2j+2 after u+1 halvings, so its chain ends at j+1 and
+    |S(j+1)|/2 = d(2j+1): one slice per class u.
     """
-    d = stern_table(k_hi)
     failures = []
     for u in range((k_hi - 1).bit_length() - 1):  # (2 << u) + 1 <= k_hi
-        top = (((k_hi - 1) >> (u + 1)) + 1) >> 1  # j < top
-        end = _first_mismatch(d[1:2 * top:2], d[2 << u::4 << u][:top], count(1))
+        ks = range((2 << u) + 1, k_hi + 1, 4 << u)
+        ends = range(1, len(ks) + 1)
+        end = _first_mismatch(d[1:2 * len(ks):2], d[2 << u:k_hi:4 << u], ends)
         if end is not None:
-            failures.append({"k": ((2 * end - 1) << (u + 1)) + 1, "chain_end": end})
+            failures.append({"k": ks[end - 1], "chain_end": end})
     return min(failures, key=itemgetter("k"), default=None)
 
 
@@ -466,61 +489,66 @@ def check_factorizations(k_hi: int) -> Optional[dict]:
     return None
 
 
-def check_shift_inequalities(k_hi: int) -> Optional[dict]:
+def check_shift_inequalities(d: array, a: array, k_hi: int) -> Optional[dict]:
     """The length bounds that keep the shifted palindrome window in range.
 
     Even case: R = L + (|S(a(base-1))| + (power-1)|S(base)|)/2 must exceed
     |S(a(base-1))| with L = d(k/2). Odd case: L = d((k+1)/2) must stay
     below (power-1)*|S(chain end)|. Every |S(j)| is even, so both are read
-    exactly in blocks |S(j)|/2.
+    exactly in blocks |S(j)|/2 = d(2j-1). ``d`` holds d(0..(k_hi+1)//2)
+    and ``a`` holds a(0..(k_hi-2)//4).
 
     Each 2-adic class of k is one pass over slices. Even k = 2^v(2i+1),
-    i >= 1, has base i+1, power v+1 and L = d(2i+1); powers of two are
-    skipped, their chain bottoms at 1 and a(0) is undefined. Odd
-    k = 2^(u+1)(2j+1) + 1 has chain end j+1, power u+2 and
-    L = d(2^u(2j+1) + 1). The smallest failing k over all classes is named.
+    i >= 1, has base i+1, power v+1 and L = d(2i+1) = |S(base)|/2, so the
+    bound is (v+1)*d(2i+1); powers of two are skipped, their chain bottoms
+    at 1 and a(0) is undefined. Odd k = 2^(u+1)(2j+1) + 1 has chain end
+    j+1, power u+2 and L = d(2^u(2j+1) + 1). The smallest failing k over
+    all classes is named.
     """
-    d = stern_table(k_hi)
-    blocks = _blocks(d)  # base <= (k+1)/2
-    a = a_table(k_hi // 4)  # a(i) for 2(2i+1) <= k_hi
+    # |S(j)|/2 is 1 at j = 0 and d(2j-1) above; gathered at j = a(i) for
+    # every i an even class reads
+    blocks = array("L", [1]) + d[1:k_hi + 1:2]
+    flanks = array("L", map(blocks.__getitem__, a[1:(k_hi + 2) // 4]))
     failures = []
     for v in range(1, (k_hi // 3).bit_length()):  # 3 << v <= k_hi
-        top = ((k_hi >> v) + 1) >> 1  # i < top
-        flanks = map(blocks.__getitem__, a[1:top])
-        bounds = map(add, d[3:2 * top:2], map(v.__mul__, blocks[2:top + 1]))
-        k = _first_false(map(lt, flanks, bounds), count(3 << v, 2 << v))
+        ks = range(3 << v, k_hi + 1, 2 << v)
+        lefts, bases = flanks[:len(ks)], d[3:2 * len(ks) + 2:2]
+        _same_length(ks, lefts, bases)
+        k = _first_false(map(lt, lefts, map((v + 1).__mul__, bases)), ks)
         if k is not None:
             failures.append({"k": k, "case": "even"})
     for u in range((k_hi - 1).bit_length() - 1):  # (2 << u) + 1 <= k_hi
-        top = (((k_hi - 1) >> (u + 1)) + 1) >> 1  # j < top
-        lefts = d[(1 << u) + 1::2 << u][:top]
-        holds = map(lt, lefts, map((2 * u + 2).__mul__, blocks[1:top + 1]))
-        k = _first_false(holds, count((2 << u) + 1, 4 << u))
+        ks = range((2 << u) + 1, k_hi + 1, 4 << u)
+        lefts, ends = d[(1 << u) + 1:(k_hi + 3) // 2:2 << u], d[1:2 * len(ks):2]
+        _same_length(ks, lefts, ends)
+        k = _first_false(map(lt, lefts, map((2 * u + 2).__mul__, ends)), ks)
         if k is not None:
             failures.append({"k": k, "case": "odd"})
     return min(failures, key=itemgetter("k"), default=None)
 
 
-def check_mirror_arithmetic(n_hi: int) -> Optional[dict]:
+def check_mirror_arithmetic(d: array, n_hi: int) -> Optional[dict]:
     """d(2(k'+1)-1) - d(k'+1) == d(k'') for the mirrored index pairs.
 
     On level n, k' = base+i-1 and k'' = base-i+1 for i = 1..2^(n-1), with
-    base = 6*2^(n-2); every index read lies below 2^(n+2).
+    base = 6*2^(n-2); every index read lies below 2^(n+2), and ``d`` holds
+    d(0..2^(n_hi+2) - 1).
     """
-    d = stern_table(4 << n_hi)
     for n in range(2, n_hi + 1):
         base, half = 6 * 2 ** (n - 2), 2 ** (n - 1)
-        lhs = map(sub, d[2 * base + 1:2 * (base + half):2], d[base + 1:base + half + 1])
-        i = _first_false(map(eq, lhs, d[base:base - half:-1]), count(1))
+        doubled, single = d[2 * base + 1:2 * (base + half):2], d[base + 1:base + half + 1]
+        mirrored, offsets = d[base:base - half:-1], range(1, half + 1)
+        _same_length(offsets, doubled, single, mirrored)
+        i = _first_false(map(eq, map(sub, doubled, single), mirrored), offsets)
         if i is not None:
             return {"n": n, "i": i}
     return None
 
 
-def check_index_identities(n_hi: int) -> Optional[dict]:
-    """The a/a* index identities used by the level-to-level induction."""
-    a = a_table(1 << n_hi)
-    a_st = array("L", a)
+def check_index_identities(a: array, n_hi: int) -> Optional[dict]:
+    """The a/a* index identities used by the level-to-level induction;
+    ``a`` holds a(0..2^n_hi)."""
+    a_st = a[:(1 << n_hi) + 1]
     for p in range(n_hi + 1):
         a_st[1 << p] = 0  # a* sends every power of two to 0
     for n in range(3, n_hi + 1):
@@ -540,12 +568,11 @@ def check_index_identities(n_hi: int) -> Optional[dict]:
     return None
 
 
-def check_row_symmetry(n_hi: int) -> Optional[dict]:
-    """d(2^n + i) == d(2^(n+1) - i), row by row."""
-    d = stern_table(2 << n_hi)
+def check_row_symmetry(d: array, n_hi: int) -> Optional[dict]:
+    """d(2^n + i) == d(2^(n+1) - i), row by row; ``d`` holds d(0..2^(n_hi+1))."""
     for n in range(0, n_hi + 1):
         lo, hi = 2 ** n, 2 ** (n + 1)
-        i = _first_mismatch(d[lo:hi + 1], d[hi:lo - 1:-1], count())
+        i = _first_mismatch(d[lo:hi + 1], d[hi:lo - 1:-1], range(hi - lo + 1))
         if i is not None:
             return {"n": n, "i": i}
     return None
@@ -563,8 +590,10 @@ def check_block_exponents(n_hi: int) -> Optional[dict]:
     return None
 
 
-def _lemma_report(claim: str, check: Callable, bound: int) -> VerificationReport:
-    counterexample = check(bound)
+def _lemma_report(
+    claim: str, check: Callable, tables: tuple, bound: int
+) -> VerificationReport:
+    counterexample = check(*tables, bound)
     return VerificationReport(claim, bound, counterexample is None,
                               counterexample=counterexample)
 
@@ -572,23 +601,28 @@ def _lemma_report(claim: str, check: Callable, bound: int) -> VerificationReport
 def iter_lemma_checks(k_max: int, workers: int = 1) -> Iterator[VerificationReport]:
     """Run the supporting-identity suite; one report per claim.
 
-    Index-arithmetic checks run to k_max on diatomic tables; the two checks
-    that materialise words take them from one walk each and are capped at
-    4096 so CLI sweeps stay fast. Below k_max = 8 the suite has too few
-    levels to check every identity, so smaller bounds are rejected.
+    Index-arithmetic checks run to k_max and share one ``stern_table``,
+    long enough for |S(k_max)|/2 = d(2k_max - 1) and the mirror levels, and
+    one ``a_table``. The two checks that materialise words take them from
+    one walk each and are capped at 4096 so CLI sweeps stay fast. Below
+    k_max = 8 the suite has too few levels to check every identity, so
+    smaller bounds are rejected.
     """
     if k_max < 8:
         raise ValueError("k_max must be >= 8")
     n_levels = max(2, k_max.bit_length() - 1)
+    mirror_levels = min(n_levels, 14)
+    d = stern_table(max(2 * k_max, 4 << mirror_levels))
+    a = a_table(max(k_max // 4, 1 << mirror_levels))
     checks = [
-        ("length-identity", check_length_identity, k_max),
-        ("length-is-diatomic", check_length_is_diatomic, k_max),
-        ("half-length-chain", check_half_length_chain, k_max),
-        ("factorizations", check_factorizations, min(k_max, 4096)),
-        ("shift-inequalities", check_shift_inequalities, k_max),
-        ("row-symmetry", check_row_symmetry, min(n_levels, 16)),
-        ("mirror-arithmetic", check_mirror_arithmetic, min(n_levels, 14)),
-        ("index-identities", check_index_identities, min(n_levels, 14)),
-        ("block-exponents", check_block_exponents, min(k_max, 4096)),
+        ("length-identity", check_length_identity, (d,), k_max),
+        ("length-is-diatomic", check_length_is_diatomic, (d,), k_max),
+        ("half-length-chain", check_half_length_chain, (d,), k_max),
+        ("factorizations", check_factorizations, (), min(k_max, 4096)),
+        ("shift-inequalities", check_shift_inequalities, (d, a), k_max),
+        ("row-symmetry", check_row_symmetry, (d,), min(n_levels, 16)),
+        ("mirror-arithmetic", check_mirror_arithmetic, (d,), mirror_levels),
+        ("index-identities", check_index_identities, (a,), mirror_levels),
+        ("block-exponents", check_block_exponents, (), min(k_max, 4096)),
     ]
     return sweep(_lemma_report, checks, workers)

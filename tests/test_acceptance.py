@@ -11,7 +11,7 @@ import time
 
 from oracles import perron_float, s_rec_with_rule
 
-from markovwords.diatomic import a_of, stern
+from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.spectrum import BQForm, QuadraticSurd, bqf_min, is_markov_sequence, \
     markov_element, markov_value
 from markovwords.theorems import (
@@ -162,19 +162,21 @@ def test_criterion_4_even_length_refinement():
 def test_criterion_5_supporting_identity_suite():
     budget = 60.0
     t0 = time.perf_counter()
+    # one table of d and one of a serve every check, as in the CLI suite
+    d, a = stern_table(2 * 10 ** 5), a_table(2 ** 14)
     checks = [
-        ("length-identity", check_length_identity, 10 ** 5),
-        ("length-is-diatomic", check_length_is_diatomic, 10 ** 5),
-        ("half-length-chain", check_half_length_chain, 2 ** 14),
-        ("factorizations", check_factorizations, 2 ** 12),
-        ("shift-inequalities", check_shift_inequalities, 2 ** 12),
-        ("row-symmetry", check_row_symmetry, 16),
-        ("mirror-arithmetic", check_mirror_arithmetic, 14),
-        ("index-identities", check_index_identities, 14),
-        ("block-exponents", check_block_exponents, 2 ** 12),
+        ("length-identity", check_length_identity, (d, 10 ** 5)),
+        ("length-is-diatomic", check_length_is_diatomic, (d, 10 ** 5)),
+        ("half-length-chain", check_half_length_chain, (d, 2 ** 14)),
+        ("factorizations", check_factorizations, (2 ** 12,)),
+        ("shift-inequalities", check_shift_inequalities, (d, a, 2 ** 12)),
+        ("row-symmetry", check_row_symmetry, (d, 16)),
+        ("mirror-arithmetic", check_mirror_arithmetic, (d, 14)),
+        ("index-identities", check_index_identities, (a, 14)),
+        ("block-exponents", check_block_exponents, (2 ** 12,)),
     ]
-    failures = {name: cx for name, fn, bound in checks
-                if (cx := fn(bound)) is not None}
+    failures = {name: cx for name, fn, args in checks
+                if (cx := fn(*args)) is not None}
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < budget
     _report(5, ok, elapsed, budget,

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import os
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -128,6 +130,24 @@ def test_verify_lemmas(capsys, schema):
     assert status == 0
     recs = validate_lines(schema, out)
     assert all(r["passed"] for r in recs)
+
+
+def _perfbench_oracles():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "workers"])
+def test_verify_lemmas_prints_nine_pass_lines_at_class_edges(capsys, workers):
+    # bounds on both sides of powers of two end the 2-adic class slices of
+    # the one shared table at different places
+    expected = _perfbench_oracles().lemmas_expected
+    for k_max in (8, 9, 15, 16, 17, 4095, 4096, 4097, 262145):
+        status, out, _ = run(capsys, "verify", "lemmas", "--k-max", str(k_max), *workers)
+        assert (status, out.encode()) == (0, expected(k_max)), k_max
 
 
 def test_verify_theorem_reports_and_exit_status(capsys, schema):

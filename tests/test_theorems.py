@@ -1,5 +1,6 @@
 import os
 import random
+from array import array
 from itertools import product
 
 import pytest
@@ -349,41 +350,56 @@ def test_random_palindrome_generator():
         assert all(1 <= x <= 9 for x in w)
 
 
+# each table check, its per-index oracle, the tables it reads and a bound
 TABLE_CHECKS = [
-    (theorems.check_length_identity, length_identity_by_index, 1200),
-    (theorems.check_length_is_diatomic, length_is_diatomic_by_index, 1200),
-    (theorems.check_half_length_chain, half_length_chain_by_index, 1200),
-    (theorems.check_mirror_arithmetic, mirror_arithmetic_by_index, 8),
-    (theorems.check_index_identities, index_identities_by_index, 10),
-    (theorems.check_row_symmetry, row_symmetry_by_index, 10),
-    (theorems.check_shift_inequalities, shift_inequalities_by_index, 1200),
+    (theorems.check_length_identity, length_identity_by_index, "d", 1200),
+    (theorems.check_length_is_diatomic, length_is_diatomic_by_index, "d", 1200),
+    (theorems.check_half_length_chain, half_length_chain_by_index, "d", 1200),
+    (theorems.check_mirror_arithmetic, mirror_arithmetic_by_index, "d", 8),
+    (theorems.check_index_identities, index_identities_by_index, "a", 10),
+    (theorems.check_row_symmetry, row_symmetry_by_index, "d", 10),
+    (theorems.check_shift_inequalities, shift_inequalities_by_index, "da", 1200),
 ]
 
 
+def tables(reads, d, a):
+    return [{"d": d, "a": a}[name] for name in reads]
+
+
 @pytest.mark.parametrize("kind", ["d", "a"])
-def test_table_checks_report_what_the_index_loops_report(monkeypatch, kind):
-    # one wrong table entry at a time: each slice-wise check must name the
-    # same first counterexample as its per-index loop, or pass with it
+def test_table_checks_report_what_the_index_loops_report(kind):
+    # one wrong table entry at a time, handed to every check that reads
+    # that table: each slice-wise check must name the same first
+    # counterexample as its per-index loop, or pass with it
     big = 2 ** 12
     found = 0
-    for j in (3, 5, 6, 12, 37, 64, 100, 257, 700, 1023, 1500, 2048, 3001):
+    for j in (3, 5, 6, 12, 37, 64, 100, 129, 257, 513, 700, 1023, 1500, 2048, 3001):
         for delta in (1, -1):
             d, a = stern_table(big), a_table(big)
             (d if kind == "d" else a)[j] += delta
-
-            def wrong(table):
-                return lambda n: table[:n + 1]
-
-            monkeypatch.setattr(theorems, "stern_table", wrong(d))
-            monkeypatch.setattr(theorems, "a_table", wrong(a))
-            for check, by_index, bound in TABLE_CHECKS:
+            for check, by_index, reads, bound in TABLE_CHECKS:
+                if kind == "a" and "a" not in reads:
+                    continue
                 expected = by_index(bound, d.__getitem__, a.__getitem__)
-                assert check(bound) == expected, (check.__name__, kind, j, delta)
+                got = check(*tables(reads, d, a), bound)
+                assert got == expected, (check.__name__, kind, j, delta)
                 found += expected is not None
     assert found > 20
 
 
-def test_shift_inequalities_name_the_first_failing_k(monkeypatch):
+def test_length_checks_read_a_on_its_2_adic_classes():
+    # the length checks no longer read a_table: they take a(k) = i + 1 on
+    # the class k = 2^v (2i + 1), and a(k) = (k + 1)/2 for odd k
+    n = 2 ** 13
+    a = a_table(n)
+    for v in range(n.bit_length()):
+        for i in range(((n >> v) + 1) >> 1):
+            k = (2 * i + 1) << v
+            assert a[k] == a_of(k) == i + 1, k
+    assert all(a[k] == (k + 1) // 2 for k in range(1, n + 1, 2))
+
+
+def test_shift_inequalities_name_the_first_failing_k():
     # a wrong entry of ±1 never breaks these inequalities, so double, zero
     # or shift one entry: the class-by-class slices must name the same
     # first failing k and case as the per-k loop
@@ -394,13 +410,81 @@ def test_shift_inequalities_name_the_first_failing_k(monkeypatch):
                 d, a = stern_table(1200), a_table(1200)
                 table = d if kind == "d" else a
                 table[j] = wrong_entry(table[j])
-                monkeypatch.setattr(theorems, "stern_table", lambda n: d[:n + 1])
-                monkeypatch.setattr(theorems, "a_table", lambda n: a[:n + 1])
                 expected = shift_inequalities_by_index(1200, d.__getitem__, a.__getitem__)
-                assert theorems.check_shift_inequalities(1200) == expected, (kind, j)
+                assert theorems.check_shift_inequalities(d, a, 1200) == expected, (kind, j)
                 if expected is not None:
                     cases.add(expected["case"])
     assert cases == {"even", "odd"}
+
+
+@pytest.mark.parametrize("check, by_index, reads, _", [
+    case for case in TABLE_CHECKS if case[3] == 1200])
+def test_class_slices_agree_with_the_index_loops_at_every_bound(check, by_index, reads, _):
+    # every k_max in 8..600 ends the 2-adic classes at a different place;
+    # the clean tables pass, and one tripled entry at the topmost index a
+    # check reads, (k_max+1)/2, k_max-1, k_max or 2*k_max-1, is named as
+    # the loop names it
+    clean_d, a = stern_table(1200), a_table(1200)
+    for k_max in range(8, 601):
+        assert check(*tables(reads, clean_d, a), k_max) is None, k_max
+        for j in ((k_max + 1) // 2, k_max - 1, k_max, 2 * k_max - 1):
+            d = clean_d[:]
+            d[j] *= 3
+            expected = by_index(k_max, d.__getitem__, a.__getitem__)
+            assert check(*tables(reads, d, a), k_max) == expected, (k_max, j)
+
+
+def test_mismatched_operands_raise_instead_of_passing():
+    # map() stops at the shorter operand, so unequal lengths used to pass
+    with pytest.raises(ValueError, match="lengths differ"):
+        theorems._first_mismatch(array("L", [1, 2, 3]), array("L", [1, 2]), range(3))
+    with pytest.raises(ValueError, match="lengths differ"):
+        theorems._first_mismatch(array("L", [1, 2]), array("L", [1, 2, 9]), range(2))
+
+
+@pytest.mark.parametrize("check, reads, bound, top", [
+    (theorems.check_length_identity, "d", 1200, 2399),
+    (theorems.check_length_is_diatomic, "d", 1200, 1200),
+    (theorems.check_half_length_chain, "d", 1201, 1200),
+    (theorems.check_shift_inequalities, "d", 1201, 601),
+    (theorems.check_shift_inequalities, "a", 1201, 299),
+    (theorems.check_row_symmetry, "d", 10, 2 << 10),
+    (theorems.check_mirror_arithmetic, "d", 8, (4 << 8) - 1),
+    (theorems.check_index_identities, "a", 10, 1 << 10),
+])
+def test_table_checks_reject_a_table_that_ends_early(check, reads, bound, top):
+    # a table that ends at the last index a check reads is enough; one
+    # entry fewer leaves a slice short, and map() would stop at it, so the
+    # comparison raises instead of passing on fewer indices (the index
+    # identities read by index and raise IndexError)
+    own = "da" if check is theorems.check_shift_inequalities else reads
+    args = tables(own, stern_table(4 * top), a_table(4 * top))
+    table = stern_table(top) if reads == "d" else a_table(top)
+    args[own.index(reads)] = table
+    assert check(*args, bound) is None
+    args[own.index(reads)] = table[:-1]
+    if check is theorems.check_index_identities:
+        with pytest.raises(IndexError):
+            check(*args, bound)
+    else:
+        with pytest.raises(ValueError, match="lengths differ"):
+            check(*args, bound)
+
+
+def test_lemma_suite_builds_one_diatomic_table(monkeypatch):
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return stern_table(n)
+
+    monkeypatch.setattr(theorems, "stern_table", counting)
+    # d(2k - 1) for k <= k_max, unless the mirror levels read further:
+    # d below 4 << min(levels, 14)
+    for k_max, size in [(8, 4 << 3), (4097, 4 << 12), (32768, 2 * 32768)]:
+        built.clear()
+        assert all(rep.passed for rep in iter_lemma_checks(k_max))
+        assert built == [size], k_max
 
 
 def test_sweeps_leave_the_memo_caches_alone():
@@ -409,14 +493,17 @@ def test_sweeps_leave_the_memo_caches_alone():
     before = stern.cache_info(), _s_rec_cached.cache_info()
     assert all(rep.passed for rep in iter_shift_palindromic(5000, 4, 9))
     assert len(list(iter_block_rearrangement(300, 8, 42))) == 8
-    for check, bound in [
-        (theorems.check_length_identity, 5000), (theorems.check_length_is_diatomic, 5000),
-        (theorems.check_half_length_chain, 5000), (theorems.check_shift_inequalities, 5000),
-        (theorems.check_row_symmetry, 12), (theorems.check_mirror_arithmetic, 12),
-        (theorems.check_index_identities, 12), (theorems.check_factorizations, 2000),
-        (theorems.check_block_exponents, 2000),
+    d, a = stern_table(4 << 12), a_table(5000)
+    for check, args in [
+        (theorems.check_length_identity, (d, 5000)),
+        (theorems.check_length_is_diatomic, (d, 5000)),
+        (theorems.check_half_length_chain, (d, 5000)),
+        (theorems.check_shift_inequalities, (d, a, 5000)),
+        (theorems.check_row_symmetry, (d, 12)), (theorems.check_mirror_arithmetic, (d, 12)),
+        (theorems.check_index_identities, (a, 12)), (theorems.check_factorizations, (2000,)),
+        (theorems.check_block_exponents, (2000,)),
     ]:
-        assert check(bound) is None
+        assert check(*args) is None
     assert (stern.cache_info(), _s_rec_cached.cache_info()) == before
 
 
