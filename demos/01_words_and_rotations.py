@@ -7,19 +7,16 @@ reversal, left rotation, the two palindromicity notions, and half-splits.
 Run: python demos/01_words_and_rotations.py
 """
 from markovwords import (
-    concat,
     evenly_palindromic_shift,
-    half_ceil,
-    half_floor,
     is_oddly_palindromic,
     is_palindrome,
     reverse,
     rotate,
 )
 
-# Concatenation is plain juxtaposition; the empty word is its identity.
+# Words are tuples, so concatenation is tuple +; the empty word is its identity.
 a, b = (1, 1), (2, 2)
-print("concat:", concat(a, b), "identity:", concat(a, ()) == a)
+print("concat:", a + b, "identity:", a + () == a)
 
 # Rotation is zero-based: the letter at position i comes first.
 w = (1, 1, 1, 1, 2, 2)
@@ -37,12 +34,13 @@ print("shift of (1,2,1,2):", evenly_palindromic_shift((1, 2, 1, 2)))
 print("some rotation of (1,2,2) palindromic?", is_oddly_palindromic((1, 2, 2)))
 print("some rotation of (1,2,3) palindromic?", is_oddly_palindromic((1, 2, 3)))
 
-# Half-splits cut a word into floor and ceil halves; an odd middle letter
-# lands in the ceil half, and the two halves always reassemble the word.
+# Half-splits cut a word into floor and ceil halves at len // 2; an odd
+# middle letter lands in the ceil half, and the two halves always
+# reassemble the word.
 for w in [(2, 2), (1, 2, 1), (1, 2, 2, 1)]:
-    lo, hi = half_floor(w), half_ceil(w)
-    print(f"{w} -> floor={lo} ceil={hi} reassembles={concat(lo, hi) == w}")
+    lo, hi = w[:len(w) // 2], w[len(w) // 2:]
+    print(f"{w} -> floor={lo} ceil={hi} reassembles={lo + hi == w}")
 
 # For an even-length palindrome the halves mirror each other.
 p = (1, 2, 2, 1)
-print("reverse(floor) == ceil for", p, ":", reverse(half_floor(p)) == half_ceil(p))
+print("reverse(floor) == ceil for", p, ":", reverse(p[:2]) == p[2:])

@@ -15,8 +15,8 @@ Run: python demos/02_tree_and_recursion.py
 """
 from markovwords import (
     a_of,
+    a_star,
     block_labels,
-    flank_indices,
     level,
     root,
     s_graph,
@@ -68,9 +68,10 @@ for n in range(3, 8):
     marker = "  <-- diverges" if lhs != rhs else ""
     print(f"n={n}: literal rule gives {lhs}{marker}")
 
-# Every vertex is (S(l), S(j), S(r)) for flank indices l, r of j.
+# Every vertex is (S(l), S(j), S(r)) for the flank indices
+# l = a*(j-1), r = a(j) of j.
 for j in (3, 4, 8, 14):
-    l, r = flank_indices(j)
+    l, r = a_star(j - 1), a_of(j)
     print(f"vertex of S({j}): left=S({l}), right=S({r})")
 
 # Word lengths follow the diatomic sequence: |S(n)| = 2*d(2n-1) for these

@@ -5,16 +5,17 @@ The package is organised around three layers: word algebra (``words``),
 the integer sequences and concatenation graph generating the family S(n)
 (``diatomic``, ``tree``), and the verification / spectrum layers on top
 (``theorems``, ``spectrum``). A CLI (``markovwords``) fronts all of it.
+The names exported here are the ones a command or a claim reads; the
+reference constructions the tests compare against live in the tests.
 """
 
-from .diatomic import a_of, a_star, a_table, stern, stern_row, stern_table
+from .diatomic import a_of, a_star, a_table, stern, stern_table
 from .spectrum import (
     BQForm,
     LatticeMinimum,
     MarkovValue,
     QuadraticSurd,
     bqf_min,
-    cf_eval,
     cf_matrix,
     is_markov_sequence,
     markov_element,
@@ -23,14 +24,12 @@ from .spectrum import (
 )
 from .theorems import (
     VerificationReport,
-    block_exponent_profile,
     block_rearrangement,
     even_index_factorization,
     iter_block_rearrangement,
     iter_equivalence,
     iter_lemma_checks,
     iter_shift_palindromic,
-    length_of_s,
     mirror_index,
     odd_index_factorization,
     random_palindrome,
@@ -40,12 +39,8 @@ from .theorems import (
 )
 from .tree import (
     Vertex,
-    apply_path,
-    block_counts,
     block_labels,
-    flank_indices,
     level,
-    path_precedes,
     root,
     s_graph,
     s_rec,
@@ -55,11 +50,8 @@ from .tree import (
 )
 from .words import (
     Word,
-    concat,
     evenly_palindromic_shift,
     format_word,
-    half_ceil,
-    half_floor,
     is_oddly_palindromic,
     is_palindrome,
     is_palindromic_rotation,
@@ -82,21 +74,13 @@ __all__ = [
     "a_of",
     "a_star",
     "a_table",
-    "apply_path",
-    "block_counts",
-    "block_exponent_profile",
     "block_labels",
     "bqf_min",
     "block_rearrangement",
-    "cf_eval",
     "cf_matrix",
-    "concat",
     "even_index_factorization",
     "evenly_palindromic_shift",
-    "flank_indices",
     "format_word",
-    "half_ceil",
-    "half_floor",
     "is_markov_sequence",
     "is_oddly_palindromic",
     "is_palindrome",
@@ -105,14 +89,12 @@ __all__ = [
     "iter_equivalence",
     "iter_lemma_checks",
     "iter_shift_palindromic",
-    "length_of_s",
     "level",
     "markov_element",
     "markov_value",
     "mirror_index",
     "odd_index_factorization",
     "parse_word",
-    "path_precedes",
     "random_palindrome",
     "reverse",
     "root",
@@ -122,7 +104,6 @@ __all__ = [
     "step_left",
     "step_right",
     "stern",
-    "stern_row",
     "stern_table",
     "verify_block_rearrangement",
     "verify_mirror",

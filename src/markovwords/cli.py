@@ -80,6 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_prop, p_thm, p_eq, p_lem):
         p.add_argument("--json", action="store_true")
+    # the lemma suite runs serially: its checks share one diatomic table,
+    # which a process pool would pickle once per check
+    for p in (p_prop, p_thm, p_eq):
         p.add_argument("--workers", type=int, default=1)
 
     p_spec = sub.add_parser("spectrum", help="exact Perron value of a period")
@@ -155,21 +158,19 @@ def _scan_row(a, b, n: int, digits: int) -> dict:
 
 
 def _cmd_seq(args) -> int:
-    seq = s_rec(args.A, args.B, args.n)
-    labels = "".join(block_labels(args.n))
     if args.json:
         print(json.dumps({
             "command": "seq",
             "n": args.n,
             "A": list(args.A),
             "B": list(args.B),
-            "sequence": list(seq),
-            "blocks": labels,
+            "sequence": list(s_rec(args.A, args.B, args.n)),
+            "blocks": "".join(block_labels(args.n)),
         }))
     elif args.blocks:
-        print(labels)
+        print("".join(block_labels(args.n)))
     else:
-        print(format_word(seq))
+        print(format_word(s_rec(args.A, args.B, args.n)))
     return 0
 
 
@@ -188,7 +189,7 @@ def _cmd_verify(args) -> int:
     elif args.check == "equivalence":
         reports = theorems.iter_equivalence(args.levels, args.pairs, args.seed, args.workers)
     else:
-        reports = theorems.iter_lemma_checks(args.k_max, args.workers)
+        reports = theorems.iter_lemma_checks(args.k_max)
 
     tally = [0, 0]  # failed, passed
     _write_lines(_report_lines(reports, args.check, args.json, tally))
@@ -210,17 +211,18 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _scan_line(row: dict, as_json: bool) -> str:
+    if as_json:
+        return json.dumps({"command": "scan", **row})
+    return (f"n={row['n']} period={format_word(row['period'])} "
+            f"surd={_surd_text(row['surd'])} decimal={row['decimal']} "
+            f"markov={str(row['is_markov']).lower()}")
+
+
 def _cmd_scan(args) -> int:
     cases = [(args.A, args.B, n, args.digits) for n in range(1, args.n_max + 1)]
-    for row in theorems.sweep(_scan_row, cases, args.workers):
-        if args.json:
-            print(json.dumps({"command": "scan", **row}))
-        else:
-            print(
-                f"n={row['n']} period={format_word(row['period'])} "
-                f"surd={_surd_text(row['surd'])} decimal={row['decimal']} "
-                f"markov={str(row['is_markov']).lower()}"
-            )
+    rows = theorems.sweep(_scan_row, cases, args.workers)
+    _write_lines(_scan_line(row, args.json) for row in rows)
     return 0
 
 

@@ -83,10 +83,3 @@ def a_table(n: int) -> array:
         table[low::2 * low] = array("L", range(1, (n + low) // (2 * low) + 1))
         low *= 2
     return table
-
-
-def stern_row(n: int) -> list[int]:
-    """The row (d(2^n), ..., d(2^(n+1))) of the diatomic array; palindromic."""
-    if n < 0:
-        raise ValueError("stern_row is defined for n >= 0")
-    return stern_table(2 ** (n + 1))[2 ** n:].tolist()

@@ -243,17 +243,6 @@ class QuadraticSurd:
         return (self.p, self.q, self.r, self.d)
 
 
-def cf_eval(x: Sequence[int]) -> Fraction:
-    """Value of the finite continued fraction [a1; a2 : ... : an]."""
-    w = word(x)
-    if not w:
-        raise ValueError("empty continued fraction")
-    acc = Fraction(w[-1])
-    for a in w[-2::-1]:
-        acc = a + 1 / acc
-    return acc
-
-
 def cf_matrix(x: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
     """Convergent matrix: the product of [[a, 1], [1, 0]] over the word.
 

@@ -3,7 +3,8 @@
 Each check returns a :class:`VerificationReport`; batch runners stream
 reports instead of aborting, so a sweep always yields the complete
 regression surface. A failing report carries a reproducible witness.
-Every sweep, the command line's included, runs through :func:`sweep`.
+Every sweep, the command line's included, runs through :func:`sweep`, and
+a single-index check builds its word as its sweep does, on one index.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from operator import add, eq, itemgetter, lt, not_, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Sized
 
 from .diatomic import a_of, a_star, a_table, stern, stern_table
-from .tree import block_counts, block_labels, run_lengths, s_graph, s_rec, walk
+from .tree import run_lengths, s_graph, s_rec, walk
 from .words import (
     Word,
     format_word,
@@ -57,17 +58,17 @@ class VerificationReport:
         return out
 
 
-def _shift_seeds(a_sym: int, b_sym: int) -> tuple[Word, Word]:
+def _check_shift_letters(a_sym: int, b_sym: int) -> None:
     if a_sym == b_sym:
         raise ValueError("seed letters must differ")
-    return word((a_sym, a_sym)), word((b_sym, b_sym))
+    word((a_sym, b_sym))
 
 
 def _shift_report(
-    n: int, seq: Sequence[int], shift: int, letter: Callable[[int], int] = int
+    n: int, seq: Sequence[int], shift: int, letter: Callable[[int], int]
 ) -> VerificationReport:
-    """The report on rotating ``seq`` by ``shift``. ``letter`` decodes each
-    letter of a failing rotation; the default keeps integer letters as they are."""
+    """The report on rotating ``seq`` by ``shift``; ``letter`` decodes each
+    letter of a failing rotation."""
     ok = is_palindromic_rotation(seq, shift)
     return VerificationReport(
         claim="shift-palindromic",
@@ -79,11 +80,9 @@ def _shift_report(
 
 
 def verify_shift_palindromic(a_sym: int, b_sym: int, n: int) -> VerificationReport:
-    """Check that rotating S(n) by d(n) gives a palindrome, seeds (a,a),(b,b)."""
-    a, b = _shift_seeds(a_sym, b_sym)
-    if n < 1:
-        raise ValueError("indices start at 1")
-    return _shift_report(n, s_rec(a, b, n), stern(n))
+    """Check that rotating S(n) by d(n) gives a palindrome, seeds (a,a),(b,b):
+    :func:`verify_shift_palindromic_range` on the one index n."""
+    return verify_shift_palindromic_range(a_sym, b_sym, n, [stern(n)])[0]
 
 
 def verify_shift_palindromic_range(
@@ -97,7 +96,7 @@ def verify_shift_palindromic_range(
     injective, so a rotation of it is a palindrome exactly when the same
     rotation of S(n) is; a failing rotation is decoded back through (a, b).
     """
-    _shift_seeds(a_sym, b_sym)
+    _check_shift_letters(a_sym, b_sym)
     if lo < 1:
         raise ValueError("indices start at 1")
     words = walk(*SHIFT_SEEDS, lo, lo + len(shifts) - 1)
@@ -123,13 +122,28 @@ def _rearrangement_shift(seeds: tuple[Word, Word], labels: Sequence[int], d: int
     return shift + len(seeds[labels[k] - 1]) // 2 if d % 2 else shift
 
 
-def _rearranged(a: Sequence[int], b: Sequence[int], n: int) -> tuple[Word, int, int]:
-    """S(n) on the seeds a, b, the rotation that rearranges it, and d(n)."""
+def _rearrangements(
+    a: Sequence[int], b: Sequence[int], lo: int, shifts: Sequence[int]
+) -> tuple[Iterator[tuple[Sequence[int], int]], Callable]:
+    """(S(n), the rotation that rearranges it) for n = lo, ..., lo + len(shifts) - 1,
+    and the function that builds the rearrangement on the seeds' own letters.
+
+    ``shifts`` holds d(n) for those indices. S(n) is walked over the pair's
+    sorted letters relabelled 1..k, as bytes for k < 256, beside its label
+    word on :data:`LABEL_SEEDS`. The relabelling is injective, so a
+    rotation of the walked word is a palindrome exactly when the same
+    rotation of S(n) is.
+    """
     seeds = _palindromic_seeds(a, b)
-    if n < 1:
+    if lo < 1:
         raise ValueError("indices start at 1")
-    d = stern(n)
-    return s_rec(*seeds, n), _rearrangement_shift(seeds, s_rec((1,), (2,), n), d), d
+    letters = (0, *sorted(set(seeds[0] + seeds[1])))
+    encode = bytes if len(letters) <= 256 else tuple
+    relabelled = (encode(map(letters.index, w)) for w in seeds)
+    hi = lo + len(shifts) - 1
+    words = zip(walk(*relabelled, lo, hi), walk(*LABEL_SEEDS, lo, hi), shifts)
+    rotations = ((s, _rearrangement_shift(seeds, labels, d)) for s, labels, d in words)
+    return rotations, lambda s, shift: tuple(map(letters.__getitem__, rotate(s, shift)))
 
 
 def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
@@ -155,8 +169,8 @@ def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     sometimes none exists: with seeds (1,2,1),(3), S(5) has even length and
     three 2s, so no rotation of it is palindromic.
     """
-    s, shift, _ = _rearranged(a, b, n)
-    return rotate(s, shift)
+    ((s, shift),), arrange = _rearrangements(a, b, n, [stern(n)])
+    return arrange(s, shift)
 
 
 def verify_block_rearrangement(
@@ -168,32 +182,16 @@ def verify_block_rearrangement(
     (d(n)+1)/2 has even length (see :func:`block_rearrangement`); outside
     that scope a failing report records a fact, not a defect.
     """
-    s, shift, d = _rearranged(a, b, n)
+    d = stern(n)
+    ((s, shift),), arrange = _rearrangements(a, b, n, [d])
     ok = is_palindromic_rotation(s, shift)
     return VerificationReport(
         claim="block-rearrangement",
         n=n,
         passed=ok,
         witness={"shift": d, "A": format_word(a), "B": format_word(b)},
-        counterexample=None if ok else format_word(rotate(s, shift)),
+        counterexample=None if ok else format_word(arrange(s, shift)),
     )
-
-
-def length_of_s(n: int, len_a: int = 2, len_b: int = 2) -> int:
-    """|S(n)| without materialising the word.
-
-    Equal seed lengths L give the closed form |S(n)| = d(2n-1)*L for n >= 1
-    (the label word has d(2n-1) blocks); unequal lengths fall back to the
-    exact block counts.
-    """
-    if n < 0:
-        raise ValueError("indices start at 0")
-    if n == 0:
-        return len_a
-    if len_a == len_b:
-        return stern(2 * n - 1) * len_a
-    ca, cb = block_counts(n)
-    return ca * len_a + cb * len_b
 
 
 def even_index_factorization(k: int) -> tuple[int, int, int]:
@@ -260,16 +258,6 @@ def verify_mirror(a: Sequence[int], b: Sequence[int], k: int) -> VerificationRep
     )
 
 
-def block_exponent_profile(n: int) -> list[tuple[int, int]]:
-    """Run-length exponents (alpha_i, beta_i) of the label word A^a1 B^b1 ...
-
-    A leading zero alpha (word starts with B) or trailing zero beta (word
-    ends with A) is kept so the pairs always alternate A-run, B-run.
-    """
-    runs = run_lengths(block_labels(n), "A")
-    return [(runs[t], runs[t + 1]) for t in range(0, len(runs), 2)]
-
-
 def random_palindrome(rng: random.Random, lengths: Sequence[int] = range(1, 9)) -> Word:
     """A uniform-length random palindrome over 1..9, built by mirroring a random half."""
     m = rng.choice(list(lengths))
@@ -292,20 +280,13 @@ def random_seed_pairs(
 def verify_rearrangement_pair(
     pair_index: int, a: Sequence[int], b: Sequence[int], n_max: int
 ) -> VerificationReport:
-    """Sweep one seed pair through all n <= n_max, walking its label word and S(n),
-    the latter over the pair's sorted letters relabelled 1..k, as bytes for k < 256."""
-    seeds = _palindromic_seeds(a, b)
-    letters = (0, *sorted(set(seeds[0] + seeds[1])))
-    encode = bytes if len(letters) <= 256 else tuple
-    shifts = stern_table(n_max)
+    """Sweep one seed pair through all n <= n_max on one walk of S(n) and of
+    its label word (see :func:`_rearrangements`)."""
+    rotations, arrange = _rearrangements(a, b, 1, stern_table(n_max)[1:])
     failure = None
-    relabelled = (encode(map(letters.index, w)) for w in seeds)
-    pairs = zip(walk(*relabelled, 1, n_max), walk(*LABEL_SEEDS, 1, n_max))
-    for n, (s, labels) in enumerate(pairs, 1):
-        shift = _rearrangement_shift(seeds, labels, shifts[n])
+    for n, (s, shift) in enumerate(rotations, 1):
         if not is_palindromic_rotation(s, shift):
-            arrangement = map(letters.__getitem__, rotate(s, shift))
-            failure = {"n": n, "arrangement": format_word(arrangement)}
+            failure = {"n": n, "arrangement": format_word(arrange(s, shift))}
             break
     return VerificationReport(
         claim="block-rearrangement-pair",
@@ -598,15 +579,16 @@ def _lemma_report(
                               counterexample=counterexample)
 
 
-def iter_lemma_checks(k_max: int, workers: int = 1) -> Iterator[VerificationReport]:
-    """Run the supporting-identity suite; one report per claim.
+def iter_lemma_checks(k_max: int) -> Iterator[VerificationReport]:
+    """Run the supporting-identity suite; one report per claim, serially.
 
     Index-arithmetic checks run to k_max and share one ``stern_table``,
     long enough for |S(k_max)|/2 = d(2k_max - 1) and the mirror levels, and
     one ``a_table``. The two checks that materialise words take them from
     one walk each and are capped at 4096 so CLI sweeps stay fast. Below
     k_max = 8 the suite has too few levels to check every identity, so
-    smaller bounds are rejected.
+    smaller bounds are rejected. A process pool would pickle the shared
+    tables once per check and ran slower than one process.
     """
     if k_max < 8:
         raise ValueError("k_max must be >= 8")
@@ -625,4 +607,4 @@ def iter_lemma_checks(k_max: int, workers: int = 1) -> Iterator[VerificationRepo
         ("index-identities", check_index_identities, (a,), mirror_levels),
         ("block-exponents", check_block_exponents, (), min(k_max, 4096)),
     ]
-    return sweep(_lemma_report, checks, workers)
+    return sweep(_lemma_report, checks)

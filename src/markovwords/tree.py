@@ -5,10 +5,9 @@ From the root (A, A+B, B) the moves L and R produce an infinite binary
 tree; levels are ordered so that the centre of the i-th vertex of level n
 is the word with index 2^(n-1)+i. The vertex centred at S(n) is
 (S(a*(n-1)), S(n), S(a(n))), so S(n) = S(a*(n-1)) + S(a(n)) for n >= 2;
-that one index recursion builds the words, their label words over {A, B}
-and the block counts. :func:`s_graph` walks the graph instead and serves
-as the independent oracle; :func:`walk` visits it in index order for
-sweeps.
+that one index recursion builds the words and their label words over
+{A, B}. :func:`s_graph` walks the graph instead and serves as the
+independent oracle; :func:`walk` visits it in index order for sweeps.
 """
 from __future__ import annotations
 
@@ -24,8 +23,6 @@ class Vertex(NamedTuple):
     center: Word
     right: Word
 
-
-Path = tuple[int, ...]
 
 LABEL_A = "A"
 LABEL_B = "B"
@@ -45,39 +42,6 @@ def step_left(v: Vertex) -> Vertex:
 
 def step_right(v: Vertex) -> Vertex:
     return Vertex(v.center, v.center + v.right, v.right)
-
-
-def apply_path(v: Vertex, exponents: Sequence[int]) -> Vertex:
-    """Apply the move word R^a1, L^a2, R^a3, ... (first factor applied first).
-
-    Odd positions of ``exponents`` (1-based) are R-runs, even positions
-    L-runs; zero runs are permitted anywhere.
-    """
-    for pos, count in enumerate(exponents):
-        if count < 0:
-            raise ValueError("path exponents must be nonnegative")
-        step = step_right if pos % 2 == 0 else step_left
-        for _ in range(count):
-            v = step(v)
-    return v
-
-
-def path_precedes(p: Sequence[int], q: Sequence[int]) -> bool:
-    """Strict order on equal-level paths.
-
-    At the first differing run, a smaller R-exponent (odd position) or a
-    larger L-exponent (even position) comes first; this is the in-order
-    traversal of the tree. Shorter tuples are padded with zero runs.
-    """
-    if sum(p) != sum(q):
-        raise ValueError("paths lie on different levels")
-    for idx in range(max(len(p), len(q))):
-        a = p[idx] if idx < len(p) else 0
-        b = q[idx] if idx < len(q) else 0
-        if a == b:
-            continue
-        return a < b if idx % 2 == 0 else a > b
-    return False
 
 
 def run_lengths(symbols: Iterable[Hashable], first: Hashable) -> tuple[int, ...]:
@@ -124,15 +88,6 @@ def level(a: Sequence[int], b: Sequence[int], n: int) -> list[Vertex]:
         raise ValueError("levels are numbered from 1")
     l, _, r = root(a, b)
     return [Vertex(*t) for t in _vertices(l, r, n - 1, 0, 1 << (n - 1))]
-
-
-def _level_entries(a: Sequence[int], b: Sequence[int], n: int) -> list[tuple[Path, Vertex]]:
-    """(path, vertex) pairs of level n in order; the i-th path (from 0) is
-    read off the n-1 binary digits of i (0 = L, 1 = R), as in :func:`s_graph`."""
-    return [
-        (run_lengths(bin(i | 1 << (n - 1))[3:], "1"), v)
-        for i, v in enumerate(level(a, b, n))
-    ]
 
 
 def s_graph(a: Sequence[int], b: Sequence[int], n: int) -> Word:
@@ -206,19 +161,3 @@ def block_labels(n: int) -> tuple[str, ...]:
     if n < 0:
         raise ValueError("indices start at 0")
     return _s_rec_cached((LABEL_A,), (LABEL_B,), n)
-
-
-def block_counts(n: int) -> tuple[int, int]:
-    """(#A-blocks, #B-blocks) in the label word of index n.
-
-    Counted in :func:`block_labels`; the total is d(2n-1) for n >= 1.
-    """
-    labels = block_labels(n)
-    return (labels.count(LABEL_A), labels.count(LABEL_B))
-
-
-def flank_indices(j: int) -> tuple[int, int]:
-    """Indices (a*(j-1), a(j)) of the left and right words flanking S(j)."""
-    if j < 2:
-        raise ValueError("flank indices are defined for j >= 2")
-    return (a_star(j - 1), a_of(j))

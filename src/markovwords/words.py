@@ -1,10 +1,13 @@
 """Finite words over the positive integers.
 
 A word doubles as a continued-fraction period, so letters are positive
-integers throughout. Words are plain tuples; all operations are pure.
-The sweeps of :mod:`markovwords.theorems` carry their words internally
-as ``bytes`` over the letters 1 and 2, which :func:`is_palindromic_rotation`
-reads as they are; the words the public API returns are tuples.
+integers throughout. Words are plain tuples, so concatenation and
+halving are tuple ``+`` and slicing; this module adds what tuples lack:
+validation, the text form, rotation and the palindrome tests, all pure.
+The checks of :mod:`markovwords.theorems` carry their words internally
+as ``bytes`` over relabelled letters 1, 2, ..., which
+:func:`is_palindromic_rotation` reads as they are; the words the public
+API returns are tuples.
 """
 from __future__ import annotations
 
@@ -41,11 +44,6 @@ def parse_word(text: str) -> Word:
 def format_word(w: Sequence[int]) -> str:
     """Render a word in its text form; inverse of :func:`parse_word`."""
     return ",".join(str(x) for x in w)
-
-
-def concat(x: Sequence[int], y: Sequence[int]) -> Word:
-    """Concatenation; the empty word is the identity."""
-    return tuple(x) + tuple(y)
 
 
 def reverse(x: Sequence[int]) -> Word:
@@ -112,24 +110,3 @@ def is_oddly_palindromic(x: Sequence[int]) -> bool:
     if len(w) % 2 == 0:
         raise ValueError("is_oddly_palindromic needs odd length")
     return any(is_palindrome(rotate(w, k)) for k in range(len(w)))
-
-
-def half_floor(x: Sequence[int]) -> Word:
-    """First half of a word: one-based positions 1..floor(m/2)."""
-    w = tuple(x)
-    if not w:
-        raise ValueError("cannot split the empty word")
-    return w[: len(w) // 2]
-
-
-def half_ceil(x: Sequence[int]) -> Word:
-    """Second half of a word: one-based positions floor(m/2)+1..m.
-
-    ``half_floor(x) + half_ceil(x) == x`` always; the middle letter of an
-    odd-length word lands in the ceil half. For a palindromic word of even
-    length, ``reverse(half_floor(x)) == half_ceil(x)``.
-    """
-    w = tuple(x)
-    if not w:
-        raise ValueError("cannot split the empty word")
-    return w[len(w) // 2:]

@@ -14,11 +14,15 @@ loop for d(n), and the lemma oracles are the per-index loops that the
 table-driven lemma checks replaced, reading d and a through callables so
 that a test can feed them a deliberately wrong table. The block oracle
 builds the block rearrangement block by block, where the library rotates
-S(n).
+S(n). The path order is the paper's comparison of move words, which the
+library's level order must reproduce, and the continued-fraction fold is
+the reference for the convergent matrix.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
+from typing import Sequence
 
 from markovwords.diatomic import a_of, a_star
 from markovwords.spectrum import (
@@ -28,7 +32,22 @@ from markovwords.spectrum import (
     QuadraticSurd,
     zero_tail,
 )
-from markovwords.words import half_ceil, half_floor, reverse, rotate, word
+from markovwords.tree import Vertex, level, run_lengths
+from markovwords.words import reverse, rotate, word
+
+Path = tuple[int, ...]
+
+
+def cf_eval(x: Sequence[int]) -> Fraction:
+    """Value of the finite continued fraction [a1; a2 : ... : an], folded
+    from the last partial quotient; the reference for ``cf_matrix``."""
+    w = word(x)
+    if not w:
+        raise ValueError("empty continued fraction")
+    acc = Fraction(w[-1])
+    for a in w[-2::-1]:
+        acc = a + 1 / acc
+    return acc
 
 
 def tail_float(period, depth: int = 60) -> float:
@@ -119,6 +138,34 @@ def s_rec_with_rule(a, b, n: int, rule) -> tuple[int, ...]:
     return s_rec_with_rule(a, b, rule(j - 1), rule) + s_rec_with_rule(a, b, j, rule)
 
 
+def path_precedes(p: Sequence[int], q: Sequence[int]) -> bool:
+    """The paper's strict order on equal-level paths R^a1 L^a2 R^a3 ...
+
+    At the first differing run, a smaller R-exponent (odd position) or a
+    larger L-exponent (even position) comes first; this is the in-order
+    traversal of the tree. Shorter tuples are padded with zero runs.
+    """
+    if sum(p) != sum(q):
+        raise ValueError("paths lie on different levels")
+    for idx in range(max(len(p), len(q))):
+        a = p[idx] if idx < len(p) else 0
+        b = q[idx] if idx < len(q) else 0
+        if a == b:
+            continue
+        return a < b if idx % 2 == 0 else a > b
+    return False
+
+
+def level_entries(a, b, n: int) -> list[tuple[Path, Vertex]]:
+    """(path, vertex) pairs of level n in the library's order; the i-th path
+    (from 0) is read off the n-1 binary digits of i (0 = L, 1 = R), as in
+    ``s_graph``."""
+    return [
+        (run_lengths(bin(i | 1 << (n - 1))[3:], "1"), v)
+        for i, v in enumerate(level(a, b, n))
+    ]
+
+
 def a_of_by_halving(j: int) -> int:
     """a(j) = (k+1)/2 for the odd part k of j, found by halving j until odd."""
     while j % 2 == 0:
@@ -197,7 +244,8 @@ def arrangement_by_blocks(seeds, labels, d: int) -> tuple[int, ...]:
     c = (d + 1) // 2
     split = blocks[c - 1]
     middle = chain.from_iterable(blocks[c:] + blocks[:c - 1])
-    return half_ceil(split) + tuple(middle) + half_floor(split)
+    h = len(split) // 2
+    return split[h:] + tuple(middle) + split[:h]
 
 
 def length_identity_by_index(k_hi: int, d, a):

@@ -52,6 +52,17 @@ def test_seq_blocks(capsys):
     assert out.strip() == "ABABBABB"
 
 
+def test_seq_builds_only_what_it_prints(capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("seq built a word it does not print")
+
+    monkeypatch.setattr(cli, "block_labels", unused)
+    assert run(capsys, "seq", "--n", "5") == (0, "1,1,1,1,1,1,2,2\n", "")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "s_rec", unused)
+    assert run(capsys, "seq", "--n", "5", "--blocks") == (0, "AAAB\n", "")
+
+
 def test_seq_json(capsys, schema):
     status, out, _ = run(capsys, "seq", "--n", "3", "--json")
     assert status == 0
@@ -98,6 +109,9 @@ class _Writes:
      [f"{n},{stern_by_bits(n)}" for n in range(2100)]),
     (("verify", "prop-main", "--n-max", "2500"),
      [f"PASS shift-palindromic n={n} witness={stern_by_bits(n)}" for n in range(1, 2501)]),
+    (("scan", "--n-max", "2", "--digits", "10"),
+     ["n=1 period=2,2 surd=(0,1,2,32) decimal=2.8284271247 markov=true",
+      "n=2 period=1,1,2,2 surd=(0,1,5,221) decimal=2.9732137494 markov=true"]),
 ])
 def test_long_listings_write_whole_batches(monkeypatch, argv, expected):
     out = _Writes()
@@ -140,13 +154,12 @@ def _perfbench_oracles():
     return module
 
 
-@pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "workers"])
-def test_verify_lemmas_prints_nine_pass_lines_at_class_edges(capsys, workers):
+def test_verify_lemmas_prints_nine_pass_lines_at_class_edges(capsys):
     # bounds on both sides of powers of two end the 2-adic class slices of
     # the one shared table at different places
     expected = _perfbench_oracles().lemmas_expected
     for k_max in (8, 9, 15, 16, 17, 4095, 4096, 4097, 262145):
-        status, out, _ = run(capsys, "verify", "lemmas", "--k-max", str(k_max), *workers)
+        status, out, _ = run(capsys, "verify", "lemmas", "--k-max", str(k_max))
         assert (status, out.encode()) == (0, expected(k_max)), k_max
 
 
@@ -166,8 +179,7 @@ def test_verify_theorem_reports_and_exit_status(capsys, schema):
     (["verify", "theorem", "--trials", "6", "--n-max", "24"], 1),
     (["verify", "equivalence", "--levels", "5", "--pairs", "4"], 0),
     (["scan", "--n-max", "12", "--json"], 0),
-    (["verify", "lemmas", "--k-max", "300"], 0),
-], ids=["prop-main", "theorem", "equivalence", "scan", "lemmas"])
+], ids=["prop-main", "theorem", "equivalence", "scan"])
 def test_verify_workers_match_serial(capsys, argv, expected):
     status1, out1, _ = run(capsys, *argv)
     status2, out2, _ = run(capsys, *argv, "--workers", "2")
@@ -179,8 +191,15 @@ def test_verify_workers_capped_at_cpu_count(capsys, monkeypatch, stub_pool):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = run(capsys, "verify", "prop-main", "--n-max", "40")
     assert run(capsys, "verify", "prop-main", "--n-max", "40", "--workers", "64") == serial
-    assert run(capsys, "verify", "lemmas", "--k-max", "64", "--workers", "5")[0] == 0
-    assert stub_pool == [2, 2]
+    assert stub_pool == [2]
+
+
+def test_verify_lemmas_rejects_workers(capsys):
+    # the lemma suite runs serially; --workers is not one of its flags
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lemmas", "--k-max", "8", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_stern_reads_a_table_not_the_memo(capsys):
@@ -265,7 +284,7 @@ def test_scan_rows_match_tail_oracle(capsys, schema):
     (["scan", "--n-max", "3", "--workers", "0"], "--workers must be >= 1"),
     (["scan", "--n-max", "3", "--workers", "-3"], "--workers must be >= 1"),
     (["verify", "prop-main", "--n-max", "3", "--workers", "0"], "--workers must be >= 1"),
-    (["verify", "lemmas", "--k-max", "8", "--workers", "-3"], "--workers must be >= 1"),
+    (["verify", "theorem", "--n-max", "3", "--workers", "-3"], "--workers must be >= 1"),
     (["seq", "--n", "-1"], "--n must be >= 0"),
     (["stern", "--upto", "-1"], "--upto must be >= 0"),
     (["verify", "prop-main", "--n-max", "0"], "--n-max must be >= 1"),

@@ -2,7 +2,7 @@ import pytest
 
 from oracles import a_of_by_halving, stern_by_bits
 
-from markovwords.diatomic import a_of, a_star, a_table, stern, stern_row, stern_table
+from markovwords.diatomic import a_of, a_star, a_table, stern, stern_table
 
 FIRST_TEN_D = (0, 1, 1, 2, 1, 3, 2, 3, 1, 4)
 FIRST_TEN_A = (1, 1, 2, 1, 3, 2, 4, 1, 5, 3)
@@ -64,16 +64,21 @@ def test_a_star_matches_a_off_powers():
             assert a_star(x) == a_of(x)
 
 
+def _row(n):
+    """The row (d(2^n), ..., d(2^(n+1))) of the diatomic array."""
+    return stern_table(2 ** (n + 1))[2 ** n:].tolist()
+
+
 def test_stern_row_values():
-    assert stern_row(0) == [1, 1]
-    assert stern_row(1) == [1, 2, 1]
-    assert stern_row(2) == [1, 3, 2, 3, 1]
+    assert _row(0) == [1, 1]
+    assert _row(1) == [1, 2, 1]
+    assert _row(2) == [1, 3, 2, 3, 1]
 
 
 def test_row_symmetry():
     # d(2^n + i) == d(2^(n+1) - i) for 0 <= i <= 2^n
     for n in range(17):
-        row = stern_row(n)
+        row = _row(n)
         assert row == row[::-1]
 
 

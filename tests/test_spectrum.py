@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bqf_min_brute, markov_value_by_tails, perron_float, tail_float
+from oracles import bqf_min_brute, cf_eval, markov_value_by_tails, perron_float, tail_float
 
 from markovwords.spectrum import (
     BQForm,
     QuadraticSurd,
     bqf_min,
-    cf_eval,
     cf_matrix,
     is_markov_sequence,
     markov_element,

@@ -24,14 +24,12 @@ from markovwords import theorems
 from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.theorems import (
     VerificationReport,
-    block_exponent_profile,
     block_rearrangement,
     even_index_factorization,
     iter_block_rearrangement,
     iter_equivalence,
     iter_lemma_checks,
     iter_shift_palindromic,
-    length_of_s,
     mirror_index,
     odd_index_factorization,
     random_palindrome,
@@ -43,7 +41,7 @@ from markovwords.theorems import (
     verify_shift_palindromic,
     verify_shift_palindromic_range,
 )
-from markovwords.tree import _s_rec_cached, run_lengths, s_rec
+from markovwords.tree import _s_rec_cached, block_labels, run_lengths, s_rec
 from markovwords.words import format_word, is_palindrome, rotate
 
 A, B = (1, 1), (2, 2)
@@ -74,11 +72,17 @@ def test_shift_palindromic_sweep_small():
 
 def test_shift_palindromic_sweep_matches_single_queries():
     # 3000 crosses two range boundaries and the level boundary at 2048; the
-    # sweep walks the letters 1, 2 while the single queries build S(n) on
-    # the real letters, some of them too large for a byte
+    # sweep and the single queries walk the letters 1, 2 while the expected
+    # reports rotate S(n) built on the real letters, some of them too large
+    # for a byte
     for a_sym, b_sym in ((3, 5), (256, 1000), (300, 7)):
+        seeds = (a_sym, a_sym), (b_sym, b_sym)
+        expected = [
+            VerificationReport("shift-palindromic", n,
+                               is_palindrome(rotate(s_rec(*seeds, n), stern(n))), stern(n))
+            for n in range(1, 3001)]
         single = [verify_shift_palindromic(a_sym, b_sym, n) for n in range(1, 3001)]
-        assert list(iter_shift_palindromic(3000, a_sym, b_sym)) == single
+        assert list(iter_shift_palindromic(3000, a_sym, b_sym)) == single == expected
 
 
 def test_shift_palindromic_sweep_short_ranges(monkeypatch):
@@ -210,16 +214,6 @@ def test_odd_length_seed_failure_is_real():
     assert not verify_block_rearrangement((1, 2, 1), (3,), 5).passed
 
 
-def test_length_of_s():
-    assert length_of_s(14) == 16 == 2 * stern(27)
-    assert length_of_s(3) == 6
-    assert length_of_s(2) == 4
-    assert length_of_s(0) == 2 and length_of_s(1) == 2
-    # general seed lengths agree with materialisation
-    for n in range(0, 65):
-        assert length_of_s(n, 3, 1) == len(s_rec((1, 2, 1), (3,), n))
-
-
 def test_even_factorization_examples():
     assert even_index_factorization(12) == (0, 2, 3)
     assert even_index_factorization(10) == (0, 3, 2)
@@ -295,17 +289,24 @@ def test_verify_mirror_sweep():
     assert not verify_mirror((5, 6, 9), (1, 8), 7).passed
 
 
+def _exponent_profile(n):
+    """Run-length exponents (alpha_i, beta_i) of the label word A^a1 B^b1 ...;
+    a leading zero alpha or trailing zero beta keeps the pairs alternating."""
+    runs = run_lengths(block_labels(n), "A")
+    return list(zip(runs[0::2], runs[1::2]))
+
+
 def test_block_exponent_profile():
-    assert block_exponent_profile(14) == [(1, 1), (1, 2), (1, 2)]
-    assert block_exponent_profile(3) == [(2, 1)]
-    assert block_exponent_profile(2) == [(1, 1)]
-    assert block_exponent_profile(1) == [(0, 1)]
-    assert block_exponent_profile(5) == [(3, 1)]
+    assert _exponent_profile(14) == [(1, 1), (1, 2), (1, 2)]
+    assert _exponent_profile(3) == [(2, 1)]
+    assert _exponent_profile(2) == [(1, 1)]
+    assert _exponent_profile(1) == [(0, 1)]
+    assert _exponent_profile(5) == [(3, 1)]
 
 
 def test_block_exponent_structure_small():
     for n in range(1, 513):
-        profile = block_exponent_profile(n)
+        profile = _exponent_profile(n)
         assert all(a == 1 for a, _ in profile) or all(b == 1 for _, b in profile)
 
 

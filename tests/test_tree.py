@@ -2,18 +2,13 @@ import random
 
 import pytest
 
-from oracles import s_rec_with_rule
+from oracles import level_entries, path_precedes, s_rec_with_rule
 
 from markovwords.diatomic import a_of, a_star, stern
 from markovwords.tree import (
     Vertex,
-    _level_entries,
-    apply_path,
-    block_counts,
     block_labels,
-    flank_indices,
     level,
-    path_precedes,
     root,
     s_graph,
     s_rec,
@@ -39,15 +34,6 @@ def test_steps():
     assert step_left(v).center == (1, 1, 1, 1, 2, 2)  # index 3
     assert step_right(v).center == (1, 1, 2, 2, 2, 2)  # index 4 = A+B+B
     assert step_left(step_left(v)).center == (1, 1, 1, 1, 1, 1, 2, 2)  # A A A B
-
-
-def test_apply_path():
-    v = root(A, B)
-    assert apply_path(v, (0, 1)) == step_left(v)
-    assert apply_path(v, (1, 0)) == step_right(v)
-    assert apply_path(v, (1, 1)) == step_left(step_right(v))
-    with pytest.raises(ValueError):
-        apply_path(v, (-1, 2))
 
 
 def test_path_precedes_examples():
@@ -79,7 +65,7 @@ def test_order_comparators_agree():
     # the exponent-clause order and the L<R move-string order encode the
     # same traversal: both must reproduce the generation order
     for n in range(1, 8):
-        entries = _level_entries(A, B, n)
+        entries = level_entries(A, B, n)
         paths = [p for p, _ in entries]
         order = list(range(len(paths)))
         by_clauses = sorted(order, key=_cmp_key(paths))
@@ -181,12 +167,13 @@ def test_block_word_examples():
 def test_block_counts_match_labels():
     # individual counts follow no stern closed form (n=6 gives (3,2), not
     # (d6,d5)=(2,3)); only the total is d(2n-1)
+    labels = block_labels(6)
+    assert (labels.count("A"), labels.count("B")) == (3, 2)
     for n in range(0, 4097):
-        ca, cb = block_counts(n)
         labels = block_labels(n)
-        assert ca == labels.count("A") and cb == labels.count("B")
+        assert labels.count("A") + labels.count("B") == len(labels)
         if n >= 1:
-            assert ca + cb == stern(2 * n - 1)
+            assert len(labels) == stern(2 * n - 1)
 
 
 def test_label_count_is_stern():
@@ -200,32 +187,25 @@ def test_length_closed_form_various_seed_lengths():
         wa = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 5)))
         wb = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 5)))
         for n in range(0, 65):
-            ca, cb = block_counts(n)
-            assert len(s_rec(wa, wb, n)) == ca * len(wa) + cb * len(wb)
+            labels = block_labels(n)
+            assert len(s_rec(wa, wb, n)) == (
+                labels.count("A") * len(wa) + labels.count("B") * len(wb))
 
 
 def test_flank_indices_examples():
-    assert flank_indices(3) == (0, 2)
-    assert flank_indices(4) == (2, 1)
-    assert flank_indices(8) == (4, 1)
-    with pytest.raises(ValueError):
-        flank_indices(1)
-
-
-def test_flank_indices_match_index_sequences():
-    for j in range(2, 4097):
-        left, right = flank_indices(j)
-        assert right == a_of(j)
-        assert left == a_star(j - 1)
+    # the vertex centred at S(j) is (S(a*(j-1)), S(j), S(a(j)))
+    assert [(a_star(j - 1), a_of(j)) for j in (3, 4, 8)] == [(0, 2), (2, 1), (4, 1)]
+    s3, s4 = level(A, B, 2)
+    assert (s3.left, s3.right) == (s_rec(A, B, 0), s_rec(A, B, 2))
+    assert (s4.left, s4.right) == (s_rec(A, B, 2), s_rec(A, B, 1))
 
 
 def test_flank_indices_match_graph():
     for n in range(2, 8):
         for i, v in enumerate(level(A, B, n), start=1):
             j = 2 ** (n - 1) + i
-            left, right = flank_indices(j)
-            assert v.left == s_rec(A, B, left)
-            assert v.right == s_rec(A, B, right)
+            assert v.left == s_rec(A, B, a_star(j - 1))
+            assert v.right == s_rec(A, B, a_of(j))
 
 
 @pytest.mark.parametrize("wa, wb", [(A, B), ((3, 3), (5, 5)), (b"\x01\x01", b"\x02\x02")])

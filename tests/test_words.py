@@ -2,11 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from markovwords.words import (
-    concat,
     evenly_palindromic_shift,
     format_word,
-    half_ceil,
-    half_floor,
     is_oddly_palindromic,
     is_palindrome,
     is_palindromic_rotation,
@@ -18,14 +15,6 @@ from markovwords.words import (
 
 letters = st.integers(min_value=1, max_value=9)
 words = st.lists(letters, min_size=1, max_size=12).map(tuple)
-
-
-def test_concat_examples():
-    assert concat((2, 2), (1, 1)) == (2, 2, 1, 1)
-    assert concat((7, 3), ()) == (7, 3)
-    assert concat((), (7, 3)) == (7, 3)
-    # (a,a) + (a,a) + (b,b) with a=1, b=2 is the index-3 word
-    assert concat(concat((1, 1), (1, 1)), (2, 2)) == (1, 1, 1, 1, 2, 2)
 
 
 def test_reverse_examples():
@@ -75,14 +64,6 @@ def test_is_oddly_palindromic_examples():
         is_oddly_palindromic((1, 2))
 
 
-def test_half_split_examples():
-    assert half_floor((2, 2)) == (2,) and half_ceil((2, 2)) == (2,)
-    assert half_floor((1, 2, 1)) == (1,) and half_ceil((1, 2, 1)) == (2, 1)
-    assert half_floor((1, 2, 2, 1)) == (1, 2) and half_ceil((1, 2, 2, 1)) == (2, 1)
-    with pytest.raises(ValueError):
-        half_floor(())
-
-
 def test_word_validation():
     with pytest.raises(ValueError):
         word((1, 0, 2))
@@ -105,11 +86,6 @@ def test_parse_format_roundtrip():
         parse_word("0,1")
 
 
-@given(words, words)
-def test_concat_length_additive(x, y):
-    assert len(concat(x, y)) == len(x) + len(y)
-
-
 @given(words)
 def test_reverse_involution(x):
     assert reverse(reverse(x)) == x
@@ -120,16 +96,11 @@ def test_rotate_composes(x, i, j):
     assert rotate(rotate(x, i), j) == rotate(x, (i + j) % len(x))
 
 
-@given(words)
-def test_half_split_reassembles(x):
-    assert concat(half_floor(x), half_ceil(x)) == x
-
-
 @given(st.lists(letters, min_size=1, max_size=6))
 def test_even_palindrome_halves_mirror(half):
     w = tuple(half) + tuple(reversed(half))
     assert is_palindrome(w)
-    assert reverse(half_floor(w)) == half_ceil(w)
+    assert reverse(w[:len(half)]) == w[len(half):]
 
 
 @given(st.lists(letters, min_size=1, max_size=6).map(lambda h: tuple(h) + tuple(reversed(h))))
