@@ -1,5 +1,6 @@
 """Per-layer timings, one case per layer operation, on fixed inputs.
 
+Needs pytest-benchmark, the ``bench`` extra (``pip install -e '.[bench]'``).
 Run from the repository root (not part of the tier-1 suite, whose
 testpaths is ``tests``):
 

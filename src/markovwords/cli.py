@@ -17,7 +17,7 @@ from . import theorems
 from .diatomic import stern_table
 from .spectrum import BQForm, bqf_min, markov_value
 from .theorems import VerificationReport
-from .tree import block_labels, s_rec
+from .tree import block_labels, s_rec, walk
 from .words import format_word, parse_word
 
 
@@ -80,10 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_prop, p_thm, p_eq, p_lem):
         p.add_argument("--json", action="store_true")
-    # the lemma suite runs serially: its checks share one diatomic table,
-    # which a process pool would pickle once per check
-    for p in (p_prop, p_thm, p_eq):
-        p.add_argument("--workers", type=int, default=1)
 
     p_spec = sub.add_parser("spectrum", help="exact Perron value of a period")
     p_spec.add_argument("--period", type=_word_arg, required=True, metavar="WORD")
@@ -96,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--B", type=_word_arg, default=(2, 2), metavar="WORD")
     p_scan.add_argument("--digits", type=int, default=30)
     p_scan.add_argument("--json", action="store_true")
-    p_scan.add_argument("--workers", type=int, default=1)
 
     p_bqf = sub.add_parser("bqf", help="bounded lattice minimum of an indefinite form")
     p_bqf.add_argument("--form", type=_form_arg, required=True, metavar="A,B,C")
@@ -153,10 +148,6 @@ def _spectrum_payload(period, digits: int) -> dict:
     }
 
 
-def _scan_row(a, b, n: int, digits: int) -> dict:
-    return {"n": n, **_spectrum_payload(s_rec(a, b, n), digits)}
-
-
 def _cmd_seq(args) -> int:
     if args.json:
         print(json.dumps({
@@ -182,12 +173,11 @@ def _cmd_stern(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.check == "prop-main":
-        reports = theorems.iter_shift_palindromic(args.n_max, args.a, args.b, args.workers)
+        reports = theorems.iter_shift_palindromic(args.n_max, args.a, args.b)
     elif args.check == "theorem":
-        reports = theorems.iter_block_rearrangement(
-            args.n_max, args.trials, args.seed, workers=args.workers)
+        reports = theorems.iter_block_rearrangement(args.n_max, args.trials, args.seed)
     elif args.check == "equivalence":
-        reports = theorems.iter_equivalence(args.levels, args.pairs, args.seed, args.workers)
+        reports = theorems.iter_equivalence(args.levels, args.pairs, args.seed)
     else:
         reports = theorems.iter_lemma_checks(args.k_max)
 
@@ -220,9 +210,9 @@ def _scan_line(row: dict, as_json: bool) -> str:
 
 
 def _cmd_scan(args) -> int:
-    cases = [(args.A, args.B, n, args.digits) for n in range(1, args.n_max + 1)]
-    rows = theorems.sweep(_scan_row, cases, args.workers)
-    _write_lines(_scan_line(row, args.json) for row in rows)
+    words = walk(args.A, args.B, 1, args.n_max)
+    _write_lines(_scan_line({"n": n, **_spectrum_payload(w, args.digits)}, args.json)
+                 for n, w in enumerate(words, 1))
     return 0
 
 
@@ -265,7 +255,7 @@ _HANDLERS = {
 
 # smallest accepted value of each integer flag checked before dispatch; below
 # k_max = 8 the lemma suite has too few levels to check every identity
-_MINIMA = {"n": 0, "upto": 0, "digits": 0, "workers": 1, "n_max": 1, "k_max": 8,
+_MINIMA = {"n": 0, "upto": 0, "digits": 0, "n_max": 1, "k_max": 8,
            "levels": 0, "pairs": 0, "trials": 1, "a": 1, "b": 1}
 
 

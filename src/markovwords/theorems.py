@@ -3,16 +3,15 @@
 Each check returns a :class:`VerificationReport`; batch runners stream
 reports instead of aborting, so a sweep always yields the complete
 regression surface. A failing report carries a reproducible witness.
-Every sweep, the command line's included, runs through :func:`sweep`, and
-a single-index check builds its word as its sweep does, on one index.
+Every sweep is one lazy iterator, read by the command line as it writes,
+and a single-index check builds its word as its sweep does, on one index.
 """
 from __future__ import annotations
 
-import os
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat, starmap
+from itertools import compress, repeat, starmap
 from operator import add, eq, itemgetter, lt, not_, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Sized
 
@@ -27,10 +26,6 @@ from .words import (
     rotate,
     word,
 )
-
-# indices per case of the prop-main sweep: the serial sweep holds at most
-# this many reports at a time
-SHIFT_RANGE = 1024
 
 # the seeds every walking sweep uses: S(n) on (1,1),(2,2) and the label
 # words on (1),(2), as bytes, so concatenations and comparisons copy and
@@ -82,13 +77,14 @@ def _shift_report(
 def verify_shift_palindromic(a_sym: int, b_sym: int, n: int) -> VerificationReport:
     """Check that rotating S(n) by d(n) gives a palindrome, seeds (a,a),(b,b):
     :func:`verify_shift_palindromic_range` on the one index n."""
-    return verify_shift_palindromic_range(a_sym, b_sym, n, [stern(n)])[0]
+    return next(verify_shift_palindromic_range(a_sym, b_sym, n, [stern(n)]))
 
 
 def verify_shift_palindromic_range(
     a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]
-) -> list[VerificationReport]:
-    """:func:`verify_shift_palindromic` for n = lo, ..., lo + len(shifts) - 1.
+) -> Iterator[VerificationReport]:
+    """:func:`verify_shift_palindromic` for n = lo, ..., lo + len(shifts) - 1,
+    one report at a time.
 
     ``shifts`` holds d(n) for those indices; the words come from one
     :func:`~markovwords.tree.walk` of the range on :data:`SHIFT_SEEDS`.
@@ -101,8 +97,7 @@ def verify_shift_palindromic_range(
         raise ValueError("indices start at 1")
     words = walk(*SHIFT_SEEDS, lo, lo + len(shifts) - 1)
     letter = (0, a_sym, b_sym).__getitem__
-    return list(map(_shift_report, range(lo, lo + len(shifts)), words, shifts,
-                    repeat(letter)))
+    return map(_shift_report, range(lo, lo + len(shifts)), words, shifts, repeat(letter))
 
 
 def _palindromic_seeds(a: Sequence[int], b: Sequence[int]) -> tuple[Word, Word]:
@@ -225,18 +220,16 @@ def odd_index_factorization(k: int) -> tuple[int, int, int]:
     return (base, low.bit_length(), a_of(base))
 
 
-def mirror_index(k: int) -> Optional[int]:
+def mirror_index(k: int) -> int:
     """The index m with S_{A,B}(k) equal to the reverse of S_{B,A}(m).
 
-    Defined when k = 6*2^(n-2) + i with n >= 2 and 1 <= i <= 2^(n-1)
-    (the upper half of each level); then m = 6*2^(n-2) - i + 1. Such k lie
-    in (2^n, 2^(n+1)], so base = 6*2^(n-2) = 3 << ((k-1).bit_length() - 2);
-    max(base, 6) leaves out k = 4, on level 1.
+    Reversal mirrors the concatenation tree left to right, so m is the
+    reflection of k inside its level (2^j, 2^(j+1)]: m = 3*2^j + 1 - k,
+    with 2^j = 1 << ((k-1).bit_length() - 1). Defined for every k >= 2.
     """
-    if k < 3:
-        raise ValueError("mirror_index is defined for k >= 3")
-    base = 3 << ((k - 1).bit_length() - 2)
-    return 2 * base - k + 1 if k > max(base, 6) else None
+    if k < 2:
+        raise ValueError("mirror_index is defined for k >= 2")
+    return (3 << ((k - 1).bit_length() - 1)) + 1 - k
 
 
 def verify_mirror(a: Sequence[int], b: Sequence[int], k: int) -> VerificationReport:
@@ -246,8 +239,6 @@ def verify_mirror(a: Sequence[int], b: Sequence[int], k: int) -> VerificationRep
     identity holds for palindromic seeds.
     """
     m = mirror_index(k)
-    if m is None:
-        raise ValueError(f"no mirror index for k={k}")
     ok = s_rec(a, b, k) == reverse(s_rec(b, a, m))
     return VerificationReport(
         claim="mirror",
@@ -297,49 +288,25 @@ def verify_rearrangement_pair(
     )
 
 
-def sweep(fn: Callable, cases: Sequence[tuple], workers: int = 1) -> Iterator:
-    """``fn(*case)`` for every case, in the order of ``cases``.
-
-    With ``workers`` > 1 the cases are split into chunks over a process
-    pool of at most ``os.cpu_count()`` processes; ``fn`` must then be a
-    module-level function.
-    """
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        yield from starmap(fn, cases)
-        return
-    # imported here so that serial runs never load the multiprocessing stack
-    from concurrent.futures import ProcessPoolExecutor
-    chunksize = max(1, len(cases) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, *zip(*cases), chunksize=chunksize)
-
-
 def iter_shift_palindromic(
-    n_max: int, a_sym: int = 1, b_sym: int = 2, workers: int = 1
+    n_max: int, a_sym: int = 1, b_sym: int = 2
 ) -> Iterator[VerificationReport]:
-    """One report per index n <= n_max, in index order.
-
-    d(1..n_max) is tabulated once and the indices go to
-    :func:`verify_shift_palindromic_range` in runs of SHIFT_RANGE.
-    """
+    """One report per index n <= n_max, in index order: one walk of
+    S(1..n_max) beside one table of d(1..n_max), read one report at a time."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    shifts = stern_table(n_max)
-    cases = [(a_sym, b_sym, lo, shifts[lo:lo + SHIFT_RANGE])
-             for lo in range(1, n_max + 1, SHIFT_RANGE)]
-    return chain.from_iterable(sweep(verify_shift_palindromic_range, cases, workers))
+    return verify_shift_palindromic_range(a_sym, b_sym, 1, stern_table(n_max)[1:])
 
 
 def iter_block_rearrangement(
-    n_max: int, trials: int, seed: int, workers: int = 1
+    n_max: int, trials: int, seed: int
 ) -> Iterator[VerificationReport]:
     """One report per random palindromic seed pair, sweeping all n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     pairs = random_seed_pairs(trials, seed)
-    cases = [(idx, wa, wb, n_max) for idx, (wa, wb) in enumerate(pairs, 1)]
-    return sweep(verify_rearrangement_pair, cases, workers)
+    return (verify_rearrangement_pair(idx, wa, wb, n_max)
+            for idx, (wa, wb) in enumerate(pairs, 1))
 
 
 def random_word_pairs(pairs: int, seed: int) -> list[tuple[Word, Word]]:
@@ -372,14 +339,14 @@ def verify_equivalence_pair(
 
 
 def iter_equivalence(
-    levels: int, pairs: int = 20, seed: int = 42, workers: int = 1
+    levels: int, pairs: int = 20, seed: int = 42
 ) -> Iterator[VerificationReport]:
     """One equivalence report per seed pair: (1,1),(2,2) first, then random pairs."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
     seed_pairs = [((1, 1), (2, 2))] + random_word_pairs(pairs, seed)
-    cases = [(idx, wa, wb, levels) for idx, (wa, wb) in enumerate(seed_pairs)]
-    return sweep(verify_equivalence_pair, cases, workers)
+    return (verify_equivalence_pair(idx, wa, wb, levels)
+            for idx, (wa, wb) in enumerate(seed_pairs))
 
 
 def _same_length(*operands: Sized) -> None:
@@ -580,15 +547,14 @@ def _lemma_report(
 
 
 def iter_lemma_checks(k_max: int) -> Iterator[VerificationReport]:
-    """Run the supporting-identity suite; one report per claim, serially.
+    """Run the supporting-identity suite; one report per claim, in order.
 
     Index-arithmetic checks run to k_max and share one ``stern_table``,
     long enough for |S(k_max)|/2 = d(2k_max - 1) and the mirror levels, and
     one ``a_table``. The two checks that materialise words take them from
     one walk each and are capped at 4096 so CLI sweeps stay fast. Below
     k_max = 8 the suite has too few levels to check every identity, so
-    smaller bounds are rejected. A process pool would pickle the shared
-    tables once per check and ran slower than one process.
+    smaller bounds are rejected.
     """
     if k_max < 8:
         raise ValueError("k_max must be >= 8")
@@ -607,4 +573,4 @@ def iter_lemma_checks(k_max: int) -> Iterator[VerificationReport]:
         ("index-identities", check_index_identities, (a,), mirror_levels),
         ("block-exponents", check_block_exponents, (), min(k_max, 4096)),
     ]
-    return sweep(_lemma_report, checks)
+    return starmap(_lemma_report, checks)

@@ -9,7 +9,7 @@ The word oracle is the two-branch index recursion with an injectable
 left-flank rule, which the tests use to pin where a wrong rule diverges.
 The index oracles are the loops the library replaced by bit arithmetic:
 halving to the odd part, walking the two factorization chains, and
-searching the levels for a mirror index. The diatomic oracle is the bit
+searching a level for a mirror index. The diatomic oracle is the bit
 loop for d(n), and the lemma oracles are the per-index loops that the
 table-driven lemma checks replaced, reading d and a through callables so
 that a test can feed them a deliberately wrong table. The block oracle
@@ -21,6 +21,7 @@ the reference for the convergent matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import Sequence
 
@@ -198,16 +199,20 @@ def odd_index_factorization_by_chain(k: int) -> tuple[int, int, int]:
     return (e // 2, i, a_of_by_halving(e // 2))
 
 
-def mirror_index_by_search(k: int) -> int | None:
-    """The mirror index of k >= 3, found by searching the levels upwards."""
-    n = 2
-    while True:
-        base = 6 * 2 ** (n - 2)
-        if k <= base:
-            return None
-        if k <= base + 2 ** (n - 1):
-            return base - (k - base) + 1
-        n += 1
+def mirror_index_by_search(k: int) -> int:
+    """The mirror index of k >= 2, found by searching k's level (2^j, 2^(j+1)]
+    for the index m with reverse(S_{B,A}(m)) == S_{A,B}(k), seeds (1,1),(2,2)."""
+    j = (k - 1).bit_length() - 1
+    return _reversed_level(j)[s_rec_with_rule((1, 1), (2, 2), k, a_star)]
+
+
+@cache
+def _reversed_level(j: int) -> dict[tuple[int, ...], int]:
+    """reverse(S_{B,A}(m)) -> m over the level (2^j, 2^(j+1)]; its words are distinct."""
+    level = range((1 << j) + 1, (2 << j) + 1)
+    found = {tuple(reversed(s_rec_with_rule((2, 2), (1, 1), m, a_star))): m for m in level}
+    assert len(found) == len(level)
+    return found
 
 
 def stern_by_bits(n: int) -> int:

@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import os
 from importlib import resources
 from pathlib import Path
 
@@ -173,33 +172,14 @@ def test_verify_theorem_reports_and_exit_status(capsys, schema):
     assert (status == 0) == all(r["passed"] for r in recs)
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["verify", "prop-main", "--n-max", "40"], 0),
-    # odd-length random seeds fail the unscoped claim, so both sides exit 1
-    (["verify", "theorem", "--trials", "6", "--n-max", "24"], 1),
-    (["verify", "equivalence", "--levels", "5", "--pairs", "4"], 0),
-    (["scan", "--n-max", "12", "--json"], 0),
-], ids=["prop-main", "theorem", "equivalence", "scan"])
-def test_verify_workers_match_serial(capsys, argv, expected):
-    status1, out1, _ = run(capsys, *argv)
-    status2, out2, _ = run(capsys, *argv, "--workers", "2")
-    assert status1 == status2 == expected
-    assert out1 == out2
-
-
-def test_verify_workers_capped_at_cpu_count(capsys, monkeypatch, stub_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    serial = run(capsys, "verify", "prop-main", "--n-max", "40")
-    assert run(capsys, "verify", "prop-main", "--n-max", "40", "--workers", "64") == serial
-    assert stub_pool == [2]
-
-
-def test_verify_lemmas_rejects_workers(capsys):
-    # the lemma suite runs serially; --workers is not one of its flags
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "lemmas", "--k-max", "8", "--workers", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+def test_sweeps_reject_workers(capsys):
+    # every sweep runs as one serial stream; --workers is no flag of any
+    for argv in (["verify", "prop-main"], ["verify", "theorem"], ["verify", "equivalence"],
+                 ["verify", "lemmas"], ["scan"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_stern_reads_a_table_not_the_memo(capsys):
@@ -281,10 +261,11 @@ def test_scan_rows_match_tail_oracle(capsys, schema):
     (["spectrum", "--period", "1,2", "--digits", "-1"], "--digits must be >= 0"),
     (["scan", "--n-max", "3", "--digits", "-1"], "--digits must be >= 0"),
     (["bqf", "--form", "1,1,-1", "--digits", "-2"], "--digits must be >= 0"),
-    (["scan", "--n-max", "3", "--workers", "0"], "--workers must be >= 1"),
-    (["scan", "--n-max", "3", "--workers", "-3"], "--workers must be >= 1"),
-    (["verify", "prop-main", "--n-max", "3", "--workers", "0"], "--workers must be >= 1"),
-    (["verify", "theorem", "--n-max", "3", "--workers", "-3"], "--workers must be >= 1"),
+    # bqf checks its radius and form itself, after the flag minima
+    (["bqf", "--form", "1,1,-1", "--radius", "0"], "radius must be >= 1"),
+    (["bqf", "--form", "1,1,-1", "--radius", "-3"], "radius must be >= 1"),
+    (["bqf", "--form", "1,0,1"], "form must be indefinite, discriminant is -4"),
+    (["bqf", "--form", "0,0,0"], "form must be indefinite, discriminant is 0"),
     (["seq", "--n", "-1"], "--n must be >= 0"),
     (["stern", "--upto", "-1"], "--upto must be >= 0"),
     (["verify", "prop-main", "--n-max", "0"], "--n-max must be >= 1"),

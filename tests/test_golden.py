@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from markovwords import cli
 from markovwords.cli import main
 
 GOLDEN = [
@@ -42,7 +43,7 @@ GOLDEN = [
      "a783febe8d09ad5e37f2a45701b90d7dbc56b4517cf1f3c254cceabb01a3b6f6"),
     (("scan", "--n-max", "12", "--digits", "20"), 0,
      "6b7ada5ff4d921deb66c203ec3a8aab1ae9469f7db46f5b62a2358f2a415fe44"),
-    (("scan", "--n-max", "10", "--A", "1,2,1", "--B", "3", "--json", "--workers", "2"), 0,
+    (("scan", "--n-max", "10", "--A", "1,2,1", "--B", "3", "--json"), 0,
      "ec0ea754de1cef0cfc35252ba2e10691f9eaf24ae5b8a80bb95ab6c8718a574d"),
     (("spectrum", "--period", "2,2,1,1,2,2,2,2,1,1", "--digits", "25"), 0,
      "24f0cb3f3750dcb17f648199c6a3d69306dbb73bb507b84456753c2dfd417e64"),
@@ -63,6 +64,16 @@ def _digest(capsys, argv) -> tuple[int, str]:
 
 @pytest.mark.parametrize("argv, status, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
 def test_golden_stdout(capsys, argv, status, digest):
+    assert _digest(capsys, argv) == (status, digest)
+
+
+def test_scan_builds_no_word_by_the_index_recursion(capsys, monkeypatch):
+    # scan reads its words from one walk; s_rec serves seq alone
+    def s_rec(*args):
+        raise AssertionError("scan called s_rec")
+    monkeypatch.setattr(cli, "s_rec", s_rec)
+    argv = ("scan", "--n-max", "12", "--digits", "20")
+    (status, digest), = [g[1:] for g in GOLDEN if g[0] == argv]
     assert _digest(capsys, argv) == (status, digest)
 
 

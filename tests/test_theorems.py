@@ -1,4 +1,3 @@
-import os
 import random
 from array import array
 from itertools import product
@@ -34,7 +33,6 @@ from markovwords.theorems import (
     odd_index_factorization,
     random_palindrome,
     random_seed_pairs,
-    sweep,
     verify_block_rearrangement,
     verify_mirror,
     verify_rearrangement_pair,
@@ -71,10 +69,9 @@ def test_shift_palindromic_sweep_small():
 
 
 def test_shift_palindromic_sweep_matches_single_queries():
-    # 3000 crosses two range boundaries and the level boundary at 2048; the
-    # sweep and the single queries walk the letters 1, 2 while the expected
-    # reports rotate S(n) built on the real letters, some of them too large
-    # for a byte
+    # 3000 crosses the level boundary at 2048; the sweep and the single
+    # queries walk the letters 1, 2 while the expected reports rotate S(n)
+    # built on the real letters, some of them too large for a byte
     for a_sym, b_sym in ((3, 5), (256, 1000), (300, 7)):
         seeds = (a_sym, a_sym), (b_sym, b_sym)
         expected = [
@@ -85,10 +82,19 @@ def test_shift_palindromic_sweep_matches_single_queries():
         assert list(iter_shift_palindromic(3000, a_sym, b_sym)) == single == expected
 
 
-def test_shift_palindromic_sweep_short_ranges(monkeypatch):
-    monkeypatch.setattr(theorems, "SHIFT_RANGE", 7)
-    single = [verify_shift_palindromic(2, 7, n) for n in range(1, 301)]
-    assert list(iter_shift_palindromic(300, 2, 7)) == single
+def test_shift_palindromic_sweep_reads_one_word_per_report(monkeypatch):
+    # the sweep is one lazy walk: its first report draws one word, not a run
+    first = verify_shift_palindromic(1, 2, 1)
+    drawn = []
+    real = theorems.walk
+
+    def counting_walk(a, b, lo, hi):
+        for w in real(a, b, lo, hi):
+            drawn.append(w)
+            yield w
+    monkeypatch.setattr(theorems, "walk", counting_walk)
+    assert next(iter_shift_palindromic(4096)) == first
+    assert len(drawn) == 1
 
 
 def test_shift_palindromic_range_preconditions():
@@ -100,7 +106,7 @@ def test_shift_palindromic_range_preconditions():
             verify_shift_palindromic_range(a_sym, b_sym, 3, [2])
     with pytest.raises(ValueError):
         verify_shift_palindromic_range(1, 2, 0, [0, 1])
-    assert verify_shift_palindromic_range(1, 2, 3, []) == []
+    assert list(verify_shift_palindromic_range(1, 2, 3, [])) == []
 
 
 def test_failing_shift_report_prints_the_rotation(monkeypatch):
@@ -245,17 +251,23 @@ def test_factorizations_rebuild_words():
 
 
 def test_mirror_index():
+    assert mirror_index(2) == 2
     assert mirror_index(7) == 6
     assert mirror_index(8) == 5
-    assert mirror_index(4) is None
-    # formula value for 14 = 6*2^(3-2)+2 is 12-2+1 = 11 (and 11 verifies;
-    # 13 does not: reverse(S_{B,A}(13)) is S(12), not S(14))
+    assert mirror_index(4) == 3
+    # 14 lies on the level (8, 16], so its mirror is 3*8 + 1 - 14 = 11 (and
+    # 11 verifies; 13 does not: reverse(S_{B,A}(13)) is S(12), not S(14))
     assert mirror_index(14) == 11
-    assert mirror_index(9) is None  # gap between level ranges
-    assert mirror_index(24) is None
+    assert mirror_index(9) == 16  # the two ends of a level swap
+    assert mirror_index(24) == 25
     assert mirror_index(25) == 24
+    # an involution on each level
+    for j in range(12):
+        level = range((1 << j) + 1, (2 << j) + 1)
+        assert sorted(map(mirror_index, level)) == list(level)
+        assert all(mirror_index(mirror_index(k)) == k for k in level)
     with pytest.raises(ValueError):
-        mirror_index(2)
+        mirror_index(1)
 
 
 def test_index_closed_forms_match_loops():
@@ -266,14 +278,16 @@ def test_index_closed_forms_match_loops():
             assert even_index_factorization(k) == even_index_factorization_by_halving(k), k
         else:
             assert odd_index_factorization(k) == odd_index_factorization_by_chain(k), k
+    for k in range(2, 2 ** 12 + 1):
         assert mirror_index(k) == mirror_index_by_search(k), k
 
 
 def test_verify_mirror():
-    for k in (7, 8, 14):
-        assert verify_mirror(A, B, k).passed
+    for k in (2, 4, 7, 8, 9, 14, 24):
+        rep = verify_mirror(A, B, k)
+        assert rep.passed and rep.witness == mirror_index(k)
     with pytest.raises(ValueError):
-        verify_mirror(A, B, 4)
+        verify_mirror(A, B, 1)
 
 
 def test_verify_mirror_sweep():
@@ -282,9 +296,10 @@ def test_verify_mirror_sweep():
     rng = random.Random(5)
     wa = random_palindrome(rng, lengths=(1, 2, 3, 4))
     wb = random_palindrome(rng, lengths=(1, 2, 3, 4))
-    for k in range(3, 513):
-        if mirror_index(k) is not None:
-            assert verify_mirror(wa, wb, k).passed, k
+    seeds = [(A, B), ((1, 2, 1), (3,)), ((5,), (7, 7, 7)), (B, A), (wa, wb)]
+    for k in range(2, 1025):
+        for sa, sb in seeds:
+            assert verify_mirror(sa, sb, k).passed, (sa, sb, k)
     # with non-palindromic seeds the check honestly reports failure
     assert not verify_mirror((5, 6, 9), (1, 8), 7).passed
 
@@ -561,13 +576,3 @@ def test_check_block_exponents_follows_the_run_length_profile(monkeypatch):
 def test_sweeps_reject_a_negative_bound(sweep_fn, args, bound):
     with pytest.raises(ValueError, match=bound):
         sweep_fn(*args)
-
-
-@pytest.mark.parametrize("cpus, requested, pool", [
-    (2, 64, [2]), (8, 3, [3]), (1, 64, []), (None, 4, []),
-])
-def test_sweep_caps_workers_at_cpu_count(monkeypatch, stub_pool, cpus, requested, pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    cases = [(2, k) for k in range(10)]
-    assert list(sweep(pow, cases, workers=requested)) == [2 ** k for k in range(10)]
-    assert stub_pool == pool
