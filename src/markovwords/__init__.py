@@ -7,108 +7,38 @@ the integer sequences and concatenation graph generating the family S(n)
 (``theorems``, ``spectrum``). A CLI (``markovwords``) fronts all of it.
 The names exported here are the ones a command or a claim reads; the
 reference constructions the tests compare against live in the tests.
+
+``import markovwords`` loads none of the layers: each exported name is
+imported from its home module on first use (PEP 562), so a command
+compiles only the layers it runs.
 """
 
-from .diatomic import a_of, a_star, a_table, stern, stern_table
-from .spectrum import (
-    BQForm,
-    LatticeMinimum,
-    MarkovValue,
-    QuadraticSurd,
-    bqf_min,
-    cf_matrix,
-    is_markov_sequence,
-    markov_element,
-    markov_value,
-    zero_tail,
-)
-from .theorems import (
-    VerificationReport,
-    block_rearrangement,
-    even_index_factorization,
-    iter_block_rearrangement,
-    iter_equivalence,
-    iter_lemma_checks,
-    iter_shift_palindromic,
-    mirror_index,
-    odd_index_factorization,
-    random_palindrome,
-    verify_block_rearrangement,
-    verify_mirror,
-    verify_shift_palindromic,
-)
-from .tree import (
-    Vertex,
-    block_labels,
-    level,
-    root,
-    s_graph,
-    s_rec,
-    step_left,
-    step_right,
-    walk,
-)
-from .words import (
-    Word,
-    evenly_palindromic_shift,
-    format_word,
-    is_oddly_palindromic,
-    is_palindrome,
-    is_palindromic_rotation,
-    parse_word,
-    reverse,
-    rotate,
-    word,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BQForm",
-    "LatticeMinimum",
-    "MarkovValue",
-    "QuadraticSurd",
-    "VerificationReport",
-    "Vertex",
-    "Word",
-    "a_of",
-    "a_star",
-    "a_table",
-    "block_labels",
-    "bqf_min",
-    "block_rearrangement",
-    "cf_matrix",
-    "even_index_factorization",
-    "evenly_palindromic_shift",
-    "format_word",
-    "is_markov_sequence",
-    "is_oddly_palindromic",
-    "is_palindrome",
-    "is_palindromic_rotation",
-    "iter_block_rearrangement",
-    "iter_equivalence",
-    "iter_lemma_checks",
-    "iter_shift_palindromic",
-    "level",
-    "markov_element",
-    "markov_value",
-    "mirror_index",
-    "odd_index_factorization",
-    "parse_word",
-    "random_palindrome",
-    "reverse",
-    "root",
-    "rotate",
-    "s_graph",
-    "s_rec",
-    "step_left",
-    "step_right",
-    "stern",
-    "stern_table",
-    "verify_block_rearrangement",
-    "verify_mirror",
-    "verify_shift_palindromic",
-    "walk",
-    "word",
-    "zero_tail",
-]
+# each exported name and the module that defines it
+_HOME = {name: module for module, names in [
+    ("diatomic", "a_of a_star a_table stern stern_table"),
+    ("spectrum", "BQForm LatticeMinimum MarkovValue QuadraticSurd bqf_min cf_matrix"
+                 " is_markov_sequence markov_element markov_value zero_tail"),
+    ("theorems", "VerificationReport block_rearrangement even_index_factorization"
+                 " iter_block_rearrangement iter_equivalence iter_lemma_checks"
+                 " iter_shift_palindromic mirror_index odd_index_factorization"
+                 " random_palindrome verify_block_rearrangement verify_mirror"
+                 " verify_shift_palindromic"),
+    ("tree", "Vertex block_labels level root s_graph s_rec step_left step_right walk"),
+    ("words", "Word evenly_palindromic_shift format_word is_oddly_palindromic is_palindrome"
+              " is_palindromic_rotation parse_word reverse rotate word"),
+] for name in names.split()}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """Import ``name`` from its home module and bind it here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from . import theorems
 from .diatomic import stern_table
 from .spectrum import BQForm, bqf_min, markov_value
-from .theorems import VerificationReport
 from .tree import block_labels, s_rec, walk
 from .words import format_word, parse_word
 
@@ -32,11 +31,9 @@ def _form_arg(text: str) -> BQForm:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"form needs three coefficients, got {text!r}")
-    try:
-        a, b, c = (int(p) for p in parts)
-    except ValueError:
+    if not all(re.fullmatch("[+-]?[0-9]+", p) for p in parts):
         raise argparse.ArgumentTypeError(f"non-integer coefficient in {text!r}")
-    return BQForm(a, b, c)
+    return BQForm(*map(int, parts))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,9 +117,8 @@ def _surd_text(fields: dict) -> str:
     return "({p},{q},{r},{D})".format(**fields)
 
 
-def _report_lines(reports: Iterable[VerificationReport], check: str, as_json: bool,
-                  tally: list[int]):
-    """Yield the line of each report; tally[passed] counts the reports."""
+def _report_lines(reports: Iterable, check: str, as_json: bool, tally: list[int]):
+    """Yield the line of each VerificationReport; tally[passed] counts the reports."""
     for rep in reports:
         tally[rep.passed] += 1
         if as_json:
@@ -172,6 +168,8 @@ def _cmd_stern(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import theorems  # only verify reads the claims
+
     if args.check == "prop-main":
         reports = theorems.iter_shift_palindromic(args.n_max, args.a, args.b)
     elif args.check == "theorem":

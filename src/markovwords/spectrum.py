@@ -7,7 +7,6 @@ nothing is ever rounded before the final digit string.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple, Sequence, Union
@@ -32,7 +31,6 @@ def _surd_sign(p: int, q: int, d: int) -> int:
     return -1 if p * p < q * q * d else 1
 
 
-@dataclass(frozen=True)
 class QuadraticSurd:
     """Exact value (p + q*sqrt(d))/r with arbitrary-precision integers.
 
@@ -41,15 +39,13 @@ class QuadraticSurd:
     multiplied when they lie in one field: equal d, d1*d2 a perfect square
     (the result is written over the left operand's d), or either one
     rational; order and equality are decided exactly across different d.
+    Instances are immutable. The class is not a tuple on purpose: tuple
+    ``+``, ``*``, ``<`` and ``len`` would sit beside the arithmetic.
     """
 
-    p: int
-    q: int
-    r: int
-    d: int
+    __slots__ = ("p", "q", "r", "d")
 
-    def __post_init__(self) -> None:
-        p, q, r, d = self.p, self.q, self.r, self.d
+    def __init__(self, p: int, q: int, r: int, d: int) -> None:
         if r == 0:
             raise ValueError("zero denominator")
         if d < 0:
@@ -69,6 +65,19 @@ class QuadraticSurd:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle would restore the slots through __setattr__; rebuild instead
+        return QuadraticSurd, self.as_tuple()
+
+    def __repr__(self) -> str:
+        return f"QuadraticSurd(p={self.p!r}, q={self.q!r}, r={self.r!r}, d={self.d!r})"
 
     @classmethod
     def from_int(cls, n: int) -> "QuadraticSurd":
@@ -319,8 +328,7 @@ def is_markov_sequence(period: Sequence[int]) -> bool:
     return markov_value(period).value.compare(3) < 0
 
 
-@dataclass(frozen=True)
-class BQForm:
+class BQForm(NamedTuple):
     """Integer binary quadratic form a*x^2 + b*x*y + c*y^2."""
 
     a: int

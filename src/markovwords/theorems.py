@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 from itertools import compress, repeat, starmap
 from operator import add, eq, itemgetter, lt, not_, sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Sized
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
 
 from .diatomic import a_of, a_star, a_table, stern, stern_table
 from .tree import run_lengths, s_graph, s_rec, walk
@@ -34,8 +33,7 @@ SHIFT_SEEDS = (b"\x01\x01", b"\x02\x02")
 LABEL_SEEDS = (b"\x01", b"\x02")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one check: claim identifier, index, witness, counterexample."""
 
     claim: str

@@ -26,7 +26,8 @@ def word(letters: Iterable[int]) -> Word:
 
 
 def parse_word(text: str) -> Word:
-    """Parse the text form of a word: comma-separated decimal integers, no spaces.
+    """Parse the text form of a word: comma-separated ASCII decimals ``[0-9]+``,
+    no spaces or signs.
 
     >>> parse_word("2,2,1,1")
     (2, 2, 1, 1)
@@ -35,7 +36,7 @@ def parse_word(text: str) -> Word:
         raise ValueError("empty word literal")
     out = []
     for token in text.split(","):
-        if not token.isdigit() or int(token) < 1:
+        if not (token.isascii() and token.isdigit()) or int(token) < 1:
             raise ValueError(f"invalid word letter {token!r} in {text!r}")
         out.append(int(token))
     return tuple(out)

@@ -313,6 +313,31 @@ def test_malformed_word_literal(capsys):
     assert "'x'" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--period", "\u0661,\u0662"], "invalid word letter '\u0661'"),
+    (["spectrum", "--period", "1,\u00b2"], "invalid word letter '\u00b2'"),
+    (["seq", "--n", "3", "--A", "1,+1"], "invalid word letter '+1'"),
+    (["bqf", "--form", " 1,1_0,-1"], "non-integer coefficient in ' 1,1_0,-1'"),
+    (["bqf", "--form", "\u0661,1,-1"], "non-integer coefficient"),
+    (["bqf", "--form", "1,--1,-1"], "non-integer coefficient"),
+])
+def test_literals_are_ascii_decimals(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and message in errors[0]
+    assert captured.err.startswith("usage:")
+
+
+def test_form_coefficients_take_a_sign(capsys):
+    status, out, _ = run(capsys, "bqf", "--form", "+1,+1,-1", "--radius", "5")
+    assert status == 0
+    assert out.startswith("form=1,1,-1 radius=5 ")
+
+
 def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

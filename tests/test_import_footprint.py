@@ -1,0 +1,55 @@
+"""What each command imports: every launch compiles the modules it loads,
+so a command must load only the layers it runs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import markovwords
+
+SRC = str(Path(markovwords.__file__).parents[1])
+
+# runs the CLI on its arguments, then writes on stderr, as its last line, the
+# modules that importing and running it added to sys.modules
+DRIVER = """
+import sys
+before = set(sys.modules)
+from markovwords.cli import main
+status = main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write("\\n" + " ".join(sorted(set(sys.modules) - before)) + "\\n")
+sys.exit(status)
+"""
+
+
+def added_modules(*code_and_args: str) -> set[str]:
+    """Run python -c in a fresh interpreter; return the names on its last stderr line."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", *code_and_args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_import_markovwords_loads_no_layer():
+    added = added_modules("import sys; before = set(sys.modules); import markovwords; "
+                          "sys.stderr.write(' '.join(set(sys.modules) - before))")
+    assert {m for m in added if m.startswith("markovwords")} == {"markovwords"}
+    assert "dataclasses" not in added
+
+
+@pytest.mark.parametrize("argv, loads_theorems", [
+    (["bqf", "--form", "5,11,-5", "--radius", "20"], False),
+    (["spectrum", "--period", "1,1,2,2"], False),
+    (["scan", "--n-max", "8", "--json"], False),
+    (["seq", "--n", "14", "--blocks"], False),
+    (["stern", "--upto", "20"], False),
+    (["verify", "lemmas", "--k-max", "8"], True),
+], ids=["bqf", "spectrum", "scan", "seq", "stern", "verify-lemmas"])
+def test_each_command_loads_only_what_it_runs(argv, loads_theorems):
+    added = added_modules(DRIVER, *argv)
+    assert "markovwords.cli" in added
+    assert ("markovwords.theorems" in added) == loads_theorems
+    assert "dataclasses" not in added

@@ -1,5 +1,12 @@
 """The package's exported names: what a command or a claim reads."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import markovwords
+
+SRC = str(Path(markovwords.__file__).parents[1])
 
 PUBLIC = [
     "BQForm",
@@ -59,3 +66,26 @@ def test_public_surface_is_pinned():
     assert len(PUBLIC) == len(set(PUBLIC))
     for name in PUBLIC:
         assert hasattr(markovwords, name), name
+
+
+def test_each_name_is_the_object_of_its_home_module():
+    # a fresh interpreter, so that each name is first read through the package
+    code = """
+import importlib
+import markovwords
+names = {name: getattr(markovwords, name) for name in markovwords.__all__}
+layers = [importlib.import_module("markovwords." + m)
+          for m in ("diatomic", "spectrum", "theorems", "tree", "words")]
+for name, value in names.items():
+    homes = [m for m in layers if name in vars(m)]
+    assert homes, name
+    assert all(vars(m)[name] is value for m in homes), name
+"""
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": SRC})
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from markovwords import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)

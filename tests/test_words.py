@@ -84,6 +84,9 @@ def test_parse_format_roundtrip():
         parse_word("")
     with pytest.raises(ValueError):
         parse_word("0,1")
+    for text in ("\u0661,\u0662", "1,\u00b2", "+1,2"):  # ASCII digits only
+        with pytest.raises(ValueError, match="invalid word letter"):
+            parse_word(text)
 
 
 @given(words)
