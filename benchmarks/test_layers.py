@@ -8,11 +8,10 @@ testpaths is ``tests``):
         --benchmark-json=.benchmarks/layers.json
     python benchmarks/summarize.py .benchmarks/layers.json BENCH_11.json
 
-Every round starts from cold memo caches. No sweep reads them: every sweep
-takes its words from ``walk`` and d(n) from ``stern_table``, so a case
-that came to read them would pay for them in each round; ``block_labels``
-is the one case that fills the ``s_rec`` cache, on purpose. The walk runs
-on the byte seeds the sweeps use. The lemma bounds are those
+Every round starts from cold memo caches. No case reads them: every word
+comes from ``walk`` and d(n) from ``stern_table``, so a case that came to
+read them would pay for them in each round. The walk runs on the byte
+seeds the sweeps use. The lemma bounds are those
 ``verify lemmas --k-max 262144`` uses; the theorem sweep is the default
 ``verify theorem``. The spectrum cases take S(n) on (1,1), (2,2) at the
 smallest index of each length L, and the Markov form of ``bqf``. Each
@@ -27,7 +26,7 @@ import pytest
 from markovwords import theorems
 from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.spectrum import BQForm, bqf_min, cf_matrix, markov_value
-from markovwords.tree import _s_rec_cached, block_labels, s_graph, walk
+from markovwords.tree import _s_rec_cached, walk
 
 ROUNDS = 7
 K_MAX = 262144
@@ -71,16 +70,12 @@ def test_a_of(benchmark):
     measure(benchmark, lambda: drain(map(a_of, range(1, 2 ** 20 + 1))), size=2 ** 20)
 
 
-def test_block_labels(benchmark):
-    measure(benchmark, lambda: drain(map(block_labels, range(4096))), size=4096)
-
-
 def test_walk(benchmark):
     measure(benchmark, lambda: drain(walk(*theorems.SHIFT_SEEDS, 1, 2 ** 15)), size=2 ** 15)
 
 
 def spectrum_word(length):
-    w = s_graph((1, 1), (2, 2), SPECTRUM_INDEX[length])
+    w = next(walk((1, 1), (2, 2), SPECTRUM_INDEX[length], SPECTRUM_INDEX[length]))
     assert len(w) == length
     return w
 

@@ -7,44 +7,37 @@ infinite binary tree under the moves
 
 Ordering each level left-to-right and reading off the centre entries gives
 the family S(0)=A, S(1)=B, S(2)=A+B, S(2^(n-1)+i) = centre of the i-th
-vertex of level n. The same family satisfies an index recursion driven by
-the odd-part sequence a(j); this script shows both builders and the
-divergence that pins down the left-flank rule.
+vertex of level n; ``walk`` reads it off the tree in index order, and on
+the one-letter seeds A, B it gives the label (block) words. The same
+family satisfies an index recursion driven by the odd-part sequence a(j);
+this script shows both builders and the divergence that pins down the
+left-flank rule.
 
 Run: python demos/02_tree_and_recursion.py
 """
-from markovwords import (
-    a_of,
-    a_star,
-    block_labels,
-    level,
-    root,
-    s_graph,
-    s_rec,
-    step_left,
-    step_right,
-    stern,
-)
+from markovwords import a_of, a_star, level, root, s_rec, stern, walk
 
 A, B = (1, 1), (2, 2)
 
-# The root and its two children.
+# The root and its two children, the vertices of level 2.
 v = root(A, B)
 print("root:", v)
-print("L(root) centre:", step_left(v).center, " R(root) centre:", step_right(v).center)
+left, right = level(A, B, 2)
+print("L(root) centre:", left.center, " R(root) centre:", right.center)
 
 # Level 3 holds four vertices; their centres are S(5)..S(8).
-for i, vert in enumerate(level(A, B, 3), start=1):
+labels = walk(b"A", b"B", 5, 8)
+for i, (vert, blocks) in enumerate(zip(level(A, B, 3), labels), start=1):
     n = 4 + i
     print(f"level 3, vertex {i}: centre = S({n}) =", vert.center,
-          "blocks:", "".join(block_labels(n)))
+          "blocks:", blocks.decode())
 
 # The index recursion builds the same words without touching the graph.
 # The vertex centred at S(n) is (S(a*(n-1)), S(n), S(a(n))), so
 #   S(n) = S(a*(n-1)) + S(a(n))   for n >= 2.
-print("\nindex 14 via graph:    ", s_graph(A, B, 14))
+print("\nindex 14 via graph:    ", next(walk(A, B, 14, 14)))
 print("index 14 via recursion:", s_rec(A, B, 14))
-assert all(s_graph(A, B, n) == s_rec(A, B, n) for n in range(257))
+assert list(walk(A, B, 0, 256)) == [s_rec(A, B, n) for n in range(257)]
 print("builders agree for every index up to 256")
 
 # The left-flank rule a* must send EVERY power of two to 0, not just 1.
@@ -63,8 +56,8 @@ def s_literal(n):
     return s_literal(literal(j - 1)) + s_literal(j)
 
 
-for n in range(3, 8):
-    lhs, rhs = s_literal(n), s_graph(A, B, n)
+for n, rhs in enumerate(walk(A, B, 3, 7), start=3):
+    lhs = s_literal(n)
     marker = "  <-- diverges" if lhs != rhs else ""
     print(f"n={n}: literal rule gives {lhs}{marker}")
 
@@ -76,5 +69,5 @@ for j in (3, 4, 8, 14):
 
 # Word lengths follow the diatomic sequence: |S(n)| = 2*d(2n-1) for these
 # length-2 seeds.
-print("lengths:", [len(s_rec(A, B, n)) for n in range(1, 9)],
+print("lengths:", [len(w) for w in walk(A, B, 1, 8)],
       "= 2*d(2n-1):", [2 * stern(2 * n - 1) for n in range(1, 9)])

@@ -10,24 +10,24 @@ generalisation stops being true.
 Run: python demos/03_palindromic_shifts.py
 """
 from markovwords import (
-    block_labels,
     block_rearrangement,
     is_palindrome,
     rotate,
-    s_rec,
     stern,
     verify_block_rearrangement,
     verify_shift_palindromic,
+    walk,
 )
 
 A, B = (1, 1), (2, 2)
 
-# Rotate S(n) by d(n) and watch palindromes appear.
+# Rotate S(n) by d(n) and watch palindromes appear; the block word of
+# S(n) is the walk on the one-letter seeds A, B.
 print("shift-palindromicity for n = 1..16:")
-for n in range(1, 17):
-    w = s_rec(A, B, n)
+words = zip(walk(A, B, 1, 16), walk(b"A", b"B", 1, 16))
+for n, (w, blocks) in enumerate(words, start=1):
     shifted = rotate(w, stern(n))
-    print(f"  n={n:>2} d={stern(n)} blocks={''.join(block_labels(n)):<9} "
+    print(f"  n={n:>2} d={stern(n)} blocks={blocks.decode():<9} "
           f"rotated={shifted} palindrome={is_palindrome(shifted)}")
 
 # The same statement holds exactly up to 4096 (and beyond); the library
@@ -51,7 +51,7 @@ wa, wb = (1, 2, 1), (3,)
 rep = verify_block_rearrangement(wa, wb, 7)
 print("\nodd-length seeds", wa, wb, "at n=7:")
 print("  arrangement:", rep.counterexample, "passed:", rep.passed)
-s5 = s_rec(wa, wb, 5)
+s5 = next(walk(wa, wb, 5, 5))
 print("  S(5) =", s5)
 print("  rotations palindromic?",
       [is_palindrome(rotate(s5, k)) for k in range(len(s5))])

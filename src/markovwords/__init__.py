@@ -27,7 +27,7 @@ _HOME = {name: module for module, names in [
                  " iter_shift_palindromic mirror_index odd_index_factorization"
                  " random_palindrome verify_block_rearrangement verify_mirror"
                  " verify_shift_palindromic"),
-    ("tree", "Vertex block_labels level root s_graph s_rec step_left step_right walk"),
+    ("tree", "Vertex level root s_rec walk"),
     ("words", "Word evenly_palindromic_shift format_word is_oddly_palindromic is_palindrome"
               " is_palindromic_rotation parse_word reverse rotate word"),
 ] for name in names.split()}

@@ -14,9 +14,9 @@ import sys
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .diatomic import stern_table
+from .diatomic import stern, stern_table
 from .spectrum import BQForm, bqf_min, markov_value
-from .tree import block_labels, s_rec, walk
+from .tree import walk
 from .words import format_word, parse_word
 
 
@@ -144,20 +144,32 @@ def _spectrum_payload(period, digits: int) -> dict:
     }
 
 
+# the longest word seq builds: S(n) has at most d(2n-1) * max(|A|, |B|)
+# letters and its label word d(2n-1), read before either word is built
+SEQ_MAX_LETTERS = 1 << 24
+
+
 def _cmd_seq(args) -> int:
+    n = args.n
+    labels = stern(2 * n - 1) if n else 1
+    letters = labels if args.blocks and not args.json else labels * max(len(args.A), len(args.B))
+    if letters > SEQ_MAX_LETTERS:
+        print(f"error: --n {n} gives a word of up to {letters} letters; "
+              f"seq builds at most {SEQ_MAX_LETTERS}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps({
             "command": "seq",
-            "n": args.n,
+            "n": n,
             "A": list(args.A),
             "B": list(args.B),
-            "sequence": list(s_rec(args.A, args.B, args.n)),
-            "blocks": "".join(block_labels(args.n)),
+            "sequence": list(next(walk(args.A, args.B, n, n))),
+            "blocks": next(walk(b"A", b"B", n, n)).decode(),
         }))
     elif args.blocks:
-        print("".join(block_labels(args.n)))
+        print(next(walk(b"A", b"B", n, n)).decode())
     else:
-        print(format_word(s_rec(args.A, args.B, args.n)))
+        print(format_word(next(walk(args.A, args.B, n, n))))
     return 0
 
 

@@ -15,7 +15,7 @@ from operator import add, eq, itemgetter, lt, not_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
 
 from .diatomic import a_of, a_star, a_table, stern, stern_table
-from .tree import run_lengths, s_graph, s_rec, walk
+from .tree import run_lengths, s_rec, walk
 from .words import (
     Word,
     format_word,
@@ -237,13 +237,14 @@ def verify_mirror(a: Sequence[int], b: Sequence[int], k: int) -> VerificationRep
     identity holds for palindromic seeds.
     """
     m = mirror_index(k)
-    ok = s_rec(a, b, k) == reverse(s_rec(b, a, m))
+    s = next(walk(a, b, k, k))
+    ok = s == reverse(next(walk(b, a, m, m)))
     return VerificationReport(
         claim="mirror",
         n=k,
         passed=ok,
         witness=m,
-        counterexample=None if ok else format_word(s_rec(a, b, k)),
+        counterexample=None if ok else format_word(s),
     )
 
 
@@ -321,12 +322,13 @@ def random_word_pairs(pairs: int, seed: int) -> list[tuple[Word, Word]]:
 def verify_equivalence_pair(
     pair_index: int, a: Sequence[int], b: Sequence[int], levels: int
 ) -> VerificationReport:
-    """Compare the graph builder with the index recursion through 2**levels."""
-    mismatch = None
-    for n in range(0, 2 ** levels + 1):
-        if s_rec(a, b, n) != s_graph(a, b, n):
-            mismatch = n
-            break
+    """Compare the tree walk with the index recursion through 2**levels.
+
+    The two builders are independent: the walk concatenates along the tree
+    and never reads a or a*, which drive the recursion.
+    """
+    words = enumerate(walk(a, b, 0, 2 ** levels))
+    mismatch = next((n for n, w in words if s_rec(a, b, n) != w), None)
     return VerificationReport(
         claim="recursion-vs-graph",
         n=pair_index,
@@ -492,25 +494,28 @@ def check_mirror_arithmetic(d: array, n_hi: int) -> Optional[dict]:
 
 
 def check_index_identities(a: array, n_hi: int) -> Optional[dict]:
-    """The a/a* index identities used by the level-to-level induction;
-    ``a`` holds a(0..2^n_hi)."""
-    a_st = a[:(1 << n_hi) + 1]
-    for p in range(n_hi + 1):
-        a_st[1 << p] = 0  # a* sends every power of two to 0
+    """The a/a* index identities used by the level-to-level induction, for
+    m = 3..2^(n-1) on each level n = 3..n_hi; ``a`` holds a(0..2^n_hi).
+
+    Even m = 2k: a(2^(n-2)+k) == a(2^(n-1)+m). Odd m = 2k-1:
+    a*(2^(n-2)+k-1) == a*(2^(n-1)+m-1) and 2^(n-2)+k == a(2^(n-1)+m).
+    a* is a off the powers of two, and none of the indices read is one, so
+    each identity is one comparison of strided slices of ``a`` per level.
+    The smallest failing m of the lowest failing level is named; at one m
+    the a* identity comes first.
+    """
     for n in range(3, n_hi + 1):
-        for m in range(3, 2 ** (n - 1) + 1):
-            if m % 2 == 0:
-                k = m // 2
-                if a[2 ** (n - 2) + k] != a[2 ** (n - 1) + m]:
-                    return {"n": n, "m": m, "eq": "a"}
-                if 2 * (2 ** (n - 2) + k) != 2 ** (n - 1) + m:
-                    return {"n": n, "m": m, "eq": "double"}
-            else:
-                k = (m + 1) // 2
-                if a_st[2 ** (n - 2) + k - 1] != a_st[2 ** (n - 1) + m - 1]:
-                    return {"n": n, "m": m, "eq": "a-star"}
-                if 2 ** (n - 2) + k != a[2 ** (n - 1) + m]:
-                    return {"n": n, "m": m, "eq": "a-odd"}
+        q, h = 1 << (n - 2), 1 << (n - 1)
+        evens, odds = range(4, h + 1, 2), range(3, h, 2)
+        identities = [
+            ("a", a[q + 2:h + 1], a[h + 4:2 * h + 1:2], evens),
+            ("a-star", a[q + 1:h], a[h + 2:2 * h - 1:2], odds),
+            ("a-odd", array(a.typecode, range(q + 2, h + 1)), a[h + 3:2 * h:2], odds),
+        ]
+        failures = [{"n": n, "m": m, "eq": name} for name, x, y, ms in identities
+                    if (m := _first_mismatch(x, y, ms)) is not None]
+        if failures:
+            return min(failures, key=itemgetter("m"))
     return None
 
 

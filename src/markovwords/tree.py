@@ -1,13 +1,16 @@
-"""The concatenation graph and the ordered family S(n) it generates.
+"""The concatenation tree and the ordered family S(n) it generates.
 
 Vertices are triples (left, centre, right) with centre = left + right.
-From the root (A, A+B, B) the moves L and R produce an infinite binary
-tree; levels are ordered so that the centre of the i-th vertex of level n
-is the word with index 2^(n-1)+i. The vertex centred at S(n) is
+From the root (A, A+B, B) the moves L(x, y, z) = (x, x+y, y) and
+R(x, y, z) = (y, y+z, z) produce an infinite binary tree; levels are
+ordered so that the centre of the i-th vertex of level n is the word with
+index 2^(n-1)+i. :func:`walk` reads S(lo..hi) off the tree in index
+order, and the commands and claims take their words from it: one index
+is the walk from n to n, and the label word over {A, B} is the walk on
+the one-letter seeds. The vertex centred at S(n) is
 (S(a*(n-1)), S(n), S(a(n))), so S(n) = S(a*(n-1)) + S(a(n)) for n >= 2;
-that one index recursion builds the words and their label words over
-{A, B}. :func:`s_graph` walks the graph instead and serves as the
-independent oracle; :func:`walk` visits it in index order for sweeps.
+:func:`s_rec` builds the words by that index recursion instead, and only
+``verify equivalence`` reads it, to check it against the walk.
 """
 from __future__ import annotations
 
@@ -24,24 +27,12 @@ class Vertex(NamedTuple):
     right: Word
 
 
-LABEL_A = "A"
-LABEL_B = "B"
-
-
 def root(a: Sequence[int], b: Sequence[int]) -> Vertex:
     """The root vertex (A, A+B, B)."""
     wa, wb = word(a), word(b)
     if not wa or not wb:
         raise ValueError("seed words must be nonempty")
     return Vertex(wa, wa + wb, wb)
-
-
-def step_left(v: Vertex) -> Vertex:
-    return Vertex(v.left, v.left + v.center, v.center)
-
-
-def step_right(v: Vertex) -> Vertex:
-    return Vertex(v.center, v.center + v.right, v.right)
 
 
 def run_lengths(symbols: Iterable[Hashable], first: Hashable) -> tuple[int, ...]:
@@ -90,23 +81,6 @@ def level(a: Sequence[int], b: Sequence[int], n: int) -> list[Vertex]:
     return [Vertex(*t) for t in _vertices(l, r, n - 1, 0, 1 << (n - 1))]
 
 
-def s_graph(a: Sequence[int], b: Sequence[int], n: int) -> Word:
-    """The word with index n, read off the ordered graph (the slow oracle).
-
-    Index 2^(m-1)+i is the centre of the i-th vertex of level m, reached by
-    walking the binary digits of i-1 from the root (0 = L, 1 = R); they are
-    the digits of n-1 after its leading 1.
-    """
-    v = root(a, b)
-    if n < 0:
-        raise ValueError("indices start at 0")
-    if n < 2:
-        return v.right if n else v.left
-    for bit in bin(n - 1)[3:]:
-        v = step_right(v) if bit == "1" else step_left(v)
-    return v.center
-
-
 def walk(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> Iterator[Word]:
     """The words with indices lo, lo+1, ..., hi, in index order.
 
@@ -117,9 +91,9 @@ def walk(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> Iterator[Word]
 
     Two ``bytes`` seeds are concatenated as they are, so the words are
     ``bytes`` too: the sweeps walk the letters 1 and 2 that way, each
-    concatenation one block copy. Other seeds give tuples, as in
-    :func:`s_graph`. Both kinds are validated by
-    :func:`~markovwords.words.word`, so an empty seed or a zero byte raises.
+    concatenation one block copy. Other seeds give tuples. Both kinds are
+    validated by :func:`~markovwords.words.word`, so an empty seed or a
+    zero byte raises.
     """
     l, _, r = root(a, b)
     if isinstance(a, bytes) and isinstance(b, bytes):
@@ -139,7 +113,7 @@ def s_rec(a: Sequence[int], b: Sequence[int], n: int) -> Word:
 
     S(0) = A, S(1) = B and S(n) = S(a*(n-1)) + S(a(n)) for n >= 2: the
     left and right flanks of the vertex centred at S(n). Agrees with
-    :func:`s_graph` at every index.
+    :func:`walk` at every index.
     """
     if n < 0:
         raise ValueError("indices start at 0")
@@ -155,9 +129,3 @@ def _s_rec_cached(a: tuple, b: tuple, n: int) -> tuple:
         return b if n else a
     return _s_rec_cached(a, b, a_star(n - 1)) + _s_rec_cached(a, b, a_of(n))
 
-
-def block_labels(n: int) -> tuple[str, ...]:
-    """The label word of index n: the index recursion on the seeds A, B."""
-    if n < 0:
-        raise ValueError("indices start at 0")
-    return _s_rec_cached((LABEL_A,), (LABEL_B,), n)

@@ -5,8 +5,10 @@ are evaluated by truncating the periodic continued fraction at a fixed
 depth in floats. The exact oracles are the searches the library replaced
 by closed forms: a Perron value found by comparing the surd sums at every
 position, and a form minimum found by evaluating every point of the box.
-The word oracle is the two-branch index recursion with an injectable
-left-flank rule, which the tests use to pin where a wrong rule diverges.
+The word oracles are the graph walk, which reaches one index by the L
+and R moves along the binary digits of n - 1, and the two-branch index
+recursion with an injectable left-flank rule, which the tests use to pin
+where a wrong rule diverges.
 The index oracles are the loops the library replaced by bit arithmetic:
 halving to the odd part, walking the two factorization chains, and
 searching a level for a mirror index. The diatomic oracle is the bit
@@ -33,7 +35,7 @@ from markovwords.spectrum import (
     QuadraticSurd,
     zero_tail,
 )
-from markovwords.tree import Vertex, level, run_lengths
+from markovwords.tree import Vertex, level, root, run_lengths
 from markovwords.words import reverse, rotate, word
 
 Path = tuple[int, ...]
@@ -119,6 +121,24 @@ def bqf_min_brute(form: BQForm, radius: int) -> LatticeMinimum:
 
     _, px, py = min(canonical(e) for e in attaining)
     return LatticeMinimum(best, QuadraticSurd(0, best, disc, disc), (px, py))
+
+
+def s_graph(a, b, n: int) -> tuple[int, ...]:
+    """The word with index n, read off the ordered graph one move at a time.
+
+    Index 2^(m-1)+i is the centre of the i-th vertex of level m, reached by
+    walking the binary digits of i-1 from the root (0 = L, 1 = R); they are
+    the digits of n-1 after its leading 1. L(x, y, z) = (x, x+y, y) and
+    R(x, y, z) = (y, y+z, z).
+    """
+    if n < 0:
+        raise ValueError("indices start at 0")
+    x, y, z = root(a, b)
+    if n < 2:
+        return z if n else x
+    for bit in bin(n - 1)[3:]:
+        x, y, z = (y, y + z, z) if bit == "1" else (x, x + y, y)
+    return y
 
 
 def s_rec_with_rule(a, b, n: int, rule) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ test_odd_length_seed_failure_is_real), so those cases are counted, not judged.
 """
 import time
 
-from oracles import perron_float, s_rec_with_rule
+from oracles import perron_float, s_graph, s_rec_with_rule
 
 from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.spectrum import BQForm, QuadraticSurd, bqf_min, is_markov_sequence, \
@@ -30,7 +30,7 @@ from markovwords.theorems import (
     verify_rearrangement_pair,
     verify_shift_palindromic,
 )
-from markovwords.tree import LABEL_A, LABEL_B, block_labels, s_graph, s_rec
+from markovwords.tree import s_rec, walk
 from markovwords.words import rotate
 
 A, B = (1, 1), (2, 2)
@@ -111,12 +111,13 @@ def test_criterion_4_block_rearrangement_random_seeds():
     pairs = random_seed_pairs(trials=200, seed=42)  # lengths 1..8, letters 1..9
     in_scope = out_of_scope = 0
     failures = []
+    labels = [w.decode() for w in walk(b"A", b"B", 0, 512)]
     for idx, (wa, wb) in enumerate(pairs, 1):
-        seeds = {LABEL_A: wa, LABEL_B: wb}
+        seeds = {"A": wa, "B": wb}
         for n in range(1, 513):
             rep = verify_block_rearrangement(wa, wb, n)
             d = stern(n)
-            if d % 2 and len(seeds[block_labels(n)[(d + 1) // 2 - 1]]) % 2:
+            if d % 2 and len(seeds[labels[n][(d + 1) // 2 - 1]]) % 2:
                 out_of_scope += 1
                 continue
             in_scope += 1

@@ -6,12 +6,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oracles import markov_value_by_tails, stern_by_bits
+from oracles import markov_value_by_tails, s_graph, stern_by_bits
 
 from markovwords import cli
 from markovwords.cli import main
 from markovwords.diatomic import stern
-from markovwords.words import parse_word
+from markovwords.tree import walk
+from markovwords.words import format_word, parse_word
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +53,81 @@ def test_seq_blocks(capsys):
 
 
 def test_seq_builds_only_what_it_prints(capsys, monkeypatch):
-    def unused(*args):
-        raise AssertionError("seq built a word it does not print")
+    # one walk per word printed, on the seeds of that word
+    walked = []
 
-    monkeypatch.setattr(cli, "block_labels", unused)
+    def counting(a, b, lo, hi):
+        walked.append((a, b, lo, hi))
+        return walk(a, b, lo, hi)
+
+    monkeypatch.setattr(cli, "walk", counting)
     assert run(capsys, "seq", "--n", "5") == (0, "1,1,1,1,1,1,2,2\n", "")
-    monkeypatch.undo()
-    monkeypatch.setattr(cli, "s_rec", unused)
+    assert walked == [((1, 1), (2, 2), 5, 5)]
+    walked.clear()
     assert run(capsys, "seq", "--n", "5", "--blocks") == (0, "AAAB\n", "")
+    assert walked == [(b"A", b"B", 5, 5)]
+    walked.clear()
+    assert run(capsys, "seq", "--n", "5", "--json")[0] == 0
+    assert walked == [((1, 1), (2, 2), 5, 5), (b"A", b"B", 5, 5)]
+
+
+@pytest.mark.parametrize("n", [2 ** 40, 2 ** 62 - 2])
+def test_seq_far_indices_match_the_graph_oracle(capsys, schema, n):
+    # one root path each; the label word is the graph on the seeds (1), (2)
+    # read as A, B
+    word = s_graph((1, 1), (2, 2), n)
+    labels = "".join("AB"[x - 1] for x in s_graph((1,), (2,), n))
+    assert run(capsys, "seq", "--n", str(n)) == (0, format_word(word) + "\n", "")
+    assert run(capsys, "seq", "--n", str(n), "--blocks") == (0, labels + "\n", "")
+    status, out, _ = run(capsys, "seq", "--n", str(n), "--json")
+    assert status == 0
+    (rec,) = validate_lines(schema, out)
+    assert rec == {"command": "seq", "n": n, "A": [1, 1], "B": [2, 2],
+                   "sequence": list(word), "blocks": labels}
+
+
+class _Built(Exception):
+    """Raised by a stand-in walk: the cap let seq start building."""
+
+
+# indices whose label words have 2^23, 2^23 + 1, 2^24 and 2^24 + 1 letters
+NEAR_CAP = (24584024747, 29600098987, 123904555691, 117293091499)
+HUGE = 99999999999999999999999999999  # d(2n - 1) is about 2.9e13
+
+
+@pytest.mark.parametrize("n, flags, per_label", [
+    (NEAR_CAP[0], (), 2),
+    (NEAR_CAP[0], ("--json",), 2),
+    (NEAR_CAP[1], (), 2),
+    (NEAR_CAP[1], ("--json",), 2),
+    (NEAR_CAP[1], ("--blocks",), 1),
+    (NEAR_CAP[2], ("--blocks",), 1),
+    (NEAR_CAP[2], ("--A", "1", "--B", "2"), 1),
+    (NEAR_CAP[2], ("--A", "1", "--B", "2,2"), 2),
+    (NEAR_CAP[3], ("--blocks",), 1),
+    (HUGE, (), 2),
+    (HUGE, ("--blocks",), 1),
+])
+def test_seq_refuses_a_word_past_the_cap(capsys, monkeypatch, n, flags, per_label):
+    # seq bounds the word it prints before building anything: d(2n-1)
+    # letters for the label word, at most d(2n-1) * max(|A|, |B|) for S(n);
+    # up to 2^24 letters it builds, past that it exits 2 with one line
+    assert [stern_by_bits(2 * m - 1) for m in NEAR_CAP] == [
+        2 ** 23, 2 ** 23 + 1, 2 ** 24, 2 ** 24 + 1]
+    letters = stern_by_bits(2 * n - 1) * per_label
+
+    def starts_building(*args):
+        raise _Built
+
+    monkeypatch.setattr(cli, "walk", starts_building)
+    argv = ["seq", "--n", str(n), *flags]
+    if letters <= 2 ** 24:
+        with pytest.raises(_Built):
+            main(argv)
+    else:
+        assert run(capsys, *argv) == (
+            2, "", f"error: --n {n} gives a word of up to {letters} letters; "
+                   f"seq builds at most {2 ** 24}\n")
 
 
 def test_seq_json(capsys, schema):

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from markovwords import cli
+from markovwords import tree
 from markovwords.cli import main
 
 GOLDEN = [
@@ -68,10 +68,10 @@ def test_golden_stdout(capsys, argv, status, digest):
 
 
 def test_scan_builds_no_word_by_the_index_recursion(capsys, monkeypatch):
-    # scan reads its words from one walk; s_rec serves seq alone
-    def s_rec(*args):
+    # scan reads its words from one walk, never from the index recursion
+    def s_rec_cached(*args):
         raise AssertionError("scan called s_rec")
-    monkeypatch.setattr(cli, "s_rec", s_rec)
+    monkeypatch.setattr(tree, "_s_rec_cached", s_rec_cached)
     argv = ("scan", "--n-max", "12", "--digits", "20")
     (status, digest), = [g[1:] for g in GOLDEN if g[0] == argv]
     assert _digest(capsys, argv) == (status, digest)

@@ -19,7 +19,6 @@ PUBLIC = [
     "a_of",
     "a_star",
     "a_table",
-    "block_labels",
     "block_rearrangement",
     "bqf_min",
     "cf_matrix",
@@ -44,10 +43,7 @@ PUBLIC = [
     "reverse",
     "root",
     "rotate",
-    "s_graph",
     "s_rec",
-    "step_left",
-    "step_right",
     "stern",
     "stern_table",
     "verify_block_rearrangement",

@@ -39,7 +39,7 @@ from markovwords.theorems import (
     verify_shift_palindromic,
     verify_shift_palindromic_range,
 )
-from markovwords.tree import _s_rec_cached, block_labels, run_lengths, s_rec
+from markovwords.tree import _s_rec_cached, run_lengths, s_rec, walk
 from markovwords.words import format_word, is_palindrome, rotate
 
 A, B = (1, 1), (2, 2)
@@ -307,7 +307,7 @@ def test_verify_mirror_sweep():
 def _exponent_profile(n):
     """Run-length exponents (alpha_i, beta_i) of the label word A^a1 B^b1 ...;
     a leading zero alpha or trailing zero beta keeps the pairs alternating."""
-    runs = run_lengths(block_labels(n), "A")
+    runs = run_lengths(next(walk(b"A", b"B", n, n)).decode(), "A")
     return list(zip(runs[0::2], runs[1::2]))
 
 
@@ -471,20 +471,15 @@ def test_mismatched_operands_raise_instead_of_passing():
 def test_table_checks_reject_a_table_that_ends_early(check, reads, bound, top):
     # a table that ends at the last index a check reads is enough; one
     # entry fewer leaves a slice short, and map() would stop at it, so the
-    # comparison raises instead of passing on fewer indices (the index
-    # identities read by index and raise IndexError)
+    # comparison raises instead of passing on fewer indices
     own = "da" if check is theorems.check_shift_inequalities else reads
     args = tables(own, stern_table(4 * top), a_table(4 * top))
     table = stern_table(top) if reads == "d" else a_table(top)
     args[own.index(reads)] = table
     assert check(*args, bound) is None
     args[own.index(reads)] = table[:-1]
-    if check is theorems.check_index_identities:
-        with pytest.raises(IndexError):
-            check(*args, bound)
-    else:
-        with pytest.raises(ValueError, match="lengths differ"):
-            check(*args, bound)
+    with pytest.raises(ValueError, match="lengths differ"):
+        check(*args, bound)
 
 
 def test_lemma_suite_builds_one_diatomic_table(monkeypatch):
@@ -520,6 +515,8 @@ def test_sweeps_leave_the_memo_caches_alone():
         (theorems.check_block_exponents, (2000,)),
     ]:
         assert check(*args) is None
+    # the mirror check reads both of its words from the walk too
+    assert all(verify_mirror(A, B, k).passed for k in range(2, 600))
     assert (stern.cache_info(), _s_rec_cached.cache_info()) == before
 
 
@@ -538,6 +535,14 @@ def walk_with(index, wrong):
 def test_check_factorizations_names_a_wrong_word(monkeypatch, k):
     monkeypatch.setattr(theorems, "walk", walk_with(k, s_rec(A, B, k) + A))
     assert theorems.check_factorizations(2000) == {"k": k}
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 64])
+def test_equivalence_names_the_first_index_where_the_builders_differ(monkeypatch, k):
+    # a wrong walked word at k, and the recursion still right there
+    monkeypatch.setattr(theorems, "walk", walk_with(k, (9,)))
+    rep = theorems.verify_equivalence_pair(3, A, B, 6)
+    assert (rep.passed, rep.counterexample) == (False, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 1024, 2000])

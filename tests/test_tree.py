@@ -2,22 +2,23 @@ import random
 
 import pytest
 
-from oracles import level_entries, path_precedes, s_rec_with_rule
+from oracles import level_entries, path_precedes, s_graph, s_rec_with_rule
 
 from markovwords.diatomic import a_of, a_star, stern
-from markovwords.tree import (
-    Vertex,
-    block_labels,
-    level,
-    root,
-    s_graph,
-    s_rec,
-    step_left,
-    step_right,
-    walk,
-)
+from markovwords.tree import Vertex, level, root, s_rec, walk
 
 A, B = (1, 1), (2, 2)
+
+
+def label_words(lo, hi):
+    """The label words over {A, B} of the indices lo..hi: the walk on the
+    one-letter seeds."""
+    return [w.decode() for w in walk(b"A", b"B", lo, hi)]
+
+
+def labels_of(n):
+    (labels,) = label_words(n, n)
+    return labels
 
 
 def test_root():
@@ -30,10 +31,12 @@ def test_root():
 
 
 def test_steps():
-    v = root(A, B)
-    assert step_left(v).center == (1, 1, 1, 1, 2, 2)  # index 3
-    assert step_right(v).center == (1, 1, 2, 2, 2, 2)  # index 4 = A+B+B
-    assert step_left(step_left(v)).center == (1, 1, 1, 1, 1, 1, 2, 2)  # A A A B
+    # the children of the root are L(root) and R(root), and the first
+    # vertex of level 3 is L(L(root))
+    left, right = level(A, B, 2)
+    assert left.center == (1, 1, 1, 1, 2, 2)  # index 3
+    assert right.center == (1, 1, 2, 2, 2, 2)  # index 4 = A+B+B
+    assert level(A, B, 3)[0].center == (1, 1, 1, 1, 1, 1, 2, 2)  # A A A B
 
 
 def test_path_precedes_examples():
@@ -58,7 +61,7 @@ def test_level_small():
 def test_level3_block_structure():
     # centres of level 3 are AAAB, AABAB, ABABB, ABBB as block words
     expected = ["AAAB", "AABAB", "ABABB", "ABBB"]
-    assert ["".join(block_labels(n)) for n in (5, 6, 7, 8)] == expected
+    assert label_words(5, 8) == expected
 
 
 def test_order_comparators_agree():
@@ -94,11 +97,15 @@ def test_center_is_left_plus_right_everywhere():
 def test_heap_indexing():
     # L-child of the vertex centred at S(j) is centred at S(2j-1), R-child at S(2j)
     for n in range(2, 8):
+        below = level(A, B, n + 1)
         for i, v in enumerate(level(A, B, n), start=1):
             j = 2 ** (n - 1) + i
+            left, right = below[2 * i - 2:2 * i]
+            assert left == (v.left, v.left + v.center, v.center)
+            assert right == (v.center, v.center + v.right, v.right)
             assert v.center == s_rec(A, B, j)
-            assert step_left(v).center == s_rec(A, B, 2 * j - 1)
-            assert step_right(v).center == s_rec(A, B, 2 * j)
+            assert left.center == s_rec(A, B, 2 * j - 1)
+            assert right.center == s_rec(A, B, 2 * j)
 
 
 def test_s_graph_paper_tuple():
@@ -109,8 +116,8 @@ def test_s_graph_paper_tuple():
 
 def test_s_rec_examples():
     assert s_rec(A, B, 14) == s_graph(A, B, 14)
-    assert "".join(block_labels(7)) == "ABABB"
-    assert "".join(block_labels(5)) == "AAAB"
+    assert labels_of(7) == "ABABB"
+    assert labels_of(5) == "AAAB"
     assert s_rec(A, B, 7) == s_rec(A, B, 2) + s_rec(A, B, 4)
     assert s_rec(A, B, 5) == s_rec(A, B, 0) + s_rec(A, B, 3)
 
@@ -153,32 +160,31 @@ def test_single_rule_matches_two_branch_rule():
 
 
 def test_block_word_examples():
-    labels = block_labels(14)
-    assert "".join(labels) == "ABABBABB"
+    labels = labels_of(14)
+    assert labels == "ABABBABB"
     assert len(labels) == 8 == stern(27)
     # substituting the seeds for the labels, A -> A and B -> B, gives S(14)
     seeds = {"A": A, "B": B}
     assert tuple(x for lab in labels for x in seeds[lab]) == s_rec(A, B, 14)
-    assert "".join(block_labels(2)) == "AB"
-    assert "".join(block_labels(12)) == "AABABAB"
-    assert len(block_labels(12)) == 7 == stern(23)
+    assert labels_of(2) == "AB"
+    assert labels_of(12) == "AABABAB"
+    assert len(labels_of(12)) == 7 == stern(23)
 
 
 def test_block_counts_match_labels():
     # individual counts follow no stern closed form (n=6 gives (3,2), not
     # (d6,d5)=(2,3)); only the total is d(2n-1)
-    labels = block_labels(6)
+    labels = labels_of(6)
     assert (labels.count("A"), labels.count("B")) == (3, 2)
-    for n in range(0, 4097):
-        labels = block_labels(n)
+    for n, labels in enumerate(label_words(0, 4096)):
         assert labels.count("A") + labels.count("B") == len(labels)
         if n >= 1:
             assert len(labels) == stern(2 * n - 1)
 
 
 def test_label_count_is_stern():
-    for n in range(1, 2049):
-        assert len(block_labels(n)) == stern(2 * n - 1)
+    for n, labels in enumerate(label_words(1, 2048), 1):
+        assert len(labels) == stern(2 * n - 1)
 
 
 def test_length_closed_form_various_seed_lengths():
@@ -186,8 +192,7 @@ def test_length_closed_form_various_seed_lengths():
     for _ in range(5):
         wa = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 5)))
         wb = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 5)))
-        for n in range(0, 65):
-            labels = block_labels(n)
+        for n, labels in enumerate(label_words(0, 64)):
             assert len(s_rec(wa, wb, n)) == (
                 labels.count("A") * len(wa) + labels.count("B") * len(wb))
 
