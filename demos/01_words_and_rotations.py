@@ -6,13 +6,13 @@ reversal, left rotation, the two palindromicity notions, and half-splits.
 
 Run: python demos/01_words_and_rotations.py
 """
-from markovwords import (
-    evenly_palindromic_shift,
-    is_oddly_palindromic,
-    is_palindrome,
-    reverse,
-    rotate,
-)
+from markovwords import is_palindrome, is_palindromic_rotation, reverse, rotate
+
+
+def smallest_palindromic_shift(w):
+    """The smallest k making rotate(w, k) a palindrome, or None."""
+    return next((k for k in range(len(w)) if is_palindromic_rotation(w, k)), None)
+
 
 # Words are tuples, so concatenation is tuple +; the empty word is its identity.
 a, b = (1, 1), (2, 2)
@@ -24,15 +24,15 @@ for i in range(len(w)):
     print(f"rotate by {i}: {rotate(w, i)}  palindrome={is_palindrome(rotate(w, i))}")
 
 # That word is not a palindrome, but its rotation by 2 is. The smallest
-# such rotation amount is what evenly_palindromic_shift reports.
-print("smallest palindromic shift of", w, "->", evenly_palindromic_shift(w))
+# such rotation amount is what smallest_palindromic_shift reports.
+print("smallest palindromic shift of", w, "->", smallest_palindromic_shift(w))
 
-# Some even-length words admit no palindromic rotation at all:
-print("shift of (1,2,1,2):", evenly_palindromic_shift((1, 2, 1, 2)))
+# Some words admit no palindromic rotation at all:
+print("shift of (1,2,1,2):", smallest_palindromic_shift((1, 2, 1, 2)))
 
-# Odd-length words get the boolean form of the same question.
-print("some rotation of (1,2,2) palindromic?", is_oddly_palindromic((1, 2, 2)))
-print("some rotation of (1,2,3) palindromic?", is_oddly_palindromic((1, 2, 3)))
+# The same search answers whether any rotation is palindromic.
+print("some rotation of (1,2,2) palindromic?", smallest_palindromic_shift((1, 2, 2)) is not None)
+print("some rotation of (1,2,3) palindromic?", smallest_palindromic_shift((1, 2, 3)) is not None)
 
 # Half-splits cut a word into floor and ceil halves at len // 2; an odd
 # middle letter lands in the ceil half, and the two halves always

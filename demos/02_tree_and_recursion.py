@@ -15,21 +15,22 @@ left-flank rule.
 
 Run: python demos/02_tree_and_recursion.py
 """
-from markovwords import a_of, a_star, level, root, s_rec, stern, walk
+from markovwords import a_of, a_star, root, s_rec, stern, walk
 
 A, B = (1, 1), (2, 2)
 
-# The root and its two children, the vertices of level 2.
+# The root and its two children, the vertices of level 2, centred at S(3)
+# and S(4).
 v = root(A, B)
 print("root:", v)
-left, right = level(A, B, 2)
-print("L(root) centre:", left.center, " R(root) centre:", right.center)
+left, right = walk(A, B, 3, 4)
+print("L(root) centre:", left, " R(root) centre:", right)
 
 # Level 3 holds four vertices; their centres are S(5)..S(8).
 labels = walk(b"A", b"B", 5, 8)
-for i, (vert, blocks) in enumerate(zip(level(A, B, 3), labels), start=1):
+for i, (centre, blocks) in enumerate(zip(walk(A, B, 5, 8), labels), start=1):
     n = 4 + i
-    print(f"level 3, vertex {i}: centre = S({n}) =", vert.center,
+    print(f"level 3, vertex {i}: centre = S({n}) =", centre,
           "blocks:", blocks.decode())
 
 # The index recursion builds the same words without touching the graph.

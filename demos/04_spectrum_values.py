@@ -11,15 +11,7 @@ the quadratic-form route to the same numbers:
 
 Run: python demos/04_spectrum_values.py
 """
-from markovwords import (
-    BQForm,
-    bqf_min,
-    is_markov_sequence,
-    markov_element,
-    markov_value,
-    s_rec,
-    zero_tail,
-)
+from markovwords import BQForm, bqf_min, markov_value, s_rec, zero_tail
 
 # Periodic tails: [0; 1,1,1,...] is 1/golden-ratio, [0; 2,2,2,...] is sqrt(2)-1.
 print("tail of (1,1):", zero_tail((1, 1)), "=", zero_tail((1, 1)).to_decimal(12))
@@ -33,9 +25,9 @@ for period in [(1, 1), (2, 2), (2, 2, 1, 1)]:
 
 # Everything the seed tree generates from (1,1),(2,2) stays below 3 -
 # these are exactly the periods of Markov forms.
-below = all(is_markov_sequence(s_rec((1, 1), (2, 2), n)) for n in range(1, 65))
+below = all(markov_value(s_rec((1, 1), (2, 2), n)).value < 3 for n in range(1, 65))
 print("all S(n), n <= 64, lie below 3:", below)
-print("(3) below 3?", is_markov_sequence((3,)))
+print("(3) below 3?", markov_value((3,)).value < 3)
 
 # The quadratic-form side of the same numbers: the normalised lattice
 # minimum min|f|/sqrt(disc) of an indefinite form. For x^2+xy-y^2 it is
@@ -44,9 +36,10 @@ f = BQForm(1, 1, -1)
 res = bqf_min(f, 50)
 print(f"\n{f}: min|f| = {res.min_abs} at {res.point}, "
       f"normalised = {res.normalized} = {res.normalized.to_decimal(12)}")
-print("equals 1/markov_value((1,1)):", res.normalized == markov_element((1, 1)))
+print("equals 1/markov_value((1,1)):",
+      res.normalized == markov_value((1, 1)).value.reciprocal())
 
 g = BQForm(1, 2, -1)
 res2 = bqf_min(g, 50)
 print(f"{g}: normalised = {res2.normalized}, equals 1/markov_value((2,2)):",
-      res2.normalized == markov_element((2, 2)))
+      res2.normalized == markov_value((2, 2)).value.reciprocal())

@@ -21,15 +21,14 @@ __version__ = "0.1.0"
 _HOME = {name: module for module, names in [
     ("diatomic", "a_of a_star a_table stern stern_table"),
     ("spectrum", "BQForm LatticeMinimum MarkovValue QuadraticSurd bqf_min cf_matrix"
-                 " is_markov_sequence markov_element markov_value zero_tail"),
+                 " markov_value zero_tail"),
     ("theorems", "VerificationReport block_rearrangement even_index_factorization"
                  " iter_block_rearrangement iter_equivalence iter_lemma_checks"
                  " iter_shift_palindromic mirror_index odd_index_factorization"
-                 " random_palindrome verify_block_rearrangement verify_mirror"
-                 " verify_shift_palindromic"),
-    ("tree", "Vertex level root s_rec walk"),
-    ("words", "Word evenly_palindromic_shift format_word is_oddly_palindromic is_palindrome"
-              " is_palindromic_rotation parse_word reverse rotate word"),
+                 " verify_block_rearrangement verify_mirror verify_shift_palindromic"),
+    ("tree", "Vertex root s_rec walk"),
+    ("words", "Word format_word is_palindrome is_palindromic_rotation parse_word"
+              " reverse rotate word"),
 ] for name in names.split()}
 
 __all__ = list(_HOME)

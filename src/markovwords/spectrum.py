@@ -318,16 +318,6 @@ def markov_value(period: Sequence[int]) -> MarkovValue:
     return MarkovValue(QuadraticSurd(0, 1, q_min, d), argmin)
 
 
-def markov_element(period: Sequence[int]) -> QuadraticSurd:
-    """Reciprocal of the Perron value; the normalised form minimum it equals."""
-    return markov_value(period).value.reciprocal()
-
-
-def is_markov_sequence(period: Sequence[int]) -> bool:
-    """True when the Perron value lies strictly below 3, decided exactly."""
-    return markov_value(period).value.compare(3) < 0
-
-
 class BQForm(NamedTuple):
     """Integer binary quadratic form a*x^2 + b*x*y + c*y^2."""
 
@@ -355,18 +345,21 @@ class LatticeMinimum(NamedTuple):
 def bqf_min(form: BQForm, radius: int) -> LatticeMinimum:
     """Minimum of |f| over integer points within the given sup-norm radius.
 
-    A bounded search, not the true infimum; for the small integral forms
-    used here the minimum is attained well inside radius 3. ``normalized``
-    is the exact surd min|f|/sqrt(disc). The reported point is canonical:
-    positive form value preferred, sign fixed so the first nonzero
-    coordinate is positive, then lexicographically smallest.
+    A bounded search, not the form's infimum: the minimum over the box can
+    lie above it. For -7x^2 - 7xy + 6y^2 the box minimum is 3 at (1, 2) for
+    radius 2 to 66, 2 at (37, 67) for radius 67 to 497, and 1 at
+    (275, 498) from radius 498 on. ``normalized`` is the exact surd
+    min|f|/sqrt(disc). The reported point is canonical: positive form
+    value preferred, sign fixed so the first nonzero coordinate is
+    positive, then lexicographically smallest.
 
     Only candidates are evaluated. As f(-x, -y) = f(x, y), the half box
-    y > 0, plus x > 0 on y = 0, holds every value. On a row y > 0, f(., y)
-    has two real roots (its discriminant is disc*y^2 > 0), or one when
-    a = 0; |f| is strictly monotone outside them and strictly concave
-    between them, so every point of the row attaining its minimum is a
-    floor or ceiling of a root, clamped to [-radius, radius].
+    y > 0, plus x > 0 on y = 0, holds every value. On y = 0, |f| = |a|x^2
+    is smallest at x = 1. On a row y > 0, f(., y) has two real roots (its
+    discriminant is disc*y^2 > 0), or one when a = 0; |f| is strictly
+    monotone outside them and strictly concave between them, so every
+    point of the row attaining its minimum is a floor or ceiling of a
+    root, clamped to [-radius, radius].
     """
     disc = form.discriminant()
     if disc <= 0:
@@ -374,7 +367,7 @@ def bqf_min(form: BQForm, radius: int) -> LatticeMinimum:
     if radius < 1:
         raise ValueError("radius must be >= 1")
     a, b, c = form.a, form.b, form.c
-    points = [(x, 0) for x in range(1, radius + 1)]
+    points = [(1, 0)]
     for y in range(1, radius + 1):
         if a != 0:
             t = isqrt(disc * y * y)
@@ -385,16 +378,8 @@ def bqf_min(form: BQForm, radius: int) -> LatticeMinimum:
         # its floor and ceiling
         xs = {min(max(k + e, -radius), radius) for k in roots for e in (-1, 0, 1, 2)}
         points.extend((x, y) for x in xs)
-    best: int | None = None
-    attaining: list[tuple[int, int, int]] = []
-    for x, y in points:
-        v = form(x, y)
-        av = abs(v)
-        if best is None or av < best:
-            best, attaining = av, [(v, x, y)]
-        elif av == best:
-            attaining.append((v, x, y))
-    assert best is not None
+    values = [(form(x, y), x, y) for x, y in points]
+    best = min(abs(v) for v, _, _ in values)
 
     def canonical(entry: tuple[int, int, int]) -> tuple[int, int, int]:
         v, x, y = entry
@@ -402,5 +387,5 @@ def bqf_min(form: BQForm, radius: int) -> LatticeMinimum:
             x, y = -x, -y
         return (0 if v >= 0 else 1, x, y)
 
-    _, px, py = min(canonical(e) for e in attaining)
+    _, px, py = min(canonical(e) for e in values if abs(e[0]) == best)
     return LatticeMinimum(best, QuadraticSurd(0, best, disc, disc), (px, py))

@@ -72,15 +72,6 @@ def _vertices(l: Word, r: Word, depth: int, start: int, stop: int) -> Iterator[t
         yield from _vertices(c, r, depth - 1, start - half, stop - half)
 
 
-def level(a: Sequence[int], b: Sequence[int], n: int) -> list[Vertex]:
-    """The 2^(n-1) vertices of level n (the root is level 1) in path order:
-    the subtree of the root n-1 levels down, read by :func:`_vertices`."""
-    if n < 1:
-        raise ValueError("levels are numbered from 1")
-    l, _, r = root(a, b)
-    return [Vertex(*t) for t in _vertices(l, r, n - 1, 0, 1 << (n - 1))]
-
-
 def walk(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> Iterator[Word]:
     """The words with indices lo, lo+1, ..., hi, in index order.
 

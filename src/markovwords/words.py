@@ -11,9 +11,13 @@ API returns are tuples.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
+
+# letters rendered per slice by format_word
+FORMAT_SLICE = 1 << 16
 
 
 def word(letters: Iterable[int]) -> Word:
@@ -42,9 +46,15 @@ def parse_word(text: str) -> Word:
     return tuple(out)
 
 
-def format_word(w: Sequence[int]) -> str:
-    """Render a word in its text form; inverse of :func:`parse_word`."""
-    return ",".join(str(x) for x in w)
+def format_word(w: Iterable[int]) -> str:
+    """Render a word in its text form; inverse of :func:`parse_word`.
+
+    The letters are rendered FORMAT_SLICE at a time and each slice joined
+    at once, so a long word never holds one ``str`` per letter.
+    """
+    letters = iter(w)
+    slices = iter(lambda: ",".join(map(str, islice(letters, FORMAT_SLICE))), "")
+    return ",".join(slices)
 
 
 def reverse(x: Sequence[int]) -> Word:
@@ -89,25 +99,3 @@ def is_palindromic_rotation(x: Sequence[int], s: int) -> bool:
         backward = x[:s][::-1] + x[:m - h + s - 1:-1]
     return forward == backward
 
-
-def evenly_palindromic_shift(x: Sequence[int]) -> Optional[int]:
-    """Smallest rotation amount making an even-length word palindromic.
-
-    Returns None when no rotation works. Odd-length input is an error; use
-    :func:`is_oddly_palindromic` for odd lengths.
-    """
-    w = tuple(x)
-    if len(w) == 0 or len(w) % 2 != 0:
-        raise ValueError("evenly_palindromic_shift needs even length >= 2")
-    for k in range(len(w)):
-        if is_palindrome(rotate(w, k)):
-            return k
-    return None
-
-
-def is_oddly_palindromic(x: Sequence[int]) -> bool:
-    """True when some rotation of an odd-length word is palindromic."""
-    w = tuple(x)
-    if len(w) % 2 == 0:
-        raise ValueError("is_oddly_palindromic needs odd length")
-    return any(is_palindrome(rotate(w, k)) for k in range(len(w)))

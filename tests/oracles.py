@@ -6,7 +6,8 @@ depth in floats. The exact oracles are the searches the library replaced
 by closed forms: a Perron value found by comparing the surd sums at every
 position, and a form minimum found by evaluating every point of the box.
 The word oracles are the graph walk, which reaches one index by the L
-and R moves along the binary digits of n - 1, and the two-branch index
+and R moves along the binary digits of n - 1, the levels built from the
+root one level at a time by the same moves, and the two-branch index
 recursion with an injectable left-flank rule, which the tests use to pin
 where a wrong rule diverges.
 The index oracles are the loops the library replaced by bit arithmetic:
@@ -35,7 +36,7 @@ from markovwords.spectrum import (
     QuadraticSurd,
     zero_tail,
 )
-from markovwords.tree import Vertex, level, root, run_lengths
+from markovwords.tree import Vertex, root, run_lengths
 from markovwords.words import reverse, rotate, word
 
 Path = tuple[int, ...]
@@ -139,6 +140,22 @@ def s_graph(a, b, n: int) -> tuple[int, ...]:
     for bit in bin(n - 1)[3:]:
         x, y, z = (y, y + z, z) if bit == "1" else (x, x + y, y)
     return y
+
+
+def level(a, b, n: int) -> list[Vertex]:
+    """The 2^(n-1) vertices of level n (the root is level 1) in path order.
+
+    Built from the root one level at a time: each vertex is followed on
+    the next level by its L child, then its R child, so the i-th vertex
+    (from 0) is reached by the n-1 binary digits of i, as in ``s_graph``.
+    """
+    if n < 1:
+        raise ValueError("levels are numbered from 1")
+    vertices = [root(a, b)]
+    for _ in range(n - 1):
+        vertices = [child for x, y, z in vertices
+                    for child in (Vertex(x, x + y, y), Vertex(y, y + z, z))]
+    return vertices
 
 
 def s_rec_with_rule(a, b, n: int, rule) -> tuple[int, ...]:

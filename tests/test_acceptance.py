@@ -12,8 +12,7 @@ import time
 from oracles import perron_float, s_graph, s_rec_with_rule
 
 from markovwords.diatomic import a_of, a_table, stern, stern_table
-from markovwords.spectrum import BQForm, QuadraticSurd, bqf_min, is_markov_sequence, \
-    markov_element, markov_value
+from markovwords.spectrum import BQForm, QuadraticSurd, bqf_min, markov_value
 from markovwords.theorems import (
     check_block_exponents,
     check_factorizations,
@@ -219,11 +218,11 @@ def test_criterion_7_markov_predicate_to_64():
     budget = 10.0
     t0 = time.perf_counter()
     failures = [n for n in range(1, 65)
-                if not is_markov_sequence(s_rec(A, B, n))]
+                if not markov_value(s_rec(A, B, n)).value < 3]
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < budget
     _report(7, ok, elapsed, budget,
-            "is_markov_sequence(S(n)) for 1 <= n <= 64, seeds (1,1),(2,2)")
+            "markov_value(S(n)) < 3 for 1 <= n <= 64, seeds (1,1),(2,2)")
     assert not failures, failures
     assert elapsed < budget
 
@@ -235,12 +234,12 @@ def test_criterion_8_quadratic_form_cross_check():
     res5 = bqf_min(BQForm(1, 1, -1), 50)
     if res5.normalized != QuadraticSurd(0, 1, 5, 5):
         problems.append(("(1,1,-1)", res5.normalized.as_tuple()))
-    if res5.normalized != markov_element((1, 1)):
+    if res5.normalized != markov_value((1, 1)).value.reciprocal():
         problems.append("(1,1,-1) vs 1/markov_value((1,1))")
     res8 = bqf_min(BQForm(1, 2, -1), 50)
     if res8.normalized != QuadraticSurd(0, 1, 8, 8):
         problems.append(("(1,2,-1)", res8.normalized.as_tuple()))
-    if res8.normalized != markov_element((2, 2)):
+    if res8.normalized != markov_value((2, 2)).value.reciprocal():
         problems.append("(1,2,-1) vs 1/markov_value((2,2))")
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < budget

@@ -23,23 +23,17 @@ PUBLIC = [
     "bqf_min",
     "cf_matrix",
     "even_index_factorization",
-    "evenly_palindromic_shift",
     "format_word",
-    "is_markov_sequence",
-    "is_oddly_palindromic",
     "is_palindrome",
     "is_palindromic_rotation",
     "iter_block_rearrangement",
     "iter_equivalence",
     "iter_lemma_checks",
     "iter_shift_palindromic",
-    "level",
-    "markov_element",
     "markov_value",
     "mirror_index",
     "odd_index_factorization",
     "parse_word",
-    "random_palindrome",
     "reverse",
     "root",
     "rotate",

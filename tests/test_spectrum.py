@@ -14,8 +14,6 @@ from markovwords.spectrum import (
     QuadraticSurd,
     bqf_min,
     cf_matrix,
-    is_markov_sequence,
-    markov_element,
     markov_value,
     zero_tail,
 )
@@ -219,8 +217,9 @@ def test_surd_compare_across_fields_examples():
     assert QuadraticSurd(0, 1, 1, 8) == QuadraticSurd(0, 2, 1, 2)
     # 1/sqrt(13) against sqrt(5)/5
     value = bqf_min(BQForm(1, 3, -1), 3).normalized
-    assert value.compare(markov_element((1, 1))) == -1
-    assert markov_element((1, 1)) > value
+    element = markov_value((1, 1)).value.reciprocal()
+    assert value.compare(element) == -1
+    assert element > value
 
 
 def test_markov_value_examples():
@@ -278,22 +277,25 @@ def test_markov_value_agrees_with_float_oracle():
 
 
 def test_markov_element_examples():
-    assert markov_element((1, 1)) == QuadraticSurd(0, 1, 5, 5)  # 1/sqrt(5)
-    assert markov_element((2, 2)) == QuadraticSurd(0, 1, 8, 8)  # 1/(2*sqrt(2))
+    # the Markov element of a period is the reciprocal of its Perron value
+    m11 = markov_value((1, 1)).value.reciprocal()
+    assert m11 == QuadraticSurd(0, 1, 5, 5)  # 1/sqrt(5)
+    assert markov_value((2, 2)).value.reciprocal() == QuadraticSurd(0, 1, 8, 8)  # 1/(2*sqrt(2))
     third = QuadraticSurd(1, 0, 3, 0)
-    assert markov_element((1, 1)).compare(third) > 0  # M > 1/3
+    assert m11.compare(third) > 0  # M > 1/3
 
 
 def test_is_markov_sequence():
-    assert is_markov_sequence((1, 1))
-    assert is_markov_sequence((2, 2, 1, 1))  # 221 < 225
-    assert not is_markov_sequence((3,))
-    assert not is_markov_sequence((1, 3))  # contains a letter above 2
+    # a Markov sequence is a period whose Perron value lies strictly below 3
+    assert markov_value((1, 1)).value < 3
+    assert markov_value((2, 2, 1, 1)).value < 3  # 221 < 225
+    assert not markov_value((3,)).value < 3
+    assert not markov_value((1, 3)).value < 3  # contains a letter above 2
 
 
 def test_tree_words_are_markov_sequences():
     for n in range(1, 65):
-        assert is_markov_sequence(s_rec((1, 1), (2, 2), n)), n
+        assert markov_value(s_rec((1, 1), (2, 2), n)).value < 3, n
 
 
 def test_bqf_form_basics():
@@ -310,6 +312,13 @@ def test_bqf_min_examples():
     res2 = bqf_min(BQForm(1, 2, -1), 50)
     assert res2.min_abs == 1
     assert res2.normalized == QuadraticSurd(0, 1, 8, 8)
+    # a bounded minimum: that of -7x^2 - 7xy + 6y^2 falls twice before it
+    # reaches the form's infimum 1, first attained at radius 498
+    form = BQForm(-7, -7, 6)
+    for radius, min_abs, point in [(60, 3, (1, 2)), (497, 2, (37, 67)), (498, 1, (275, 498))]:
+        res = bqf_min(form, radius)
+        assert (res.min_abs, res.point) == (min_abs, point), radius
+    assert bqf_min(form, 67) == bqf_min_brute(form, 67)
     with pytest.raises(ValueError):
         bqf_min(BQForm(1, 0, 1), 10)  # discriminant -4
     with pytest.raises(ValueError):
@@ -333,8 +342,8 @@ def test_bqf_min_matches_brute_force_on_small_forms():
 
 def test_bqf_cross_checks_markov_element():
     # the normalised lattice minimum equals 1/(Perron value), exactly
-    assert bqf_min(BQForm(1, 1, -1), 3).normalized == markov_element((1, 1))
-    assert bqf_min(BQForm(1, 2, -1), 3).normalized == markov_element((2, 2))
+    assert bqf_min(BQForm(1, 1, -1), 3).normalized == markov_value((1, 1)).value.reciprocal()
+    assert bqf_min(BQForm(1, 2, -1), 3).normalized == markov_value((2, 2)).value.reciprocal()
 
 
 def test_truncated_float_tails_match_exact_decimals():

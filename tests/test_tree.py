@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from oracles import level_entries, path_precedes, s_graph, s_rec_with_rule
+from oracles import level, level_entries, path_precedes, s_graph, s_rec_with_rule
 
 from markovwords.diatomic import a_of, a_star, stern
-from markovwords.tree import Vertex, level, root, s_rec, walk
+from markovwords.tree import Vertex, root, s_rec, walk
 
 A, B = (1, 1), (2, 2)
 
@@ -56,6 +56,9 @@ def test_level_small():
     assert [v.center for v in lvl3] == [s_rec(A, B, n) for n in (5, 6, 7, 8)]
     with pytest.raises(ValueError):
         level(A, B, 0)
+    # the centres of level n are S(2^(n-1)+1..2^n), the range walk reads
+    for n in range(1, 9):
+        assert [v.center for v in level(A, B, n)] == list(walk(A, B, 2 ** (n - 1) + 1, 2 ** n))
 
 
 def test_level3_block_structure():

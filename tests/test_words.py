@@ -1,10 +1,12 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from markovwords.words import (
-    evenly_palindromic_shift,
+    FORMAT_SLICE,
     format_word,
-    is_oddly_palindromic,
     is_palindrome,
     is_palindromic_rotation,
     parse_word,
@@ -43,27 +45,6 @@ def test_is_palindrome_examples():
         is_palindrome(())
 
 
-def test_evenly_palindromic_shift_examples():
-    assert evenly_palindromic_shift((1, 1, 1, 1, 2, 2)) == 2
-    assert evenly_palindromic_shift((1, 2, 1, 2)) is None
-    assert evenly_palindromic_shift((1, 1, 2, 2)) == 1
-
-
-def test_evenly_palindromic_shift_rejects_odd():
-    with pytest.raises(ValueError):
-        evenly_palindromic_shift((1, 2, 1))
-    with pytest.raises(ValueError):
-        evenly_palindromic_shift(())
-
-
-def test_is_oddly_palindromic_examples():
-    assert is_oddly_palindromic((1,))
-    assert is_oddly_palindromic((1, 2, 2))
-    assert not is_oddly_palindromic((1, 2, 3))
-    with pytest.raises(ValueError):
-        is_oddly_palindromic((1, 2))
-
-
 def test_word_validation():
     with pytest.raises(ValueError):
         word((1, 0, 2))
@@ -76,6 +57,13 @@ def test_word_validation():
 def test_parse_format_roundtrip():
     assert parse_word("2,2,1,1") == (2, 2, 1, 1)
     assert format_word((2, 2, 1, 1)) == "2,2,1,1"
+    # any length, across the slice boundaries, from any iterable of letters
+    rng = random.Random(5)
+    for n in (0, 1, 3, FORMAT_SLICE - 1, FORMAT_SLICE, FORMAT_SLICE + 1, 199_999):
+        w = tuple(rng.randint(1, 12) for _ in range(n))
+        text = ",".join(str(x) for x in w)
+        assert format_word(w) == format_word(iter(w)) == format_word(bytes(w)) == text
+        assert not w or parse_word(text) == w
     with pytest.raises(ValueError):
         parse_word("2,x,1")
     with pytest.raises(ValueError):
@@ -87,6 +75,19 @@ def test_parse_format_roundtrip():
     for text in ("\u0661,\u0662", "1,\u00b2", "+1,2"):  # ASCII digits only
         with pytest.raises(ValueError, match="invalid word letter"):
             parse_word(text)
+
+
+def test_format_word_memory_is_bounded():
+    # one str per letter would peak near 60 MB on 2^20 letters
+    w = b"\x01\x02" * 2 ** 19
+    tracemalloc.start()
+    try:
+        text = format_word(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 2 ** 21 - 1
+    assert peak < 16 * 2 ** 20
 
 
 @given(words)
@@ -109,7 +110,7 @@ def test_even_palindrome_halves_mirror(half):
 @given(st.lists(letters, min_size=1, max_size=6).map(lambda h: tuple(h) + tuple(reversed(h))))
 def test_palindrome_iff_shift_zero(w):
     # for even-length words, being a palindrome is exactly shift 0
-    assert evenly_palindromic_shift(w) == 0
+    assert is_palindromic_rotation(w, 0)
     assert is_palindrome(w)
 
 
@@ -124,5 +125,10 @@ def test_is_palindromic_rotation_examples():
     w = (1, 1, 1, 1, 1, 1, 2, 2)
     assert [s for s in range(8) if is_palindromic_rotation(w, s)] == [3, 7]
     assert is_palindromic_rotation((7,), 5)
+    # the first palindromic shift of each word, or None when it has none
+    for w, first in [((1, 1, 1, 1, 2, 2), 2), ((1, 1, 2, 2), 1), ((1, 2, 1, 2), None),
+                     ((1,), 0), ((1, 2, 1), 0), ((1, 2, 2), 2), ((1, 2, 3), None),
+                     ((1, 2), None)]:
+        assert next((s for s in range(len(w)) if is_palindromic_rotation(w, s)), None) == first
     with pytest.raises(ValueError):
         is_palindromic_rotation((), 0)
