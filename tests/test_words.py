@@ -45,6 +45,23 @@ def test_is_palindrome_examples():
         is_palindrome(())
 
 
+def first_palindromic_shift(w):
+    """The least s with rotate(w, s) a palindrome, or None when there is none."""
+    return next((s for s in range(len(w)) if is_palindromic_rotation(w, s)), None)
+
+
+def test_evenly_palindromic_shift_examples():
+    assert first_palindromic_shift((1, 1, 1, 1, 2, 2)) == 2
+    assert first_palindromic_shift((1, 2, 1, 2)) is None
+    assert first_palindromic_shift((1, 1, 2, 2)) == 1
+
+
+def test_is_oddly_palindromic_examples():
+    assert first_palindromic_shift((1,)) == 0
+    assert first_palindromic_shift((1, 2, 2)) == 2
+    assert first_palindromic_shift((1, 2, 3)) is None
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         word((1, 0, 2))
@@ -125,10 +142,7 @@ def test_is_palindromic_rotation_examples():
     w = (1, 1, 1, 1, 1, 1, 2, 2)
     assert [s for s in range(8) if is_palindromic_rotation(w, s)] == [3, 7]
     assert is_palindromic_rotation((7,), 5)
-    # the first palindromic shift of each word, or None when it has none
-    for w, first in [((1, 1, 1, 1, 2, 2), 2), ((1, 1, 2, 2), 1), ((1, 2, 1, 2), None),
-                     ((1,), 0), ((1, 2, 1), 0), ((1, 2, 2), 2), ((1, 2, 3), None),
-                     ((1, 2), None)]:
-        assert next((s for s in range(len(w)) if is_palindromic_rotation(w, s)), None) == first
+    assert first_palindromic_shift((1, 2, 1)) == 0
+    assert first_palindromic_shift((1, 2)) is None
     with pytest.raises(ValueError):
         is_palindromic_rotation((), 0)
