@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .diatomic import stern, stern_table
 from .spectrum import BQForm, bqf_min, markov_value
-from .tree import walk
+from .tree import relabel, walk
 from .words import format_word, parse_word
 
 
@@ -157,19 +157,21 @@ def _cmd_seq(args) -> int:
         print(f"error: --n {n} gives a word of up to {letters} letters; "
               f"seq builds at most {SEQ_MAX_LETTERS}", file=sys.stderr)
         return 2
+    # S(n) is walked on bytes seeds and decoded through the letter table as it is written
+    letters, a, b = relabel(args.A, args.B)
     if args.json:
         print(json.dumps({
             "command": "seq",
             "n": n,
             "A": list(args.A),
             "B": list(args.B),
-            "sequence": list(next(walk(args.A, args.B, n, n))),
+            "sequence": list(map(letters.__getitem__, next(walk(a, b, n, n)))),
             "blocks": next(walk(b"A", b"B", n, n)).decode(),
         }))
     elif args.blocks:
         print(next(walk(b"A", b"B", n, n)).decode())
     else:
-        print(format_word(next(walk(args.A, args.B, n, n))))
+        print(format_word(map(letters.__getitem__, next(walk(a, b, n, n)))))
     return 0
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import compress, repeat, starmap
+from itertools import compress, count, starmap
 from operator import add, eq, itemgetter, lt, not_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
 
 from .diatomic import a_of, a_star, a_table, stern, stern_table
-from .tree import run_lengths, s_rec, walk
+from .tree import relabel, run_lengths, s_rec, walk
 from .words import (
     Word,
     format_word,
@@ -57,21 +57,6 @@ def _check_shift_letters(a_sym: int, b_sym: int) -> None:
     word((a_sym, b_sym))
 
 
-def _shift_report(
-    n: int, seq: Sequence[int], shift: int, letter: Callable[[int], int]
-) -> VerificationReport:
-    """The report on rotating ``seq`` by ``shift``; ``letter`` decodes each
-    letter of a failing rotation."""
-    ok = is_palindromic_rotation(seq, shift)
-    return VerificationReport(
-        claim="shift-palindromic",
-        n=n,
-        passed=ok,
-        witness=shift,
-        counterexample=None if ok else format_word(map(letter, rotate(seq, shift))),
-    )
-
-
 def verify_shift_palindromic(a_sym: int, b_sym: int, n: int) -> VerificationReport:
     """Check that rotating S(n) by d(n) gives a palindrome, seeds (a,a),(b,b):
     :func:`verify_shift_palindromic_range` on the one index n."""
@@ -95,7 +80,12 @@ def verify_shift_palindromic_range(
         raise ValueError("indices start at 1")
     words = walk(*SHIFT_SEEDS, lo, lo + len(shifts) - 1)
     letter = (0, a_sym, b_sym).__getitem__
-    return map(_shift_report, range(lo, lo + len(shifts)), words, shifts, repeat(letter))
+    return (
+        VerificationReport("shift-palindromic", n, ok, shift,
+                           None if ok else format_word(map(letter, rotate(w, shift))))
+        for n, w, shift in zip(count(lo), words, shifts)
+        for ok in (is_palindromic_rotation(w, shift),)
+    )
 
 
 def _palindromic_seeds(a: Sequence[int], b: Sequence[int]) -> tuple[Word, Word]:
@@ -121,18 +111,14 @@ def _rearrangements(
     """(S(n), the rotation that rearranges it) for n = lo, ..., lo + len(shifts) - 1,
     and the function that builds the rearrangement on the seeds' own letters.
 
-    ``shifts`` holds d(n) for those indices. S(n) is walked over the pair's
-    sorted letters relabelled 1..k, as bytes for k < 256, beside its label
-    word on :data:`LABEL_SEEDS`. The relabelling is injective, so a
-    rotation of the walked word is a palindrome exactly when the same
-    rotation of S(n) is.
+    ``shifts`` holds d(n) for those indices. S(n) is walked on the seeds
+    :func:`~markovwords.tree.relabel` gives, beside its label word on
+    :data:`LABEL_SEEDS`.
     """
     seeds = _palindromic_seeds(a, b)
     if lo < 1:
         raise ValueError("indices start at 1")
-    letters = (0, *sorted(set(seeds[0] + seeds[1])))
-    encode = bytes if len(letters) <= 256 else tuple
-    relabelled = (encode(map(letters.index, w)) for w in seeds)
+    letters, *relabelled = relabel(*seeds)
     hi = lo + len(shifts) - 1
     words = zip(walk(*relabelled, lo, hi), walk(*LABEL_SEEDS, lo, hi), shifts)
     rotations = ((s, _rearrangement_shift(seeds, labels, d)) for s, labels, d in words)

@@ -5,9 +5,9 @@ From the root (A, A+B, B) the moves L(x, y, z) = (x, x+y, y) and
 R(x, y, z) = (y, y+z, z) produce an infinite binary tree; levels are
 ordered so that the centre of the i-th vertex of level n is the word with
 index 2^(n-1)+i. :func:`walk` reads S(lo..hi) off the tree in index
-order, and the commands and claims take their words from it: one index
-is the walk from n to n, and the label word over {A, B} is the walk on
-the one-letter seeds. The vertex centred at S(n) is
+order on one stack, and the commands and claims take their words from
+it: one index is the walk from n to n, and the label word over {A, B}
+is the walk on the one-letter seeds. The vertex centred at S(n) is
 (S(a*(n-1)), S(n), S(a(n))), so S(n) = S(a*(n-1)) + S(a(n)) for n >= 2;
 :func:`s_rec` builds the words by that index recursion instead, and only
 ``verify equivalence`` reads it, to check it against the walk.
@@ -56,29 +56,26 @@ def run_lengths(symbols: Iterable[Hashable], first: Hashable) -> tuple[int, ...]
     return tuple(runs)
 
 
-def _vertices(l: Word, r: Word, depth: int, start: int, stop: int) -> Iterator[tuple]:
-    """The vertices (left, centre, right) ``depth`` levels below (l, l+r, r)
-    at positions start..stop-1 of that level, in order; start < 2^depth and
-    stop > 0. Only the subtrees holding those positions are entered, and
-    each vertex costs one concatenation."""
-    c = l + r
-    if not depth:
-        yield l, c, r
-        return
-    half = 1 << (depth - 1)
-    if start < half:
-        yield from _vertices(l, c, depth - 1, start, stop)
-    if stop > half:
-        yield from _vertices(c, r, depth - 1, start - half, stop - half)
+def relabel(a: Sequence[int], b: Sequence[int]) -> tuple[tuple, Word, Word]:
+    """The table of the seeds' sorted letters, 0 first, and the seeds with
+    each letter replaced by its place in it: ``bytes`` for up to 255
+    letters, tuples beyond. The relabelling is injective, so a rotation of
+    a walked word is a palindrome exactly when the same rotation of S(n) is."""
+    letters = (0, *sorted(set(a) | set(b)))
+    encode = bytes if len(letters) <= 256 else tuple
+    return letters, encode(map(letters.index, a)), encode(map(letters.index, b))
 
 
 def walk(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> Iterator[Word]:
     """The words with indices lo, lo+1, ..., hi, in index order.
 
-    The centres ``depth`` levels below the root are the indices 2^depth+1,
-    ..., 2^(depth+1); each level the range touches is read by
-    :func:`_vertices`, which holds only the path from the root to the
-    current vertex, at most log2(hi) + 1 of them.
+    Indices 0, 1 and 2 are A, B and A+B. Each deeper level the range
+    touches, indices 2^depth+1..2^(depth+1), is one stack entry (l, r,
+    depth, start, stop): positions start..stop-1 of the level ``depth``
+    below the vertex (l, l+r, r), shallowest level on top. Popping an entry
+    costs one concatenation and pushes only the children that hold
+    positions, the left on top; at depth 1 both children are leaves, and
+    the entry yields their centres itself. At most two entries per level.
 
     Two ``bytes`` seeds are concatenated as they are, so the words are
     ``bytes`` too: the sweeps walk the letters 1 and 2 that way, each
@@ -91,12 +88,25 @@ def walk(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> Iterator[Word]
         l, r = a, b
     if lo < 0:
         raise ValueError("indices start at 0")
-    for n in range(lo, min(hi, 1) + 1):
-        yield r if n else l
-    for depth in range(max(lo - 1, 1).bit_length() - 1, max(hi - 1, 0).bit_length()):
-        base = 1 << depth
-        for _, center, _ in _vertices(l, r, depth, lo - base - 1, hi - base):
-            yield center
+    for n in range(lo, min(hi, 2) + 1):
+        yield (l, r, l + r)[n]
+    levels = range(max(lo - 1, 2).bit_length() - 1, max(hi - 1, 0).bit_length())
+    stack = [(l, r, depth, lo - (1 << depth) - 1, hi - (1 << depth))
+             for depth in reversed(levels)]
+    while stack:
+        l, r, depth, start, stop = stack.pop()
+        c = l + r
+        if depth == 1:
+            if start < 1:
+                yield l + c
+            if stop > 1:
+                yield c + r
+            continue
+        half = 1 << (depth - 1)
+        if stop > half:
+            stack.append((c, r, depth - 1, start - half, stop - half))
+        if start < half:
+            stack.append((l, c, depth - 1, start, stop))
 
 
 def s_rec(a: Sequence[int], b: Sequence[int], n: int) -> Word:

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +16,8 @@ from markovwords.cli import main
 from markovwords.diatomic import stern
 from markovwords.tree import walk
 from markovwords.words import format_word, parse_word
+
+SRC = str(Path(cli.__file__).parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +58,8 @@ def test_seq_blocks(capsys):
 
 
 def test_seq_builds_only_what_it_prints(capsys, monkeypatch):
-    # one walk per word printed, on the seeds of that word
+    # one walk per word printed: S(n) on its seeds relabelled as bytes,
+    # the label word on b"A", b"B"
     walked = []
 
     def counting(a, b, lo, hi):
@@ -62,13 +68,13 @@ def test_seq_builds_only_what_it_prints(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "walk", counting)
     assert run(capsys, "seq", "--n", "5") == (0, "1,1,1,1,1,1,2,2\n", "")
-    assert walked == [((1, 1), (2, 2), 5, 5)]
+    assert walked == [(b"\x01\x01", b"\x02\x02", 5, 5)]
     walked.clear()
     assert run(capsys, "seq", "--n", "5", "--blocks") == (0, "AAAB\n", "")
     assert walked == [(b"A", b"B", 5, 5)]
     walked.clear()
     assert run(capsys, "seq", "--n", "5", "--json")[0] == 0
-    assert walked == [((1, 1), (2, 2), 5, 5), (b"A", b"B", 5, 5)]
+    assert walked == [(b"\x01\x01", b"\x02\x02", 5, 5), (b"A", b"B", 5, 5)]
 
 
 @pytest.mark.parametrize("n", [2 ** 40, 2 ** 62 - 2])
@@ -128,6 +134,43 @@ def test_seq_refuses_a_word_past_the_cap(capsys, monkeypatch, n, flags, per_labe
         assert run(capsys, *argv) == (
             2, "", f"error: --n {n} gives a word of up to {letters} letters; "
                    f"seq builds at most {2 ** 24}\n")
+
+
+# runs the CLI on its arguments, then writes on stderr the peak resident set
+# of this process since it started (Linux VmHWM, in kB)
+SEQ_PEAK = """
+import sys
+from markovwords.cli import main
+status = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status_file:
+    peak = next(ln for ln in status_file if ln.startswith("VmHWM:"))
+sys.stderr.write(peak.split()[1])
+sys.exit(status)
+"""
+
+
+def test_seq_long_word_peak_memory_is_bounded():
+    # 2^22 letters: walked on tuple seeds, the command peaked near 99 MB;
+    # on bytes seeds it peaks near 33 MB
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", SEQ_PEAK, "seq", "--n", "13887108779"],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) < 48 * 1024
+
+
+def test_seq_decodes_more_than_255_letters(capsys, schema):
+    # 300 distinct letters relabel to tuples, not bytes
+    wa, wb = tuple(range(1, 201)), tuple(range(1000, 1100))
+    flags = ["seq", "--A", format_word(wa), "--B", format_word(wb), "--n", "11"]
+    word = s_graph(wa, wb, 11)
+    assert run(capsys, *flags) == (0, format_word(word) + "\n", "")
+    status, out, _ = run(capsys, *flags, "--json")
+    assert status == 0
+    (rec,) = validate_lines(schema, out)
+    assert rec["sequence"] == list(word)
 
 
 def test_seq_json(capsys, schema):

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
 
 from oracles import level, level_entries, path_precedes, s_graph, s_rec_with_rule
 
-from markovwords.diatomic import a_of, a_star, stern
+from markovwords.diatomic import a_of, a_star, stern, stern_table
+from markovwords.theorems import SHIFT_SEEDS
 from markovwords.tree import Vertex, root, s_rec, walk
 
 A, B = (1, 1), (2, 2)
@@ -252,3 +255,28 @@ def test_walk_bounds():
     for wa, wb in ((b"\x00", b"\x02"), (b"\x01", b""), (b"", b"")):
         with pytest.raises(ValueError):
             list(walk(wa, wb, 0, 3))
+
+
+@pytest.mark.parametrize("wa, wb", [((1, 2), (3,)), (b"\x01\x02", b"\x03")])
+def test_walk_every_window_to_70(wa, wb):
+    # every window lo..hi in 0..70, empty ones included, so every level edge
+    # and both leaf positions of a depth-1 entry start and end a window
+    graph = [type(wa)(s_graph(tuple(wa), tuple(wb), n)) for n in range(71)]
+    for lo in range(71):
+        for hi in range(lo - 2, 71):
+            assert list(walk(wa, wb, lo, hi)) == graph[lo:max(hi + 1, lo)], (lo, hi)
+
+
+def test_walk_memory_is_bounded_by_the_path():
+    # the deepest level of S(1..2^16) holds about 55 MB of words; the walk holds
+    # only the path to the current word and the entries beside it
+    d = stern_table(2 ** 17)
+    deepest = 2 * sum(d[2 ** 16 + 1:2 ** 17:2])  # bytes, |S(n)| = 2 d(2n-1)
+    tracemalloc.start()
+    try:
+        deque(walk(*SHIFT_SEEDS, 1, 2 ** 16), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deepest > 50 * 2 ** 20
+    assert peak < 2 ** 20
