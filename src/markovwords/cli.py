@@ -160,14 +160,11 @@ def _cmd_seq(args) -> int:
     # S(n) is walked on bytes seeds and decoded through the letter table as it is written
     letters, a, b = relabel(args.A, args.B)
     if args.json:
-        print(json.dumps({
-            "command": "seq",
-            "n": n,
-            "A": list(args.A),
-            "B": list(args.B),
-            "sequence": list(map(letters.__getitem__, next(walk(a, b, n, n)))),
-            "blocks": next(walk(b"A", b"B", n, n)).decode(),
-        }))
+        # json.dumps of the whole record, written in pieces
+        head = json.dumps({"command": "seq", "n": n, "A": list(args.A), "B": list(args.B)})
+        sys.stdout.write(head[:-1] + ', "sequence": [')
+        sys.stdout.write(format_word(map(letters.__getitem__, next(walk(a, b, n, n))), ", "))
+        print('], "blocks": ' + json.dumps(next(walk(b"A", b"B", n, n)).decode()) + "}")
     elif args.blocks:
         print(next(walk(b"A", b"B", n, n)).decode())
     else:

@@ -4,13 +4,14 @@ Both sequences drive the index recursion for ordered Markov words:
 ``d`` supplies the palindromic shift amounts, ``a``/``a*`` the indices of
 the flanking words in the concatenation graph. :func:`stern` and
 :func:`a_of` answer single queries; sweeps over a known range read
-:func:`stern_table` and :func:`a_table` instead.
+:func:`stern_table` and :func:`a_table` instead, as ``array('I')``;
+:func:`lanes` reads a table slice as one integer, one 32-bit lane per entry.
 """
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import lru_cache
-from operator import add
 
 
 @lru_cache(maxsize=None)
@@ -49,37 +50,49 @@ def a_star(x: int) -> int:
     return 0 if x & (x - 1) == 0 else a_of(x)
 
 
+def lanes(x: array) -> int:
+    """The entries of an ``array('I')`` as one integer, one 32-bit lane per
+    entry. Adding two such integers adds every pair of entries at once, as
+    long as no lane overflows."""
+    return int.from_bytes(x, sys.byteorder)
+
+
 def stern_table(n: int) -> array:
-    """d(0), ..., d(n) as an ``array('L')``.
+    """d(0), ..., d(n) as an ``array('I')``.
 
     The table is allocated once. Each pass fills the row d(2m+1..4m) from
-    the row d(m..2m) by d(2i) = d(i) and d(2i+1) = d(i) + d(i+1), cut at n.
+    the row d(m..2m) by d(2i) = d(i) and d(2i+1) = d(i) + d(i+1), cut at n;
+    the odd half is one addition of :func:`lanes`. The largest d(n) with
+    n <= 2^k is the Fibonacci number F(k+1), so d(n) <= F(46) < 2^31 for
+    every n <= 2^45: no lane overflows in any table that fits in memory.
     """
     if n < 0:
         raise ValueError("stern is defined for n >= 0")
-    table = array("L", [0]) * (n + 1)
-    table[:3] = array("L", [0, 1, 1])[:n + 1]
+    table = array("I", [0]) * (n + 1)
+    table[:3] = array("I", [0, 1, 1])[:n + 1]
     m = 1
     while 2 * m < n:
         new = min(4 * m, n) - 2 * m  # entries of the row up to index n
         row = table[m:m + new - new // 2 + 1]
-        table[2 * m + 1:4 * m:2] = array("L", map(add, row, row[1:]))
+        total = lanes(row[:-1]) + lanes(row[1:])
+        table[2 * m + 1:4 * m:2] = array("I", total.to_bytes(4 * len(row) - 4, sys.byteorder))
         table[2 * m + 2:4 * m + 1:2] = row[1:new // 2 + 1]
         m *= 2
     return table
 
 
 def a_table(n: int) -> array:
-    """a(0), ..., a(n) as an ``array('L')``, with the undefined a(0) read as 0.
+    """a(0), ..., a(n) as an ``array('I')``, with the undefined a(0) read as 0.
 
     The indices with odd part 2i+1 and lowest set bit b are b*(2i+1), and
-    a = i+1 on each of them; one slice per bit fills the table.
+    a = i+1 on each of them; one slice per bit fills the table. Every entry
+    fits its 32 bits: a(j) <= (j+1)/2 < 2^32 for every j < 2^33 - 1.
     """
     if n < 0:
         raise ValueError("a_table is defined for n >= 0")
-    table = array("L", [0]) * (n + 1)
+    table = array("I", [0]) * (n + 1)
     low = 1
     while low <= n:
-        table[low::2 * low] = array("L", range(1, (n + low) // (2 * low) + 1))
+        table[low::2 * low] = array("I", range(1, (n + low) // (2 * low) + 1))
         low *= 2
     return table

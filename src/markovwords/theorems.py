@@ -14,7 +14,7 @@ from itertools import compress, count, starmap
 from operator import add, eq, itemgetter, lt, not_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
 
-from .diatomic import a_of, a_star, a_table, stern, stern_table
+from .diatomic import a_of, a_star, a_table, lanes, stern, stern_table
 from .tree import relabel, run_lengths, s_rec, walk
 from .words import (
     Word,
@@ -354,6 +354,29 @@ def _first_mismatch(x: array, y: array, indices: range) -> Optional[int]:
     return None if x == y else _first_false(map(eq, x, y), indices)
 
 
+def _sums_hold(whole: array, left: array, right: array) -> bool:
+    """True only if whole[i] == left[i] + right[i] at every i of three
+    ``array('I')`` of one length, by one lane addition. No lane carries
+    while left and right stay below 2^31; past that it answers False, and
+    the caller compares element by element."""
+    top = lanes(array("I", [1 << 31]) * len(whole))
+    x, y = lanes(left), lanes(right)
+    return not (x | y) & top and lanes(whole) == x + y
+
+
+def _all_below(x: array, m: int, y: array) -> bool:
+    """True only if x[i] < m*y[i] at every i of two ``array('I')`` of one
+    length, by one lane subtraction. With x[i] < 2^31 and
+    y[i] < 2^(31 - m.bit_length()), so m*y[i] < 2^31, the lane
+    m*y[i] + 2^31 - x[i] - 1 neither borrows nor carries, and keeps bit 31
+    exactly when x[i] < m*y[i]; past those bounds it answers False."""
+    top = lanes(array("I", [1 << 31]) * len(x))
+    ones, xs, ys = top >> 31, lanes(x), lanes(y)
+    # bits 31 - m.bit_length() to 31 of every lane: set in y only past the guard
+    y_high = ones * ((1 << 32) - (1 << (31 - m.bit_length())))
+    return not (xs & top or ys & y_high) and (m * ys + top - xs - ones) & top == top
+
+
 def check_length_identity(d: array, k_hi: int) -> Optional[dict]:
     """|S(k)| == |S(a(k))| + |S(a(k-1))| for length-2 seeds, in blocks.
 
@@ -366,11 +389,11 @@ def check_length_identity(d: array, k_hi: int) -> Optional[dict]:
     for v in range(1, k_hi.bit_length()):  # 2^v <= k_hi
         for e in (0, 1):
             ks = range((1 << v) + e, k_hi + 1, 2 << v)
-            # no operand of add is longer than ks: a short one leaves
-            # flanks short, and _first_mismatch raises
-            flanks = array("L", map(add, d[1:2 * len(ks):2],
-                                    d[ks.start - 1 + e:k_hi + e:2 << v]))
-            k = _first_mismatch(d[2 * ks.start - 1:2 * k_hi:4 << v], flanks, ks)
+            whole, left = d[2 * ks.start - 1:2 * k_hi:4 << v], d[1:2 * len(ks):2]
+            right = d[ks.start - 1 + e:k_hi + e:2 << v]
+            _same_length(ks, whole, left, right)
+            k = (None if _sums_hold(whole, left, right)
+                 else _first_false(map(eq, whole, map(add, left, right)), ks))
             if k is not None:
                 firsts.append(k)
     return {"k": min(firsts)} if firsts else None
@@ -441,21 +464,23 @@ def check_shift_inequalities(d: array, a: array, k_hi: int) -> Optional[dict]:
     """
     # |S(j)|/2 is 1 at j = 0 and d(2j-1) above; gathered at j = a(i) for
     # every i an even class reads
-    blocks = array("L", [1]) + d[1:k_hi + 1:2]
-    flanks = array("L", map(blocks.__getitem__, a[1:(k_hi + 2) // 4]))
+    blocks = array("I", [1]) + d[1:k_hi + 1:2]
+    flanks = array("I", map(blocks.__getitem__, a[1:(k_hi + 2) // 4]))
     failures = []
     for v in range(1, (k_hi // 3).bit_length()):  # 3 << v <= k_hi
         ks = range(3 << v, k_hi + 1, 2 << v)
         lefts, bases = flanks[:len(ks)], d[3:2 * len(ks) + 2:2]
         _same_length(ks, lefts, bases)
-        k = _first_false(map(lt, lefts, map((v + 1).__mul__, bases)), ks)
+        k = (None if _all_below(lefts, v + 1, bases)
+             else _first_false(map(lt, lefts, map((v + 1).__mul__, bases)), ks))
         if k is not None:
             failures.append({"k": k, "case": "even"})
     for u in range((k_hi - 1).bit_length() - 1):  # (2 << u) + 1 <= k_hi
         ks = range((2 << u) + 1, k_hi + 1, 4 << u)
         lefts, ends = d[(1 << u) + 1:(k_hi + 3) // 2:2 << u], d[1:2 * len(ks):2]
         _same_length(ks, lefts, ends)
-        k = _first_false(map(lt, lefts, map((2 * u + 2).__mul__, ends)), ks)
+        k = (None if _all_below(lefts, 2 * u + 2, ends)
+             else _first_false(map(lt, lefts, map((2 * u + 2).__mul__, ends)), ks))
         if k is not None:
             failures.append({"k": k, "case": "odd"})
     return min(failures, key=itemgetter("k"), default=None)
@@ -473,7 +498,8 @@ def check_mirror_arithmetic(d: array, n_hi: int) -> Optional[dict]:
         doubled, single = d[2 * base + 1:2 * (base + half):2], d[base + 1:base + half + 1]
         mirrored, offsets = d[base:base - half:-1], range(1, half + 1)
         _same_length(offsets, doubled, single, mirrored)
-        i = _first_false(map(eq, map(sub, doubled, single), mirrored), offsets)
+        i = (None if _sums_hold(doubled, single, mirrored)
+             else _first_false(map(eq, map(sub, doubled, single), mirrored), offsets))
         if i is not None:
             return {"n": n, "i": i}
     return None

@@ -46,15 +46,16 @@ def parse_word(text: str) -> Word:
     return tuple(out)
 
 
-def format_word(w: Iterable[int]) -> str:
-    """Render a word in its text form; inverse of :func:`parse_word`.
+def format_word(w: Iterable[int], sep: str = ",") -> str:
+    """Render a word in its text form; inverse of :func:`parse_word`. With
+    ``sep=", "`` it is the body of the word's JSON list.
 
     The letters are rendered FORMAT_SLICE at a time and each slice joined
     at once, so a long word never holds one ``str`` per letter.
     """
     letters = iter(w)
-    slices = iter(lambda: ",".join(map(str, islice(letters, FORMAT_SLICE))), "")
-    return ",".join(slices)
+    slices = iter(lambda: sep.join(map(str, islice(letters, FORMAT_SLICE))), "")
+    return sep.join(slices)
 
 
 def reverse(x: Sequence[int]) -> Word:

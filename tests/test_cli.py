@@ -150,15 +150,39 @@ sys.exit(status)
 """
 
 
-def test_seq_long_word_peak_memory_is_bounded():
-    # 2^22 letters: walked on tuple seeds, the command peaked near 99 MB;
-    # on bytes seeds it peaks near 33 MB
+def seq_peak_kb(*flags):
+    """The peak resident set of ``seq`` on a word of 2^22 letters, in kB."""
     env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-c", SEQ_PEAK, "seq", "--n", "13887108779"],
+    proc = subprocess.run([sys.executable, "-c", SEQ_PEAK, "seq", "--n", "13887108779", *flags],
                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stderr) < 48 * 1024
+    return int(proc.stderr)
+
+
+def test_seq_long_word_peak_memory_is_bounded():
+    # walked on tuple seeds, the command peaked near 99 MB; on bytes seeds
+    # it peaks near 33 MB
+    assert seq_peak_kb() < 48 * 1024
+
+
+def test_seq_json_long_word_peak_memory_is_bounded():
+    # a list of 2^22 ints and one json.dumps of the record peaked near
+    # 83 MB; the record written in pieces peaks near 46 MB
+    assert seq_peak_kb("--json") < 48 * 1024
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "3"],
+    ["--A", "300,2", "--B", "1000", "--n", "33"],
+    ["--A", format_word(range(1, 201)), "--B", format_word(range(1000, 1100)), "--n", "11"],
+])
+def test_seq_json_writes_one_json_dumps_record(capsys, flags):
+    # the record is written in pieces, byte for byte as json.dumps writes it
+    status, out, err = run(capsys, "seq", *flags, "--json")
+    rec = json.loads(out)
+    assert (status, out, err) == (0, json.dumps(rec) + "\n", "")
+    assert rec["sequence"] == list(s_graph(tuple(rec["A"]), tuple(rec["B"]), rec["n"]))
 
 
 def test_seq_decodes_more_than_255_letters(capsys, schema):

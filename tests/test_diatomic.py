@@ -1,8 +1,11 @@
+import sys
+from array import array
+
 import pytest
 
 from oracles import a_of_by_halving, stern_by_bits
 
-from markovwords.diatomic import a_of, a_star, a_table, stern, stern_table
+from markovwords.diatomic import a_of, a_star, a_table, lanes, stern, stern_table
 
 FIRST_TEN_D = (0, 1, 1, 2, 1, 3, 2, 3, 1, 4)
 FIRST_TEN_A = (1, 1, 2, 1, 3, 2, 4, 1, 5, 3)
@@ -129,6 +132,16 @@ def test_stern_table_every_small_length():
         assert list(stern_table(n)) == [stern_by_bits(k) for k in range(n + 1)]
     with pytest.raises(ValueError):
         stern_table(-1)
+
+
+def test_tables_are_32_bit_lanes():
+    # lanes() reads entry i as bits 32i..32i+31 on a little-endian machine,
+    # and from the top lane down on a big-endian one
+    for table in (stern_table(100), a_table(100)):
+        assert (table.typecode, table.itemsize) == ("I", 4)
+    entries = [5, 2 ** 32 - 1, 0, 2 ** 31]
+    order = entries if sys.byteorder == "little" else entries[::-1]
+    assert lanes(array("I", entries)) == sum(e << (32 * i) for i, e in enumerate(order))
 
 
 def test_a_table_matches_a_of_and_halving():

@@ -1,4 +1,5 @@
 import random
+import sys
 from array import array
 from itertools import product
 
@@ -448,6 +449,87 @@ def test_class_slices_agree_with_the_index_loops_at_every_bound(check, by_index,
             d[j] *= 3
             expected = by_index(k_max, d.__getitem__, a.__getitem__)
             assert check(*tables(reads, d, a), k_max) == expected, (k_max, j)
+
+
+def test_table_checks_read_entries_past_the_lane_guards():
+    # 2^24 + 3 and 2^31 - 1 pass the guards of the lane steps, which must
+    # find them; 2^31 and 2^32 - 1 fail a guard, and the element-wise
+    # comparison decides. Either way each check names what its loop names
+    found = 0
+    for value in (2 ** 24 + 3, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1):
+        for j in (3, 5, 37, 100, 257, 700, 1023, 1199, 1500, 2047, 2399):
+            d, a = stern_table(2 ** 12), a_table(2 ** 12)
+            d[j] = value
+            for check, by_index, reads, bound in TABLE_CHECKS:
+                if "d" in reads:
+                    expected = by_index(bound, d.__getitem__, a.__getitem__)
+                    got = check(*tables(reads, d, a), bound)
+                    assert got == expected, (check.__name__, j, value)
+                    found += expected is not None
+    assert found > 60
+
+
+def lane_array(*entries):
+    """An array('I') whose entries fill its lanes from the lowest up on
+    either byte order, so that a crafted carry or borrow runs upward."""
+    return array("I", entries if sys.byteorder == "little" else entries[::-1])
+
+
+def test_sums_hold_only_where_no_lane_carries():
+    # each sum overflows lane 0, and its carry would make lane 1 agree
+    sums_hold = theorems._sums_hold
+    assert not sums_hold(lane_array(0, 1), lane_array(2 ** 31, 0), lane_array(2 ** 31, 0))
+    assert not sums_hold(lane_array(0, 1), lane_array(1, 0), lane_array(2 ** 32 - 1, 0))
+    assert not sums_hold(lane_array(0, 1), lane_array(2 ** 32 - 1, 0), lane_array(1, 0))
+    # below 2^31 every lane sum is exact
+    left, right = lane_array(2 ** 31 - 1, 3), lane_array(2 ** 31 - 1, 4)
+    assert sums_hold(lane_array(2 ** 32 - 2, 7), left, right)
+    assert not sums_hold(lane_array(2 ** 32 - 2, 8), left, right)
+    assert not sums_hold(lane_array(2 ** 32 - 1, 7), left, right)
+
+
+def test_all_below_only_where_no_lane_borrows_or_spills():
+    all_below = theorems._all_below
+    # x >= 2^31 borrows from the lane above, or from the sign at the top
+    assert not all_below(lane_array(2 ** 31 + 5), 1, lane_array(0))
+    assert not all_below(lane_array(2 ** 31 + 5, 0), 1, lane_array(0, 2))
+    # 8 * (2^32 - 1) spills 7 into lane 1, where 6 < 8 * 0 fails
+    assert not all_below(lane_array(2 ** 31 - 1, 6), 8, lane_array(2 ** 32 - 1, 0))
+    # x == m * y fails; one less holds, up to the largest y the guard passes
+    assert not all_below(lane_array(6, 1), 3, lane_array(2, 1))
+    assert all_below(lane_array(5, 1), 3, lane_array(2, 1))
+    assert all_below(lane_array(2 ** 30 - 2), 1, lane_array(2 ** 30 - 1))
+    assert not all_below(lane_array(3 * 2 ** 29 - 3), 3, lane_array(2 ** 29 - 1))
+
+
+def test_lane_kernels_agree_with_the_element_wise_comparisons():
+    # a lane step may only answer True when every entry holds, and decides
+    # exactly while its operands pass the guards
+    rng = random.Random(19)
+    edges = [0, 1, 2, 3, 2 ** 24 + 3, 2 ** 28, 2 ** 29 - 1, 2 ** 30 - 1, 2 ** 30,
+             2 ** 31 - 1, 2 ** 31, 2 ** 32 - 2, 2 ** 32 - 1]
+
+    def entries(n):
+        return array("I", (min(max(rng.choice(edges) + rng.randint(-1, 1), 0), 2 ** 32 - 1)
+                           for _ in range(n)))
+
+    for _ in range(4000):
+        n, m = rng.randint(1, 4), rng.randint(1, 40)
+        left, right = entries(n), entries(n)
+        whole = array("I", (min(x + y, 2 ** 32 - 1) for x, y in zip(left, right)))
+        if rng.random() < 0.5:
+            whole[rng.randrange(n)] = entries(1)[0]
+        truth = all(w == x + y for w, x, y in zip(whole, left, right))
+        guarded = max(left + right) < 2 ** 31
+        assert theorems._sums_hold(whole, left, right) == (truth and guarded)
+        x, y = entries(n), entries(n)
+        if rng.random() < 0.5:
+            y = array("I", (min(v, (2 ** 31 - 1) // m) for v in y))
+            i = rng.randrange(n)
+            x[i] = m * y[i] - rng.randint(0, 1) if m * y[i] else 0
+        truth = all(u < m * v for u, v in zip(x, y))
+        guarded = max(x) < 2 ** 31 and max(y) < 2 ** (31 - m.bit_length())
+        assert theorems._all_below(x, m, y) == (truth and guarded)
 
 
 def test_mismatched_operands_raise_instead_of_passing():
