@@ -11,38 +11,28 @@ testpaths is ``tests``):
 Every round starts from cold memo caches. No case reads them: every word
 comes from ``walk`` and d(n) from ``stern_table``, so a case that came to
 read them would pay for them in each round. The walk runs on the byte
-seeds the sweeps use. The lemma bounds are those
-``verify lemmas --k-max 262144`` uses; the theorem sweep is the default
-``verify theorem``. The spectrum cases take S(n) on (1,1), (2,2) at the
-smallest index of each length L, and the Markov form of ``bqf``. Each
-table-reading lemma check gets the tables ``verify lemmas`` shares, built
-once outside the timed calls; ``test_lemma_suite`` times the whole suite,
-its one table build included.
+seeds the sweeps use. The lemma checks are the cases of
+``verify lemmas --k-max 262144``, read from the suite's own case list with
+the tables it shares, built once outside the timed calls;
+``test_lemma_suite`` times the whole suite, its one table build included.
+The theorem sweep is the default ``verify theorem``. The spectrum cases
+take S(n) on (1,1), (2,2) at the smallest index of each length L, and the
+Markov form of ``bqf``.
 """
 from collections import deque
 
 import pytest
 
 from markovwords import theorems
-from markovwords.diatomic import a_of, a_table, stern, stern_table
+from markovwords.diatomic import a_of, stern, stern_table
 from markovwords.spectrum import BQForm, bqf_min, cf_matrix, markov_value
 from markovwords.tree import _s_rec_cached, walk
 
 ROUNDS = 7
 K_MAX = 262144
-LEVELS = K_MAX.bit_length() - 1
-# each lemma check: the tables it reads ("d", "a") and its bound
-LEMMA_BOUNDS = {
-    "check_length_identity": ("d", K_MAX),
-    "check_length_is_diatomic": ("d", K_MAX),
-    "check_half_length_chain": ("d", K_MAX),
-    "check_factorizations": ("", 4096),
-    "check_shift_inequalities": ("da", K_MAX),
-    "check_row_symmetry": ("d", min(LEVELS, 16)),
-    "check_mirror_arithmetic": ("d", min(LEVELS, 14)),
-    "check_index_identities": ("a", min(LEVELS, 14)),
-    "check_block_exponents": ("", 4096),
-}
+# each lemma check of the suite by name: the check, its tables and its bound
+LEMMA_CASES = {check.__name__: (check, tables, bound)
+               for _, check, tables, bound in theorems._lemma_cases(K_MAX)}
 # the smallest index n with |S(n)| = L, seeds (1,1), (2,2)
 SPECTRUM_INDEX = {178: 342, 1220: 5462, 3194: 21846}
 
@@ -113,17 +103,10 @@ def test_theorem_sweep(benchmark):
     measure(benchmark, sweep, size=512)
 
 
-@pytest.fixture(scope="module")
-def lemma_tables():
-    """The tables ``iter_lemma_checks(K_MAX)`` builds, built outside the timed calls."""
-    return {"d": stern_table(2 * K_MAX), "a": a_table(K_MAX // 4)}
-
-
-@pytest.mark.parametrize("name", list(LEMMA_BOUNDS))
-def test_lemma_check(benchmark, lemma_tables, name):
-    reads, bound = LEMMA_BOUNDS[name]
-    args = [lemma_tables[table] for table in reads]
-    assert measure(benchmark, getattr(theorems, name), *args, bound, size=bound) is None
+@pytest.mark.parametrize("name", list(LEMMA_CASES))
+def test_lemma_check(benchmark, name):
+    check, tables, bound = LEMMA_CASES[name]
+    assert measure(benchmark, check, *tables, bound, size=bound) is None
 
 
 def test_lemma_suite(benchmark):

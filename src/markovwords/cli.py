@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from .diatomic import stern, stern_table
 from .spectrum import BQForm, bqf_min, markov_value
 from .tree import relabel, walk
-from .words import format_word, parse_word
+from .words import format_pieces, format_word, parse_word
 
 
 def _word_arg(text: str):
@@ -163,12 +163,14 @@ def _cmd_seq(args) -> int:
         # json.dumps of the whole record, written in pieces
         head = json.dumps({"command": "seq", "n": n, "A": list(args.A), "B": list(args.B)})
         sys.stdout.write(head[:-1] + ', "sequence": [')
-        sys.stdout.write(format_word(map(letters.__getitem__, next(walk(a, b, n, n))), ", "))
+        sys.stdout.writelines(
+            format_pieces(map(letters.__getitem__, next(walk(a, b, n, n))), ", "))
         print('], "blocks": ' + json.dumps(next(walk(b"A", b"B", n, n)).decode()) + "}")
     elif args.blocks:
         print(next(walk(b"A", b"B", n, n)).decode())
     else:
-        print(format_word(map(letters.__getitem__, next(walk(a, b, n, n)))))
+        sys.stdout.writelines(format_pieces(map(letters.__getitem__, next(walk(a, b, n, n)))))
+        print()
     return 0
 
 
@@ -197,31 +199,26 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _cmd_spectrum(args) -> int:
-    payload = _spectrum_payload(args.period, args.digits)
-    if args.json:
-        print(json.dumps({"command": "spectrum", **payload}))
-    else:
-        print(
-            f"period={format_word(payload['period'])} surd={_surd_text(payload['surd'])} "
-            f"decimal={payload['decimal']} argmin={payload['argmin']} "
-            f"markov={str(payload['is_markov']).lower()}"
-        )
-    return 0
-
-
-def _scan_line(row: dict, as_json: bool) -> str:
+def _spectrum_line(command: str, row: dict, as_json: bool) -> str:
+    """One row of ``spectrum`` or ``scan``; in text, only scan prints n and
+    only spectrum the argmin."""
     if as_json:
-        return json.dumps({"command": "scan", **row})
-    return (f"n={row['n']} period={format_word(row['period'])} "
-            f"surd={_surd_text(row['surd'])} decimal={row['decimal']} "
-            f"markov={str(row['is_markov']).lower()}")
+        return json.dumps({"command": command, **row})
+    n = f"n={row['n']} " if command == "scan" else ""
+    argmin = f" argmin={row['argmin']}" if command == "spectrum" else ""
+    return (f"{n}period={format_word(row['period'])} surd={_surd_text(row['surd'])} "
+            f"decimal={row['decimal']}{argmin} markov={str(row['is_markov']).lower()}")
+
+
+def _cmd_spectrum(args) -> int:
+    print(_spectrum_line("spectrum", _spectrum_payload(args.period, args.digits), args.json))
+    return 0
 
 
 def _cmd_scan(args) -> int:
     words = walk(args.A, args.B, 1, args.n_max)
-    _write_lines(_scan_line({"n": n, **_spectrum_payload(w, args.digits)}, args.json)
-                 for n, w in enumerate(words, 1))
+    rows = ({"n": n, **_spectrum_payload(w, args.digits)} for n, w in enumerate(words, 1))
+    _write_lines(_spectrum_line("scan", row, args.json) for row in rows)
     return 0
 
 

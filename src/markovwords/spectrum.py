@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple, Sequence, Union
 
-from .words import word
+from .words import Word, word
 
 
 def _sign(n: int) -> int:
@@ -261,6 +261,11 @@ def cf_matrix(x: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
     w = word(x)
     if not w:
         raise ValueError("empty continued fraction")
+    return _fold_convergents(w)
+
+
+def _fold_convergents(w: Word) -> tuple[tuple[int, int], tuple[int, int]]:
+    """:func:`cf_matrix` of a word already validated and nonempty."""
     m11, m12, m21, m22 = 1, 0, 0, 1
     for a in w:
         m11, m12, m21, m22 = m11 * a + m12, m11, m21 * a + m22, m21
@@ -278,7 +283,7 @@ def zero_tail(period: Sequence[int]) -> QuadraticSurd:
     w = word(period)
     if not w:
         raise ValueError("empty period")
-    (m11, m12), (m21, m22) = cf_matrix(w)
+    (m11, m12), (m21, m22) = _fold_convergents(w)
     det = m11 * m22 - m12 * m21
     d = (m11 + m22) ** 2 - 4 * det
     y = QuadraticSurd(m11 - m22, 1, 2 * m21, d)
@@ -306,7 +311,7 @@ def markov_value(period: Sequence[int]) -> MarkovValue:
     w = word(period)
     if not w:
         raise ValueError("empty period")
-    (m11, m12), (m21, m22) = cf_matrix(w)
+    (m11, m12), (m21, m22) = _fold_convergents(w)
     d = (m11 + m22) ** 2 - 4 * (m11 * m22 - m12 * m21)
     q_min, argmin = m21, 0
     for i, a in enumerate(w[:-1], 1):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import compress, count, starmap
-from operator import add, eq, itemgetter, lt, not_, sub
+from itertools import chain, compress, count, starmap
+from operator import add, eq, itemgetter, lt, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
 
 from .diatomic import a_of, a_star, a_table, lanes, stern, stern_table
@@ -354,27 +354,37 @@ def _first_mismatch(x: array, y: array, indices: range) -> Optional[int]:
     return None if x == y else _first_false(map(eq, x, y), indices)
 
 
-def _sums_hold(whole: array, left: array, right: array) -> bool:
-    """True only if whole[i] == left[i] + right[i] at every i of three
-    ``array('I')`` of one length, by one lane addition. No lane carries
-    while left and right stay below 2^31; past that it answers False, and
-    the caller compares element by element."""
+def _first_unsummed(whole: array, left: array, right: array, indices: range) -> Optional[int]:
+    """:func:`_first_false` of whole == left + right elementwise on ``array('I')``;
+    one lane addition when all hold. No lane carries while left and right
+    stay below 2^31; past that, or on a failure, entries are compared one by one."""
+    _same_length(whole, left, right, indices)
     top = lanes(array("I", [1 << 31]) * len(whole))
     x, y = lanes(left), lanes(right)
-    return not (x | y) & top and lanes(whole) == x + y
+    if not (x | y) & top and lanes(whole) == x + y:
+        return None
+    return _first_false(map(eq, whole, map(add, left, right)), indices)
 
 
-def _all_below(x: array, m: int, y: array) -> bool:
-    """True only if x[i] < m*y[i] at every i of two ``array('I')`` of one
-    length, by one lane subtraction. With x[i] < 2^31 and
-    y[i] < 2^(31 - m.bit_length()), so m*y[i] < 2^31, the lane
-    m*y[i] + 2^31 - x[i] - 1 neither borrows nor carries, and keeps bit 31
-    exactly when x[i] < m*y[i]; past those bounds it answers False."""
+def _first_not_below(x: array, m: int, y: array, indices: range) -> Optional[int]:
+    """:func:`_first_false` of x < m*y elementwise on ``array('I')``; one lane
+    subtraction when all hold. With x[i] < 2^31 and y[i] < 2^(31 - m.bit_length()),
+    so m*y[i] < 2^31, the lane m*y[i] + 2^31 - x[i] - 1 neither borrows nor
+    carries, and keeps bit 31 exactly when x[i] < m*y[i]; past those bounds,
+    or on a failure, entries are compared one by one."""
+    _same_length(x, y, indices)
     top = lanes(array("I", [1 << 31]) * len(x))
     ones, xs, ys = top >> 31, lanes(x), lanes(y)
     # bits 31 - m.bit_length() to 31 of every lane: set in y only past the guard
     y_high = ones * ((1 << 32) - (1 << (31 - m.bit_length())))
-    return not (xs & top or ys & y_high) and (m * ys + top - xs - ones) & top == top
+    if not (xs & top or ys & y_high) and (m * ys + top - xs - ones) & top == top:
+        return None
+    return _first_false(map(lt, x, map(m.__mul__, y)), indices)
+
+
+def _least(indices: Iterable[Optional[int]]) -> Optional[int]:
+    """The smallest index that is not None, or None when there is none."""
+    return min((i for i in indices if i is not None), default=None)
 
 
 def check_length_identity(d: array, k_hi: int) -> Optional[dict]:
@@ -385,18 +395,11 @@ def check_length_identity(d: array, k_hi: int) -> Optional[dict]:
     a(k) = i+1, a(k-1) = k/2 for even k and a(k) = (k+1)/2, a(k-1) = i+1
     for odd k, so both read d(2k-1) == d(2i+1) + d(k-1+e).
     """
-    firsts = []
-    for v in range(1, k_hi.bit_length()):  # 2^v <= k_hi
-        for e in (0, 1):
-            ks = range((1 << v) + e, k_hi + 1, 2 << v)
-            whole, left = d[2 * ks.start - 1:2 * k_hi:4 << v], d[1:2 * len(ks):2]
-            right = d[ks.start - 1 + e:k_hi + e:2 << v]
-            _same_length(ks, whole, left, right)
-            k = (None if _sums_hold(whole, left, right)
-                 else _first_false(map(eq, whole, map(add, left, right)), ks))
-            if k is not None:
-                firsts.append(k)
-    return {"k": min(firsts)} if firsts else None
+    k = _least(_first_unsummed(d[2 * ks.start - 1:2 * k_hi:4 << v], d[1:2 * len(ks):2],
+                               d[ks.start - 1 + e:k_hi + e:2 << v], ks)
+               for v in range(1, k_hi.bit_length())  # 2^v <= k_hi
+               for e in (0, 1) for ks in (range((1 << v) + e, k_hi + 1, 2 << v),))
+    return None if k is None else {"k": k}
 
 
 def check_length_is_diatomic(d: array, k_hi: int) -> Optional[dict]:
@@ -405,30 +408,23 @@ def check_length_is_diatomic(d: array, k_hi: int) -> Optional[dict]:
     ``d`` holds d(0..k_hi). On the 2-adic class k = 2^v(2i+1), a(k) = i+1
     and |S(i+1)|/2 = d(2i+1): one slice comparison per class.
     """
-    firsts = []
-    for v in range(k_hi.bit_length()):  # 2^v <= k_hi
-        ks = range(1 << v, k_hi + 1, 2 << v)
-        k = _first_mismatch(d[1:2 * len(ks):2], d[ks.start:k_hi + 1:2 << v], ks)
-        if k is not None:
-            firsts.append(k)
-    return {"k": min(firsts)} if firsts else None
+    k = _least(_first_mismatch(d[1:2 * len(ks):2], d[ks.start:k_hi + 1:2 << v], ks)
+               for v in range(k_hi.bit_length())  # 2^v <= k_hi
+               for ks in (range(1 << v, k_hi + 1, 2 << v),))
+    return None if k is None else {"k": k}
 
 
 def check_half_length_chain(d: array, k_hi: int) -> Optional[dict]:
     """For odd k, the halving-chain endpoint satisfies |S(end)|/2 == d(k-1).
 
     ``d`` holds d(0..k_hi - 1). Odd k = 2^(u+1)(2j+1) + 1 reaches the even
-    2j+2 after u+1 halvings, so its chain ends at j+1 and
+    2j+2 after u+1 halvings, so its chain ends at j+1 = a(k-1) and
     |S(j+1)|/2 = d(2j+1): one slice per class u.
     """
-    failures = []
-    for u in range((k_hi - 1).bit_length() - 1):  # (2 << u) + 1 <= k_hi
-        ks = range((2 << u) + 1, k_hi + 1, 4 << u)
-        ends = range(1, len(ks) + 1)
-        end = _first_mismatch(d[1:2 * len(ks):2], d[2 << u:k_hi:4 << u], ends)
-        if end is not None:
-            failures.append({"k": ks[end - 1], "chain_end": end})
-    return min(failures, key=itemgetter("k"), default=None)
+    k = _least(_first_mismatch(d[1:2 * len(ks):2], d[2 << u:k_hi:4 << u], ks)
+               for u in range((k_hi - 1).bit_length() - 1)  # (2 << u) + 1 <= k_hi
+               for ks in (range((2 << u) + 1, k_hi + 1, 4 << u),))
+    return None if k is None else {"k": k, "chain_end": a_of(k - 1)}
 
 
 def check_factorizations(k_hi: int) -> Optional[dict]:
@@ -460,30 +456,22 @@ def check_shift_inequalities(d: array, a: array, k_hi: int) -> Optional[dict]:
     bound is (v+1)*d(2i+1); powers of two are skipped, their chain bottoms
     at 1 and a(0) is undefined. Odd k = 2^(u+1)(2j+1) + 1 has chain end
     j+1, power u+2 and L = d(2^u(2j+1) + 1). The smallest failing k over
-    all classes is named.
+    all classes is named, and its parity names the case.
     """
     # |S(j)|/2 is 1 at j = 0 and d(2j-1) above; gathered at j = a(i) for
     # every i an even class reads
     blocks = array("I", [1]) + d[1:k_hi + 1:2]
     flanks = array("I", map(blocks.__getitem__, a[1:(k_hi + 2) // 4]))
-    failures = []
-    for v in range(1, (k_hi // 3).bit_length()):  # 3 << v <= k_hi
-        ks = range(3 << v, k_hi + 1, 2 << v)
-        lefts, bases = flanks[:len(ks)], d[3:2 * len(ks) + 2:2]
-        _same_length(ks, lefts, bases)
-        k = (None if _all_below(lefts, v + 1, bases)
-             else _first_false(map(lt, lefts, map((v + 1).__mul__, bases)), ks))
-        if k is not None:
-            failures.append({"k": k, "case": "even"})
-    for u in range((k_hi - 1).bit_length() - 1):  # (2 << u) + 1 <= k_hi
-        ks = range((2 << u) + 1, k_hi + 1, 4 << u)
-        lefts, ends = d[(1 << u) + 1:(k_hi + 3) // 2:2 << u], d[1:2 * len(ks):2]
-        _same_length(ks, lefts, ends)
-        k = (None if _all_below(lefts, 2 * u + 2, ends)
-             else _first_false(map(lt, lefts, map((2 * u + 2).__mul__, ends)), ks))
-        if k is not None:
-            failures.append({"k": k, "case": "odd"})
-    return min(failures, key=itemgetter("k"), default=None)
+    k = _least(chain(
+        (_first_not_below(flanks[:len(ks)], v + 1, d[3:2 * len(ks) + 2:2], ks)
+         for v in range(1, (k_hi // 3).bit_length())  # 3 << v <= k_hi
+         for ks in (range(3 << v, k_hi + 1, 2 << v),)),
+        (_first_not_below(d[(1 << u) + 1:(k_hi + 3) // 2:2 << u], 2 * u + 2,
+                          d[1:2 * len(ks):2], ks)
+         for u in range((k_hi - 1).bit_length() - 1)  # (2 << u) + 1 <= k_hi
+         for ks in (range((2 << u) + 1, k_hi + 1, 4 << u),)),
+    ))
+    return None if k is None else {"k": k, "case": ("even", "odd")[k % 2]}
 
 
 def check_mirror_arithmetic(d: array, n_hi: int) -> Optional[dict]:
@@ -491,15 +479,12 @@ def check_mirror_arithmetic(d: array, n_hi: int) -> Optional[dict]:
 
     On level n, k' = base+i-1 and k'' = base-i+1 for i = 1..2^(n-1), with
     base = 6*2^(n-2); every index read lies below 2^(n+2), and ``d`` holds
-    d(0..2^(n_hi+2) - 1).
+    d(0..2^(n_hi+2) - 1). The difference is checked as a sum, one per level.
     """
     for n in range(2, n_hi + 1):
         base, half = 6 * 2 ** (n - 2), 2 ** (n - 1)
         doubled, single = d[2 * base + 1:2 * (base + half):2], d[base + 1:base + half + 1]
-        mirrored, offsets = d[base:base - half:-1], range(1, half + 1)
-        _same_length(offsets, doubled, single, mirrored)
-        i = (None if _sums_hold(doubled, single, mirrored)
-             else _first_false(map(eq, map(sub, doubled, single), mirrored), offsets))
+        i = _first_unsummed(doubled, single, d[base:base - half:-1], range(1, half + 1))
         if i is not None:
             return {"n": n, "i": i}
     return None
@@ -561,15 +546,15 @@ def _lemma_report(
                               counterexample=counterexample)
 
 
-def iter_lemma_checks(k_max: int) -> Iterator[VerificationReport]:
-    """Run the supporting-identity suite; one report per claim, in order.
+def _lemma_cases(k_max: int) -> list[tuple[str, Callable, tuple, int]]:
+    """The supporting-identity suite as (claim, check, tables, bound), in order.
 
     Index-arithmetic checks run to k_max and share one ``stern_table``,
     long enough for |S(k_max)|/2 = d(2k_max - 1) and the mirror levels, and
     one ``a_table``. The two checks that materialise words take them from
     one walk each and are capped at 4096 so CLI sweeps stay fast. Below
     k_max = 8 the suite has too few levels to check every identity, so
-    smaller bounds are rejected.
+    smaller bounds are rejected. Each check is read by name on every call.
     """
     if k_max < 8:
         raise ValueError("k_max must be >= 8")
@@ -577,7 +562,7 @@ def iter_lemma_checks(k_max: int) -> Iterator[VerificationReport]:
     mirror_levels = min(n_levels, 14)
     d = stern_table(max(2 * k_max, 4 << mirror_levels))
     a = a_table(max(k_max // 4, 1 << mirror_levels))
-    checks = [
+    return [
         ("length-identity", check_length_identity, (d,), k_max),
         ("length-is-diatomic", check_length_is_diatomic, (d,), k_max),
         ("half-length-chain", check_half_length_chain, (d,), k_max),
@@ -588,4 +573,9 @@ def iter_lemma_checks(k_max: int) -> Iterator[VerificationReport]:
         ("index-identities", check_index_identities, (a,), mirror_levels),
         ("block-exponents", check_block_exponents, (), min(k_max, 4096)),
     ]
-    return starmap(_lemma_report, checks)
+
+
+def iter_lemma_checks(k_max: int) -> Iterator[VerificationReport]:
+    """Run the supporting-identity suite of :func:`_lemma_cases`; one report
+    per claim, in order."""
+    return starmap(_lemma_report, _lemma_cases(k_max))

@@ -12,7 +12,7 @@ API returns are tuples.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
@@ -46,16 +46,23 @@ def parse_word(text: str) -> Word:
     return tuple(out)
 
 
-def format_word(w: Iterable[int], sep: str = ",") -> str:
-    """Render a word in its text form; inverse of :func:`parse_word`. With
-    ``sep=", "`` it is the body of the word's JSON list.
+def format_pieces(w: Iterable[int], sep: str = ",") -> Iterator[str]:
+    """The text of :func:`format_word` in pieces, one per FORMAT_SLICE
+    letters, each piece after the first led by ``sep``.
 
-    The letters are rendered FORMAT_SLICE at a time and each slice joined
-    at once, so a long word never holds one ``str`` per letter.
+    Each slice of letters is joined at once, so a long word never holds one
+    ``str`` per letter, and written piece by piece it is never held whole.
     """
     letters = iter(w)
-    slices = iter(lambda: sep.join(map(str, islice(letters, FORMAT_SLICE))), "")
-    return sep.join(slices)
+    pieces = iter(lambda: sep.join(map(str, islice(letters, FORMAT_SLICE))), "")
+    yield next(pieces, "")
+    yield from map(sep.__add__, pieces)
+
+
+def format_word(w: Iterable[int], sep: str = ",") -> str:
+    """Render a word in its text form; inverse of :func:`parse_word`. With
+    ``sep=", "`` it is the body of the word's JSON list."""
+    return "".join(format_pieces(w, sep))
 
 
 def reverse(x: Sequence[int]) -> Word:

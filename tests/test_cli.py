@@ -151,9 +151,9 @@ sys.exit(status)
 
 
 def seq_peak_kb(*flags):
-    """The peak resident set of ``seq`` on a word of 2^22 letters, in kB."""
+    """The peak resident set of ``seq`` on a word of 11,405,774 letters, in kB."""
     env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-c", SEQ_PEAK, "seq", "--n", "13887108779", *flags],
+    proc = subprocess.run([sys.executable, "-c", SEQ_PEAK, "seq", "--n", "2863311531", *flags],
                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -161,14 +161,15 @@ def seq_peak_kb(*flags):
 
 
 def test_seq_long_word_peak_memory_is_bounded():
-    # walked on tuple seeds, the command peaked near 99 MB; on bytes seeds
-    # it peaks near 33 MB
+    # the whole text, joined from every slice at once, peaked near 62 MB;
+    # written slice by slice, the command peaks near 41 MB, most of it the
+    # bytes word and its walk
     assert seq_peak_kb() < 48 * 1024
 
 
 def test_seq_json_long_word_peak_memory_is_bounded():
-    # a list of 2^22 ints and one json.dumps of the record peaked near
-    # 83 MB; the record written in pieces peaks near 46 MB
+    # the sequence as one string of 3 bytes per letter peaked near 95 MB;
+    # written slice by slice, the record peaks near 41 MB
     assert seq_peak_kb("--json") < 48 * 1024
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from oracles import bqf_min_brute, cf_eval, markov_value_by_tails, perron_float, tail_float
 
+from markovwords import spectrum
 from markovwords.spectrum import (
     BQForm,
     QuadraticSurd,
@@ -18,6 +19,7 @@ from markovwords.spectrum import (
     zero_tail,
 )
 from markovwords.tree import s_rec
+from markovwords.words import word
 
 letters = st.integers(min_value=1, max_value=4)
 periods = st.lists(letters, min_size=1, max_size=8).map(tuple)
@@ -232,6 +234,20 @@ def test_markov_value_examples():
     assert v3.argmin == 0  # position 1 attains the same value; ties go low
     with pytest.raises(ValueError):
         markov_value(())
+
+
+def test_markov_value_and_zero_tail_validate_each_letter_once(monkeypatch):
+    # the convergent matrix is folded from the validated word, without a
+    # second validating pass through cf_matrix
+    validated = []
+    monkeypatch.setattr(spectrum, "word", lambda x: validated.append(x) or word(x))
+    assert markov_value((2, 2, 1, 1)).value == QuadraticSurd(0, 1, 5, 221)
+    assert zero_tail((2, 2)) == QuadraticSurd(-1, 1, 1, 2)
+    assert validated == [(2, 2, 1, 1), (2, 2)]
+    for bad in ((), (1, 0), (2, True), (1, 2.0)):
+        for fn in (markov_value, zero_tail):
+            with pytest.raises(ValueError):
+                fn(bad)
 
 
 def assert_same_markov_value(w):

@@ -475,39 +475,81 @@ def lane_array(*entries):
     return array("I", entries if sys.byteorder == "little" else entries[::-1])
 
 
-def test_sums_hold_only_where_no_lane_carries():
+def first_unsummed_by_index(whole, left, right):
+    failures = (i for i, (w, x, y) in enumerate(zip(whole, left, right)) if w != x + y)
+    return next(failures, None)
+
+
+def first_not_below_by_index(x, m, y):
+    return next((i for i, (u, v) in enumerate(zip(x, y)) if not u < m * v), None)
+
+
+def lane_step_alone(monkeypatch):
+    """From here on, a kernel that falls back to the element-wise search fails."""
+    def element_wise(flags, indices):
+        raise AssertionError("the lane step should have decided")
+
+    monkeypatch.setattr(theorems, "_first_false", element_wise)
+
+
+def test_sums_hold_only_where_no_lane_carries(monkeypatch):
+    def first_unsummed(whole, left, right):
+        got = theorems._first_unsummed(whole, left, right, range(len(whole)))
+        assert got == first_unsummed_by_index(whole, left, right)
+        return got
+
     # each sum overflows lane 0, and its carry would make lane 1 agree
-    sums_hold = theorems._sums_hold
-    assert not sums_hold(lane_array(0, 1), lane_array(2 ** 31, 0), lane_array(2 ** 31, 0))
-    assert not sums_hold(lane_array(0, 1), lane_array(1, 0), lane_array(2 ** 32 - 1, 0))
-    assert not sums_hold(lane_array(0, 1), lane_array(2 ** 32 - 1, 0), lane_array(1, 0))
+    carried = lane_array(0, 1)
+    assert first_unsummed(carried, lane_array(2 ** 31, 0), lane_array(2 ** 31, 0)) == 0
+    assert first_unsummed(carried, lane_array(1, 0), lane_array(2 ** 32 - 1, 0)) == 0
+    assert first_unsummed(carried, lane_array(2 ** 32 - 1, 0), lane_array(1, 0)) == 0
+    # past the guard a sum that holds is found to hold entry by entry
+    assert first_unsummed(lane_array(2 ** 31, 1), lane_array(2 ** 31, 0), carried) is None
     # below 2^31 every lane sum is exact
     left, right = lane_array(2 ** 31 - 1, 3), lane_array(2 ** 31 - 1, 4)
-    assert sums_hold(lane_array(2 ** 32 - 2, 7), left, right)
-    assert not sums_hold(lane_array(2 ** 32 - 2, 8), left, right)
-    assert not sums_hold(lane_array(2 ** 32 - 1, 7), left, right)
+    assert first_unsummed(lane_array(2 ** 32 - 2, 8), left, right) is not None
+    assert first_unsummed(lane_array(2 ** 32 - 1, 7), left, right) is not None
+    lane_step_alone(monkeypatch)
+    assert first_unsummed(lane_array(2 ** 32 - 2, 7), left, right) is None
 
 
-def test_all_below_only_where_no_lane_borrows_or_spills():
-    all_below = theorems._all_below
+def test_all_below_only_where_no_lane_borrows_or_spills(monkeypatch):
+    def first_not_below(x, m, y):
+        got = theorems._first_not_below(x, m, y, range(len(x)))
+        assert got == first_not_below_by_index(x, m, y)
+        return got
+
     # x >= 2^31 borrows from the lane above, or from the sign at the top
-    assert not all_below(lane_array(2 ** 31 + 5), 1, lane_array(0))
-    assert not all_below(lane_array(2 ** 31 + 5, 0), 1, lane_array(0, 2))
+    assert first_not_below(lane_array(2 ** 31 + 5), 1, lane_array(0)) == 0
+    assert first_not_below(lane_array(2 ** 31 + 5, 0), 1, lane_array(0, 2)) is not None
     # 8 * (2^32 - 1) spills 7 into lane 1, where 6 < 8 * 0 fails
-    assert not all_below(lane_array(2 ** 31 - 1, 6), 8, lane_array(2 ** 32 - 1, 0))
+    assert first_not_below(lane_array(2 ** 31 - 1, 6), 8, lane_array(2 ** 32 - 1, 0)) is not None
+    # past the guard an inequality that holds is found to hold entry by entry
+    assert first_not_below(lane_array(2 ** 31 - 1), 1, lane_array(2 ** 31)) is None
     # x == m * y fails; one less holds, up to the largest y the guard passes
-    assert not all_below(lane_array(6, 1), 3, lane_array(2, 1))
-    assert all_below(lane_array(5, 1), 3, lane_array(2, 1))
-    assert all_below(lane_array(2 ** 30 - 2), 1, lane_array(2 ** 30 - 1))
-    assert not all_below(lane_array(3 * 2 ** 29 - 3), 3, lane_array(2 ** 29 - 1))
+    assert first_not_below(lane_array(6, 1), 3, lane_array(2, 1)) is not None
+    assert first_not_below(lane_array(3 * 2 ** 29 - 3), 3, lane_array(2 ** 29 - 1)) == 0
+    lane_step_alone(monkeypatch)
+    assert first_not_below(lane_array(5, 1), 3, lane_array(2, 1)) is None
+    assert first_not_below(lane_array(2 ** 30 - 2), 1, lane_array(2 ** 30 - 1)) is None
+    assert first_not_below(lane_array(3 * 2 ** 29 - 4), 3, lane_array(2 ** 29 - 1)) is None
 
 
-def test_lane_kernels_agree_with_the_element_wise_comparisons():
-    # a lane step may only answer True when every entry holds, and decides
-    # exactly while its operands pass the guards
+def test_lane_kernels_agree_with_the_element_wise_comparisons(monkeypatch):
+    # each kernel names the element-wise first failure, and its lane step
+    # decides alone exactly when every entry holds and the operands pass
+    # the guards
     rng = random.Random(19)
     edges = [0, 1, 2, 3, 2 ** 24 + 3, 2 ** 28, 2 ** 29 - 1, 2 ** 30 - 1, 2 ** 30,
              2 ** 31 - 1, 2 ** 31, 2 ** 32 - 2, 2 ** 32 - 1]
+    searched = []
+    first_false = theorems._first_false
+
+    def counted(flags, indices):
+        searched.append(indices)
+        return first_false(flags, indices)
+
+    monkeypatch.setattr(theorems, "_first_false", counted)
 
     def entries(n):
         return array("I", (min(max(rng.choice(edges) + rng.randint(-1, 1), 0), 2 ** 32 - 1)
@@ -519,17 +561,21 @@ def test_lane_kernels_agree_with_the_element_wise_comparisons():
         whole = array("I", (min(x + y, 2 ** 32 - 1) for x, y in zip(left, right)))
         if rng.random() < 0.5:
             whole[rng.randrange(n)] = entries(1)[0]
-        truth = all(w == x + y for w, x, y in zip(whole, left, right))
+        expected = first_unsummed_by_index(whole, left, right)
         guarded = max(left + right) < 2 ** 31
-        assert theorems._sums_hold(whole, left, right) == (truth and guarded)
+        searched.clear()
+        assert theorems._first_unsummed(whole, left, right, range(n)) == expected
+        assert bool(searched) == (expected is not None or not guarded)
         x, y = entries(n), entries(n)
         if rng.random() < 0.5:
             y = array("I", (min(v, (2 ** 31 - 1) // m) for v in y))
             i = rng.randrange(n)
             x[i] = m * y[i] - rng.randint(0, 1) if m * y[i] else 0
-        truth = all(u < m * v for u, v in zip(x, y))
+        expected = first_not_below_by_index(x, m, y)
         guarded = max(x) < 2 ** 31 and max(y) < 2 ** (31 - m.bit_length())
-        assert theorems._all_below(x, m, y) == (truth and guarded)
+        searched.clear()
+        assert theorems._first_not_below(x, m, y, range(n)) == expected
+        assert bool(searched) == (expected is not None or not guarded)
 
 
 def test_mismatched_operands_raise_instead_of_passing():
