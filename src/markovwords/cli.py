@@ -3,7 +3,8 @@
 Subcommands: seq, stern, verify (prop-main | theorem | equivalence | lemmas),
 spectrum, scan, bqf. Results go to stdout, diagnostics to stderr; ``--json``
 switches to one JSON object per line. The exit status is 0 exactly when
-every requested check passed, so verify sweeps can gate CI.
+every requested check passed, so verify sweeps can gate CI; a rejected
+input exits 2 with one ``error:`` line on stderr, written only by :func:`main`.
 """
 from __future__ import annotations
 
@@ -154,9 +155,8 @@ def _cmd_seq(args) -> int:
     labels = stern(2 * n - 1) if n else 1
     letters = labels if args.blocks and not args.json else labels * max(len(args.A), len(args.B))
     if letters > SEQ_MAX_LETTERS:
-        print(f"error: --n {n} gives a word of up to {letters} letters; "
-              f"seq builds at most {SEQ_MAX_LETTERS}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--n {n} gives a word of up to {letters} letters; "
+                         f"seq builds at most {SEQ_MAX_LETTERS}")
     # S(n) is walked on bytes seeds and decoded through the letter table as it is written
     letters, a, b = relabel(args.A, args.B)
     if args.json:
@@ -223,11 +223,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_bqf(args) -> int:
-    try:
-        result = bqf_min(args.form, args.radius)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = bqf_min(args.form, args.radius)
     normalized = _surd_json(result.normalized)
     decimal = result.normalized.to_decimal(args.digits)
     if args.json:
@@ -268,15 +264,20 @@ _MINIMA = {"n": 0, "upto": 0, "digits": 0, "n_max": 1, "k_max": 8,
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, low in _MINIMA.items():
-        value = getattr(args, name, None)
-        if value is not None and value < low:
-            print(f"error: --{name.replace('_', '-')} must be >= {low}", file=sys.stderr)
-            return 2
-    if getattr(args, "check", None) == "prop-main" and args.a == args.b:
-        print("error: --a and --b must differ", file=sys.stderr)
-        return 2
-    return _HANDLERS[args.command](args)
+    try:
+        for name, low in _MINIMA.items():
+            value = getattr(args, name, None)
+            if value is not None and value < low:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
+        if getattr(args, "check", None) == "prop-main" and args.a == args.b:
+            raise ValueError("--a and --b must differ")
+        return _HANDLERS[args.command](args)
+    except ValueError as exc:
+        message = str(exc)
+    except (MemoryError, OverflowError):  # a table past RAM, or past sys.maxsize entries
+        message = "the input is too large to hold in memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def entrypoint() -> None:

@@ -87,9 +87,6 @@ class QuadraticSurd:
     def from_fraction(cls, f: Fraction) -> "QuadraticSurd":
         return cls(f.numerator, 0, f.denominator, 0)
 
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
 
@@ -258,14 +255,11 @@ def cf_matrix(x: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
     Its determinant is (-1)^len and the first column holds the final
     convergent numerator/denominator.
     """
-    w = word(x)
-    if not w:
-        raise ValueError("empty continued fraction")
-    return _fold_convergents(w)
+    return _fold_convergents(word(x))
 
 
 def _fold_convergents(w: Word) -> tuple[tuple[int, int], tuple[int, int]]:
-    """:func:`cf_matrix` of a word already validated and nonempty."""
+    """:func:`cf_matrix` of a word already validated."""
     m11, m12, m21, m22 = 1, 0, 0, 1
     for a in w:
         m11, m12, m21, m22 = m11 * a + m12, m11, m21 * a + m22, m21
@@ -280,10 +274,7 @@ def zero_tail(period: Sequence[int]) -> QuadraticSurd:
     period; the tail is 1/y. The radicand is trace(M)^2 - 4*det(M), shared
     by every rotation and by the reversed period (same trace, same det).
     """
-    w = word(period)
-    if not w:
-        raise ValueError("empty period")
-    (m11, m12), (m21, m22) = _fold_convergents(w)
+    (m11, m12), (m21, m22) = cf_matrix(period)
     det = m11 * m22 - m12 * m21
     d = (m11 + m22) ** 2 - 4 * det
     y = QuadraticSurd(m11 - m22, 1, 2 * m21, d)
@@ -309,8 +300,6 @@ def markov_value(period: Sequence[int]) -> MarkovValue:
     smallest position.
     """
     w = word(period)
-    if not w:
-        raise ValueError("empty period")
     (m11, m12), (m21, m22) = _fold_convergents(w)
     d = (m11 + m22) ** 2 - 4 * (m11 * m22 - m12 * m21)
     q_min, argmin = m21, 0

@@ -90,8 +90,6 @@ def verify_shift_palindromic_range(
 
 def _palindromic_seeds(a: Sequence[int], b: Sequence[int]) -> tuple[Word, Word]:
     wa, wb = word(a), word(b)
-    if not wa or not wb:
-        raise ValueError("seed words must be nonempty")
     if not (is_palindrome(wa) and is_palindrome(wb)):
         raise ValueError("seed words must be palindromic")
     return wa, wb

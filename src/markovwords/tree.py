@@ -30,8 +30,6 @@ class Vertex(NamedTuple):
 def root(a: Sequence[int], b: Sequence[int]) -> Vertex:
     """The root vertex (A, A+B, B)."""
     wa, wb = word(a), word(b)
-    if not wa or not wb:
-        raise ValueError("seed words must be nonempty")
     return Vertex(wa, wa + wb, wb)
 
 
@@ -118,10 +116,7 @@ def s_rec(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     """
     if n < 0:
         raise ValueError("indices start at 0")
-    wa, wb = word(a), word(b)
-    if not wa or not wb:
-        raise ValueError("seed words must be nonempty")
-    return _s_rec_cached(wa, wb, n)
+    return _s_rec_cached(word(a), word(b), n)
 
 
 @lru_cache(maxsize=4096)

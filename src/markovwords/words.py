@@ -21,8 +21,11 @@ FORMAT_SLICE = 1 << 16
 
 
 def word(letters: Iterable[int]) -> Word:
-    """Freeze an iterable of letters into a word, validating each letter."""
+    """Freeze an iterable of letters into a word, validating it: at least one
+    letter, each an integer >= 1."""
     w = tuple(letters)
+    if not w:
+        raise ValueError("a word has at least one letter")
     for x in w:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise ValueError(f"word letters must be integers >= 1, got {x!r}")

@@ -46,8 +46,6 @@ def cf_eval(x: Sequence[int]) -> Fraction:
     """Value of the finite continued fraction [a1; a2 : ... : an], folded
     from the last partial quotient; the reference for ``cf_matrix``."""
     w = word(x)
-    if not w:
-        raise ValueError("empty continued fraction")
     acc = Fraction(w[-1])
     for a in w[-2::-1]:
         acc = a + 1 / acc
@@ -80,8 +78,6 @@ def perron_float(period, depth: int = 60) -> tuple[float, int]:
 def markov_value_by_tails(period) -> MarkovValue:
     """Largest exact Perron sum a_i + forward tail + backward tail, ties low."""
     w = word(period)
-    if not w:
-        raise ValueError("empty period")
     n = len(w)
     best: QuadraticSurd | None = None
     best_i = 0

@@ -96,6 +96,9 @@ class _Built(Exception):
     """Raised by a stand-in walk: the cap let seq start building."""
 
 
+# the one line for a table past memory or past sys.maxsize entries
+TOO_LARGE = "the input is too large to hold in memory"
+
 # indices whose label words have 2^23, 2^23 + 1, 2^24 and 2^24 + 1 letters
 NEAR_CAP = (24584024747, 29600098987, 123904555691, 117293091499)
 HUGE = 99999999999999999999999999999  # d(2n - 1) is about 2.9e13
@@ -416,12 +419,27 @@ def test_scan_rows_match_tail_oracle(capsys, schema):
     (["verify", "prop-main", "--n-max", "3", "--b", "-1"], "--b must be >= 1"),
     (["verify", "prop-main", "--n-max", "3", "--a", "1", "--b", "1"],
      "--a and --b must differ"),
+    # a table of 2^63 + 1 entries cannot be indexed; it raises before allocating
+    (["stern", "--upto", str(2 ** 63)], TOO_LARGE),
+    (["verify", "prop-main", "--n-max", str(2 ** 63)], TOO_LARGE),
+    (["verify", "theorem", "--trials", "1", "--n-max", str(2 ** 63)], TOO_LARGE),
+    (["verify", "lemmas", "--k-max", str(2 ** 63)], TOO_LARGE),
 ])
 def test_out_of_range_flag_exits_2_with_one_line(capsys, argv, message):
     status, out, err = run(capsys, *argv)
     assert status == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_a_table_past_memory_exits_2_with_one_line(capsys, monkeypatch):
+    # a size between RAM and sys.maxsize might be allocated lazily and
+    # exhaust the machine, so the MemoryError is raised by a stand-in
+    def past_memory(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "stern_table", past_memory)
+    assert run(capsys, "stern", "--upto", "5") == (2, "", f"error: {TOO_LARGE}\n")
 
 
 def test_bqf(capsys, schema):

@@ -54,8 +54,6 @@ def test_zero_tail_examples():
     assert zero_tail((1, 1)) == GOLDEN_TAIL
     assert zero_tail((1,)) == GOLDEN_TAIL
     assert zero_tail((2, 2)) == QuadraticSurd(-1, 1, 1, 2)  # sqrt(2) - 1
-    with pytest.raises(ValueError):
-        zero_tail(())
 
 
 @given(periods)
@@ -232,8 +230,6 @@ def test_markov_value_examples():
     v3 = markov_value((2, 2, 1, 1))
     assert v3.value == QuadraticSurd(0, 1, 5, 221)
     assert v3.argmin == 0  # position 1 attains the same value; ties go low
-    with pytest.raises(ValueError):
-        markov_value(())
 
 
 def test_markov_value_and_zero_tail_validate_each_letter_once(monkeypatch):

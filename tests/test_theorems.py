@@ -149,8 +149,6 @@ def test_arrangement_preconditions():
     with pytest.raises(ValueError):
         block_rearrangement((1, 2), (3,), 5)  # (1,2) not palindromic
     with pytest.raises(ValueError):
-        block_rearrangement((), (3,), 5)
-    with pytest.raises(ValueError):
         block_rearrangement(A, B, 0)
 
 

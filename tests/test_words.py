@@ -4,6 +4,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from markovwords.spectrum import cf_matrix, markov_value, zero_tail
+from markovwords.theorems import block_rearrangement, verify_block_rearrangement, verify_mirror
+from markovwords.tree import root, s_rec, walk
 from markovwords.words import (
     FORMAT_SLICE,
     format_word,
@@ -69,6 +72,33 @@ def test_word_validation():
         word((1, -3))
     with pytest.raises(ValueError):
         word((1, 2.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: word(()),
+    lambda: root((), (2,)),
+    lambda: root((1,), ()),
+    lambda: next(walk((), (2,), 0, 0)),
+    lambda: next(walk((1,), (), 5, 9)),
+    lambda: s_rec((), (2,), 3),
+    lambda: s_rec((1,), (), 0),
+    lambda: cf_matrix(()),
+    lambda: zero_tail(()),
+    lambda: markov_value(()),
+    lambda: block_rearrangement((), (3,), 5),
+    lambda: block_rearrangement((1,), (), 5),
+    lambda: verify_block_rearrangement((), (3,), 5),
+    lambda: verify_mirror((), (2,), 3),
+    lambda: verify_mirror((1,), (), 3),
+], ids=["word", "root-A", "root-B", "walk-A", "walk-B", "s_rec-A", "s_rec-B", "cf_matrix",
+        "zero_tail", "markov_value", "block_rearrangement-A", "block_rearrangement-B",
+        "verify_block_rearrangement", "verify_mirror-A", "verify_mirror-B"])
+def test_every_word_taking_entry_point_rejects_the_empty_word_through_word(call):
+    # a word, seed or period has at least one letter; word() is the one
+    # place that says so, and each entry point raises its message
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == "a word has at least one letter"
 
 
 def test_parse_format_roundtrip():
