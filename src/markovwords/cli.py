@@ -123,9 +123,7 @@ def _report_lines(reports: Iterable, check: str, as_json: bool, tally: list[int]
     for rep in reports:
         tally[rep.passed] += 1
         if as_json:
-            payload = {"command": "verify", "check": check}
-            payload.update(rep.to_json())
-            yield json.dumps(payload)
+            yield json.dumps({"command": "verify", "check": check, **rep.to_json()})
         else:
             status = "PASS" if rep.passed else "FAIL"
             extra = f" witness={rep.witness}" if rep.witness is not None else ""
@@ -224,24 +222,15 @@ def _cmd_scan(args) -> int:
 
 def _cmd_bqf(args) -> int:
     result = bqf_min(args.form, args.radius)
-    normalized = _surd_json(result.normalized)
-    decimal = result.normalized.to_decimal(args.digits)
+    row = {"form": list(args.form), "radius": args.radius, "min_abs": result.min_abs,
+           "point": list(result.point), "normalized": _surd_json(result.normalized),
+           "decimal": result.normalized.to_decimal(args.digits)}
     if args.json:
-        print(json.dumps({
-            "command": "bqf",
-            "form": [args.form.a, args.form.b, args.form.c],
-            "radius": args.radius,
-            "min_abs": result.min_abs,
-            "point": list(result.point),
-            "normalized": normalized,
-            "decimal": decimal,
-        }))
+        print(json.dumps({"command": "bqf", **row}))
     else:
-        print(
-            f"form={args.form.a},{args.form.b},{args.form.c} radius={args.radius} "
-            f"min_abs={result.min_abs} point=({result.point[0]},{result.point[1]}) "
-            f"normalized={_surd_text(normalized)} decimal={decimal}"
-        )
+        print("form={},{},{} radius={} min_abs={} point=({},{}) normalized={} decimal={}".format(
+            *row["form"], row["radius"], row["min_abs"], *row["point"],
+            _surd_text(row["normalized"]), row["decimal"]))
     return 0
 
 

@@ -31,6 +31,22 @@ def _surd_sign(p: int, q: int, d: int) -> int:
     return -1 if p * p < q * q * d else 1
 
 
+# digits per int-to-str conversion: the lowest limit a program can set on
+# such conversions (sys.int_info.str_digits_check_threshold)
+_STR_PIECE_DIGITS = 640
+
+
+def _decimal_digits(x: int, width: int) -> str:
+    """0 <= x < 10**width as exactly ``width`` decimal digits, converted in
+    pieces of at most _STR_PIECE_DIGITS, so no conversion meets the
+    interpreter's limit on int-to-str conversion."""
+    if width <= _STR_PIECE_DIGITS:
+        return f"{x:0{width}d}"
+    low = width // 2
+    high, rest = divmod(x, 10 ** low)
+    return _decimal_digits(high, width - low) + _decimal_digits(rest, low)
+
+
 class QuadraticSurd:
     """Exact value (p + q*sqrt(d))/r with arbitrary-precision integers.
 
@@ -228,9 +244,10 @@ class QuadraticSurd:
             scaled += 1  # floor -> truncation for negative values
         sign = "-" if negative else ""  # kept when truncation reaches zero
         scaled = abs(scaled)
-        if digits == 0:
-            return f"{sign}{scaled}"
-        return f"{sign}{scaled // scale}.{scaled % scale:0{digits}d}"
+        # an integer of b bits has at most floor(b * log10(2)) + 1 digits
+        text = _decimal_digits(scaled, max(digits + 1, scaled.bit_length() * 30103 // 10 ** 5 + 1))
+        whole = text[:len(text) - digits].lstrip("0") or "0"
+        return f"{sign}{whole}.{text[len(text) - digits:]}" if digits else f"{sign}{whole}"
 
     def _is_exact_at(self, scale: int) -> bool:
         return self.q == 0 and (self.p * scale) % self.r == 0

@@ -43,12 +43,7 @@ class VerificationReport(NamedTuple):
     counterexample: object = None
 
     def to_json(self) -> dict:
-        out = {"claim": self.claim, "n": self.n, "passed": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
+        return {key: value for key, value in self._asdict().items() if value is not None}
 
 
 def _check_shift_letters(a_sym: int, b_sym: int) -> None:
@@ -103,24 +98,31 @@ def _rearrangement_shift(seeds: tuple[Word, Word], labels: Sequence[int], d: int
     return shift + len(seeds[labels[k] - 1]) // 2 if d % 2 else shift
 
 
-def _rearrangements(
+def _rearrangement_reports(
     a: Sequence[int], b: Sequence[int], lo: int, shifts: Sequence[int]
-) -> tuple[Iterator[tuple[Sequence[int], int]], Callable]:
-    """(S(n), the rotation that rearranges it) for n = lo, ..., lo + len(shifts) - 1,
-    and the function that builds the rearrangement on the seeds' own letters.
+) -> Iterator[VerificationReport]:
+    """:func:`verify_block_rearrangement` for n = lo, ..., lo + len(shifts) - 1,
+    one report at a time.
 
     ``shifts`` holds d(n) for those indices. S(n) is walked on the seeds
     :func:`~markovwords.tree.relabel` gives, beside its label word on
-    :data:`LABEL_SEEDS`.
+    :data:`LABEL_SEEDS`; only a failing arrangement is decoded back to the
+    seeds' own letters.
     """
     seeds = _palindromic_seeds(a, b)
     if lo < 1:
         raise ValueError("indices start at 1")
     letters, *relabelled = relabel(*seeds)
+    fa, fb = format_word(a), format_word(b)
     hi = lo + len(shifts) - 1
-    words = zip(walk(*relabelled, lo, hi), walk(*LABEL_SEEDS, lo, hi), shifts)
-    rotations = ((s, _rearrangement_shift(seeds, labels, d)) for s, labels, d in words)
-    return rotations, lambda s, shift: tuple(map(letters.__getitem__, rotate(s, shift)))
+    words = zip(count(lo), walk(*relabelled, lo, hi), walk(*LABEL_SEEDS, lo, hi), shifts)
+    return (
+        VerificationReport("block-rearrangement", n, ok, {"shift": d, "A": fa, "B": fb},
+                           None if ok else format_word(map(letters.__getitem__, rotate(s, shift))))
+        for n, s, labels, d in words
+        for shift in (_rearrangement_shift(seeds, labels, d),)
+        for ok in (is_palindromic_rotation(s, shift),)
+    )
 
 
 def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
@@ -146,8 +148,11 @@ def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     sometimes none exists: with seeds (1,2,1),(3), S(5) has even length and
     three 2s, so no rotation of it is palindromic.
     """
-    ((s, shift),), arrange = _rearrangements(a, b, n, [stern(n)])
-    return arrange(s, shift)
+    seeds = _palindromic_seeds(a, b)
+    if n < 1:
+        raise ValueError("indices start at 1")
+    s, labels = next(walk(*seeds, n, n)), next(walk(*LABEL_SEEDS, n, n))
+    return rotate(s, _rearrangement_shift(seeds, labels, stern(n)))
 
 
 def verify_block_rearrangement(
@@ -159,16 +164,7 @@ def verify_block_rearrangement(
     (d(n)+1)/2 has even length (see :func:`block_rearrangement`); outside
     that scope a failing report records a fact, not a defect.
     """
-    d = stern(n)
-    ((s, shift),), arrange = _rearrangements(a, b, n, [d])
-    ok = is_palindromic_rotation(s, shift)
-    return VerificationReport(
-        claim="block-rearrangement",
-        n=n,
-        passed=ok,
-        witness={"shift": d, "A": format_word(a), "B": format_word(b)},
-        counterexample=None if ok else format_word(arrange(s, shift)),
-    )
+    return next(_rearrangement_reports(a, b, n, [stern(n)]))
 
 
 def even_index_factorization(k: int) -> tuple[int, int, int]:
@@ -251,24 +247,24 @@ def random_seed_pairs(
     ]
 
 
+def _pair_report(
+    claim: str, index: int, a: Sequence[int], b: Sequence[int], counterexample: object
+) -> VerificationReport:
+    """The report of one seed pair's sweep, passed exactly when it found no
+    counterexample; the witness names the pair."""
+    return VerificationReport(claim, index, counterexample is None,
+                              {"A": format_word(a), "B": format_word(b)}, counterexample)
+
+
 def verify_rearrangement_pair(
     pair_index: int, a: Sequence[int], b: Sequence[int], n_max: int
 ) -> VerificationReport:
-    """Sweep one seed pair through all n <= n_max on one walk of S(n) and of
-    its label word (see :func:`_rearrangements`)."""
-    rotations, arrange = _rearrangements(a, b, 1, stern_table(n_max)[1:])
-    failure = None
-    for n, (s, shift) in enumerate(rotations, 1):
-        if not is_palindromic_rotation(s, shift):
-            failure = {"n": n, "arrangement": format_word(arrange(s, shift))}
-            break
-    return VerificationReport(
-        claim="block-rearrangement-pair",
-        n=pair_index,
-        passed=failure is None,
-        witness={"A": format_word(a), "B": format_word(b)},
-        counterexample=failure,
-    )
+    """Sweep one seed pair through all n <= n_max and name the first failing
+    index of :func:`_rearrangement_reports` with its arrangement."""
+    reports = _rearrangement_reports(a, b, 1, stern_table(n_max)[1:])
+    first = next((r for r in reports if not r.passed), None)
+    return _pair_report("block-rearrangement-pair", pair_index, a, b, None if first is None
+                        else {"n": first.n, "arrangement": first.counterexample})
 
 
 def iter_shift_palindromic(
@@ -313,13 +309,7 @@ def verify_equivalence_pair(
     """
     words = enumerate(walk(a, b, 0, 2 ** levels))
     mismatch = next((n for n, w in words if s_rec(a, b, n) != w), None)
-    return VerificationReport(
-        claim="recursion-vs-graph",
-        n=pair_index,
-        passed=mismatch is None,
-        witness={"A": format_word(a), "B": format_word(b)},
-        counterexample=mismatch,
-    )
+    return _pair_report("recursion-vs-graph", pair_index, a, b, mismatch)
 
 
 def iter_equivalence(

@@ -23,6 +23,7 @@ the reference for the convergent matrix.
 """
 from __future__ import annotations
 
+from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -50,6 +51,16 @@ def cf_eval(x: Sequence[int]) -> Fraction:
     for a in w[-2::-1]:
         acc = a + 1 / acc
     return acc
+
+
+def decimal_truncated(p: int, q: int, r: int, d: int, digits: int) -> str:
+    """(p + q*sqrt(d))/r to ``digits`` fractional digits, truncated toward
+    zero, by the decimal module at 40 digits more precision; the reference
+    for ``QuadraticSurd.to_decimal`` on values of a few integer digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 40
+        value = (p + q * Decimal(d).sqrt()) / r
+        return str(value.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_DOWN))
 
 
 def tail_float(period, depth: int = 60) -> float:

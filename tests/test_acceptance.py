@@ -14,6 +14,7 @@ from oracles import perron_float, s_graph, s_rec_with_rule
 from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.spectrum import BQForm, QuadraticSurd, bqf_min, markov_value
 from markovwords.theorems import (
+    _rearrangement_reports,
     check_block_exponents,
     check_factorizations,
     check_half_length_chain,
@@ -25,7 +26,6 @@ from markovwords.theorems import (
     check_shift_inequalities,
     iter_equivalence,
     random_seed_pairs,
-    verify_block_rearrangement,
     verify_rearrangement_pair,
     verify_shift_palindromic,
 )
@@ -103,18 +103,20 @@ def test_criterion_3_builder_equivalence_level_10():
 def test_criterion_4_block_rearrangement_random_seeds():
     # The arrangement is proved palindromic when d = d(n) is even or the split
     # block (d+1)/2 has even length (argument in block_rearrangement's
-    # docstring). Each (pair, n) is checked on its own, so a failure at one n
-    # does not hide the in-scope indices after it.
+    # docstring). Each pair's stream reports every (pair, n) on its own, so a
+    # failure at one n does not hide the in-scope indices after it.
     budget = 60.0
     t0 = time.perf_counter()
     pairs = random_seed_pairs(trials=200, seed=42)  # lengths 1..8, letters 1..9
     in_scope = out_of_scope = 0
     failures = []
     labels = [w.decode() for w in walk(b"A", b"B", 0, 512)]
+    shifts = stern_table(512)[1:]
     for idx, (wa, wb) in enumerate(pairs, 1):
         seeds = {"A": wa, "B": wb}
-        for n in range(1, 513):
-            rep = verify_block_rearrangement(wa, wb, n)
+        reports = list(_rearrangement_reports(wa, wb, 1, shifts))
+        assert [rep.n for rep in reports] == list(range(1, 513))
+        for n, rep in enumerate(reports, 1):
             d = stern(n)
             if d % 2 and len(seeds[labels[n][(d + 1) // 2 - 1]]) % 2:
                 out_of_scope += 1
@@ -138,6 +140,7 @@ def test_criterion_4_block_rearrangement_random_seeds():
     # the sweep must still reach odd-length split blocks, or lengths 1..8
     # would test no more than the even-length refinement below
     assert out_of_scope > 0
+    assert (in_scope, out_of_scope) == (70355, 32045)
     assert elapsed < budget
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oracles import markov_value_by_tails, s_graph, stern_by_bits
+from oracles import decimal_truncated, markov_value_by_tails, s_graph, stern_by_bits
 
 from markovwords import cli
 from markovwords.cli import main
@@ -380,6 +380,27 @@ def test_scan_text(capsys):
         "n=1 period=2,2 surd=(0,1,2,32) decimal=2.8284271247 markov=true\n"
         "n=2 period=1,1,2,2 surd=(0,1,5,221) decimal=2.9732137494 markov=true\n"
     )
+
+
+def test_decimals_past_the_int_to_str_limit(capsys, schema):
+    # 5000 digits is past the interpreter's default int-to-str limit of 4300
+    status, out, _ = run(capsys, "spectrum", "--period", "1,2", "--digits", "4299")
+    assert status == 0
+    short = out.split(" decimal=")[1].split()[0]
+    status, out, _ = run(capsys, "spectrum", "--period", "1,2", "--digits", "5000")
+    assert status == 0
+    decimal = out.split(" decimal=")[1].split()[0]
+    assert decimal == decimal_truncated(*markov_value_by_tails((1, 2)).value.as_tuple(), 5000)
+    assert decimal[:4301] == short
+    # scan and bqf render their values the same way
+    for argv, field in ((("scan", "--n-max", "2"), "surd"),
+                        (("bqf", "--form", "1,1,-1"), "normalized")):
+        status, out, _ = run(capsys, *argv, "--digits", "5000", "--json")
+        assert status == 0
+        for rec in validate_lines(schema, out):
+            surd = rec[field]
+            assert rec["decimal"] == decimal_truncated(
+                surd["p"], surd["q"], surd["r"], surd["D"], 5000)
 
 
 def test_scan_rows_match_tail_oracle(capsys, schema):

@@ -1,13 +1,21 @@
 import itertools
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bqf_min_brute, cf_eval, markov_value_by_tails, perron_float, tail_float
+from oracles import (
+    bqf_min_brute,
+    cf_eval,
+    decimal_truncated,
+    markov_value_by_tails,
+    perron_float,
+    tail_float,
+)
 
 from markovwords import spectrum
 from markovwords.spectrum import (
@@ -133,6 +141,26 @@ def test_decimal_sign_survives_truncation_to_zero():
     assert QuadraticSurd.from_fraction(Fraction(-1, 20)).to_decimal(1) == "-0.0"
     assert QuadraticSurd(0, -1, 1000, 5).to_decimal(2) == "-0.00"
     assert QuadraticSurd(0, 0, 1, 0).to_decimal(2) == "0.00"
+
+
+def test_decimal_past_the_int_to_str_limit():
+    # 5000 digits is past the interpreter's default limit of 4300 digits per
+    # int-to-str conversion, and 640 is the least limit a program can set;
+    # to_decimal converts in pieces below both and leaves the limit alone
+    value = markov_value((1, 2)).value
+    big = QuadraticSurd(10 ** 5000 + 7, 0, 3, 0)  # 333...35.666...
+    limit = sys.get_int_max_str_digits()
+    for setting in (limit, 640):
+        sys.set_int_max_str_digits(setting)
+        try:
+            for x in (value, -value):
+                assert x.to_decimal(5000) == decimal_truncated(*x.as_tuple(), 5000)
+            assert value.to_decimal(5000)[:4301] == value.to_decimal(4299)
+            assert big.to_decimal(2) == "3" * 4999 + "5.66"
+            assert (-big).to_decimal(0) == "-" + "3" * 4999 + "5"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert sys.get_int_max_str_digits() == limit
 
 
 surd_ints = st.integers(min_value=-50, max_value=50)

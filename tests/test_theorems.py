@@ -174,9 +174,12 @@ def test_rearrangement_rotation_matches_the_block_construction():
 
 
 def test_pair_sweep_reports_the_first_failing_index():
-    # the walk-and-table sweep of a pair names the first index whose
-    # single-index check fails, with the same arrangement
+    # one pair's report stream holds every index n <= 128, the ones after a
+    # failure too, each equal to the single-index check and judging the
+    # arrangement built block by block; the pair sweep names the stream's
+    # first failure, with the same arrangement
     failed = 0
+    labels = list(walk((1,), (2,), 0, 128))
     # letters >= 256, and more than 255 distinct letters (walked as tuples)
     half = tuple(range(1, 151))
     odd, even = half + (151,) + half[::-1], half + half[::-1]
@@ -184,9 +187,14 @@ def test_pair_sweep_reports_the_first_failing_index():
     pairs = random_seed_pairs(40, 7) + [
         ((300,), (7, 1000, 7)), ((300, 300), (7, 1000, 1000, 7)), (odd, wide), (even, wide)]
     for idx, (wa, wb) in enumerate(pairs, 1):
+        stream = list(theorems._rearrangement_reports(wa, wb, 1, stern_table(128)[1:]))
+        assert stream == [verify_block_rearrangement(wa, wb, n) for n in range(1, 129)]
+        for n, r in enumerate(stream, 1):
+            arrangement = arrangement_by_blocks((wa, wb), labels[n], stern(n))
+            assert r.passed == is_palindrome(arrangement), (wa, wb, n)
+            assert r.counterexample == (None if r.passed else format_word(arrangement))
         rep = verify_rearrangement_pair(idx, wa, wb, 128)
-        first = next((r for r in (verify_block_rearrangement(wa, wb, n)
-                                  for n in range(1, 129)) if not r.passed), None)
+        first = next((r for r in stream if not r.passed), None)
         assert rep.passed == (first is None)
         if first is not None:
             failed += 1
