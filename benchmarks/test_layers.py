@@ -15,15 +15,19 @@ seeds the sweeps use. The lemma checks are the cases of
 ``verify lemmas --k-max 262144``, read from the suite's own case list with
 the tables it shares, built once outside the timed calls;
 ``test_lemma_suite`` times the whole suite, its one table build included.
-The theorem sweep is the default ``verify theorem``. The spectrum cases
-take S(n) on (1,1), (2,2) at the smallest index of each length L, and the
-Markov form of ``bqf``.
+``test_prop_main_sweep`` times the library's report for every index;
+``test_prop_main_command`` times ``verify prop-main`` as the command line
+runs it, stdout to ``/dev/null``. The theorem sweep is the default
+``verify theorem``. The spectrum cases take S(n) on (1,1), (2,2) at the
+smallest index of each length L, and the Markov form of ``bqf``.
 """
+import os
 from collections import deque
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from markovwords import theorems
+from markovwords import cli, theorems
 from markovwords.diatomic import a_of, stern, stern_table
 from markovwords.spectrum import BQForm, bqf_min, cf_matrix, markov_value
 from markovwords.tree import _s_rec_cached, walk
@@ -94,6 +98,16 @@ def test_prop_main_sweep(benchmark):
         assert all(rep.passed for rep in theorems.iter_shift_palindromic(32768, 1, 2))
 
     measure(benchmark, sweep, size=32768)
+
+
+def test_prop_main_command(benchmark):
+    # the command as the benchmark's verify_sweep runs it, in process:
+    # verdicts, pieces and the tally, with its output thrown away
+    def command():
+        with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
+            return cli.main(["verify", "prop-main", "--n-max", "32768", "--a", "3", "--b", "7"])
+
+    assert measure(benchmark, command, size=32768) == 0
 
 
 def test_theorem_sweep(benchmark):

@@ -5,11 +5,11 @@ spectrum, scan, bqf. Results go to stdout, diagnostics to stderr; ``--json``
 switches to one JSON object per line. The exit status is 0 exactly when
 every requested check passed, so verify sweeps can gate CI; a rejected
 input exits 2 with one ``error:`` line on stderr, written only by :func:`main`.
+Only the JSON branches import :mod:`json`, so a text-mode launch never loads it.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from itertools import islice
@@ -120,6 +120,8 @@ def _surd_text(fields: dict) -> str:
 
 def _report_lines(reports: Iterable, check: str, as_json: bool, tally: list[int]):
     """Yield the line of each VerificationReport; tally[passed] counts the reports."""
+    if as_json:
+        import json
     for rep in reports:
         tally[rep.passed] += 1
         if as_json:
@@ -130,6 +132,15 @@ def _report_lines(reports: Iterable, check: str, as_json: bool, tally: list[int]
             counter = ("" if rep.counterexample is None
                        else f" counterexample={rep.counterexample}")
             yield f"{status} {rep.claim} n={rep.n}{extra}{counter}"
+
+
+# the line _report_lines writes for a passing prop-main report, given n and
+# d(n): in text, and in JSON as json.dumps gives it
+_SHIFT_PASS = (
+    "PASS shift-palindromic n={} witness={}",
+    '{{"command": "verify", "check": "prop-main", "claim": "shift-palindromic", '
+    '"n": {}, "passed": true, "witness": {}}}',
+)
 
 
 def _spectrum_payload(period, digits: int) -> dict:
@@ -158,6 +169,7 @@ def _cmd_seq(args) -> int:
     # S(n) is walked on bytes seeds and decoded through the letter table as it is written
     letters, a, b = relabel(args.A, args.B)
     if args.json:
+        import json
         # json.dumps of the whole record, written in pieces
         head = json.dumps({"command": "seq", "n": n, "A": list(args.A), "B": list(args.B)})
         sys.stdout.write(head[:-1] + ', "sequence": [')
@@ -173,25 +185,42 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_stern(args) -> int:
-    _write_lines(json.dumps({"command": "stern", "n": n, "value": value}) if args.json
-                 else f"{n},{value}" for n, value in enumerate(stern_table(args.upto)))
+    table = enumerate(stern_table(args.upto))
+    if args.json:
+        import json
+        _write_lines(json.dumps({"command": "stern", "n": n, "value": value}) for n, value in table)
+    else:
+        _write_lines(f"{n},{value}" for n, value in table)
     return 0
 
 
 def _cmd_verify(args) -> int:
     from . import theorems  # only verify reads the claims
 
-    if args.check == "prop-main":
-        reports = theorems.iter_shift_palindromic(args.n_max, args.a, args.b)
-    elif args.check == "theorem":
-        reports = theorems.iter_block_rearrangement(args.n_max, args.trials, args.seed)
-    elif args.check == "equivalence":
-        reports = theorems.iter_equivalence(args.levels, args.pairs, args.seed)
-    else:
-        reports = theorems.iter_lemma_checks(args.k_max)
-
     tally = [0, 0]  # failed, passed
-    _write_lines(_report_lines(reports, args.check, args.json, tally))
+    if args.check == "prop-main":
+        shifts = stern_table(args.n_max)[1:]
+        verdicts = theorems._shift_verdicts(args.a, args.b, 1, shifts)
+        for lo in range(1, len(shifts) + 1, WRITE_LINES):
+            piece = shifts[lo - 1:lo - 1 + WRITE_LINES]
+            # a piece that holds throughout is one format map of its indices
+            # and shifts; its verdicts are read first, as all() would stop at
+            # a failure and leave the rest of the piece's verdicts unread
+            if all(list(islice(verdicts, len(piece)))):
+                tally[1] += len(piece)
+                lines = map(_SHIFT_PASS[args.json].format, range(lo, lo + len(piece)), piece)
+            else:
+                reports = theorems.verify_shift_palindromic_range(args.a, args.b, lo, piece)
+                lines = _report_lines(reports, args.check, args.json, tally)
+            sys.stdout.write("\n".join(lines) + "\n")
+    else:
+        if args.check == "theorem":
+            reports = theorems.iter_block_rearrangement(args.n_max, args.trials, args.seed)
+        elif args.check == "equivalence":
+            reports = theorems.iter_equivalence(args.levels, args.pairs, args.seed)
+        else:
+            reports = theorems.iter_lemma_checks(args.k_max)
+        _write_lines(_report_lines(reports, args.check, args.json, tally))
     failed, passed = tally
     print(f"{args.check}: {passed}/{failed + passed} passed", file=sys.stderr)
     return 0 if failed == 0 else 1
@@ -201,6 +230,7 @@ def _spectrum_line(command: str, row: dict, as_json: bool) -> str:
     """One row of ``spectrum`` or ``scan``; in text, only scan prints n and
     only spectrum the argmin."""
     if as_json:
+        import json
         return json.dumps({"command": command, **row})
     n = f"n={row['n']} " if command == "scan" else ""
     argmin = f" argmin={row['argmin']}" if command == "spectrum" else ""
@@ -226,6 +256,7 @@ def _cmd_bqf(args) -> int:
            "point": list(result.point), "normalized": _surd_json(result.normalized),
            "decimal": result.normalized.to_decimal(args.digits)}
     if args.json:
+        import json
         print(json.dumps({"command": "bqf", **row}))
     else:
         print("form={},{},{} radius={} min_abs={} point=({},{}) normalized={} decimal={}".format(

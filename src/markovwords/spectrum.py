@@ -3,15 +3,20 @@
 Periodic continued fractions are quadratic irrationals, so every value here
 is an exact element (p + q*sqrt(d))/r of a real quadratic field. All
 comparisons and the decimal rendering go through integer arithmetic only;
-nothing is ever rounded before the final digit string.
+nothing is ever rounded before the final digit string. :class:`Fraction`
+operands are accepted wherever an int is; the few methods that read the
+class import it themselves, so importing this module does not load
+:mod:`fractions`.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
-from typing import NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .words import Word, word
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _sign(n: int) -> int:
@@ -111,6 +116,8 @@ class QuadraticSurd:
             return other
         if isinstance(other, int):
             return QuadraticSurd.from_int(other)
+        from fractions import Fraction
+
         if isinstance(other, Fraction):
             return QuadraticSurd.from_fraction(other)
         return NotImplemented  # type: ignore[return-value]
@@ -199,11 +206,14 @@ class QuadraticSurd:
         return su * _surd_sign(x * x + y * y * self.d - z * z * o.d, 2 * x * y, self.d)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (QuadraticSurd, int, Fraction)):
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
-        return self.compare(other) == 0
+        return self.compare(o) == 0
 
     def __hash__(self) -> int:
+        from fractions import Fraction
+
         if self.q == 0:
             return hash(Fraction(self.p, self.r))  # equal to the int or Fraction
         # (p/r, sign q, q^2 d / r^2) determines the value, so hash on that

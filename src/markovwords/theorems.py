@@ -58,28 +58,35 @@ def verify_shift_palindromic(a_sym: int, b_sym: int, n: int) -> VerificationRepo
     return next(verify_shift_palindromic_range(a_sym, b_sym, n, [stern(n)]))
 
 
-def verify_shift_palindromic_range(
-    a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]
-) -> Iterator[VerificationReport]:
-    """:func:`verify_shift_palindromic` for n = lo, ..., lo + len(shifts) - 1,
-    one report at a time.
+def _shift_verdicts(a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]) -> Iterator[bool]:
+    """Whether S(n) rotated by d(n) is a palindrome, for n = lo, ...,
+    lo + len(shifts) - 1: one map of :func:`is_palindromic_rotation` over
+    one :func:`~markovwords.tree.walk` of the range on :data:`SHIFT_SEEDS`
+    and ``shifts``, which holds d(n) for those indices.
 
-    ``shifts`` holds d(n) for those indices; the words come from one
-    :func:`~markovwords.tree.walk` of the range on :data:`SHIFT_SEEDS`.
     That walk is S(n) under the letter map a -> 1, b -> 2, which is
     injective, so a rotation of it is a palindrome exactly when the same
-    rotation of S(n) is; a failing rotation is decoded back through (a, b).
+    rotation of S(n) is. Each word is dropped once it is tested.
     """
     _check_shift_letters(a_sym, b_sym)
     if lo < 1:
         raise ValueError("indices start at 1")
-    words = walk(*SHIFT_SEEDS, lo, lo + len(shifts) - 1)
+    return map(is_palindromic_rotation, walk(*SHIFT_SEEDS, lo, lo + len(shifts) - 1), shifts)
+
+
+def verify_shift_palindromic_range(
+    a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]
+) -> Iterator[VerificationReport]:
+    """:func:`verify_shift_palindromic` for n = lo, ..., lo + len(shifts) - 1,
+    one report at a time, from :func:`_shift_verdicts`. A failing index is
+    walked again on its own, and its rotation decoded back through (a, b).
+    """
+    verdicts = _shift_verdicts(a_sym, b_sym, lo, shifts)
     letter = (0, a_sym, b_sym).__getitem__
     return (
-        VerificationReport("shift-palindromic", n, ok, shift,
-                           None if ok else format_word(map(letter, rotate(w, shift))))
-        for n, w, shift in zip(count(lo), words, shifts)
-        for ok in (is_palindromic_rotation(w, shift),)
+        VerificationReport("shift-palindromic", n, ok, shift, None if ok else format_word(
+            map(letter, rotate(next(walk(*SHIFT_SEEDS, n, n)), shift))))
+        for n, ok, shift in zip(count(lo), verdicts, shifts)
     )
 
 
@@ -98,31 +105,45 @@ def _rearrangement_shift(seeds: tuple[Word, Word], labels: Sequence[int], d: int
     return shift + len(seeds[labels[k] - 1]) // 2 if d % 2 else shift
 
 
-def _rearrangement_reports(
+def _rearrangement_verdicts(
     a: Sequence[int], b: Sequence[int], lo: int, shifts: Sequence[int]
-) -> Iterator[VerificationReport]:
-    """:func:`verify_block_rearrangement` for n = lo, ..., lo + len(shifts) - 1,
-    one report at a time.
+) -> Iterator[bool]:
+    """Whether the block rearrangement of S(n) is palindromic, for n = lo,
+    ..., lo + len(shifts) - 1; ``shifts`` holds d(n) for those indices.
 
-    ``shifts`` holds d(n) for those indices. S(n) is walked on the seeds
-    :func:`~markovwords.tree.relabel` gives, beside its label word on
-    :data:`LABEL_SEEDS`; only a failing arrangement is decoded back to the
-    seeds' own letters.
+    S(n) is walked on the seeds :func:`~markovwords.tree.relabel` gives,
+    beside its label word on :data:`LABEL_SEEDS`, and each word is dropped
+    once it is tested.
     """
     seeds = _palindromic_seeds(a, b)
     if lo < 1:
         raise ValueError("indices start at 1")
-    letters, *relabelled = relabel(*seeds)
-    fa, fb = format_word(a), format_word(b)
+    _, *relabelled = relabel(*seeds)
     hi = lo + len(shifts) - 1
-    words = zip(count(lo), walk(*relabelled, lo, hi), walk(*LABEL_SEEDS, lo, hi), shifts)
+    return (is_palindromic_rotation(s, _rearrangement_shift(seeds, labels, d))
+            for s, labels, d in zip(walk(*relabelled, lo, hi), walk(*LABEL_SEEDS, lo, hi), shifts))
+
+
+def _rearrangement_reports(
+    a: Sequence[int], b: Sequence[int], lo: int, shifts: Sequence[int]
+) -> Iterator[VerificationReport]:
+    """:func:`verify_block_rearrangement` for n = lo, ..., lo + len(shifts) - 1,
+    one report at a time, from :func:`_rearrangement_verdicts`; only a
+    failing index builds its arrangement, walking S(n) again on its own.
+    """
+    verdicts = _rearrangement_verdicts(a, b, lo, shifts)
+    seeds, fa, fb = _palindromic_seeds(a, b), format_word(a), format_word(b)
     return (
         VerificationReport("block-rearrangement", n, ok, {"shift": d, "A": fa, "B": fb},
-                           None if ok else format_word(map(letters.__getitem__, rotate(s, shift))))
-        for n, s, labels, d in words
-        for shift in (_rearrangement_shift(seeds, labels, d),)
-        for ok in (is_palindromic_rotation(s, shift),)
+                           None if ok else format_word(_arrangement(seeds, n, d)))
+        for n, ok, d in zip(count(lo), verdicts, shifts)
     )
+
+
+def _arrangement(seeds: tuple[Word, Word], n: int, d: int) -> Word:
+    """:func:`block_rearrangement` on validated seeds, given d = d(n)."""
+    s, labels = next(walk(*seeds, n, n)), next(walk(*LABEL_SEEDS, n, n))
+    return rotate(s, _rearrangement_shift(seeds, labels, d))
 
 
 def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
@@ -151,8 +172,7 @@ def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     seeds = _palindromic_seeds(a, b)
     if n < 1:
         raise ValueError("indices start at 1")
-    s, labels = next(walk(*seeds, n, n)), next(walk(*LABEL_SEEDS, n, n))
-    return rotate(s, _rearrangement_shift(seeds, labels, stern(n)))
+    return _arrangement(seeds, n, stern(n))
 
 
 def verify_block_rearrangement(
@@ -259,12 +279,13 @@ def _pair_report(
 def verify_rearrangement_pair(
     pair_index: int, a: Sequence[int], b: Sequence[int], n_max: int
 ) -> VerificationReport:
-    """Sweep one seed pair through all n <= n_max and name the first failing
-    index of :func:`_rearrangement_reports` with its arrangement."""
-    reports = _rearrangement_reports(a, b, 1, stern_table(n_max)[1:])
-    first = next((r for r in reports if not r.passed), None)
-    return _pair_report("block-rearrangement-pair", pair_index, a, b, None if first is None
-                        else {"n": first.n, "arrangement": first.counterexample})
+    """Sweep one seed pair through all n <= n_max and name the first index
+    whose :func:`_rearrangement_verdicts` fails, with its arrangement."""
+    shifts = stern_table(n_max)[1:]
+    n = _first_false(_rearrangement_verdicts(a, b, 1, shifts), count(1))
+    first = None if n is None else {
+        "n": n, "arrangement": format_word(_arrangement(_palindromic_seeds(a, b), n, shifts[n - 1]))}
+    return _pair_report("block-rearrangement-pair", pair_index, a, b, first)
 
 
 def iter_shift_palindromic(

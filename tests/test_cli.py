@@ -11,7 +11,7 @@ import pytest
 
 from oracles import decimal_truncated, markov_value_by_tails, s_graph, stern_by_bits
 
-from markovwords import cli
+from markovwords import cli, theorems
 from markovwords.cli import main
 from markovwords.diatomic import stern
 from markovwords.tree import walk
@@ -266,6 +266,62 @@ def test_verify_prop_main_json(capsys, schema):
     recs = validate_lines(schema, out)
     assert all(r["passed"] for r in recs)
     assert [r["n"] for r in recs] == [1, 2, 3, 4, 5]
+
+
+def prop_main_oracle(n_max, a_sym, b_sym, as_json):
+    """stdout, stderr and exit status of prop-main as every index's report
+    printed by _report_lines."""
+    tally = [0, 0]
+    reports = theorems.iter_shift_palindromic(n_max, a_sym, b_sym)
+    out = "".join(f"{ln}\n" for ln in cli._report_lines(reports, "prop-main", as_json, tally))
+    failed, passed = tally
+    return int(failed > 0), out, f"prop-main: {passed}/{failed + passed} passed\n"
+
+
+def counting_reports(monkeypatch):
+    """Patch the report type the sweep builds; return the list each build appends to."""
+    built, real = [], theorems.VerificationReport
+
+    def report(*args):
+        built.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(theorems, "VerificationReport", report)
+    return built
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("n_max", [1, 1023, 1024, 1025, 3000])
+def test_prop_main_pieces_match_the_report_path(capsys, monkeypatch, n_max, as_json):
+    flags = ["--json"] if as_json else []
+    expected = prop_main_oracle(n_max, 3, 7, as_json)
+    built = counting_reports(monkeypatch)
+    got = run(capsys, "verify", "prop-main", "--n-max", str(n_max), "--a", "3", "--b", "7",
+              *flags)
+    assert got == expected
+    assert built == []  # a passing index builds no report
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_prop_main_failing_pieces_print_through_the_report_path(capsys, monkeypatch, as_json):
+    # the claim holds everywhere, so the palindrome test the sweep reads is
+    # made to fail on the words of chosen indices: at piece edges, and twice
+    # inside one piece
+    failing = [1, 1023, 1024, 1025, 2048, 5000, 5003, 32768]
+    targets = {next(walk(*theorems.SHIFT_SEEDS, n, n)) for n in failing}
+    real = theorems.is_palindromic_rotation
+    monkeypatch.setattr(theorems, "is_palindromic_rotation",
+                        lambda w, s: w not in targets and real(w, s))
+    expected = prop_main_oracle(32768, 3, 7, as_json)
+    assert expected[1].count("counterexample") == len(failing)
+    assert expected[0::2] == (1, f"prop-main: {32768 - len(failing)}/32768 passed\n")
+    built = counting_reports(monkeypatch)
+    got = run(capsys, "verify", "prop-main", "--n-max", "32768", "--a", "3", "--b", "7",
+              *(["--json"] if as_json else []))
+    assert got == expected
+    # only the pieces holding a failure build reports, one per index
+    pieces = sorted({(n - 1) // cli.WRITE_LINES for n in failing})
+    assert built == [n for p in pieces
+                     for n in range(p * cli.WRITE_LINES + 1, (p + 1) * cli.WRITE_LINES + 1)]
 
 
 def test_verify_equivalence(capsys, schema):

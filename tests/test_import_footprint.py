@@ -40,16 +40,21 @@ def test_import_markovwords_loads_no_layer():
     assert "dataclasses" not in added
 
 
-@pytest.mark.parametrize("argv, loads_theorems", [
-    (["bqf", "--form", "5,11,-5", "--radius", "20"], False),
-    (["spectrum", "--period", "1,1,2,2"], False),
-    (["scan", "--n-max", "8", "--json"], False),
-    (["seq", "--n", "14", "--blocks"], False),
-    (["stern", "--upto", "20"], False),
-    (["verify", "lemmas", "--k-max", "8"], True),
-], ids=["bqf", "spectrum", "scan", "seq", "stern", "verify-lemmas"])
-def test_each_command_loads_only_what_it_runs(argv, loads_theorems):
+@pytest.mark.parametrize("argv, loads_theorems, loads_json", [
+    (["bqf", "--form", "5,11,-5", "--radius", "20"], False, False),
+    (["spectrum", "--period", "1,1,2,2"], False, False),
+    (["scan", "--n-max", "8", "--json"], False, True),
+    (["seq", "--n", "14", "--blocks"], False, False),
+    (["seq", "--n", "14", "--json"], False, True),
+    (["stern", "--upto", "20"], False, False),
+    (["verify", "lemmas", "--k-max", "8"], True, False),
+    (["verify", "prop-main", "--n-max", "40"], True, False),
+], ids=["bqf", "spectrum", "scan", "seq", "seq-json", "stern", "verify-lemmas",
+        "verify-prop-main"])
+def test_each_command_loads_only_what_it_runs(argv, loads_theorems, loads_json):
     added = added_modules(DRIVER, *argv)
     assert "markovwords.cli" in added
     assert ("markovwords.theorems" in added) == loads_theorems
-    assert "dataclasses" not in added
+    # only the JSON branches import json; no command reads a Fraction
+    assert ("json" in added) == loads_json
+    assert not added & {"dataclasses", "fractions", "decimal"}

@@ -127,6 +127,34 @@ def test_rational_surd_hash_matches_fraction(p, q, r, root):
     assert len({x, f}) == 1
 
 
+def test_fraction_operands_on_either_side():
+    # the module imports Fraction only in the methods that read it; these
+    # pin the interop those methods give
+    s, f = QuadraticSurd(1, 2, 3, 5), Fraction(3, 4)  # (1 + 2*sqrt(5))/3, 3/4
+    assert (s + f).as_tuple() == (f + s).as_tuple() == (13, 8, 12, 5)
+    assert (s - f).as_tuple() == (-5, 8, 12, 5)
+    assert (f - s).as_tuple() == (5, -8, 12, 5)
+    assert (s * f).as_tuple() == (f * s).as_tuple() == (1, 2, 4, 5)
+    # s is 1.8240...: between 3/2 and 11/6
+    assert Fraction(3, 2) < s < Fraction(11, 6)
+    assert s > Fraction(3, 2) and Fraction(11, 6) > s
+    assert s.compare(Fraction(3, 2)) == 1 and s.compare(Fraction(11, 6)) == -1
+    assert s >= Fraction(3, 2) and not s <= Fraction(3, 2) and s != Fraction(3, 2)
+
+
+def test_rational_surd_equals_and_hashes_as_its_fraction():
+    x = QuadraticSurd(3, 0, 2, 0)
+    assert x == Fraction(3, 2) and Fraction(3, 2) == x
+    assert hash(x) == hash(Fraction(3, 2))
+
+
+def test_irrational_surd_hash_is_unchanged():
+    # (p/r, sign q, q^2 d / r^2) determines the value; the hash is that tuple's
+    s = QuadraticSurd(1, -2, 3, 5)
+    assert hash(s) == hash((Fraction(1, 3), -1, Fraction(20, 9)))
+    assert hash(QuadraticSurd(2, 4, 6, 5)) == hash(QuadraticSurd(1, 2, 3, 5))
+
+
 @given(st.integers(-100, 100) | st.integers(-10**6, 10**6), st.integers(1, 10**4),
        st.integers(0, 6))
 def test_decimal_of_fraction_truncates_toward_zero_keeping_sign(num, den, digits):
