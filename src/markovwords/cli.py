@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -206,11 +207,13 @@ def _cmd_verify(args) -> int:
             # a piece that holds throughout is one format map of its indices
             # and shifts; its verdicts are read first, as all() would stop at
             # a failure and leave the rest of the piece's verdicts unread
-            if all(list(islice(verdicts, len(piece)))):
+            oks = list(islice(verdicts, len(piece)))
+            indices = range(lo, lo + len(piece))
+            if all(oks):
                 tally[1] += len(piece)
-                lines = map(_SHIFT_PASS[args.json].format, range(lo, lo + len(piece)), piece)
+                lines = map(_SHIFT_PASS[args.json].format, indices, piece)
             else:
-                reports = theorems.verify_shift_palindromic_range(args.a, args.b, lo, piece)
+                reports = map(partial(theorems._shift_report, args.a, args.b), indices, piece, oks)
                 lines = _report_lines(reports, args.check, args.json, tally)
             sys.stdout.write("\n".join(lines) + "\n")
     else:

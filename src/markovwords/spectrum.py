@@ -247,20 +247,13 @@ class QuadraticSurd:
         """Decimal string with ``digits`` fractional digits, rounded toward zero."""
         if digits < 0:
             raise ValueError("digits must be >= 0")
-        scale = 10 ** digits
-        scaled = self._floor_scaled(scale)
         negative = self.sign() < 0
-        if negative and not self._is_exact_at(scale):
-            scaled += 1  # floor -> truncation for negative values
         sign = "-" if negative else ""  # kept when truncation reaches zero
-        scaled = abs(scaled)
+        scaled = (-self if negative else self)._floor_scaled(10 ** digits)
         # an integer of b bits has at most floor(b * log10(2)) + 1 digits
         text = _decimal_digits(scaled, max(digits + 1, scaled.bit_length() * 30103 // 10 ** 5 + 1))
         whole = text[:len(text) - digits].lstrip("0") or "0"
         return f"{sign}{whole}.{text[len(text) - digits:]}" if digits else f"{sign}{whole}"
-
-    def _is_exact_at(self, scale: int) -> bool:
-        return self.q == 0 and (self.p * scale) % self.r == 0
 
     def __float__(self) -> float:
         return int(self._floor_scaled(10 ** 17)) / 10 ** 17

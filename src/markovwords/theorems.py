@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from functools import partial
 from itertools import chain, compress, count, starmap
 from operator import add, eq, itemgetter, lt, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
@@ -74,20 +75,21 @@ def _shift_verdicts(a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]) -> I
     return map(is_palindromic_rotation, walk(*SHIFT_SEEDS, lo, lo + len(shifts) - 1), shifts)
 
 
+def _shift_report(a_sym: int, b_sym: int, n: int, shift: int, ok: bool) -> VerificationReport:
+    """The report of index n, given its verdict from :func:`_shift_verdicts`.
+    A failing index is walked again on its own, and its rotation decoded
+    back through (a, b)."""
+    return VerificationReport("shift-palindromic", n, ok, shift, None if ok else format_word(
+        map((0, a_sym, b_sym).__getitem__, rotate(next(walk(*SHIFT_SEEDS, n, n)), shift))))
+
+
 def verify_shift_palindromic_range(
     a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]
 ) -> Iterator[VerificationReport]:
     """:func:`verify_shift_palindromic` for n = lo, ..., lo + len(shifts) - 1,
-    one report at a time, from :func:`_shift_verdicts`. A failing index is
-    walked again on its own, and its rotation decoded back through (a, b).
-    """
+    one :func:`_shift_report` at a time, from :func:`_shift_verdicts`."""
     verdicts = _shift_verdicts(a_sym, b_sym, lo, shifts)
-    letter = (0, a_sym, b_sym).__getitem__
-    return (
-        VerificationReport("shift-palindromic", n, ok, shift, None if ok else format_word(
-            map(letter, rotate(next(walk(*SHIFT_SEEDS, n, n)), shift))))
-        for n, ok, shift in zip(count(lo), verdicts, shifts)
-    )
+    return map(partial(_shift_report, a_sym, b_sym), count(lo), shifts, verdicts)
 
 
 def _palindromic_seeds(a: Sequence[int], b: Sequence[int]) -> tuple[Word, Word]:
@@ -451,14 +453,13 @@ def check_factorizations(k_hi: int) -> Optional[dict]:
     return None
 
 
-def check_shift_inequalities(d: array, a: array, k_hi: int) -> Optional[dict]:
+def check_shift_inequalities(d: array, k_hi: int) -> Optional[dict]:
     """The length bounds that keep the shifted palindrome window in range.
 
     Even case: R = L + (|S(a(base-1))| + (power-1)|S(base)|)/2 must exceed
     |S(a(base-1))| with L = d(k/2). Odd case: L = d((k+1)/2) must stay
     below (power-1)*|S(chain end)|. Every |S(j)| is even, so both are read
-    exactly in blocks |S(j)|/2 = d(2j-1). ``d`` holds d(0..(k_hi+1)//2)
-    and ``a`` holds a(0..(k_hi-2)//4).
+    exactly in blocks |S(j)|/2 = d(2j-1). ``d`` holds d(0..(k_hi+1)//2).
 
     Each 2-adic class of k is one pass over slices. Even k = 2^v(2i+1),
     i >= 1, has base i+1, power v+1 and L = d(2i+1) = |S(base)|/2, so the
@@ -467,10 +468,15 @@ def check_shift_inequalities(d: array, a: array, k_hi: int) -> Optional[dict]:
     j+1, power u+2 and L = d(2^u(2j+1) + 1). The smallest failing k over
     all classes is named, and its parity names the case.
     """
-    # |S(j)|/2 is 1 at j = 0 and d(2j-1) above; gathered at j = a(i) for
-    # every i an even class reads
-    blocks = array("I", [1]) + d[1:k_hi + 1:2]
-    flanks = array("I", map(blocks.__getitem__, a[1:(k_hi + 2) // 4]))
+    # the flank |S(a(i))|/2 = d(2a(i)-1) of every i an even class reads:
+    # a(i) = m+1 on the indices i = low*(2m+1) with lowest set bit low, so
+    # one slice of d per bit fills them, as a_table fills a
+    n = (k_hi + 2) // 4 - 1
+    flanks = array("I", [0]) * n
+    low = 1
+    while low <= n:
+        flanks[low - 1::2 * low] = d[1:2 * ((n + low) // (2 * low)):2]
+        low *= 2
     k = _least(chain(
         (_first_not_below(flanks[:len(ks)], v + 1, d[3:2 * len(ks) + 2:2], ks)
          for v in range(1, (k_hi // 3).bit_length())  # 3 << v <= k_hi
@@ -559,24 +565,25 @@ def _lemma_cases(k_max: int) -> list[tuple[str, Callable, tuple, int]]:
     """The supporting-identity suite as (claim, check, tables, bound), in order.
 
     Index-arithmetic checks run to k_max and share one ``stern_table``,
-    long enough for |S(k_max)|/2 = d(2k_max - 1) and the mirror levels, and
-    one ``a_table``. The two checks that materialise words take them from
-    one walk each and are capped at 4096 so CLI sweeps stay fast. Below
-    k_max = 8 the suite has too few levels to check every identity, so
-    smaller bounds are rejected. Each check is read by name on every call.
+    long enough for |S(k_max)|/2 = d(2k_max - 1) and the mirror levels;
+    the index identities alone read an ``a_table``. The two checks that
+    materialise words take them from one walk each and are capped at 4096
+    so CLI sweeps stay fast. Below k_max = 8 the suite has too few levels
+    to check every identity, so smaller bounds are rejected. Each check is
+    read by name on every call.
     """
     if k_max < 8:
         raise ValueError("k_max must be >= 8")
     n_levels = max(2, k_max.bit_length() - 1)
     mirror_levels = min(n_levels, 14)
     d = stern_table(max(2 * k_max, 4 << mirror_levels))
-    a = a_table(max(k_max // 4, 1 << mirror_levels))
+    a = a_table(1 << mirror_levels)
     return [
         ("length-identity", check_length_identity, (d,), k_max),
         ("length-is-diatomic", check_length_is_diatomic, (d,), k_max),
         ("half-length-chain", check_half_length_chain, (d,), k_max),
         ("factorizations", check_factorizations, (), min(k_max, 4096)),
-        ("shift-inequalities", check_shift_inequalities, (d, a), k_max),
+        ("shift-inequalities", check_shift_inequalities, (d,), k_max),
         ("row-symmetry", check_row_symmetry, (d,), min(n_levels, 16)),
         ("mirror-arithmetic", check_mirror_arithmetic, (d,), mirror_levels),
         ("index-identities", check_index_identities, (a,), mirror_levels),

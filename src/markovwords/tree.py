@@ -15,6 +15,7 @@ is the walk on the one-letter seeds. The vertex centred at S(n) is
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .diatomic import a_of, a_star
@@ -40,18 +41,10 @@ def run_lengths(symbols: Iterable[Hashable], first: Hashable) -> tuple[int, ...]
     sequence starts with the other symbol; a trailing 0 keeps the length
     even, so the entries pair up as (first-run, other-run).
     """
-    runs: list[int] = []
-    prev, count = first, 0
-    for sym in symbols:
-        if sym != prev:
-            runs.append(count)
-            prev, count = sym, 0
-        count += 1
-    if count:
-        runs.append(count)
-    if len(runs) % 2:
-        runs.append(0)
-    return tuple(runs)
+    groups = [(sym, len(list(run))) for sym, run in groupby(symbols)]
+    lead = [0] if groups and groups[0][0] != first else []
+    runs = lead + [n for _, n in groups]
+    return tuple(runs + [0] * (len(runs) % 2))
 
 
 def relabel(a: Sequence[int], b: Sequence[int]) -> tuple[tuple, Word, Word]:

@@ -165,14 +165,15 @@ def test_criterion_4_even_length_refinement():
 def test_criterion_5_supporting_identity_suite():
     budget = 60.0
     t0 = time.perf_counter()
-    # one table of d and one of a serve every check, as in the CLI suite
+    # one table of d serves every check but the index identities, which
+    # read one table of a, as in the CLI suite
     d, a = stern_table(2 * 10 ** 5), a_table(2 ** 14)
     checks = [
         ("length-identity", check_length_identity, (d, 10 ** 5)),
         ("length-is-diatomic", check_length_is_diatomic, (d, 10 ** 5)),
         ("half-length-chain", check_half_length_chain, (d, 2 ** 14)),
         ("factorizations", check_factorizations, (2 ** 12,)),
-        ("shift-inequalities", check_shift_inequalities, (d, a, 2 ** 12)),
+        ("shift-inequalities", check_shift_inequalities, (d, 2 ** 12)),
         ("row-symmetry", check_row_symmetry, (d, 16)),
         ("mirror-arithmetic", check_mirror_arithmetic, (d, 14)),
         ("index-identities", check_index_identities, (a, 14)),

@@ -324,6 +324,31 @@ def test_prop_main_failing_pieces_print_through_the_report_path(capsys, monkeypa
                      for n in range(p * cli.WRITE_LINES + 1, (p + 1) * cli.WRITE_LINES + 1)]
 
 
+def test_prop_main_failing_piece_reuses_its_verdicts(capsys, monkeypatch):
+    # a piece with one failure builds its reports from the verdicts already
+    # read: 2048 palindrome tests for 2048 indices, one walk of the range
+    # and one walk of the failing index for its counterexample
+    target = next(walk(*theorems.SHIFT_SEEDS, 1025, 1025))
+    tests, walks = [], []
+    real_test, real_walk = theorems.is_palindromic_rotation, theorems.walk
+
+    def palindrome_test(w, s):
+        tests.append(w)
+        return w != target and real_test(w, s)
+
+    def counted_walk(*args):
+        walks.append(args[2:])
+        return real_walk(*args)
+    monkeypatch.setattr(theorems, "is_palindromic_rotation", palindrome_test)
+    monkeypatch.setattr(theorems, "walk", counted_walk)
+    status, out, err = run(capsys, "verify", "prop-main", "--n-max", "2048",
+                           "--a", "3", "--b", "7")
+    assert (status, err) == (1, "prop-main: 2047/2048 passed\n")
+    assert out.count("FAIL") == 1
+    assert len(tests) == 2048
+    assert walks == [(1, 2048), (1025, 1025)]
+
+
 def test_verify_equivalence(capsys, schema):
     status, out, _ = run(capsys, "verify", "equivalence", "--levels", "5",
                          "--pairs", "3", "--json")

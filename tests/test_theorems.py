@@ -381,7 +381,7 @@ TABLE_CHECKS = [
     (theorems.check_mirror_arithmetic, mirror_arithmetic_by_index, "d", 8),
     (theorems.check_index_identities, index_identities_by_index, "a", 10),
     (theorems.check_row_symmetry, row_symmetry_by_index, "d", 10),
-    (theorems.check_shift_inequalities, shift_inequalities_by_index, "da", 1200),
+    (theorems.check_shift_inequalities, shift_inequalities_by_index, "d", 1200),
 ]
 
 
@@ -411,7 +411,7 @@ def test_table_checks_report_what_the_index_loops_report(kind):
 
 
 def test_length_checks_read_a_on_its_2_adic_classes():
-    # the length checks no longer read a_table: they take a(k) = i + 1 on
+    # none of the length checks reads a_table: they take a(k) = i + 1 on
     # the class k = 2^v (2i + 1), and a(k) = (k + 1)/2 for odd k
     n = 2 ** 13
     a = a_table(n)
@@ -424,31 +424,52 @@ def test_length_checks_read_a_on_its_2_adic_classes():
 
 def test_shift_inequalities_name_the_first_failing_k():
     # a wrong entry of ±1 never breaks these inequalities, so double, zero
-    # or shift one entry: the class-by-class slices must name the same
+    # or shift one entry of d: the class-by-class slices must name the same
     # first failing k and case as the per-k loop
     cases = set()
-    for kind in ("d", "a"):
-        for j in (3, 5, 6, 12, 37, 64, 100, 257, 700, 1023):
-            for wrong_entry in (lambda x: 2 * x, lambda x: 0, lambda x: x + j):
-                d, a = stern_table(1200), a_table(1200)
-                table = d if kind == "d" else a
-                table[j] = wrong_entry(table[j])
-                expected = shift_inequalities_by_index(1200, d.__getitem__, a.__getitem__)
-                assert theorems.check_shift_inequalities(d, a, 1200) == expected, (kind, j)
-                if expected is not None:
-                    cases.add(expected["case"])
+    a = a_table(1200)
+    for j in (3, 5, 6, 12, 37, 64, 100, 257, 700, 1023):
+        for wrong_entry in (lambda x: 2 * x, lambda x: 0, lambda x: x + j):
+            d = stern_table(1200)
+            d[j] = wrong_entry(d[j])
+            expected = shift_inequalities_by_index(1200, d.__getitem__, a.__getitem__)
+            assert theorems.check_shift_inequalities(d, 1200) == expected, j
+            if expected is not None:
+                cases.add(expected["case"])
     assert cases == {"even", "odd"}
+
+
+def test_shift_inequalities_read_each_flank_where_a_points(monkeypatch):
+    # the even classes read the flank |S(a(i))|/2 of every i they cover,
+    # filled one slice of d per bit; the oracle gathers d(2a(i)-1) entry by
+    # entry through a_table, at every bound from 0 to 2^12
+    d, a = stern_table(2 ** 13), a_table(2 ** 12)
+    calls, real = [], theorems._first_not_below
+
+    def recording(x, m, y, ks):
+        calls.append((x, ks))
+        return real(x, m, y, ks)
+    monkeypatch.setattr(theorems, "_first_not_below", recording)
+    for k_hi in range(2 ** 12 + 1):
+        blocks = array("I", [1]) + d[1:k_hi + 1:2]
+        gathered = array("I", map(blocks.__getitem__, a[1:(k_hi + 2) // 4]))
+        calls.clear()
+        assert theorems.check_shift_inequalities(d, k_hi) is None, k_hi
+        even = [(x, ks) for x, ks in calls if ks.start % 2 == 0]
+        assert all(x == gathered[:len(ks)] for x, ks in even), k_hi
+        # the class of 6 covers every i, so its flanks are the whole gather
+        assert even[0][0] == gathered if k_hi >= 6 else not even, k_hi
 
 
 @pytest.mark.parametrize("check, by_index, reads, _", [
     case for case in TABLE_CHECKS if case[3] == 1200])
 def test_class_slices_agree_with_the_index_loops_at_every_bound(check, by_index, reads, _):
-    # every k_max in 8..600 ends the 2-adic classes at a different place;
+    # every k_max in 0..600 ends the 2-adic classes at a different place;
     # the clean tables pass, and one tripled entry at the topmost index a
     # check reads, (k_max+1)/2, k_max-1, k_max or 2*k_max-1, is named as
     # the loop names it
     clean_d, a = stern_table(1200), a_table(1200)
-    for k_max in range(8, 601):
+    for k_max in range(601):
         assert check(*tables(reads, clean_d, a), k_max) is None, k_max
         for j in ((k_max + 1) // 2, k_max - 1, k_max, 2 * k_max - 1):
             d = clean_d[:]
@@ -597,7 +618,6 @@ def test_mismatched_operands_raise_instead_of_passing():
     (theorems.check_length_is_diatomic, "d", 1200, 1200),
     (theorems.check_half_length_chain, "d", 1201, 1200),
     (theorems.check_shift_inequalities, "d", 1201, 601),
-    (theorems.check_shift_inequalities, "a", 1201, 299),
     (theorems.check_row_symmetry, "d", 10, 2 << 10),
     (theorems.check_mirror_arithmetic, "d", 8, (4 << 8) - 1),
     (theorems.check_index_identities, "a", 10, 1 << 10),
@@ -606,14 +626,10 @@ def test_table_checks_reject_a_table_that_ends_early(check, reads, bound, top):
     # a table that ends at the last index a check reads is enough; one
     # entry fewer leaves a slice short, and map() would stop at it, so the
     # comparison raises instead of passing on fewer indices
-    own = "da" if check is theorems.check_shift_inequalities else reads
-    args = tables(own, stern_table(4 * top), a_table(4 * top))
     table = stern_table(top) if reads == "d" else a_table(top)
-    args[own.index(reads)] = table
-    assert check(*args, bound) is None
-    args[own.index(reads)] = table[:-1]
+    assert check(table, bound) is None
     with pytest.raises(ValueError, match="lengths differ"):
-        check(*args, bound)
+        check(table[:-1], bound)
 
 
 def test_lemma_suite_builds_one_diatomic_table(monkeypatch):
@@ -632,6 +648,22 @@ def test_lemma_suite_builds_one_diatomic_table(monkeypatch):
         assert built == [size], k_max
 
 
+def test_lemma_suite_builds_a_table_for_the_index_identities_alone(monkeypatch):
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return a_table(n)
+
+    monkeypatch.setattr(theorems, "a_table", counting)
+    # a(0..2^mirror_levels), mirror_levels = min(bit_length - 1, 14), for
+    # every k_max: no other check reads a
+    for k_max, size in [(8, 1 << 3), (4097, 1 << 12), (2 ** 17, 1 << 14)]:
+        built.clear()
+        theorems._lemma_cases(k_max)
+        assert built == [size], k_max
+
+
 def test_sweeps_leave_the_memo_caches_alone():
     # the words come from the walk and d(n), a(j) from tables, not from
     # the memoised recursions that serve single queries
@@ -643,7 +675,7 @@ def test_sweeps_leave_the_memo_caches_alone():
         (theorems.check_length_identity, (d, 5000)),
         (theorems.check_length_is_diatomic, (d, 5000)),
         (theorems.check_half_length_chain, (d, 5000)),
-        (theorems.check_shift_inequalities, (d, a, 5000)),
+        (theorems.check_shift_inequalities, (d, 5000)),
         (theorems.check_row_symmetry, (d, 12)), (theorems.check_mirror_arithmetic, (d, 12)),
         (theorems.check_index_identities, (a, 12)), (theorems.check_factorizations, (2000,)),
         (theorems.check_block_exponents, (2000,)),

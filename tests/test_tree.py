@@ -8,7 +8,7 @@ from oracles import level, level_entries, path_precedes, s_graph, s_rec_with_rul
 
 from markovwords.diatomic import a_of, a_star, stern, stern_table
 from markovwords.theorems import SHIFT_SEEDS
-from markovwords.tree import Vertex, root, s_rec, walk
+from markovwords.tree import Vertex, root, run_lengths, s_rec, walk
 
 A, B = (1, 1), (2, 2)
 
@@ -159,6 +159,25 @@ def test_single_rule_matches_two_branch_rule():
     for wa, wb in ((A, B), ((1, 2, 1), (3,))):
         for n in range(0, 2049):
             assert s_rec(wa, wb, n) == s_rec_with_rule(wa, wb, n, a_star), n
+
+
+@pytest.mark.parametrize("word, runs", [
+    ("", ()),
+    ("AAA", (3, 0)),
+    ("BB", (0, 2)),
+    ("BBA", (0, 2, 1, 0)),
+    ("ABB", (1, 2)),
+    ("AABAA", (2, 1, 2, 0)),
+    ("BABBAAAB", (0, 1, 1, 2, 3, 1)),
+])
+@pytest.mark.parametrize("kind", ["str", "bytes"])
+def test_run_lengths_pair_up_from_the_first_symbol(word, runs, kind):
+    # the leading entry counts the run of the first symbol, 0 when the word
+    # opens with the other one, and a trailing 0 evens out an odd count
+    if kind == "bytes":
+        assert run_lengths(word.replace("A", "\x01").replace("B", "\x02").encode(), 1) == runs
+    else:
+        assert run_lengths(word, "A") == runs
 
 
 def test_block_word_examples():
