@@ -4,15 +4,22 @@ Usage: python benchmarks/summarize.py PYTEST_BENCHMARK_JSON OUT_JSON
 
 One record per case: median and interquartile range in seconds, the
 number of rounds, the input size the case recorded, and the Python
-version and CPU the numbers were taken with.
+version and CPU the numbers were taken with. When the file holds the
+reference case, each record also gives its median divided by the
+reference median, which moves with the machine alone, so records taken
+while the host ran at another speed can be compared.
 """
 import json
 import sys
+
+REFERENCE_CASE = "test_reference"
 
 
 def main(src: str, dst: str) -> None:
     raw = json.load(open(src))
     machine = raw["machine_info"]
+    reference = next((bench["stats"]["median"] for bench in raw["benchmarks"]
+                      if bench["name"] == REFERENCE_CASE), None)
     cases = [
         {
             "case": bench["name"],
@@ -21,6 +28,8 @@ def main(src: str, dst: str) -> None:
             "rounds": bench["stats"]["rounds"],
             "input_size": bench["extra_info"]["input_size"],
             "python": machine["python_version"],
+            **({"median_per_reference": bench["stats"]["median"] / reference}
+               if reference else {}),
         }
         for bench in raw["benchmarks"]
     ]

@@ -11,7 +11,10 @@ testpaths is ``tests``):
 Every round starts from cold memo caches. No case reads them: every word
 comes from ``walk`` and d(n) from ``stern_table``, so a case that came to
 read them would pay for them in each round. The walk runs on the byte
-seeds the sweeps use. The lemma checks are the cases of
+label seeds the sweeps use. ``test_reference`` times the ``main`` of
+``perfbench/reference.py``, a fixed job that imports nothing from
+markovwords, so its time moves only with the machine; ``summarize.py``
+divides every median by it. The lemma checks are the cases of
 ``verify lemmas --k-max 262144``, read from the suite's own case list with
 the tables it shares, built once outside the timed calls;
 ``test_lemma_suite`` times the whole suite, its one table build included.
@@ -21,9 +24,11 @@ runs it, stdout to ``/dev/null``. The theorem sweep is the default
 ``verify theorem``. The spectrum cases take S(n) on (1,1), (2,2) at the
 smallest index of each length L, and the Markov form of ``bqf``.
 """
+import importlib.util
 import os
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +42,7 @@ K_MAX = 262144
 # each lemma check of the suite by name: the check, its tables and its bound
 LEMMA_CASES = {check.__name__: (check, tables, bound)
                for _, check, tables, bound in theorems._lemma_cases(K_MAX)}
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 # the smallest index n with |S(n)| = L, seeds (1,1), (2,2)
 SPECTRUM_INDEX = {178: 342, 1220: 5462, 3194: 21846}
 
@@ -55,6 +61,13 @@ def drain(iterable):
     deque(iterable, maxlen=0)
 
 
+def test_reference(benchmark):
+    spec = importlib.util.spec_from_file_location("reference", REFERENCE)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    measure(benchmark, reference.main, size=reference.MEMO_N)
+
+
 def test_stern_table(benchmark):
     table = measure(benchmark, stern_table, 2 ** 20, size=2 ** 20)
     assert len(table) == 2 ** 20 + 1
@@ -65,7 +78,7 @@ def test_a_of(benchmark):
 
 
 def test_walk(benchmark):
-    measure(benchmark, lambda: drain(walk(*theorems.SHIFT_SEEDS, 1, 2 ** 15)), size=2 ** 15)
+    measure(benchmark, lambda: drain(walk(*theorems.LABEL_SEEDS, 1, 2 ** 15)), size=2 ** 15)
 
 
 def spectrum_word(length):

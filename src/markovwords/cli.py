@@ -135,15 +135,6 @@ def _report_lines(reports: Iterable, check: str, as_json: bool, tally: list[int]
             yield f"{status} {rep.claim} n={rep.n}{extra}{counter}"
 
 
-# the line _report_lines writes for a passing prop-main report, given n and
-# d(n): in text, and in JSON as json.dumps gives it
-_SHIFT_PASS = (
-    "PASS shift-palindromic n={} witness={}",
-    '{{"command": "verify", "check": "prop-main", "claim": "shift-palindromic", '
-    '"n": {}, "passed": true, "witness": {}}}',
-)
-
-
 def _spectrum_payload(period, digits: int) -> dict:
     mv = markov_value(period)
     return {
@@ -204,14 +195,19 @@ def _cmd_verify(args) -> int:
         verdicts = theorems._shift_verdicts(args.a, args.b, 1, shifts)
         for lo in range(1, len(shifts) + 1, WRITE_LINES):
             piece = shifts[lo - 1:lo - 1 + WRITE_LINES]
-            # a piece that holds throughout is one format map of its indices
-            # and shifts; its verdicts are read first, as all() would stop at
-            # a failure and leave the rest of the piece's verdicts unread
+            # a piece that holds throughout is one f-string per index: the
+            # line _report_lines writes for a passing report, in JSON as
+            # json.dumps gives it; its verdicts are read first, as all()
+            # would stop at a failure and leave the rest of them unread
             oks = list(islice(verdicts, len(piece)))
             indices = range(lo, lo + len(piece))
             if all(oks):
                 tally[1] += len(piece)
-                lines = map(_SHIFT_PASS[args.json].format, indices, piece)
+                lines = ([f'{{"command": "verify", "check": "prop-main", "claim": '
+                          f'"shift-palindromic", "n": {n}, "passed": true, "witness": {d}}}'
+                          for n, d in zip(indices, piece)] if args.json else
+                         [f"PASS shift-palindromic n={n} witness={d}"
+                          for n, d in zip(indices, piece)])
             else:
                 reports = map(partial(theorems._shift_report, args.a, args.b), indices, piece, oks)
                 lines = _report_lines(reports, args.check, args.json, tally)

@@ -6,12 +6,18 @@ the flanking words in the concatenation graph. :func:`stern` and
 :func:`a_of` answer single queries; sweeps over a known range read
 :func:`stern_table` and :func:`a_table` instead, as ``array('I')``;
 :func:`lanes` reads a table slice as one integer, one 32-bit lane per entry.
+Table sweeps work in pieces of at most :data:`PIECE` entries.
 """
 from __future__ import annotations
 
 import sys
 from array import array
 from functools import lru_cache
+
+# entries per piece of a table sweep: 16 KB operands and lane integers are
+# reused from the heap, not faulted in afresh (verify lemmas --k-max 2^22:
+# 11.6k minor faults, against 37.7k with pieces of 2^13 and 116k unpieced)
+PIECE = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -61,8 +67,9 @@ def stern_table(n: int) -> array:
     """d(0), ..., d(n) as an ``array('I')``.
 
     The table is allocated once. Each pass fills the row d(2m+1..4m) from
-    the row d(m..2m) by d(2i) = d(i) and d(2i+1) = d(i) + d(i+1), cut at n;
-    the odd half is one addition of :func:`lanes`. The largest d(n) with
+    the row d(m..2m) by d(2i) = d(i) and d(2i+1) = d(i) + d(i+1), cut at n,
+    one piece of at most PIECE values of i at a time; the odd half of a
+    piece is one addition of :func:`lanes`. The largest d(n) with
     n <= 2^k is the Fibonacci number F(k+1), so d(n) <= F(46) < 2^31 for
     every n <= 2^45: no lane overflows in any table that fits in memory.
     """
@@ -73,10 +80,14 @@ def stern_table(n: int) -> array:
     m = 1
     while 2 * m < n:
         new = min(4 * m, n) - 2 * m  # entries of the row up to index n
-        row = table[m:m + new - new // 2 + 1]
-        total = lanes(row[:-1]) + lanes(row[1:])
-        table[2 * m + 1:4 * m:2] = array("I", total.to_bytes(4 * len(row) - 4, sys.byteorder))
-        table[2 * m + 2:4 * m + 1:2] = row[1:new // 2 + 1]
+        odd, even = m + new - new // 2, m + new // 2  # d(2i+1), i < odd; d(2i), i <= even
+        for i in range(m, odd, PIECE):
+            row = table[i:min(i + PIECE, odd) + 1]
+            total = lanes(row[:-1]) + lanes(row[1:])
+            table[2 * i + 1:2 * i + 2 * len(row) - 2:2] = array(
+                "I", total.to_bytes(4 * len(row) - 4, sys.byteorder))
+            j = min(i + len(row) - 1, even)  # the piece's even entries d(2i+2..2j)
+            table[2 * i + 2:2 * j + 1:2] = row[1:j - i + 1]
         m *= 2
     return table
 

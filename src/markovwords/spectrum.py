@@ -11,7 +11,7 @@ class import it themselves, so importing this module does not load
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
 
 from .words import Word, word
 
@@ -373,7 +373,8 @@ def bqf_min(form: BQForm, radius: int) -> LatticeMinimum:
     discriminant is disc*y^2 > 0), or one when a = 0; |f| is strictly
     monotone outside them and strictly concave between them, so every
     point of the row attaining its minimum is a floor or ceiling of a
-    root, clamped to [-radius, radius].
+    root, clamped to [-radius, radius]. The least score (|f|, f < 0,
+    canonical point) is kept as candidates come, in constant memory.
     """
     disc = form.discriminant()
     if disc <= 0:
@@ -381,25 +382,25 @@ def bqf_min(form: BQForm, radius: int) -> LatticeMinimum:
     if radius < 1:
         raise ValueError("radius must be >= 1")
     a, b, c = form.a, form.b, form.c
-    points = [(1, 0)]
-    for y in range(1, radius + 1):
-        if a != 0:
-            t = isqrt(disc * y * y)
-            roots = ((-b * y - t) // (2 * a), (-b * y + t) // (2 * a))
-        else:
-            roots = ((-c * y) // b,)  # disc = b^2 > 0, so b != 0
-        # each estimate is within one of the root's floor; widen to cover
-        # its floor and ceiling
-        xs = {min(max(k + e, -radius), radius) for k in roots for e in (-1, 0, 1, 2)}
-        points.extend((x, y) for x in xs)
-    values = [(form(x, y), x, y) for x, y in points]
-    best = min(abs(v) for v, _, _ in values)
 
-    def canonical(entry: tuple[int, int, int]) -> tuple[int, int, int]:
-        v, x, y = entry
+    def candidates() -> Iterator[tuple[int, int]]:
+        yield 1, 0
+        for y in range(1, radius + 1):
+            if a != 0:
+                t = isqrt(disc * y * y)
+                roots = ((-b * y - t) // (2 * a), (-b * y + t) // (2 * a))
+            else:
+                roots = ((-c * y) // b,)  # disc = b^2 > 0, so b != 0
+            # each estimate is within one of the root's floor; widen to cover
+            # its floor and ceiling
+            xs = {min(max(k + e, -radius), radius) for k in roots for e in (-1, 0, 1, 2)}
+            yield from ((x, y) for x in xs)
+
+    def scored(x: int, y: int) -> tuple[int, bool, int, int]:
+        v = form(x, y)
         if x < 0 or (x == 0 and y < 0):
             x, y = -x, -y
-        return (0 if v >= 0 else 1, x, y)
+        return abs(v), v < 0, x, y
 
-    _, px, py = min(canonical(e) for e in values if abs(e[0]) == best)
+    best, _, px, py = min(scored(x, y) for x, y in candidates())
     return LatticeMinimum(best, QuadraticSurd(0, best, disc, disc), (px, py))

@@ -15,22 +15,21 @@ from itertools import chain, compress, count, starmap
 from operator import add, eq, itemgetter, lt, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
 
-from .diatomic import a_of, a_star, a_table, lanes, stern, stern_table
+from .diatomic import PIECE, a_of, a_star, a_table, lanes, stern, stern_table
 from .tree import relabel, run_lengths, s_rec, walk
 from .words import (
     Word,
     format_word,
     is_palindrome,
     is_palindromic_rotation,
+    is_symmetric_about,
     reverse,
     rotate,
     word,
 )
 
-# the seeds every walking sweep uses: S(n) on (1,1),(2,2) and the label
-# words on (1),(2), as bytes, so concatenations and comparisons copy and
-# compare whole blocks
-SHIFT_SEEDS = (b"\x01\x01", b"\x02\x02")
+# the seeds every walking sweep uses: the label words on (1),(2), as
+# bytes, so concatenations and comparisons copy and compare whole blocks
 LABEL_SEEDS = (b"\x01", b"\x02")
 
 
@@ -61,26 +60,29 @@ def verify_shift_palindromic(a_sym: int, b_sym: int, n: int) -> VerificationRepo
 
 def _shift_verdicts(a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]) -> Iterator[bool]:
     """Whether S(n) rotated by d(n) is a palindrome, for n = lo, ...,
-    lo + len(shifts) - 1: one map of :func:`is_palindromic_rotation` over
-    one :func:`~markovwords.tree.walk` of the range on :data:`SHIFT_SEEDS`
-    and ``shifts``, which holds d(n) for those indices.
+    lo + len(shifts) - 1: one map of :func:`is_symmetric_about` over one
+    :func:`~markovwords.tree.walk` of the label words L(n) of the range on
+    :data:`LABEL_SEEDS`, about the axes d(n) - 1 for d(n) in ``shifts``.
 
-    That walk is S(n) under the letter map a -> 1, b -> 2, which is
-    injective, so a rotation of it is a palindrome exactly when the same
-    rotation of S(n) is. Each word is dropped once it is tested.
+    S(n) on (a,a),(b,b) is L(n) with every letter doubled, S[i] = L[i//2]
+    with |S| = 2m, and a -> 1, b -> 2 is injective. The rotation of S by d
+    is a palindrome exactly when S[i] == S[(2d - 1 - i) % 2m] for every i.
+    Both i = 2j and i = 2j + 1 halve to L[j] == L[(d - 1 - j) % m], so it
+    is one exactly when L is symmetric about d - 1. Each word is dropped
+    once it is tested.
     """
     _check_shift_letters(a_sym, b_sym)
     if lo < 1:
         raise ValueError("indices start at 1")
-    return map(is_palindromic_rotation, walk(*SHIFT_SEEDS, lo, lo + len(shifts) - 1), shifts)
+    return map(is_symmetric_about, walk(*LABEL_SEEDS, lo, lo + len(shifts) - 1),
+               map((-1).__add__, shifts))
 
 
 def _shift_report(a_sym: int, b_sym: int, n: int, shift: int, ok: bool) -> VerificationReport:
     """The report of index n, given its verdict from :func:`_shift_verdicts`.
-    A failing index is walked again on its own, and its rotation decoded
-    back through (a, b)."""
+    A failing index walks S(n) on (a,a),(b,b) on its own, and rotates it."""
     return VerificationReport("shift-palindromic", n, ok, shift, None if ok else format_word(
-        map((0, a_sym, b_sym).__getitem__, rotate(next(walk(*SHIFT_SEEDS, n, n)), shift))))
+        rotate(next(walk((a_sym, a_sym), (b_sym, b_sym), n, n)), shift)))
 
 
 def verify_shift_palindromic_range(
@@ -398,18 +400,40 @@ def _least(indices: Iterable[Optional[int]]) -> Optional[int]:
     return min((i for i in indices if i is not None), default=None)
 
 
+def _pieces(ks: range) -> Iterator[tuple[range, range]]:
+    """``ks`` in sub-ranges of at most PIECE indices, each beside the places
+    in ``ks`` it covers, so no operand sliced for it outgrows a piece."""
+    places = range(len(ks))
+    return ((ks[o:o + PIECE], places[o:o + PIECE]) for o in places[::PIECE])
+
+
+def _at(d: array, scale: int, shift: int, ks: range) -> array:
+    """d(scale*k + shift) for k in ``ks``: one strided slice, short if ``d`` is."""
+    first = scale * ks.start + shift
+    return d[first:first + scale * ks.step * len(ks):scale * ks.step]
+
+
+def _flanks(d: array, places: range) -> array:
+    """The flank |S(a(i))|/2 = d(2a(i) - 1) of every i in ``places``: 2a(i) - 1
+    is the odd part of i, so one slice of ``d`` per lowest set bit fills them."""
+    out = array("I", [0]) * len(places)
+    for low in map((1).__lshift__, range((places.stop - 1).bit_length())):
+        first = places.start + (low - places.start) % (2 * low)  # lowest set bit low
+        out[first - places.start::2 * low] = d[first // low:-(-places.stop // low):2]
+    return out
+
+
 def check_length_identity(d: array, k_hi: int) -> Optional[dict]:
     """|S(k)| == |S(a(k))| + |S(a(k-1))| for length-2 seeds, in blocks.
 
     ``d`` holds d(0..2*k_hi - 1) and |S(j)|/2 = d(2j-1). Each 2-adic class
-    v >= 1 is one slice sum per parity e. k = 2^v(2i+1) + e has
+    v >= 1 is a slice sum per parity e and piece. k = 2^v(2i+1) + e has
     a(k) = i+1, a(k-1) = k/2 for even k and a(k) = (k+1)/2, a(k-1) = i+1
     for odd k, so both read d(2k-1) == d(2i+1) + d(k-1+e).
     """
-    k = _least(_first_unsummed(d[2 * ks.start - 1:2 * k_hi:4 << v], d[1:2 * len(ks):2],
-                               d[ks.start - 1 + e:k_hi + e:2 << v], ks)
+    k = _least(_first_unsummed(_at(d, 2, -1, ks), _at(d, 2, 1, i), _at(d, 1, e - 1, ks), ks)
                for v in range(1, k_hi.bit_length())  # 2^v <= k_hi
-               for e in (0, 1) for ks in (range((1 << v) + e, k_hi + 1, 2 << v),))
+               for e in (0, 1) for ks, i in _pieces(range((1 << v) + e, k_hi + 1, 2 << v)))
     return None if k is None else {"k": k}
 
 
@@ -417,11 +441,11 @@ def check_length_is_diatomic(d: array, k_hi: int) -> Optional[dict]:
     """|S(a(k))| == 2*d(k) for length-2 seeds: a(k) <= (k+1)/2 has d(k) blocks.
 
     ``d`` holds d(0..k_hi). On the 2-adic class k = 2^v(2i+1), a(k) = i+1
-    and |S(i+1)|/2 = d(2i+1): one slice comparison per class.
+    and |S(i+1)|/2 = d(2i+1): one slice comparison per piece of a class.
     """
-    k = _least(_first_mismatch(d[1:2 * len(ks):2], d[ks.start:k_hi + 1:2 << v], ks)
+    k = _least(_first_mismatch(_at(d, 2, 1, i), _at(d, 1, 0, ks), ks)
                for v in range(k_hi.bit_length())  # 2^v <= k_hi
-               for ks in (range(1 << v, k_hi + 1, 2 << v),))
+               for ks, i in _pieces(range(1 << v, k_hi + 1, 2 << v)))
     return None if k is None else {"k": k}
 
 
@@ -430,17 +454,17 @@ def check_half_length_chain(d: array, k_hi: int) -> Optional[dict]:
 
     ``d`` holds d(0..k_hi - 1). Odd k = 2^(u+1)(2j+1) + 1 reaches the even
     2j+2 after u+1 halvings, so its chain ends at j+1 = a(k-1) and
-    |S(j+1)|/2 = d(2j+1): one slice per class u.
+    |S(j+1)|/2 = d(2j+1): one slice per piece of a class u.
     """
-    k = _least(_first_mismatch(d[1:2 * len(ks):2], d[2 << u:k_hi:4 << u], ks)
+    k = _least(_first_mismatch(_at(d, 2, 1, j), _at(d, 1, -1, ks), ks)
                for u in range((k_hi - 1).bit_length() - 1)  # (2 << u) + 1 <= k_hi
-               for ks in (range((2 << u) + 1, k_hi + 1, 4 << u),))
+               for ks, j in _pieces(range((2 << u) + 1, k_hi + 1, 4 << u)))
     return None if k is None else {"k": k, "chain_end": a_of(k - 1)}
 
 
 def check_factorizations(k_hi: int) -> Optional[dict]:
-    """Materialised S(k) equals its halving-chain factorization."""
-    s = list(walk(*SHIFT_SEEDS, 0, k_hi))
+    """Materialised S(k) equals its halving-chain factorization, on any seeds."""
+    s = list(walk(*LABEL_SEEDS, 0, k_hi))
     for k in range(3, k_hi + 1):
         if k % 2 == 0:
             prefix, base, power = even_index_factorization(k)
@@ -461,30 +485,20 @@ def check_shift_inequalities(d: array, k_hi: int) -> Optional[dict]:
     below (power-1)*|S(chain end)|. Every |S(j)| is even, so both are read
     exactly in blocks |S(j)|/2 = d(2j-1). ``d`` holds d(0..(k_hi+1)//2).
 
-    Each 2-adic class of k is one pass over slices. Even k = 2^v(2i+1),
+    Each 2-adic class of k is a pass over slices, piece by piece. Even k = 2^v(2i+1),
     i >= 1, has base i+1, power v+1 and L = d(2i+1) = |S(base)|/2, so the
     bound is (v+1)*d(2i+1); powers of two are skipped, their chain bottoms
     at 1 and a(0) is undefined. Odd k = 2^(u+1)(2j+1) + 1 has chain end
     j+1, power u+2 and L = d(2^u(2j+1) + 1). The smallest failing k over
     all classes is named, and its parity names the case.
     """
-    # the flank |S(a(i))|/2 = d(2a(i)-1) of every i an even class reads:
-    # a(i) = m+1 on the indices i = low*(2m+1) with lowest set bit low, so
-    # one slice of d per bit fills them, as a_table fills a
-    n = (k_hi + 2) // 4 - 1
-    flanks = array("I", [0]) * n
-    low = 1
-    while low <= n:
-        flanks[low - 1::2 * low] = d[1:2 * ((n + low) // (2 * low)):2]
-        low *= 2
     k = _least(chain(
-        (_first_not_below(flanks[:len(ks)], v + 1, d[3:2 * len(ks) + 2:2], ks)
+        (_first_not_below(_flanks(d, range(t.start + 1, t.stop + 1)), v + 1, _at(d, 2, 3, t), ks)
          for v in range(1, (k_hi // 3).bit_length())  # 3 << v <= k_hi
-         for ks in (range(3 << v, k_hi + 1, 2 << v),)),
-        (_first_not_below(d[(1 << u) + 1:(k_hi + 3) // 2:2 << u], 2 * u + 2,
-                          d[1:2 * len(ks):2], ks)
+         for ks, t in _pieces(range(3 << v, k_hi + 1, 2 << v))),  # i = t + 1
+        (_first_not_below(_at(d, 2 << u, (1 << u) + 1, j), 2 * u + 2, _at(d, 2, 1, j), ks)
          for u in range((k_hi - 1).bit_length() - 1)  # (2 << u) + 1 <= k_hi
-         for ks in (range((2 << u) + 1, k_hi + 1, 4 << u),)),
+         for ks, j in _pieces(range((2 << u) + 1, k_hi + 1, 4 << u))),
     ))
     return None if k is None else {"k": k, "case": ("even", "odd")[k % 2]}
 

@@ -6,7 +6,7 @@ halving are tuple ``+`` and slicing; this module adds what tuples lack:
 validation, the text form, rotation and the palindrome tests, all pure.
 The checks of :mod:`markovwords.theorems` carry their words internally
 as ``bytes`` over relabelled letters 1, 2, ..., which
-:func:`is_palindromic_rotation` reads as they are; the words the public
+:func:`is_symmetric_about` reads as they are; the words the public
 API returns are tuples.
 """
 from __future__ import annotations
@@ -89,24 +89,29 @@ def is_palindrome(x: Sequence[int]) -> bool:
     return w == w[::-1]
 
 
-def is_palindromic_rotation(x: Sequence[int], s: int) -> bool:
-    """``is_palindrome(rotate(x, s))`` without building the rotation.
+def is_symmetric_about(x: Sequence[int], c: int) -> bool:
+    """Whether ``x[j] == x[(c - j) % len(x)]`` for every j: read around the
+    circle, the word mirrors itself about position c/2.
 
-    The rotation is a palindrome when the floor(m/2) letters read forwards
-    from position s equal the floor(m/2) letters read backwards from
-    position s-1, both windows wrapping around the end of the word. The
-    windows are slices of ``x`` itself, so a ``bytes`` word is compared
-    without converting its letters.
+    Each pair of mirrored positions is compared once: the floor(m/2)
+    letters read forwards from position c//2 + 1 against the floor(m/2)
+    letters read backwards from position c - c//2 - 1, wrapping around the
+    end of the word. The windows are slices of ``x`` itself, so a ``bytes``
+    word is compared without converting its letters.
     """
-    if not x:
-        raise ValueError("cannot rotate the empty word")
     m = len(x)
-    s %= m
+    if not m:
+        raise ValueError("the empty word has no mirror axis")
+    c %= m
     h = m // 2
-    forward = x[s:s + h] if s + h <= m else x[s:] + x[:s + h - m]
-    if s > h:
-        backward = x[s - 1:s - h - 1:-1]
-    else:  # x[s-1], ..., x[0], then x[m-1], ... down to h letters in all
-        backward = x[:s][::-1] + x[:m - h + s - 1:-1]
-    return forward == backward
+    # with 0 <= c < m the forward window ends by x[m-1], and the backward one
+    # runs x[b], ..., x[0], then x[m-1], ... down to h letters in all
+    f, b = c // 2 + 1, (c - 1) // 2  # b = c - c//2 - 1 is -1 at c = 0
+    return x[f:f + h] == x[:b + 1][::-1] + x[:m - h + b:-1]
 
+
+def is_palindromic_rotation(x: Sequence[int], s: int) -> bool:
+    """``is_palindrome(rotate(x, s))`` without building the rotation: its
+    letters i and m-1-i are x[s + i] and x[2s - 1 - (s + i)], mod m, so it
+    is one exactly when :func:`is_symmetric_about` ``(x, 2s - 1)``."""
+    return is_symmetric_about(x, 2 * s - 1)

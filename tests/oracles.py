@@ -9,7 +9,8 @@ The word oracles are the graph walk, which reaches one index by the L
 and R moves along the binary digits of n - 1, the levels built from the
 root one level at a time by the same moves, and the two-branch index
 recursion with an injectable left-flank rule, which the tests use to pin
-where a wrong rule diverges.
+where a wrong rule diverges. The Christoffel oracle builds a label word
+from its length and letter counts alone, by the floors of a line.
 The index oracles are the loops the library replaced by bit arithmetic:
 halving to the odd part, walking the two factorization chains, and
 searching a level for a mirror index. The diatomic oracle is the bit
@@ -147,6 +148,13 @@ def s_graph(a, b, n: int) -> tuple[int, ...]:
     for bit in bin(n - 1)[3:]:
         x, y, z = (y, y + z, z) if bit == "1" else (x, x + y, y)
     return y
+
+
+def lower_christoffel(m: int, b_count: int) -> tuple[int, ...]:
+    """The lower Christoffel word of length m with b_count letters 2 and the
+    rest 1: letter i is 2 exactly when floor((i+1) b_count / m) exceeds
+    floor(i b_count / m), the steps of the line of slope b_count/m."""
+    return tuple(1 + ((i + 1) * b_count // m > i * b_count // m) for i in range(m))
 
 
 def level(a, b, n: int) -> list[Vertex]:

@@ -303,14 +303,14 @@ def test_prop_main_pieces_match_the_report_path(capsys, monkeypatch, n_max, as_j
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_prop_main_failing_pieces_print_through_the_report_path(capsys, monkeypatch, as_json):
-    # the claim holds everywhere, so the palindrome test the sweep reads is
-    # made to fail on the words of chosen indices: at piece edges, and twice
-    # inside one piece
+    # the claim holds everywhere, so the axis test the sweep reads is made
+    # to fail on the label words of chosen indices: at piece edges, and
+    # twice inside one piece
     failing = [1, 1023, 1024, 1025, 2048, 5000, 5003, 32768]
-    targets = {next(walk(*theorems.SHIFT_SEEDS, n, n)) for n in failing}
-    real = theorems.is_palindromic_rotation
-    monkeypatch.setattr(theorems, "is_palindromic_rotation",
-                        lambda w, s: w not in targets and real(w, s))
+    targets = {next(walk(*theorems.LABEL_SEEDS, n, n)) for n in failing}
+    real = theorems.is_symmetric_about
+    monkeypatch.setattr(theorems, "is_symmetric_about",
+                        lambda w, c: w not in targets and real(w, c))
     expected = prop_main_oracle(32768, 3, 7, as_json)
     assert expected[1].count("counterexample") == len(failing)
     assert expected[0::2] == (1, f"prop-main: {32768 - len(failing)}/32768 passed\n")
@@ -326,20 +326,20 @@ def test_prop_main_failing_pieces_print_through_the_report_path(capsys, monkeypa
 
 def test_prop_main_failing_piece_reuses_its_verdicts(capsys, monkeypatch):
     # a piece with one failure builds its reports from the verdicts already
-    # read: 2048 palindrome tests for 2048 indices, one walk of the range
-    # and one walk of the failing index for its counterexample
-    target = next(walk(*theorems.SHIFT_SEEDS, 1025, 1025))
+    # read: 2048 axis tests for 2048 indices, one walk of the range and one
+    # walk of the failing index for its counterexample
+    target = next(walk(*theorems.LABEL_SEEDS, 1025, 1025))
     tests, walks = [], []
-    real_test, real_walk = theorems.is_palindromic_rotation, theorems.walk
+    real_test, real_walk = theorems.is_symmetric_about, theorems.walk
 
-    def palindrome_test(w, s):
+    def axis_test(w, c):
         tests.append(w)
-        return w != target and real_test(w, s)
+        return w != target and real_test(w, c)
 
     def counted_walk(*args):
         walks.append(args[2:])
         return real_walk(*args)
-    monkeypatch.setattr(theorems, "is_palindromic_rotation", palindrome_test)
+    monkeypatch.setattr(theorems, "is_symmetric_about", axis_test)
     monkeypatch.setattr(theorems, "walk", counted_walk)
     status, out, err = run(capsys, "verify", "prop-main", "--n-max", "2048",
                            "--a", "3", "--b", "7")

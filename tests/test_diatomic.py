@@ -5,6 +5,7 @@ import pytest
 
 from oracles import a_of_by_halving, stern_by_bits
 
+from markovwords import diatomic
 from markovwords.diatomic import a_of, a_star, a_table, lanes, stern, stern_table
 
 FIRST_TEN_D = (0, 1, 1, 2, 1, 3, 2, 3, 1, 4)
@@ -132,6 +133,19 @@ def test_stern_table_every_small_length():
         assert list(stern_table(n)) == [stern_by_bits(k) for k in range(n + 1)]
     with pytest.raises(ValueError):
         stern_table(-1)
+
+
+@pytest.mark.parametrize("piece", [1, 3, 64])
+def test_stern_table_in_small_pieces(monkeypatch, piece):
+    # each row is filled piece by piece: pieces that end inside a row, at
+    # its cut at n, and before its even half ends; every n <= 5000 for
+    # pieces of 64, every length around a row boundary for the smaller ones
+    expected = [stern_by_bits(k) for k in range(5001)]
+    monkeypatch.setattr(diatomic, "PIECE", piece)
+    edges = {n + e for n in (1 << m for m in range(1, 13)) for e in (-2, -1, 0, 1, 2)}
+    sizes = range(5001) if piece == 64 else sorted(set(range(200)) | edges | {4999, 5000})
+    for n in sizes:
+        assert list(stern_table(n)) == expected[:n + 1], n
 
 
 def test_tables_are_32_bit_lanes():

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -406,6 +407,19 @@ def test_bqf_min_matches_brute_force_on_small_forms():
             assert fast.normalized.as_tuple() == slow.normalized.as_tuple(), (form, radius)
             cases += 1
     assert cases == 6940
+
+
+def test_bqf_min_memory_does_not_grow_with_the_radius():
+    # about 8 candidates per row over 2*10^4 rows: each is scored as it
+    # comes, and only the least score is kept
+    tracemalloc.start()
+    try:
+        res = bqf_min(BQForm(5, 11, -5), 2 * 10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.min_abs, res.point) == (5, (1, 0))
+    assert peak < 2 ** 16
 
 
 def test_bqf_cross_checks_markov_element():

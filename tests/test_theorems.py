@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from array import array
 from itertools import product
 
@@ -111,9 +112,9 @@ def test_shift_palindromic_range_preconditions():
 
 
 def test_failing_shift_report_prints_the_rotation(monkeypatch):
-    # the claim holds everywhere, so force the check to fail; the sweep's
-    # counterexample is decoded from the letters 1, 2 back to a and b
-    monkeypatch.setattr(theorems, "is_palindromic_rotation", lambda w, s: False)
+    # the claim holds everywhere, so force the axis test of the label word
+    # to fail; the counterexample is S(n) on (a,a),(b,b), rotated by d(n)
+    monkeypatch.setattr(theorems, "is_symmetric_about", lambda w, c: False)
     for a_sym, b_sym in ((1, 2), (4, 9), (300, 2)):
         expected = format_word(rotate(s_rec((a_sym, a_sym), (b_sym, b_sym), 14), 3))
         assert set(expected.split(",")) == {str(a_sym), str(b_sym)}
@@ -461,6 +462,33 @@ def test_shift_inequalities_read_each_flank_where_a_points(monkeypatch):
         assert even[0][0] == gathered if k_hi >= 6 else not even, k_hi
 
 
+@pytest.mark.parametrize("piece", [1, 3, 64])
+def test_shift_inequalities_read_each_flank_in_small_pieces(monkeypatch, piece):
+    # each piece of an even class fills its own flanks, one slice of d per
+    # lowest set bit; joined piece by piece, a class's flanks are the
+    # gather through a_table
+    d, a = stern_table(2 ** 11), a_table(2 ** 10)
+    calls, real = [], theorems._first_not_below
+
+    def recording(x, m, y, ks):
+        calls.append((x, ks))
+        return real(x, m, y, ks)
+    monkeypatch.setattr(theorems, "_first_not_below", recording)
+    monkeypatch.setattr(theorems, "PIECE", piece)
+    for k_hi in (6, 100, 1000, 2 ** 10):
+        blocks = array("I", [1]) + d[1:k_hi + 1:2]
+        gathered = array("I", map(blocks.__getitem__, a[1:(k_hi + 2) // 4]))
+        calls.clear()
+        assert theorems.check_shift_inequalities(d, k_hi) is None, k_hi
+        classes = {}
+        for x, ks in calls:
+            if ks.start % 2 == 0:
+                assert len(x) == len(ks) <= piece, k_hi
+                classes.setdefault(ks.step, array("I")).extend(x)
+        assert classes[4] == gathered, k_hi  # the class of 6 covers every i
+        assert all(x == gathered[:len(x)] for x in classes.values()), k_hi
+
+
 @pytest.mark.parametrize("check, by_index, reads, _", [
     case for case in TABLE_CHECKS if case[3] == 1200])
 def test_class_slices_agree_with_the_index_loops_at_every_bound(check, by_index, reads, _):
@@ -476,6 +504,32 @@ def test_class_slices_agree_with_the_index_loops_at_every_bound(check, by_index,
             d[j] *= 3
             expected = by_index(k_max, d.__getitem__, a.__getitem__)
             assert check(*tables(reads, d, a), k_max) == expected, (k_max, j)
+
+
+# the topmost index of d each length check reads at a bound k_max
+TOPS = {theorems.check_length_identity: lambda k: 2 * k - 1,
+        theorems.check_length_is_diatomic: lambda k: k,
+        theorems.check_half_length_chain: lambda k: k - 1,
+        theorems.check_shift_inequalities: lambda k: (k + 1) // 2}
+
+
+@pytest.mark.parametrize("check, by_index, reads, _", [
+    case for case in TABLE_CHECKS if case[0] in TOPS])
+def test_table_checks_in_small_pieces_report_what_the_index_loops_report(
+        monkeypatch, check, by_index, reads, _):
+    # each class runs in pieces of at most PIECE indices; at every k_max in
+    # 0..600 pieces of 1, 3 and 64 end at different places, the clean
+    # table passes, and one tripled entry at the topmost index the check
+    # reads is named as its loop names it
+    clean_d, a = stern_table(1200), a_table(1200)
+    for k_max in range(601):
+        d = clean_d[:]
+        d[TOPS[check](k_max)] *= 3
+        expected = by_index(k_max, d.__getitem__, a.__getitem__)
+        for piece in (1, 3, 64):
+            monkeypatch.setattr(theorems, "PIECE", piece)
+            assert check(*tables(reads, clean_d, a), k_max) is None, (k_max, piece)
+            assert check(*tables(reads, d, a), k_max) == expected, (k_max, piece)
 
 
 def test_table_checks_read_entries_past_the_lane_guards():
@@ -646,6 +700,20 @@ def test_lemma_suite_builds_one_diatomic_table(monkeypatch):
         built.clear()
         assert all(rep.passed for rep in iter_lemma_checks(k_max))
         assert built == [size], k_max
+
+
+@pytest.mark.parametrize("k_max", [2 ** 18, 2 ** 20])
+def test_lemma_suite_holds_little_beside_its_table(k_max):
+    # the table of d(0..2 k_max) takes 4 (2 k_max + 1) bytes; the operands
+    # and lane integers of every check come in pieces, so all the rest the
+    # suite holds at once stays within 2 MiB
+    tracemalloc.start()
+    try:
+        assert all(rep.passed for rep in iter_lemma_checks(k_max))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 4 * (2 * k_max + 1) <= 2 * 2 ** 20
 
 
 def test_lemma_suite_builds_a_table_for_the_index_identities_alone(monkeypatch):

@@ -4,10 +4,16 @@ from collections import deque
 
 import pytest
 
-from oracles import level, level_entries, path_precedes, s_graph, s_rec_with_rule
+from oracles import (
+    level,
+    level_entries,
+    lower_christoffel,
+    path_precedes,
+    s_graph,
+    s_rec_with_rule,
+)
 
 from markovwords.diatomic import a_of, a_star, stern, stern_table
-from markovwords.theorems import SHIFT_SEEDS
 from markovwords.tree import Vertex, root, run_lengths, s_rec, walk
 
 A, B = (1, 1), (2, 2)
@@ -289,9 +295,25 @@ def test_walk_memory_is_bounded_by_the_path():
     deepest = 2 * sum(d[2 ** 16 + 1:2 ** 17:2])  # bytes, |S(n)| = 2 d(2n-1)
     tracemalloc.start()
     try:
-        deque(walk(*SHIFT_SEEDS, 1, 2 ** 16), maxlen=0)
+        deque(walk(b"\x01\x01", b"\x02\x02", 1, 2 ** 16), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert deepest > 50 * 2 ** 20
     assert peak < 2 ** 20
+
+
+def test_label_words_are_lower_christoffel_words():
+    # the words prop-main checks, on the label seeds (1), (2), are the lower
+    # Christoffel words of their lengths and letter counts: the walk and the
+    # index recursion both agree with the floors of the line at every index,
+    # and on other seeds S(n) is that word with the seeds substituted
+    for n, labels in enumerate(walk(b"\x01", b"\x02", 2, 2 ** 12), 2):
+        expected = lower_christoffel(len(labels), labels.count(2))
+        assert tuple(labels) == expected, n
+        assert s_rec((1,), (2,), n) == expected, n
+    for seeds in [((1, 1), (2, 2)), ((1, 2, 1), (3,)), ((2,), (1, 1))]:
+        for n, s in enumerate(walk(*seeds, 2, 2 ** 10), 2):
+            labels = next(walk(b"\x01", b"\x02", n, n))
+            expected = lower_christoffel(len(labels), labels.count(2))
+            assert s == tuple(x for c in expected for x in seeds[c - 1]), (seeds, n)

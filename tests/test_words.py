@@ -12,6 +12,7 @@ from markovwords.words import (
     format_word,
     is_palindrome,
     is_palindromic_rotation,
+    is_symmetric_about,
     parse_word,
     reverse,
     rotate,
@@ -176,3 +177,33 @@ def test_is_palindromic_rotation_examples():
     assert first_palindromic_shift((1, 2)) is None
     with pytest.raises(ValueError):
         is_palindromic_rotation((), 0)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=40).map(tuple),
+       st.integers(min_value=-10 ** 6, max_value=10 ** 6))
+def test_is_symmetric_about_matches_its_definition(w, c):
+    m = len(w)
+    for axis in (c, c % m, -c, c * m + 1):
+        expected = all(w[j] == w[(axis - j) % m] for j in range(m))
+        assert is_symmetric_about(w, axis) == expected, (w, axis)
+        assert is_symmetric_about(bytes(w), axis) == expected, (w, axis)
+
+
+def test_shift_theorem_reads_the_label_word_about_its_mirror_axis():
+    # S(n) on (1,1),(2,2) is L(n) on (1),(2) with every letter doubled, so
+    # its rotation by t is a palindrome exactly when L(n) is symmetric
+    # about t - 1: at every shift, the failing ones included
+    failing = 0
+    for n, s, labels in zip(range(1, 2 ** 10 + 1), walk(b"\x01\x01", b"\x02\x02", 1, 2 ** 10),
+                            walk(b"\x01", b"\x02", 1, 2 ** 10)):
+        assert s == bytes(x for x in labels for _ in (0, 1))
+        for t in range(-2, 2 * len(s) + 3):
+            expected = is_palindromic_rotation(s, t)
+            assert is_symmetric_about(labels, t - 1) == expected, (n, t)
+            failing += not expected
+    assert failing > 10 ** 5
+
+
+def test_is_symmetric_about_rejects_the_empty_word():
+    with pytest.raises(ValueError):
+        is_symmetric_about((), 0)
