@@ -115,7 +115,8 @@ def test_prop_main_sweep(benchmark):
 
 def test_prop_main_command(benchmark):
     # the command as the benchmark's verify_sweep runs it, in process:
-    # verdicts, pieces and the tally, with its output thrown away
+    # the verdict stream, one line per index and the tally, with its
+    # output thrown away
     def command():
         with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
             return cli.main(["verify", "prop-main", "--n-max", "32768", "--a", "3", "--b", "7"])

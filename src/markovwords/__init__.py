@@ -24,8 +24,8 @@ _HOME = {name: module for module, names in [
                  " markov_value zero_tail"),
     ("theorems", "VerificationReport block_rearrangement even_index_factorization"
                  " iter_block_rearrangement iter_equivalence iter_lemma_checks"
-                 " iter_shift_palindromic mirror_index odd_index_factorization"
-                 " verify_block_rearrangement verify_mirror verify_shift_palindromic"),
+                 " iter_shift_palindromic odd_index_factorization"
+                 " verify_block_rearrangement verify_shift_palindromic"),
     ("tree", "Vertex root s_rec walk"),
     ("words", "Word format_word is_palindrome is_palindromic_rotation parse_word"
               " reverse rotate word"),

@@ -13,8 +13,8 @@ import argparse
 import re
 import sys
 from functools import partial
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from itertools import count, islice
+from typing import Iterator, Sequence
 
 from .diatomic import stern, stern_table
 from .spectrum import BQForm, bqf_min, markov_value
@@ -104,10 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
 WRITE_LINES = 1024  # per stdout write; under ``python -u`` each print is a write
 
 
-def _write_lines(lines: Iterator[str]) -> None:
-    """Write the lines to stdout in order, WRITE_LINES per write (fewer at the end)."""
+def _write_lines(lines: Iterator[str]) -> int:
+    """Write the lines to stdout in order, WRITE_LINES per write (fewer at
+    the end), and return how many there were."""
+    written = 0
     while batch := list(islice(lines, WRITE_LINES)):
         sys.stdout.write("\n".join(batch) + "\n")
+        written += len(batch)
+    return written
 
 
 def _surd_json(surd) -> dict:
@@ -119,20 +123,17 @@ def _surd_text(fields: dict) -> str:
     return "({p},{q},{r},{D})".format(**fields)
 
 
-def _report_lines(reports: Iterable, check: str, as_json: bool, tally: list[int]):
-    """Yield the line of each VerificationReport; tally[passed] counts the reports."""
+def _report_line(rep, check: str, as_json: bool, failures: list[int]) -> str:
+    """The line of one VerificationReport; ``failures`` collects the n of each failing one."""
+    if not rep.passed:
+        failures.append(rep.n)
     if as_json:
         import json
-    for rep in reports:
-        tally[rep.passed] += 1
-        if as_json:
-            yield json.dumps({"command": "verify", "check": check, **rep.to_json()})
-        else:
-            status = "PASS" if rep.passed else "FAIL"
-            extra = f" witness={rep.witness}" if rep.witness is not None else ""
-            counter = ("" if rep.counterexample is None
-                       else f" counterexample={rep.counterexample}")
-            yield f"{status} {rep.claim} n={rep.n}{extra}{counter}"
+        return json.dumps({"command": "verify", "check": check, **rep.to_json()})
+    status = "PASS" if rep.passed else "FAIL"
+    extra = f" witness={rep.witness}" if rep.witness is not None else ""
+    counter = "" if rep.counterexample is None else f" counterexample={rep.counterexample}"
+    return f"{status} {rep.claim} n={rep.n}{extra}{counter}"
 
 
 def _spectrum_payload(period, digits: int) -> dict:
@@ -186,32 +187,29 @@ def _cmd_stern(args) -> int:
     return 0
 
 
+def _shift_lines(shifts, verdicts: Iterator[bool], report, as_json: bool,
+                 failures: list[int]) -> Iterator[str]:
+    """prop-main's line of each index n = 1, ..., len(shifts), from its verdict.
+    A passing index is one f-string, the line :func:`_report_line` writes
+    for its report, in JSON as ``json.dumps`` gives it; only a failing index
+    builds its report, ``report(n, d(n), False)``."""
+    rows = zip(count(1), shifts, verdicts)
+    if as_json:
+        return (f'{{"command": "verify", "check": "prop-main", "claim": "shift-palindromic", '
+                f'"n": {n}, "passed": true, "witness": {d}}}' if ok else
+                _report_line(report(n, d, ok), "prop-main", True, failures) for n, d, ok in rows)
+    return (f"PASS shift-palindromic n={n} witness={d}" if ok else
+            _report_line(report(n, d, ok), "prop-main", False, failures) for n, d, ok in rows)
+
+
 def _cmd_verify(args) -> int:
     from . import theorems  # only verify reads the claims
 
-    tally = [0, 0]  # failed, passed
+    failures: list[int] = []
     if args.check == "prop-main":
         shifts = stern_table(args.n_max)[1:]
-        verdicts = theorems._shift_verdicts(args.a, args.b, 1, shifts)
-        for lo in range(1, len(shifts) + 1, WRITE_LINES):
-            piece = shifts[lo - 1:lo - 1 + WRITE_LINES]
-            # a piece that holds throughout is one f-string per index: the
-            # line _report_lines writes for a passing report, in JSON as
-            # json.dumps gives it; its verdicts are read first, as all()
-            # would stop at a failure and leave the rest of them unread
-            oks = list(islice(verdicts, len(piece)))
-            indices = range(lo, lo + len(piece))
-            if all(oks):
-                tally[1] += len(piece)
-                lines = ([f'{{"command": "verify", "check": "prop-main", "claim": '
-                          f'"shift-palindromic", "n": {n}, "passed": true, "witness": {d}}}'
-                          for n, d in zip(indices, piece)] if args.json else
-                         [f"PASS shift-palindromic n={n} witness={d}"
-                          for n, d in zip(indices, piece)])
-            else:
-                reports = map(partial(theorems._shift_report, args.a, args.b), indices, piece, oks)
-                lines = _report_lines(reports, args.check, args.json, tally)
-            sys.stdout.write("\n".join(lines) + "\n")
+        lines = _shift_lines(shifts, theorems._shift_verdicts(args.a, args.b, 1, shifts),
+                             partial(theorems._shift_report, args.a, args.b), args.json, failures)
     else:
         if args.check == "theorem":
             reports = theorems.iter_block_rearrangement(args.n_max, args.trials, args.seed)
@@ -219,10 +217,10 @@ def _cmd_verify(args) -> int:
             reports = theorems.iter_equivalence(args.levels, args.pairs, args.seed)
         else:
             reports = theorems.iter_lemma_checks(args.k_max)
-        _write_lines(_report_lines(reports, args.check, args.json, tally))
-    failed, passed = tally
-    print(f"{args.check}: {passed}/{failed + passed} passed", file=sys.stderr)
-    return 0 if failed == 0 else 1
+        lines = (_report_line(rep, args.check, args.json, failures) for rep in reports)
+    written = _write_lines(lines)
+    print(f"{args.check}: {written - len(failures)}/{written} passed", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _spectrum_line(command: str, row: dict, as_json: bool) -> str:

@@ -3,8 +3,10 @@
 Each check returns a :class:`VerificationReport`; batch runners stream
 reports instead of aborting, so a sweep always yields the complete
 regression surface. A failing report carries a reproducible witness.
-Every sweep is one lazy iterator, read by the command line as it writes,
-and a single-index check builds its word as its sweep does, on one index.
+Every sweep is one lazy iterator, read by the command line as it writes.
+Each per-index claim is a stream of verdicts, one bool per index, and a
+builder of one index's report from its verdict, which walks S(n) again
+only for a failing index; sweeps and single-index checks read that pair.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from .words import (
     is_palindrome,
     is_palindromic_rotation,
     is_symmetric_about,
-    reverse,
     rotate,
     word,
 )
@@ -54,8 +55,9 @@ def _check_shift_letters(a_sym: int, b_sym: int) -> None:
 
 def verify_shift_palindromic(a_sym: int, b_sym: int, n: int) -> VerificationReport:
     """Check that rotating S(n) by d(n) gives a palindrome, seeds (a,a),(b,b):
-    :func:`verify_shift_palindromic_range` on the one index n."""
-    return next(verify_shift_palindromic_range(a_sym, b_sym, n, [stern(n)]))
+    :func:`_shift_report` of the one verdict :func:`_shift_verdicts` gives n."""
+    d = stern(n)
+    return _shift_report(a_sym, b_sym, n, d, next(_shift_verdicts(a_sym, b_sym, n, [d])))
 
 
 def _shift_verdicts(a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]) -> Iterator[bool]:
@@ -83,15 +85,6 @@ def _shift_report(a_sym: int, b_sym: int, n: int, shift: int, ok: bool) -> Verif
     A failing index walks S(n) on (a,a),(b,b) on its own, and rotates it."""
     return VerificationReport("shift-palindromic", n, ok, shift, None if ok else format_word(
         rotate(next(walk((a_sym, a_sym), (b_sym, b_sym), n, n)), shift)))
-
-
-def verify_shift_palindromic_range(
-    a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]
-) -> Iterator[VerificationReport]:
-    """:func:`verify_shift_palindromic` for n = lo, ..., lo + len(shifts) - 1,
-    one :func:`_shift_report` at a time, from :func:`_shift_verdicts`."""
-    verdicts = _shift_verdicts(a_sym, b_sym, lo, shifts)
-    return map(partial(_shift_report, a_sym, b_sym), count(lo), shifts, verdicts)
 
 
 def _palindromic_seeds(a: Sequence[int], b: Sequence[int]) -> tuple[Word, Word]:
@@ -128,20 +121,15 @@ def _rearrangement_verdicts(
             for s, labels, d in zip(walk(*relabelled, lo, hi), walk(*LABEL_SEEDS, lo, hi), shifts))
 
 
-def _rearrangement_reports(
-    a: Sequence[int], b: Sequence[int], lo: int, shifts: Sequence[int]
-) -> Iterator[VerificationReport]:
-    """:func:`verify_block_rearrangement` for n = lo, ..., lo + len(shifts) - 1,
-    one report at a time, from :func:`_rearrangement_verdicts`; only a
-    failing index builds its arrangement, walking S(n) again on its own.
-    """
-    verdicts = _rearrangement_verdicts(a, b, lo, shifts)
-    seeds, fa, fb = _palindromic_seeds(a, b), format_word(a), format_word(b)
-    return (
-        VerificationReport("block-rearrangement", n, ok, {"shift": d, "A": fa, "B": fb},
-                           None if ok else format_word(_arrangement(seeds, n, d)))
-        for n, ok, d in zip(count(lo), verdicts, shifts)
-    )
+def _rearrangement_report(
+    a: Sequence[int], b: Sequence[int], n: int, d: int, ok: bool
+) -> VerificationReport:
+    """The report of index n, given d = d(n) and its verdict from
+    :func:`_rearrangement_verdicts`. A failing index walks S(n) again on
+    its own, and builds its arrangement."""
+    return VerificationReport(
+        "block-rearrangement", n, ok, {"shift": d, "A": format_word(a), "B": format_word(b)},
+        None if ok else format_word(_arrangement(_palindromic_seeds(a, b), n, d)))
 
 
 def _arrangement(seeds: tuple[Word, Word], n: int, d: int) -> Word:
@@ -188,7 +176,8 @@ def verify_block_rearrangement(
     (d(n)+1)/2 has even length (see :func:`block_rearrangement`); outside
     that scope a failing report records a fact, not a defect.
     """
-    return next(_rearrangement_reports(a, b, n, [stern(n)]))
+    d = stern(n)
+    return _rearrangement_report(a, b, n, d, next(_rearrangement_verdicts(a, b, n, [d])))
 
 
 def even_index_factorization(k: int) -> tuple[int, int, int]:
@@ -220,36 +209,6 @@ def odd_index_factorization(k: int) -> tuple[int, int, int]:
         return (0, low.bit_length(), 1)
     base = a_of(k - 1)
     return (base, low.bit_length(), a_of(base))
-
-
-def mirror_index(k: int) -> int:
-    """The index m with S_{A,B}(k) equal to the reverse of S_{B,A}(m).
-
-    Reversal mirrors the concatenation tree left to right, so m is the
-    reflection of k inside its level (2^j, 2^(j+1)]: m = 3*2^j + 1 - k,
-    with 2^j = 1 << ((k-1).bit_length() - 1). Defined for every k >= 2.
-    """
-    if k < 2:
-        raise ValueError("mirror_index is defined for k >= 2")
-    return (3 << ((k - 1).bit_length() - 1)) + 1 - k
-
-
-def verify_mirror(a: Sequence[int], b: Sequence[int], k: int) -> VerificationReport:
-    """Check S_{A,B}(k) == reverse(S_{B,A}(mirror_index(k))).
-
-    Reversal flips the letters inside each block, so the element-level
-    identity holds for palindromic seeds.
-    """
-    m = mirror_index(k)
-    s = next(walk(a, b, k, k))
-    ok = s == reverse(next(walk(b, a, m, m)))
-    return VerificationReport(
-        claim="mirror",
-        n=k,
-        passed=ok,
-        witness=m,
-        counterexample=None if ok else format_word(s),
-    )
 
 
 def random_palindrome(rng: random.Random, lengths: Sequence[int] = range(1, 9)) -> Word:
@@ -295,11 +254,14 @@ def verify_rearrangement_pair(
 def iter_shift_palindromic(
     n_max: int, a_sym: int = 1, b_sym: int = 2
 ) -> Iterator[VerificationReport]:
-    """One report per index n <= n_max, in index order: one walk of
-    S(1..n_max) beside one table of d(1..n_max), read one report at a time."""
+    """One report per index n <= n_max, in index order: :func:`_shift_report`
+    over the verdicts :func:`_shift_verdicts` reads from one walk of
+    L(1..n_max) beside one table of d(1..n_max), one report at a time."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return verify_shift_palindromic_range(a_sym, b_sym, 1, stern_table(n_max)[1:])
+    shifts = stern_table(n_max)[1:]
+    verdicts = _shift_verdicts(a_sym, b_sym, 1, shifts)
+    return map(partial(_shift_report, a_sym, b_sym), count(1), shifts, verdicts)
 
 
 def iter_block_rearrangement(
@@ -504,16 +466,17 @@ def check_shift_inequalities(d: array, k_hi: int) -> Optional[dict]:
 
 
 def check_mirror_arithmetic(d: array, n_hi: int) -> Optional[dict]:
-    """d(2(k'+1)-1) - d(k'+1) == d(k'') for the mirrored index pairs.
+    """d(2k-1) - d(k) == d(k*) on each level (2^n, 2^(n+1)], n = 2..n_hi,
+    where k* = 3*2^n + 1 - k is the reflection of k in its level.
 
-    On level n, k' = base+i-1 and k'' = base-i+1 for i = 1..2^(n-1), with
-    base = 6*2^(n-2); every index read lies below 2^(n+2), and ``d`` holds
-    d(0..2^(n_hi+2) - 1). The difference is checked as a sum, one per level.
+    With k = 2^n + i for i = 1..2^n, the three operands are slices of ``d``:
+    d(2k-1) every other entry of the next level, d(k) the level itself and
+    d(k*) the level read backwards. ``d`` holds d(0..2^(n_hi+2) - 1). The
+    difference is checked as a sum, one per level, and a failure names i.
     """
     for n in range(2, n_hi + 1):
-        base, half = 6 * 2 ** (n - 2), 2 ** (n - 1)
-        doubled, single = d[2 * base + 1:2 * (base + half):2], d[base + 1:base + half + 1]
-        i = _first_unsummed(doubled, single, d[base:base - half:-1], range(1, half + 1))
+        lo, hi = 1 << n, 2 << n
+        i = _first_unsummed(d[hi + 1:2 * hi:2], d[lo + 1:hi + 1], d[hi:lo:-1], range(1, lo + 1))
         if i is not None:
             return {"n": n, "i": i}
     return None

@@ -13,10 +13,13 @@ where a wrong rule diverges. The Christoffel oracle builds a label word
 from its length and letter counts alone, by the floors of a line.
 The index oracles are the loops the library replaced by bit arithmetic:
 halving to the odd part, walking the two factorization chains, and
-searching a level for a mirror index. The diatomic oracle is the bit
-loop for d(n), and the lemma oracles are the per-index loops that the
-table-driven lemma checks replaced, reading d and a through callables so
-that a test can feed them a deliberately wrong table. The block oracle
+searching a level for a mirror index. The mirror claim, that S_{A,B}(k)
+is the reverse of S_{B,A} at the reflection of k in its level, is
+checked here on two walks, beside its closed-form index; no command
+reads it. The diatomic oracle is the bit loop for d(n), and the lemma
+oracles are the per-index loops that the table-driven lemma checks
+replaced, reading d and a through callables so that a test can feed
+them a deliberately wrong table. The block oracle
 builds the block rearrangement block by block, where the library rotates
 S(n). The path order is the paper's comparison of move words, which the
 library's level order must reproduce, and the continued-fraction fold is
@@ -38,8 +41,9 @@ from markovwords.spectrum import (
     QuadraticSurd,
     zero_tail,
 )
-from markovwords.tree import Vertex, root, run_lengths
-from markovwords.words import reverse, rotate, word
+from markovwords.theorems import VerificationReport
+from markovwords.tree import Vertex, root, run_lengths, walk
+from markovwords.words import format_word, reverse, rotate, word
 
 Path = tuple[int, ...]
 
@@ -251,6 +255,30 @@ def odd_index_factorization_by_chain(k: int) -> tuple[int, int, int]:
     return (e // 2, i, a_of_by_halving(e // 2))
 
 
+def mirror_index(k: int) -> int:
+    """The index m with S_{A,B}(k) equal to the reverse of S_{B,A}(m).
+
+    Reversal mirrors the concatenation tree left to right, so m is the
+    reflection of k inside its level (2^j, 2^(j+1)]: m = 3*2^j + 1 - k,
+    with 2^j = 1 << ((k-1).bit_length() - 1). Defined for every k >= 2.
+    """
+    if k < 2:
+        raise ValueError("mirror_index is defined for k >= 2")
+    return (3 << ((k - 1).bit_length() - 1)) + 1 - k
+
+
+def verify_mirror(a: Sequence[int], b: Sequence[int], k: int) -> VerificationReport:
+    """Check S_{A,B}(k) == reverse(S_{B,A}(mirror_index(k))), both words walked.
+
+    Reversal flips the letters inside each block, so the element-level
+    identity holds for palindromic seeds.
+    """
+    m = mirror_index(k)
+    s = next(walk(a, b, k, k))
+    ok = s == reverse(next(walk(b, a, m, m)))
+    return VerificationReport("mirror", k, ok, m, None if ok else format_word(s))
+
+
 def mirror_index_by_search(k: int) -> int:
     """The mirror index of k >= 2, found by searching k's level (2^j, 2^(j+1)]
     for the index m with reverse(S_{B,A}(m)) == S_{A,B}(k), seeds (1,1),(2,2)."""
@@ -331,10 +359,9 @@ def half_length_chain_by_index(k_hi: int, d, a):
 
 def mirror_arithmetic_by_index(n_hi: int, d, a):
     for n in range(2, n_hi + 1):
-        base = 6 * 2 ** (n - 2)
-        for i in range(1, 2 ** (n - 1) + 1):
-            kp, kq = base + i - 1, base - i + 1
-            if d(2 * (kp + 1) - 1) - d(kp + 1) != d(kq):
+        for i in range(1, 2 ** n + 1):
+            k = 2 ** n + i
+            if d(2 * k - 1) - d(k) != d(3 * 2 ** n + 1 - k):
                 return {"n": n, "i": i}
     return None
 

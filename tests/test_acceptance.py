@@ -14,7 +14,8 @@ from oracles import perron_float, s_graph, s_rec_with_rule
 from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.spectrum import BQForm, QuadraticSurd, bqf_min, markov_value
 from markovwords.theorems import (
-    _rearrangement_reports,
+    _rearrangement_report,
+    _rearrangement_verdicts,
     check_block_exponents,
     check_factorizations,
     check_half_length_chain,
@@ -103,8 +104,9 @@ def test_criterion_3_builder_equivalence_level_10():
 def test_criterion_4_block_rearrangement_random_seeds():
     # The arrangement is proved palindromic when d = d(n) is even or the split
     # block (d+1)/2 has even length (argument in block_rearrangement's
-    # docstring). Each pair's stream reports every (pair, n) on its own, so a
-    # failure at one n does not hide the in-scope indices after it.
+    # docstring). Each pair's verdict stream judges every (pair, n) on its
+    # own, so a failure at one n does not hide the in-scope indices after it;
+    # only a failing case builds its report.
     budget = 60.0
     t0 = time.perf_counter()
     pairs = random_seed_pairs(trials=200, seed=42)  # lengths 1..8, letters 1..9
@@ -114,16 +116,16 @@ def test_criterion_4_block_rearrangement_random_seeds():
     shifts = stern_table(512)[1:]
     for idx, (wa, wb) in enumerate(pairs, 1):
         seeds = {"A": wa, "B": wb}
-        reports = list(_rearrangement_reports(wa, wb, 1, shifts))
-        assert [rep.n for rep in reports] == list(range(1, 513))
-        for n, rep in enumerate(reports, 1):
+        verdicts = list(_rearrangement_verdicts(wa, wb, 1, shifts))
+        assert len(verdicts) == 512
+        for n, ok in enumerate(verdicts, 1):
             d = stern(n)
             if d % 2 and len(seeds[labels[n][(d + 1) // 2 - 1]]) % 2:
                 out_of_scope += 1
                 continue
             in_scope += 1
-            if not rep.passed:
-                failures.append((idx, rep))
+            if not ok:
+                failures.append((idx, _rearrangement_report(wa, wb, n, d, ok)))
     elapsed = time.perf_counter() - t0
     ok = not failures and out_of_scope > 0 and elapsed < budget
     _report(4, ok, elapsed, budget,

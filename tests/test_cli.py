@@ -270,12 +270,11 @@ def test_verify_prop_main_json(capsys, schema):
 
 def prop_main_oracle(n_max, a_sym, b_sym, as_json):
     """stdout, stderr and exit status of prop-main as every index's report
-    printed by _report_lines."""
-    tally = [0, 0]
+    printed by _report_line."""
+    failures = []
     reports = theorems.iter_shift_palindromic(n_max, a_sym, b_sym)
-    out = "".join(f"{ln}\n" for ln in cli._report_lines(reports, "prop-main", as_json, tally))
-    failed, passed = tally
-    return int(failed > 0), out, f"prop-main: {passed}/{failed + passed} passed\n"
+    out = "".join(f"{cli._report_line(rep, 'prop-main', as_json, failures)}\n" for rep in reports)
+    return int(bool(failures)), out, f"prop-main: {n_max - len(failures)}/{n_max} passed\n"
 
 
 def counting_reports(monkeypatch):
@@ -304,8 +303,8 @@ def test_prop_main_pieces_match_the_report_path(capsys, monkeypatch, n_max, as_j
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_prop_main_failing_pieces_print_through_the_report_path(capsys, monkeypatch, as_json):
     # the claim holds everywhere, so the axis test the sweep reads is made
-    # to fail on the label words of chosen indices: at piece edges, and
-    # twice inside one piece
+    # to fail on the label words of chosen indices: on both sides of the
+    # 1024-line write batches, and twice inside one batch
     failing = [1, 1023, 1024, 1025, 2048, 5000, 5003, 32768]
     targets = {next(walk(*theorems.LABEL_SEEDS, n, n)) for n in failing}
     real = theorems.is_symmetric_about
@@ -318,16 +317,14 @@ def test_prop_main_failing_pieces_print_through_the_report_path(capsys, monkeypa
     got = run(capsys, "verify", "prop-main", "--n-max", "32768", "--a", "3", "--b", "7",
               *(["--json"] if as_json else []))
     assert got == expected
-    # only the pieces holding a failure build reports, one per index
-    pieces = sorted({(n - 1) // cli.WRITE_LINES for n in failing})
-    assert built == [n for p in pieces
-                     for n in range(p * cli.WRITE_LINES + 1, (p + 1) * cli.WRITE_LINES + 1)]
+    # only the failing indices build reports, one each, in index order
+    assert built == failing
 
 
 def test_prop_main_failing_piece_reuses_its_verdicts(capsys, monkeypatch):
-    # a piece with one failure builds its reports from the verdicts already
-    # read: 2048 axis tests for 2048 indices, one walk of the range and one
-    # walk of the failing index for its counterexample
+    # a failing index builds its report from the verdict already read:
+    # 2048 axis tests for 2048 indices, one walk of the range and one walk
+    # of the failing index for its counterexample
     target = next(walk(*theorems.LABEL_SEEDS, 1025, 1025))
     tests, walks = [], []
     real_test, real_walk = theorems.is_symmetric_about, theorems.walk

@@ -107,13 +107,11 @@ def test_index_identities():
 
 
 def test_mirror_arithmetic_identity():
-    # with k' = 6*2^(n-2)+i-1 and k'' = 6*2^(n-2)-i+1:
-    # d(2(k'+1)-1) - d(k'+1) == d(k'')
+    # d(2k-1) - d(k) == d(k*) on the whole level (2^n, 2^(n+1)], with
+    # k* = 3*2^n + 1 - k the reflection of k in its level
     for n in range(2, 15):
-        base = 6 * 2 ** (n - 2)
-        for i in range(1, 2 ** (n - 1) + 1):
-            kp, kq = base + i - 1, base - i + 1
-            assert stern(2 * (kp + 1) - 1) - stern(kp + 1) == stern(kq)
+        for k in range(2 ** n + 1, 2 ** (n + 1) + 1):
+            assert stern(2 * k - 1) - stern(k) == stern(3 * 2 ** n + 1 - k), k
 
 
 def test_stern_table_matches_memo_and_bit_loop():

@@ -31,7 +31,6 @@ PUBLIC = [
     "iter_lemma_checks",
     "iter_shift_palindromic",
     "markov_value",
-    "mirror_index",
     "odd_index_factorization",
     "parse_word",
     "reverse",
@@ -41,7 +40,6 @@ PUBLIC = [
     "stern",
     "stern_table",
     "verify_block_rearrangement",
-    "verify_mirror",
     "verify_shift_palindromic",
     "walk",
     "word",

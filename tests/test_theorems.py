@@ -15,10 +15,12 @@ from oracles import (
     length_identity_by_index,
     length_is_diatomic_by_index,
     mirror_arithmetic_by_index,
+    mirror_index,
     mirror_index_by_search,
     odd_index_factorization_by_chain,
     row_symmetry_by_index,
     shift_inequalities_by_index,
+    verify_mirror,
 )
 
 from markovwords import theorems
@@ -31,15 +33,12 @@ from markovwords.theorems import (
     iter_equivalence,
     iter_lemma_checks,
     iter_shift_palindromic,
-    mirror_index,
     odd_index_factorization,
     random_palindrome,
     random_seed_pairs,
     verify_block_rearrangement,
-    verify_mirror,
     verify_rearrangement_pair,
     verify_shift_palindromic,
-    verify_shift_palindromic_range,
 )
 from markovwords.tree import _s_rec_cached, run_lengths, s_rec, walk
 from markovwords.words import format_word, is_palindrome, rotate
@@ -100,15 +99,22 @@ def test_shift_palindromic_sweep_reads_one_word_per_report(monkeypatch):
 
 
 def test_shift_palindromic_range_preconditions():
+    # the verdict stream is checked as it is made, before any word is walked
     with pytest.raises(ValueError):
-        verify_shift_palindromic_range(1, 1, 3, [2])
-    # the range walks the letters 1, 2, but still rejects a letter below 1
+        theorems._shift_verdicts(1, 1, 3, [2])
+    # the stream walks the letters 1, 2, but still rejects a letter below 1
     for a_sym, b_sym in ((0, 2), (3, -1), (True, 2)):
         with pytest.raises(ValueError):
-            verify_shift_palindromic_range(a_sym, b_sym, 3, [2])
+            theorems._shift_verdicts(a_sym, b_sym, 3, [2])
     with pytest.raises(ValueError):
-        verify_shift_palindromic_range(1, 2, 0, [0, 1])
-    assert list(verify_shift_palindromic_range(1, 2, 3, [])) == []
+        theorems._shift_verdicts(1, 2, 0, [0, 1])
+    assert list(theorems._shift_verdicts(1, 2, 3, [])) == []
+    # a verdict and its report: the report of a range index is the single check's
+    shifts = stern_table(40)[3:]
+    verdicts = list(theorems._shift_verdicts(4, 9, 3, shifts))
+    assert [theorems._shift_report(4, 9, n, d, ok)
+            for n, d, ok in zip(range(3, 41), shifts, verdicts)] == [
+        verify_shift_palindromic(4, 9, n) for n in range(3, 41)]
 
 
 def test_failing_shift_report_prints_the_rotation(monkeypatch):
@@ -175,10 +181,11 @@ def test_rearrangement_rotation_matches_the_block_construction():
 
 
 def test_pair_sweep_reports_the_first_failing_index():
-    # one pair's report stream holds every index n <= 128, the ones after a
-    # failure too, each equal to the single-index check and judging the
-    # arrangement built block by block; the pair sweep names the stream's
-    # first failure, with the same arrangement
+    # one pair's verdict stream holds every index n <= 128, the ones after a
+    # failure too; the report built from each verdict equals the
+    # single-index check and judges the arrangement built block by block;
+    # the pair sweep names the stream's first failure, with the same
+    # arrangement
     failed = 0
     labels = list(walk((1,), (2,), 0, 128))
     # letters >= 256, and more than 255 distinct letters (walked as tuples)
@@ -188,7 +195,10 @@ def test_pair_sweep_reports_the_first_failing_index():
     pairs = random_seed_pairs(40, 7) + [
         ((300,), (7, 1000, 7)), ((300, 300), (7, 1000, 1000, 7)), (odd, wide), (even, wide)]
     for idx, (wa, wb) in enumerate(pairs, 1):
-        stream = list(theorems._rearrangement_reports(wa, wb, 1, stern_table(128)[1:]))
+        shifts = stern_table(128)[1:]
+        verdicts = theorems._rearrangement_verdicts(wa, wb, 1, shifts)
+        stream = [theorems._rearrangement_report(wa, wb, n, d, ok)
+                  for n, d, ok in zip(range(1, 129), shifts, verdicts)]
         assert stream == [verify_block_rearrangement(wa, wb, n) for n in range(1, 129)]
         for n, r in enumerate(stream, 1):
             arrangement = arrangement_by_blocks((wa, wb), labels[n], stern(n))

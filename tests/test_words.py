@@ -3,9 +3,10 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import verify_mirror
 
 from markovwords.spectrum import cf_matrix, markov_value, zero_tail
-from markovwords.theorems import block_rearrangement, verify_block_rearrangement, verify_mirror
+from markovwords.theorems import block_rearrangement, verify_block_rearrangement
 from markovwords.tree import root, s_rec, walk
 from markovwords.words import (
     FORMAT_SLICE,
