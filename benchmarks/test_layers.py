@@ -11,10 +11,11 @@ testpaths is ``tests``):
 Every round starts from cold memo caches. No case reads them: every word
 comes from ``walk`` and d(n) from ``stern_table``, so a case that came to
 read them would pay for them in each round. The walk runs on the byte
-label seeds the sweeps use. ``test_reference`` times the ``main`` of
-``perfbench/reference.py``, a fixed job that imports nothing from
-markovwords, so its time moves only with the machine; ``summarize.py``
-divides every median by it. The lemma checks are the cases of
+label seeds the sweeps use. ``test_reference`` and ``test_reference_last``
+time the ``main`` of ``perfbench/reference.py``, a fixed job that imports
+nothing from markovwords, so its time moves only with the machine; they
+run first and last, and ``summarize.py`` divides every median by the mean
+of their two medians. The lemma checks are the cases of
 ``verify lemmas --k-max 262144``, read from the suite's own case list with
 the tables it shares, built once outside the timed calls;
 ``test_lemma_suite`` times the whole suite, its one table build included.
@@ -22,7 +23,10 @@ the tables it shares, built once outside the timed calls;
 ``test_prop_main_command`` times ``verify prop-main`` as the command line
 runs it, stdout to ``/dev/null``. The theorem sweep is the default
 ``verify theorem``. The spectrum cases take S(n) on (1,1), (2,2) at the
-smallest index of each length L, and the Markov form of ``bqf``.
+smallest index of each length L, and the Markov form of ``bqf`` at radius
+200 and at the benchmark's 350. ``test_scan_values`` times the values
+``scan --n-max 320`` prints: the walk of (word, convergent matrix) pairs
+and the value read from each matrix.
 """
 import importlib.util
 import os
@@ -34,7 +38,8 @@ import pytest
 
 from markovwords import cli, theorems
 from markovwords.diatomic import a_of, stern, stern_table
-from markovwords.spectrum import BQForm, bqf_min, cf_matrix, markov_value
+from markovwords.spectrum import (BQForm, _join_convergents, _markov_value_from, bqf_min,
+                                  cf_matrix, markov_value)
 from markovwords.tree import _s_rec_cached, walk
 
 ROUNDS = 7
@@ -61,11 +66,15 @@ def drain(iterable):
     deque(iterable, maxlen=0)
 
 
-def test_reference(benchmark):
+def time_reference(benchmark):
     spec = importlib.util.spec_from_file_location("reference", REFERENCE)
     reference = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reference)
     measure(benchmark, reference.main, size=reference.MEMO_N)
+
+
+def test_reference(benchmark):
+    time_reference(benchmark)
 
 
 def test_stern_table(benchmark):
@@ -102,8 +111,19 @@ def test_to_decimal(benchmark):
     assert len(measure(benchmark, value.to_decimal, 1000, size=1000)) == 1002
 
 
-def test_bqf_min(benchmark):
-    assert measure(benchmark, bqf_min, BQForm(1, 1, -1), 200, size=200).min_abs == 1
+@pytest.mark.parametrize("radius", [200, 350])
+def test_bqf_min(benchmark, radius):
+    assert measure(benchmark, bqf_min, BQForm(1, 1, -1), radius, size=radius).min_abs == 1
+
+
+def test_scan_values(benchmark):
+    seeds = [(w, cf_matrix(w)) for w in ((1, 1), (2, 2))]
+
+    def values():
+        pairs = walk(*seeds, 1, 320, join=_join_convergents)
+        return [_markov_value_from(w, m) for w, m in pairs]
+
+    assert len(measure(benchmark, values, size=320)) == 320
 
 
 def test_prop_main_sweep(benchmark):
@@ -142,3 +162,8 @@ def test_lemma_suite(benchmark):
         assert all(rep.passed for rep in theorems.iter_lemma_checks(K_MAX))
 
     measure(benchmark, suite, size=K_MAX)
+
+
+def test_reference_last(benchmark):
+    # timed again after every other case, so the two medians bracket the file
+    time_reference(benchmark)

@@ -5,7 +5,9 @@ spectrum, scan, bqf. Results go to stdout, diagnostics to stderr; ``--json``
 switches to one JSON object per line. The exit status is 0 exactly when
 every requested check passed, so verify sweeps can gate CI; a rejected
 input exits 2 with one ``error:`` line on stderr, written only by :func:`main`.
-Only the JSON branches import :mod:`json`, so a text-mode launch never loads it.
+Only the JSON branches import :mod:`json`, so a text-mode launch never loads it,
+and only the handlers that walk or tabulate import :mod:`~markovwords.tree` and
+:mod:`~markovwords.diatomic`, so ``bqf`` and ``spectrum`` load neither.
 """
 from __future__ import annotations
 
@@ -16,9 +18,8 @@ from functools import partial
 from itertools import count, islice
 from typing import Iterator, Sequence
 
-from .diatomic import stern, stern_table
-from .spectrum import BQForm, bqf_min, markov_value
-from .tree import relabel, walk
+from .spectrum import (BQForm, _join_convergents, _markov_value_from, bqf_min, cf_matrix,
+                       markov_value)
 from .words import format_pieces, format_word, parse_word
 
 
@@ -136,8 +137,8 @@ def _report_line(rep, check: str, as_json: bool, failures: list[int]) -> str:
     return f"{status} {rep.claim} n={rep.n}{extra}{counter}"
 
 
-def _spectrum_payload(period, digits: int) -> dict:
-    mv = markov_value(period)
+def _spectrum_payload(period, mv, digits: int) -> dict:
+    """The fields of one ``spectrum`` or ``scan`` row, from the period's MarkovValue."""
     return {
         "period": list(period),
         "surd": _surd_json(mv.value),
@@ -153,6 +154,9 @@ SEQ_MAX_LETTERS = 1 << 24
 
 
 def _cmd_seq(args) -> int:
+    from .diatomic import stern
+    from .tree import relabel, walk
+
     n = args.n
     labels = stern(2 * n - 1) if n else 1
     letters = labels if args.blocks and not args.json else labels * max(len(args.A), len(args.B))
@@ -178,6 +182,8 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_stern(args) -> int:
+    from .diatomic import stern_table
+
     table = enumerate(stern_table(args.upto))
     if args.json:
         import json
@@ -204,6 +210,7 @@ def _shift_lines(shifts, verdicts: Iterator[bool], report, as_json: bool,
 
 def _cmd_verify(args) -> int:
     from . import theorems  # only verify reads the claims
+    from .diatomic import stern_table
 
     failures: list[int] = []
     if args.check == "prop-main":
@@ -236,13 +243,19 @@ def _spectrum_line(command: str, row: dict, as_json: bool) -> str:
 
 
 def _cmd_spectrum(args) -> int:
-    print(_spectrum_line("spectrum", _spectrum_payload(args.period, args.digits), args.json))
+    mv = markov_value(args.period)
+    print(_spectrum_line("spectrum", _spectrum_payload(args.period, mv, args.digits), args.json))
     return 0
 
 
 def _cmd_scan(args) -> int:
-    words = walk(args.A, args.B, 1, args.n_max)
-    rows = ({"n": n, **_spectrum_payload(w, args.digits)} for n, w in enumerate(words, 1))
+    from .tree import walk
+
+    # each walked word comes with its convergent matrix, one 2x2 product per join
+    seeds = [(w, cf_matrix(w)) for w in (args.A, args.B)]
+    pairs = walk(*seeds, 1, args.n_max, join=_join_convergents)
+    rows = ({"n": n, **_spectrum_payload(w, _markov_value_from(w, m), args.digits)}
+            for n, (w, m) in enumerate(pairs, 1))
     _write_lines(_spectrum_line("scan", row, args.json) for row in rows)
     return 0
 

@@ -11,7 +11,7 @@ class import it themselves, so importing this module does not load
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .words import Word, word
 
@@ -269,7 +269,10 @@ class QuadraticSurd:
         return (self.p, self.q, self.r, self.d)
 
 
-def cf_matrix(x: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
+Matrix = tuple[tuple[int, int], tuple[int, int]]
+
+
+def cf_matrix(x: Sequence[int]) -> Matrix:
     """Convergent matrix: the product of [[a, 1], [1, 0]] over the word.
 
     Its determinant is (-1)^len and the first column holds the final
@@ -278,7 +281,7 @@ def cf_matrix(x: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
     return _fold_convergents(word(x))
 
 
-def _fold_convergents(w: Word) -> tuple[tuple[int, int], tuple[int, int]]:
+def _fold_convergents(w: Word) -> Matrix:
     """:func:`cf_matrix` of a word already validated."""
     m11, m12, m21, m22 = 1, 0, 0, 1
     for a in w:
@@ -320,7 +323,20 @@ def markov_value(period: Sequence[int]) -> MarkovValue:
     smallest position.
     """
     w = word(period)
-    (m11, m12), (m21, m22) = _fold_convergents(w)
+    return _markov_value_from(w, _fold_convergents(w))
+
+
+def _join_convergents(u: tuple[Word, Matrix], v: tuple[Word, Matrix]) -> tuple[Word, Matrix]:
+    """The (word, convergent matrix) pair of the concatenation of two pairs:
+    the convergent matrix of u + v is the product M_u M_v."""
+    (wu, ((a, b), (c, d))), (wv, ((e, f), (g, h))) = u, v
+    return wu + wv, ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _markov_value_from(w: Word, m: Matrix) -> MarkovValue:
+    """:func:`markov_value` of a validated word whose convergent matrix ``m``
+    is already known, as it is for the words ``scan`` walks."""
+    (m11, m12), (m21, m22) = m
     d = (m11 + m22) ** 2 - 4 * (m11 * m22 - m12 * m21)
     q_min, argmin = m21, 0
     for i, a in enumerate(w[:-1], 1):
@@ -373,8 +389,10 @@ def bqf_min(form: BQForm, radius: int) -> LatticeMinimum:
     discriminant is disc*y^2 > 0), or one when a = 0; |f| is strictly
     monotone outside them and strictly concave between them, so every
     point of the row attaining its minimum is a floor or ceiling of a
-    root, clamped to [-radius, radius]. The least score (|f|, f < 0,
-    canonical point) is kept as candidates come, in constant memory.
+    root, clamped to [-radius, radius]. Each row is one plain loop over
+    those candidates: f is evaluated inline, and the score (|f|, f < 0,
+    canonical point) is built only when |f| is at most the least so far,
+    so the search runs in constant memory.
     """
     disc = form.discriminant()
     if disc <= 0:
@@ -382,25 +400,23 @@ def bqf_min(form: BQForm, radius: int) -> LatticeMinimum:
     if radius < 1:
         raise ValueError("radius must be >= 1")
     a, b, c = form.a, form.b, form.c
-
-    def candidates() -> Iterator[tuple[int, int]]:
-        yield 1, 0
-        for y in range(1, radius + 1):
-            if a != 0:
-                t = isqrt(disc * y * y)
-                roots = ((-b * y - t) // (2 * a), (-b * y + t) // (2 * a))
-            else:
-                roots = ((-c * y) // b,)  # disc = b^2 > 0, so b != 0
-            # each estimate is within one of the root's floor; widen to cover
-            # its floor and ceiling
-            xs = {min(max(k + e, -radius), radius) for k in roots for e in (-1, 0, 1, 2)}
-            yield from ((x, y) for x in xs)
-
-    def scored(x: int, y: int) -> tuple[int, bool, int, int]:
-        v = form(x, y)
-        if x < 0 or (x == 0 and y < 0):
-            x, y = -x, -y
-        return abs(v), v < 0, x, y
-
-    best, _, px, py = min(scored(x, y) for x, y in candidates())
-    return LatticeMinimum(best, QuadraticSurd(0, best, disc, disc), (px, py))
+    best = (abs(a), a < 0, 1, 0)  # the point (1, 0)
+    low = best[0]
+    for y in range(1, radius + 1):
+        if a != 0:
+            t = isqrt(disc * y * y)
+            roots = ((-b * y - t) // (2 * a), (-b * y + t) // (2 * a))
+        else:
+            roots = ((-c * y) // b,)  # disc = b^2 > 0, so b != 0
+        by, cyy = b * y, c * y * y
+        for k in roots:
+            # each estimate is within one of the root's floor: k-1..k+2 covers
+            # its floor and ceiling, and clamped to the box it is one range
+            for x in range(min(max(k - 1, -radius), radius), max(min(k + 2, radius), -radius) + 1):
+                v = (a * x + by) * x + cyy
+                if -low <= v <= low:
+                    score = (abs(v), v < 0, x, y) if x >= 0 else (abs(v), v < 0, -x, -y)
+                    if score < best:
+                        best, low = score, score[0]
+    _, _, px, py = best
+    return LatticeMinimum(low, QuadraticSurd(0, low, disc, disc), (px, py))

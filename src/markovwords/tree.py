@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from operator import add
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .diatomic import a_of, a_star
 from .words import Word, word
@@ -57,41 +58,46 @@ def relabel(a: Sequence[int], b: Sequence[int]) -> tuple[tuple, Word, Word]:
     return letters, encode(map(letters.index, a)), encode(map(letters.index, b))
 
 
-def walk(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> Iterator[Word]:
+def walk(a, b, lo: int, hi: int, join: Callable = add) -> Iterator:
     """The words with indices lo, lo+1, ..., hi, in index order.
 
     Indices 0, 1 and 2 are A, B and A+B. Each deeper level the range
     touches, indices 2^depth+1..2^(depth+1), is one stack entry (l, r,
     depth, start, stop): positions start..stop-1 of the level ``depth``
     below the vertex (l, l+r, r), shallowest level on top. Popping an entry
-    costs one concatenation and pushes only the children that hold
-    positions, the left on top; at depth 1 both children are leaves, and
-    the entry yields their centres itself. At most two entries per level.
+    costs one join and pushes only the children that hold positions, the
+    left on top; at depth 1 both children are leaves, and the entry yields
+    their centres itself. At most two entries per level.
 
-    Two ``bytes`` seeds are concatenated as they are, so the words are
-    ``bytes`` too: the sweeps walk the letters 1 and 2 that way, each
-    concatenation one block copy. Other seeds give tuples. Both kinds are
-    validated by :func:`~markovwords.words.word`, so an empty seed or a
-    zero byte raises.
+    ``join`` is concatenation by default. Two ``bytes`` seeds are then
+    concatenated as they are, so the words are ``bytes`` too: the sweeps
+    walk the letters 1 and 2 that way, each concatenation one block copy.
+    Other seeds give tuples. Both kinds are validated by
+    :func:`~markovwords.words.word`, so an empty seed or a zero byte
+    raises. Any other ``join`` must be associative, as concatenation is;
+    the walk then yields the join of the seeds along each word, on seeds
+    taken as they are: ``scan`` walks (word, convergent matrix) pairs
+    joined by (u + v, M_u M_v).
     """
-    l, _, r = root(a, b)
-    if isinstance(a, bytes) and isinstance(b, bytes):
-        l, r = a, b
+    if join is add:
+        wa, wb = word(a), word(b)
+        if not (isinstance(a, bytes) and isinstance(b, bytes)):
+            a, b = wa, wb
     if lo < 0:
         raise ValueError("indices start at 0")
     for n in range(lo, min(hi, 2) + 1):
-        yield (l, r, l + r)[n]
+        yield (a, b, join(a, b))[n]
     levels = range(max(lo - 1, 2).bit_length() - 1, max(hi - 1, 0).bit_length())
-    stack = [(l, r, depth, lo - (1 << depth) - 1, hi - (1 << depth))
+    stack = [(a, b, depth, lo - (1 << depth) - 1, hi - (1 << depth))
              for depth in reversed(levels)]
     while stack:
         l, r, depth, start, stop = stack.pop()
-        c = l + r
+        c = join(l, r)
         if depth == 1:
             if start < 1:
-                yield l + c
+                yield join(l, c)
             if stop > 1:
-                yield c + r
+                yield join(c, r)
             continue
         half = 1 << (depth - 1)
         if stop > half:

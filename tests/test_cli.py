@@ -66,7 +66,7 @@ def test_seq_builds_only_what_it_prints(capsys, monkeypatch):
         walked.append((a, b, lo, hi))
         return walk(a, b, lo, hi)
 
-    monkeypatch.setattr(cli, "walk", counting)
+    monkeypatch.setattr("markovwords.tree.walk", counting)
     assert run(capsys, "seq", "--n", "5") == (0, "1,1,1,1,1,1,2,2\n", "")
     assert walked == [(b"\x01\x01", b"\x02\x02", 5, 5)]
     walked.clear()
@@ -128,7 +128,7 @@ def test_seq_refuses_a_word_past_the_cap(capsys, monkeypatch, n, flags, per_labe
     def starts_building(*args):
         raise _Built
 
-    monkeypatch.setattr(cli, "walk", starts_building)
+    monkeypatch.setattr("markovwords.tree.walk", starts_building)
     argv = ["seq", "--n", str(n), *flags]
     if letters <= 2 ** 24:
         with pytest.raises(_Built):
@@ -537,7 +537,7 @@ def test_a_table_past_memory_exits_2_with_one_line(capsys, monkeypatch):
     def past_memory(n):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "stern_table", past_memory)
+    monkeypatch.setattr("markovwords.diatomic.stern_table", past_memory)
     assert run(capsys, "stern", "--upto", "5") == (2, "", f"error: {TOO_LARGE}\n")
 
 

@@ -27,7 +27,7 @@ from markovwords.spectrum import (
     markov_value,
     zero_tail,
 )
-from markovwords.tree import s_rec
+from markovwords.tree import s_rec, walk
 from markovwords.words import word
 
 letters = st.integers(min_value=1, max_value=4)
@@ -365,6 +365,27 @@ def test_is_markov_sequence():
 def test_tree_words_are_markov_sequences():
     for n in range(1, 65):
         assert markov_value(s_rec((1, 1), (2, 2), n)).value < 3, n
+
+
+@pytest.mark.parametrize("a, b", [((1, 1), (2, 2)), ((1,), (2,)), ((1, 2, 1), (3,)),
+                                  ((2,), (1, 1))])
+def test_walked_convergent_matrices_give_markov_value(a, b):
+    # the pairs scan walks: every matrix is cf_matrix of its word, and the
+    # value read from it is markov_value's
+    pairs = walk((a, cf_matrix(a)), (b, cf_matrix(b)), 1, 2 ** 12,
+                 join=spectrum._join_convergents)
+    for n, (w, (m, matrix)) in enumerate(zip(walk(a, b, 1, 2 ** 12), pairs), 1):
+        assert m == w and matrix == cf_matrix(w), n
+        fast, slow = spectrum._markov_value_from(m, matrix), markov_value(w)
+        assert fast.value.as_tuple() == slow.value.as_tuple(), n
+        assert fast.argmin == slow.argmin, n
+        if (a, b) == ((1, 1), (2, 2)):
+            # Markov's theorem as an integer oracle: the trace of the
+            # convergent matrix of S(n) is 3m for the Markov number m, and
+            # the value is sqrt(9m^2 - 4)/m
+            markov, rest = divmod(matrix[0][0] + matrix[1][1], 3)
+            assert rest == 0, n
+            assert fast.value.as_tuple() == (0, 1, markov, 9 * markov * markov - 4), n
 
 
 def test_bqf_form_basics():

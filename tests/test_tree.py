@@ -288,6 +288,18 @@ def test_walk_every_window_to_70(wa, wb):
             assert list(walk(wa, wb, lo, hi)) == graph[lo:max(hi + 1, lo)], (lo, hi)
 
 
+def test_walk_with_a_join_folds_the_seeds_along_each_word():
+    # any other join takes the seeds as they are: joined by +, the lengths
+    # 2 and 1 walk to the length of each word, on every window in 0..70
+    lengths = [len(s_graph((1, 2), (3,), n)) for n in range(71)]
+    for lo in range(71):
+        for hi in range(lo - 2, 71):
+            assert list(walk(2, 1, lo, hi, join=lambda u, v: u + v)) == lengths[lo:max(hi + 1, lo)]
+    # the default join validates its seeds; ints are not words
+    with pytest.raises(TypeError):
+        list(walk(2, 1, 0, 3))
+
+
 def test_walk_memory_is_bounded_by_the_path():
     # the deepest level of S(1..2^16) holds about 55 MB of words; the walk holds
     # only the path to the current word and the entries beside it
