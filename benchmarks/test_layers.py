@@ -26,10 +26,15 @@ runs it, stdout to ``/dev/null``. The theorem sweep is the default
 smallest index of each length L, and the Markov form of ``bqf`` at radius
 200 and at the benchmark's 350. ``test_scan_values`` times the values
 ``scan --n-max 320`` prints: the walk of (word, convergent matrix) pairs
-and the value read from each matrix.
+and the value read from each matrix. ``test_launch`` times whole fresh
+``python -m markovwords.cli`` launches, as a user runs them, stdout to
+``/dev/null``: ``bqf`` at radius 1 is start-up and exit alone, and
+``verify lemmas --k-max 8`` adds the ``verify`` layers and a small sweep.
 """
 import importlib.util
 import os
+import subprocess
+import sys
 from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -55,6 +60,7 @@ SPECTRUM_INDEX = {178: 342, 1220: 5462, 3194: 21846}
 def cold_caches():
     stern.cache_clear()
     _s_rec_cached.cache_clear()
+    theorems._lane_mask.cache_clear()
 
 
 def measure(benchmark, fn, *args, size):
@@ -162,6 +168,24 @@ def test_lemma_suite(benchmark):
         assert all(rep.passed for rep in theorems.iter_lemma_checks(K_MAX))
 
     measure(benchmark, suite, size=K_MAX)
+
+
+LAUNCHES = {"bqf": ["bqf", "--form", "1,1,-1", "--radius", "1"],
+            "lemmas": ["verify", "lemmas", "--k-max", "8"]}
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("command", list(LAUNCHES))
+def test_launch(benchmark, command):
+    # a fresh interpreter each round: start, import, the command, shutdown;
+    # no timeout, since waiting with one polls and rounds the time up
+    def launch():
+        return subprocess.run([sys.executable, "-m", "markovwords.cli", *LAUNCHES[command]],
+                              env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL).returncode
+
+    benchmark.extra_info["input_size"] = int(LAUNCHES[command][-1])
+    assert benchmark.pedantic(launch, rounds=ROUNDS, iterations=1) == 0
 
 
 def test_reference_last(benchmark):

@@ -12,6 +12,8 @@ and only the handlers that walk or tabulate import :mod:`~markovwords.tree` and
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import re
 import sys
 from functools import partial
@@ -311,7 +313,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """The console script and ``python -m``: run :func:`main` on ``sys.argv``
+    and exit with its status.
+
+    A reader that closes stdout early (``| head``) ends the launch with status
+    1 and nothing on stderr: what stdout still holds goes to ``os.devnull``,
+    as the SIGPIPE note of the ``signal`` docs does. The collector is frozen
+    before the exit, so the interpreter's shutdown collections skip every
+    object the launch still holds. :func:`main` leaves the collector alone,
+    because tests and in-process callers share it.
+    """
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, compress, count, starmap
 from operator import add, eq, itemgetter, lt, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
@@ -329,12 +329,20 @@ def _first_mismatch(x: array, y: array, indices: range) -> Optional[int]:
     return None if x == y else _first_false(map(eq, x, y), indices)
 
 
+@lru_cache(maxsize=256)
+def _lane_mask(n: int, value: int) -> int:
+    """:func:`~markovwords.diatomic.lanes` of n entries equal to ``value``:
+    the same few masks serve every class of a lemma run, one per operand
+    length, so each is built once."""
+    return lanes(array("I", [value]) * n)
+
+
 def _first_unsummed(whole: array, left: array, right: array, indices: range) -> Optional[int]:
     """:func:`_first_false` of whole == left + right elementwise on ``array('I')``;
     one lane addition when all hold. No lane carries while left and right
     stay below 2^31; past that, or on a failure, entries are compared one by one."""
     _same_length(whole, left, right, indices)
-    top = lanes(array("I", [1 << 31]) * len(whole))
+    top = _lane_mask(len(whole), 1 << 31)
     x, y = lanes(left), lanes(right)
     if not (x | y) & top and lanes(whole) == x + y:
         return None
@@ -348,10 +356,9 @@ def _first_not_below(x: array, m: int, y: array, indices: range) -> Optional[int
     carries, and keeps bit 31 exactly when x[i] < m*y[i]; past those bounds,
     or on a failure, entries are compared one by one."""
     _same_length(x, y, indices)
-    top = lanes(array("I", [1 << 31]) * len(x))
-    ones, xs, ys = top >> 31, lanes(x), lanes(y)
+    top, ones, xs, ys = _lane_mask(len(x), 1 << 31), _lane_mask(len(x), 1), lanes(x), lanes(y)
     # bits 31 - m.bit_length() to 31 of every lane: set in y only past the guard
-    y_high = ones * ((1 << 32) - (1 << (31 - m.bit_length())))
+    y_high = _lane_mask(len(x), (1 << 32) - (1 << (31 - m.bit_length())))
     if not (xs & top or ys & y_high) and (m * ys + top - xs - ones) & top == top:
         return None
     return _first_false(map(lt, x, map(m.__mul__, y)), indices)

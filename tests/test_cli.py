@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -602,3 +603,75 @@ def test_unknown_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stern", "--upto", "3", "--bogus"])
     assert exc.value.code == 2
+
+
+# one command per exit status: the lemma suite passes, six random seed pairs
+# hold cases the theorem does not cover, and a definite form is rejected
+BY_STATUS = {0: ["verify", "lemmas", "--k-max", "8"],
+             1: ["verify", "theorem", "--trials", "6", "--n-max", "24"],
+             2: ["bqf", "--form", "1,1,1"]}
+CLOSED_PIPE = ["verify", "prop-main", "--n-max", "32768", "--a", "3", "--b", "7"]
+
+
+@pytest.fixture
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
+@pytest.mark.parametrize("status", list(BY_STATUS))
+def test_entrypoint_exits_with_main_status_and_a_frozen_collector(
+        capsys, monkeypatch, unfreeze, status):
+    exits = []
+    monkeypatch.setattr(sys, "argv", ["markovwords", *BY_STATUS[status]])
+    monkeypatch.setattr(sys, "exit", exits.append)
+    cli.entrypoint()
+    assert exits == [status]
+    assert gc.get_freeze_count() > 0
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    for argv in BY_STATUS.values():
+        main(argv)
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def launch_cli(*argv, stdout=subprocess.PIPE):
+    return subprocess.Popen([sys.executable, "-m", "markovwords.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": SRC},
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("status", list(BY_STATUS))
+def test_a_launch_prints_and_exits_as_main_does_in_process(capsys, status):
+    proc = launch_cli(*BY_STATUS[status])
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out.decode(), err.decode()) == run(capsys, *BY_STATUS[status])
+    assert proc.returncode == status
+
+
+def test_the_shutdown_sees_a_frozen_collector():
+    # an atexit handler registered before entrypoint runs after the freeze
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: sys.stderr.write(f'frozen={gc.get_freeze_count()}'))\n"
+             "from markovwords.cli import entrypoint\n"
+             "entrypoint()\n")
+    proc = subprocess.run([sys.executable, "-c", probe, "bqf", "--form", "1,1,-1"],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("form=1,1,-1 radius=50 ")
+    assert proc.stderr.startswith("frozen=") and int(proc.stderr.split("=")[1]) > 0
+
+
+def test_a_closed_stdout_pipe_ends_with_status_1_and_no_traceback():
+    # the reader takes 40 bytes of about 1.2 MB and closes the pipe
+    proc = launch_cli(*CLOSED_PIPE)
+    head = proc.stdout.read(40)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+    assert head == b"PASS shift-palindromic n=1 witness=1\nPAS"

@@ -24,7 +24,7 @@ from oracles import (
 )
 
 from markovwords import theorems
-from markovwords.diatomic import a_of, a_table, stern, stern_table
+from markovwords.diatomic import PIECE, a_of, a_table, lanes, stern, stern_table
 from markovwords.theorems import (
     VerificationReport,
     block_rearrangement,
@@ -667,6 +667,25 @@ def test_lane_kernels_agree_with_the_element_wise_comparisons(monkeypatch):
         searched.clear()
         assert theorems._first_not_below(x, m, y, range(n)) == expected
         assert bool(searched) == (expected is not None or not guarded)
+
+
+def test_lemma_suite_reuses_one_mask_per_operand_length(monkeypatch):
+    # the kernels read their lane masks from a cache keyed by operand length
+    # and lane value; every mask a lemma run reads, past PIECE too, where
+    # the mirror arithmetic passes whole levels, equals a fresh build
+    read, cached = [], theorems._lane_mask
+
+    def recording(n, value):
+        read.append((n, value))
+        return cached(n, value)
+
+    monkeypatch.setattr(theorems, "_lane_mask", recording)
+    cached.cache_clear()
+    assert all(rep.passed for rep in iter_lemma_checks(2 ** 18))
+    assert max(n for n, _ in read) > PIECE
+    assert cached.cache_info().misses == len(set(read)) < len(read)
+    for n, value in set(read):
+        assert cached(n, value) == lanes(array("I", [value]) * n), (n, value)
 
 
 def test_mismatched_operands_raise_instead_of_passing():
