@@ -28,11 +28,17 @@ smallest index of each length L, and the Markov form of ``bqf`` at radius
 ``scan --n-max 320`` prints: the walk of (word, convergent matrix) pairs
 and the value read from each matrix. ``test_launch`` times whole fresh
 ``python -m markovwords.cli`` launches, as a user runs them, stdout to
-``/dev/null``: ``bqf`` at radius 1 is start-up and exit alone, and
-``verify lemmas --k-max 8`` adds the ``verify`` layers and a small sweep.
+``/dev/null``: ``bqf`` at radius 1 is start-up and exit alone,
+``verify lemmas --k-max 8`` adds the ``verify`` layers and a small sweep,
+and ``verify prop-main --n-max 32768 --a 3 --b 7`` is the benchmark's
+sweep. Each launch runs with ``-B`` on a copy of the package that has no
+``__pycache__``, so every round compiles the modules it imports, as a
+launch with bytecode writing off does, whatever bytecode the repository
+holds; the standard library still reads its own cache.
 """
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from collections import deque
@@ -171,18 +177,28 @@ def test_lemma_suite(benchmark):
 
 
 LAUNCHES = {"bqf": ["bqf", "--form", "1,1,-1", "--radius", "1"],
-            "lemmas": ["verify", "lemmas", "--k-max", "8"]}
-SRC = str(Path(cli.__file__).resolve().parents[1])
+            "lemmas": ["verify", "lemmas", "--k-max", "8"],
+            "prop-main": ["verify", "prop-main", "--a", "3", "--b", "7", "--n-max", "32768"]}
+PACKAGE = Path(cli.__file__).resolve().parent
+
+
+@pytest.fixture(scope="module")
+def bare_src(tmp_path_factory):
+    """A directory holding a copy of the package without its ``__pycache__``."""
+    src = tmp_path_factory.mktemp("src")
+    shutil.copytree(PACKAGE, src / PACKAGE.name, ignore=shutil.ignore_patterns("__pycache__"))
+    return str(src)
 
 
 @pytest.mark.parametrize("command", list(LAUNCHES))
-def test_launch(benchmark, command):
+def test_launch(benchmark, bare_src, command):
     # a fresh interpreter each round: start, import, the command, shutdown;
+    # ``-B`` on a copy with no bytecode, so every round compiles the package;
     # no timeout, since waiting with one polls and rounds the time up
     def launch():
-        return subprocess.run([sys.executable, "-m", "markovwords.cli", *LAUNCHES[command]],
-                              env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL).returncode
+        return subprocess.run([sys.executable, "-B", "-m", "markovwords.cli", *LAUNCHES[command]],
+                              env={**os.environ, "PYTHONPATH": bare_src},
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
     benchmark.extra_info["input_size"] = int(LAUNCHES[command][-1])
     assert benchmark.pedantic(launch, rounds=ROUNDS, iterations=1) == 0

@@ -5,9 +5,11 @@ spectrum, scan, bqf. Results go to stdout, diagnostics to stderr; ``--json``
 switches to one JSON object per line. The exit status is 0 exactly when
 every requested check passed, so verify sweeps can gate CI; a rejected
 input exits 2 with one ``error:`` line on stderr, written only by :func:`main`.
-Only the JSON branches import :mod:`json`, so a text-mode launch never loads it,
-and only the handlers that walk or tabulate import :mod:`~markovwords.tree` and
-:mod:`~markovwords.diatomic`, so ``bqf`` and ``spectrum`` load neither.
+Only the JSON branches import :mod:`json`, so a text-mode launch never loads it;
+only the handlers that walk or tabulate import :mod:`~markovwords.tree` and
+:mod:`~markovwords.diatomic`, so ``bqf`` and ``spectrum`` load neither; and
+only ``spectrum``, ``scan`` and ``bqf`` import :mod:`~markovwords.spectrum`,
+so ``verify``, ``seq`` and ``stern`` never compile it.
 """
 from __future__ import annotations
 
@@ -20,8 +22,6 @@ from functools import partial
 from itertools import count, islice
 from typing import Iterator, Sequence
 
-from .spectrum import (BQForm, _join_convergents, _markov_value_from, bqf_min, cf_matrix,
-                       markov_value)
 from .words import format_pieces, format_word, parse_word
 
 
@@ -32,7 +32,9 @@ def _word_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _form_arg(text: str) -> BQForm:
+def _form_arg(text: str):
+    from .spectrum import BQForm
+
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"form needs three coefficients, got {text!r}")
@@ -245,12 +247,15 @@ def _spectrum_line(command: str, row: dict, as_json: bool) -> str:
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectrum import markov_value
+
     mv = markov_value(args.period)
     print(_spectrum_line("spectrum", _spectrum_payload(args.period, mv, args.digits), args.json))
     return 0
 
 
 def _cmd_scan(args) -> int:
+    from .spectrum import _join_convergents, _markov_value_from, cf_matrix
     from .tree import walk
 
     # each walked word comes with its convergent matrix, one 2x2 product per join
@@ -263,6 +268,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_bqf(args) -> int:
+    from .spectrum import bqf_min
+
     result = bqf_min(args.form, args.radius)
     row = {"form": list(args.form), "radius": args.radius, "min_abs": result.min_abs,
            "point": list(result.point), "normalized": _surd_json(result.normalized),

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from array import array
 from functools import lru_cache, partial
-from itertools import chain, compress, count, starmap
-from operator import add, eq, itemgetter, lt, not_
+from itertools import chain, compress, count, repeat, starmap, tee
+from operator import add, eq, itemgetter, lt, mul, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
 
 from .diatomic import PIECE, a_of, a_star, a_table, lanes, stern, stern_table
@@ -24,7 +24,6 @@ from .words import (
     format_word,
     is_palindrome,
     is_palindromic_rotation,
-    is_symmetric_about,
     rotate,
     word,
 )
@@ -62,22 +61,37 @@ def verify_shift_palindromic(a_sym: int, b_sym: int, n: int) -> VerificationRepo
 
 def _shift_verdicts(a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]) -> Iterator[bool]:
     """Whether S(n) rotated by d(n) is a palindrome, for n = lo, ...,
-    lo + len(shifts) - 1: one map of :func:`is_symmetric_about` over one
+    lo + len(shifts) - 1: :func:`_reversed_at` over one
     :func:`~markovwords.tree.walk` of the label words L(n) of the range on
-    :data:`LABEL_SEEDS`, about the axes d(n) - 1 for d(n) in ``shifts``.
+    :data:`LABEL_SEEDS`, at the shifts d(n) in ``shifts``.
 
     S(n) on (a,a),(b,b) is L(n) with every letter doubled, S[i] = L[i//2]
     with |S| = 2m, and a -> 1, b -> 2 is injective. The rotation of S by d
     is a palindrome exactly when S[i] == S[(2d - 1 - i) % 2m] for every i.
     Both i = 2j and i = 2j + 1 halve to L[j] == L[(d - 1 - j) % m], so it
-    is one exactly when L is symmetric about d - 1. Each word is dropped
-    once it is tested.
+    is one exactly when L is symmetric about d - 1. Each shift is in range:
+    d(n) <= d(n) + d(n - 1) = d(2n - 1) = |L(n)|.
     """
     _check_shift_letters(a_sym, b_sym)
     if lo < 1:
         raise ValueError("indices start at 1")
-    return map(is_symmetric_about, walk(*LABEL_SEEDS, lo, lo + len(shifts) - 1),
-               map((-1).__add__, shifts))
+    return _reversed_at(walk(*LABEL_SEEDS, lo, lo + len(shifts) - 1), shifts)
+
+
+def _reversed_at(words: Iterable[bytes], shifts: Iterable[int]) -> Iterator[bool]:
+    """Whether each word L rotated by its shift d is reverse(L), for
+    0 <= d <= |L|; that is ``words.is_symmetric_about(L, d - 1)``.
+
+    With m = |L|, (L + L)[d:d + m] is L[d:] + L[:d], the rotation, and
+    reverse(L) is reverse(L[d:]) + reverse(L[:d]); the parts have equal
+    lengths, so the two agree exactly when L[:d] and L[d:] are palindromes,
+    which is L[j] == L[(d - 1 - j) % m] for j < d and for j >= d. So each
+    verdict is one ``bytes.startswith`` of L + L and L reversed at d, a map
+    of builtins over one ``tee`` of ``words``, each word dropped once tested.
+    """
+    words, mirrors = tee(words)
+    return map(bytes.startswith, map(mul, words, repeat(2)),
+               map(itemgetter(slice(None, None, -1)), mirrors), shifts)
 
 
 def _shift_report(a_sym: int, b_sym: int, n: int, shift: int, ok: bool) -> VerificationReport:
@@ -431,9 +445,9 @@ def check_half_length_chain(d: array, k_hi: int) -> Optional[dict]:
     return None if k is None else {"k": k, "chain_end": a_of(k - 1)}
 
 
-def check_factorizations(k_hi: int) -> Optional[dict]:
-    """Materialised S(k) equals its halving-chain factorization, on any seeds."""
-    s = list(walk(*LABEL_SEEDS, 0, k_hi))
+def check_factorizations(s: Sequence[bytes], k_hi: int) -> Optional[dict]:
+    """Materialised S(k) equals its halving-chain factorization, on any seeds;
+    ``s`` holds the label words L(0..k_hi)."""
     for k in range(3, k_hi + 1):
         if k % 2 == 0:
             prefix, base, power = even_index_factorization(k)
@@ -525,11 +539,12 @@ def check_row_symmetry(d: array, n_hi: int) -> Optional[dict]:
     return None
 
 
-def check_block_exponents(n_hi: int) -> Optional[dict]:
+def check_block_exponents(s: Sequence[bytes], n_hi: int) -> Optional[dict]:
     """All A-runs are 1 or all B-runs are 1 in every run-length profile: the
     word starts with A and has no AA, or ends with B and has no BB (the
-    profile opens with an A-run and closes with a B-run, either maybe empty)."""
-    for n, labels in enumerate(walk(*LABEL_SEEDS, 1, n_hi), 1):
+    profile opens with an A-run and closes with a B-run, either maybe empty).
+    ``s`` holds the label words L(0..n_hi)."""
+    for n, labels in enumerate(s[1:n_hi + 1], 1):
         if not (labels[0] == 1 and b"\x01\x01" not in labels
                 or labels[-1] == 2 and b"\x02\x02" not in labels):
             runs = run_lengths(labels, 1)
@@ -551,8 +566,8 @@ def _lemma_cases(k_max: int) -> list[tuple[str, Callable, tuple, int]]:
     Index-arithmetic checks run to k_max and share one ``stern_table``,
     long enough for |S(k_max)|/2 = d(2k_max - 1) and the mirror levels;
     the index identities alone read an ``a_table``. The two checks that
-    materialise words take them from one walk each and are capped at 4096
-    so CLI sweeps stay fast. Below k_max = 8 the suite has too few levels
+    read words share one walk of the label words, capped at 4096 so CLI
+    sweeps stay fast. Below k_max = 8 the suite has too few levels
     to check every identity, so smaller bounds are rejected. Each check is
     read by name on every call.
     """
@@ -562,16 +577,18 @@ def _lemma_cases(k_max: int) -> list[tuple[str, Callable, tuple, int]]:
     mirror_levels = min(n_levels, 14)
     d = stern_table(max(2 * k_max, 4 << mirror_levels))
     a = a_table(1 << mirror_levels)
+    word_cap = min(k_max, 4096)
+    labels = list(walk(*LABEL_SEEDS, 0, word_cap))
     return [
         ("length-identity", check_length_identity, (d,), k_max),
         ("length-is-diatomic", check_length_is_diatomic, (d,), k_max),
         ("half-length-chain", check_half_length_chain, (d,), k_max),
-        ("factorizations", check_factorizations, (), min(k_max, 4096)),
+        ("factorizations", check_factorizations, (labels,), word_cap),
         ("shift-inequalities", check_shift_inequalities, (d,), k_max),
         ("row-symmetry", check_row_symmetry, (d,), min(n_levels, 16)),
         ("mirror-arithmetic", check_mirror_arithmetic, (d,), mirror_levels),
         ("index-identities", check_index_identities, (a,), mirror_levels),
-        ("block-exponents", check_block_exponents, (), min(k_max, 4096)),
+        ("block-exponents", check_block_exponents, (labels,), word_cap),
     ]
 
 

@@ -23,7 +23,9 @@ them a deliberately wrong table. The block oracle
 builds the block rearrangement block by block, where the library rotates
 S(n). The path order is the paper's comparison of move words, which the
 library's level order must reproduce, and the continued-fraction fold is
-the reference for the convergent matrix.
+the reference for the convergent matrix. The axis breaker is no oracle:
+it wraps a walk so that chosen label words fail the shift claim, by one
+letter flipped off the mirror axis that prop-main tests.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from markovwords.spectrum import (
     QuadraticSurd,
     zero_tail,
 )
-from markovwords.theorems import VerificationReport
+from markovwords.theorems import LABEL_SEEDS, VerificationReport
 from markovwords.tree import Vertex, root, run_lengths, walk
 from markovwords.words import format_word, reverse, rotate, word
 
@@ -309,6 +311,31 @@ def stern_by_bits(n: int) -> int:
             x += y
         n >>= 1
     return y
+
+
+def off_axis_flip(labels: bytes, c: int) -> bytes:
+    """``labels`` with the letter 1 <-> 2 swapped at the first position j whose
+    mirror (c - j) % m about c is another position, so the word is no longer
+    symmetric about c. A word of one letter, or of two about an even c, has
+    no such position, and raises."""
+    m = len(labels)
+    j = next((j for j in range(m) if (c - j) % m != j), None)
+    if j is None:
+        raise ValueError(f"every letter of {labels!r} lies on the axis {c}")
+    return labels[:j] + bytes([3 - labels[j]]) + labels[j + 1:]
+
+
+def walk_off_axis(real_walk, indices):
+    """``real_walk`` with the label word L(n) of each n in ``indices``, walked on
+    ``LABEL_SEEDS``, flipped off its axis d(n) - 1 by :func:`off_axis_flip`,
+    so that the shift claim fails there; walks on other seeds pass through."""
+    def walk_(a, b, lo, hi):
+        words = real_walk(a, b, lo, hi)
+        if (a, b) != LABEL_SEEDS:
+            return words
+        return (off_axis_flip(w, stern_by_bits(n) - 1) if n in indices else w
+                for n, w in enumerate(words, lo))
+    return walk_
 
 
 def _length_by_index(d, j: int) -> int:

@@ -14,6 +14,7 @@ from oracles import perron_float, s_graph, s_rec_with_rule
 from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.spectrum import BQForm, QuadraticSurd, bqf_min, markov_value
 from markovwords.theorems import (
+    LABEL_SEEDS,
     _rearrangement_report,
     _rearrangement_verdicts,
     check_block_exponents,
@@ -168,18 +169,20 @@ def test_criterion_5_supporting_identity_suite():
     budget = 60.0
     t0 = time.perf_counter()
     # one table of d serves every check but the index identities, which
-    # read one table of a, as in the CLI suite
+    # read one table of a, and the two word checks share one walk, as in
+    # the CLI suite
     d, a = stern_table(2 * 10 ** 5), a_table(2 ** 14)
+    labels = list(walk(*LABEL_SEEDS, 0, 2 ** 12))
     checks = [
         ("length-identity", check_length_identity, (d, 10 ** 5)),
         ("length-is-diatomic", check_length_is_diatomic, (d, 10 ** 5)),
         ("half-length-chain", check_half_length_chain, (d, 2 ** 14)),
-        ("factorizations", check_factorizations, (2 ** 12,)),
+        ("factorizations", check_factorizations, (labels, 2 ** 12)),
         ("shift-inequalities", check_shift_inequalities, (d, 2 ** 12)),
         ("row-symmetry", check_row_symmetry, (d, 16)),
         ("mirror-arithmetic", check_mirror_arithmetic, (d, 14)),
         ("index-identities", check_index_identities, (a, 14)),
-        ("block-exponents", check_block_exponents, (2 ** 12,)),
+        ("block-exponents", check_block_exponents, (labels, 2 ** 12)),
     ]
     failures = {name: cx for name, fn, args in checks
                 if (cx := fn(*args)) is not None}

@@ -10,9 +10,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oracles import decimal_truncated, markov_value_by_tails, s_graph, stern_by_bits
+from oracles import (decimal_truncated, markov_value_by_tails, s_graph, stern_by_bits,
+                     walk_off_axis)
 
-from markovwords import cli, theorems
+from markovwords import cli, spectrum, theorems
 from markovwords.cli import main
 from markovwords.diatomic import stern
 from markovwords.tree import walk
@@ -303,14 +304,12 @@ def test_prop_main_pieces_match_the_report_path(capsys, monkeypatch, n_max, as_j
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_prop_main_failing_pieces_print_through_the_report_path(capsys, monkeypatch, as_json):
-    # the claim holds everywhere, so the axis test the sweep reads is made
-    # to fail on the label words of chosen indices: on both sides of the
-    # 1024-line write batches, and twice inside one batch
-    failing = [1, 1023, 1024, 1025, 2048, 5000, 5003, 32768]
-    targets = {next(walk(*theorems.LABEL_SEEDS, n, n)) for n in failing}
-    real = theorems.is_symmetric_about
-    monkeypatch.setattr(theorems, "is_symmetric_about",
-                        lambda w, c: w not in targets and real(w, c))
+    # the claim holds everywhere, so the walked label words of chosen indices
+    # get one letter flipped off their mirror axis: on both sides of the
+    # 1024-line write batches, and twice inside one batch. Index 3 is the
+    # first whose label word has a letter off its axis (L(1), L(2) have none)
+    failing = [3, 1023, 1024, 1025, 2048, 5000, 5003, 32768]
+    monkeypatch.setattr(theorems, "walk", walk_off_axis(theorems.walk, failing))
     expected = prop_main_oracle(32768, 3, 7, as_json)
     assert expected[1].count("counterexample") == len(failing)
     assert expected[0::2] == (1, f"prop-main: {32768 - len(failing)}/32768 passed\n")
@@ -324,26 +323,23 @@ def test_prop_main_failing_pieces_print_through_the_report_path(capsys, monkeypa
 
 def test_prop_main_failing_piece_reuses_its_verdicts(capsys, monkeypatch):
     # a failing index builds its report from the verdict already read:
-    # 2048 axis tests for 2048 indices, one walk of the range and one walk
-    # of the failing index for its counterexample
-    target = next(walk(*theorems.LABEL_SEEDS, 1025, 1025))
-    tests, walks = [], []
-    real_test, real_walk = theorems.is_symmetric_about, theorems.walk
-
-    def axis_test(w, c):
-        tests.append(w)
-        return w != target and real_test(w, c)
+    # 2048 label words drawn from one walk of the range, each tested once,
+    # and one walk of the failing index for its counterexample
+    drawn, walks = [], []
+    broken = walk_off_axis(theorems.walk, [1025])
 
     def counted_walk(*args):
         walks.append(args[2:])
-        return real_walk(*args)
-    monkeypatch.setattr(theorems, "is_symmetric_about", axis_test)
+        for w in broken(*args):
+            if args[:2] == theorems.LABEL_SEEDS:
+                drawn.append(w)
+            yield w
     monkeypatch.setattr(theorems, "walk", counted_walk)
     status, out, err = run(capsys, "verify", "prop-main", "--n-max", "2048",
                            "--a", "3", "--b", "7")
     assert (status, err) == (1, "prop-main: 2047/2048 passed\n")
     assert out.count("FAIL") == 1
-    assert len(tests) == 2048
+    assert len(drawn) == 2048
     assert walks == [(1, 2048), (1025, 1025)]
 
 
@@ -438,13 +434,13 @@ def test_scan(capsys, schema):
 
 def test_spectrum_text_evaluates_once(capsys, monkeypatch):
     calls = []
-    original = cli.markov_value
+    original = spectrum.markov_value
 
     def counted(period):
         calls.append(period)
         return original(period)
 
-    monkeypatch.setattr(cli, "markov_value", counted)
+    monkeypatch.setattr(spectrum, "markov_value", counted)
     status, out, _ = run(capsys, "spectrum", "--period", "2,2,1,1", "--digits", "12")
     assert status == 0
     assert out == ("period=2,2,1,1 surd=(0,1,5,221) decimal=2.973213749463 "

@@ -46,23 +46,26 @@ WALKS = {"markovwords.tree", "markovwords.diatomic"}
 TABULATES = {"markovwords.diatomic"}
 
 
-@pytest.mark.parametrize("argv, index_layer, loads_theorems, loads_json", [
-    (["bqf", "--form", "5,11,-5", "--radius", "20"], set(), False, False),
-    (["spectrum", "--period", "1,1,2,2"], set(), False, False),
-    (["scan", "--n-max", "8", "--json"], WALKS, False, True),
-    (["seq", "--n", "14", "--blocks"], WALKS, False, False),
-    (["seq", "--n", "14", "--json"], WALKS, False, True),
-    (["stern", "--upto", "20"], TABULATES, False, False),
-    (["verify", "lemmas", "--k-max", "8"], WALKS, True, False),
-    (["verify", "prop-main", "--n-max", "40"], WALKS, True, False),
+@pytest.mark.parametrize("argv, index_layer, loads_theorems, loads_spectrum, loads_json", [
+    (["bqf", "--form", "5,11,-5", "--radius", "20"], set(), False, True, False),
+    (["spectrum", "--period", "1,1,2,2"], set(), False, True, False),
+    (["scan", "--n-max", "8", "--json"], WALKS, False, True, True),
+    (["seq", "--n", "14", "--blocks"], WALKS, False, False, False),
+    (["seq", "--n", "14", "--json"], WALKS, False, False, True),
+    (["stern", "--upto", "20"], TABULATES, False, False, False),
+    (["verify", "lemmas", "--k-max", "8"], WALKS, True, False, False),
+    (["verify", "prop-main", "--n-max", "40"], WALKS, True, False, False),
 ], ids=["bqf", "spectrum", "scan", "seq", "seq-json", "stern", "verify-lemmas",
         "verify-prop-main"])
-def test_each_command_loads_only_what_it_runs(argv, index_layer, loads_theorems, loads_json):
+def test_each_command_loads_only_what_it_runs(argv, index_layer, loads_theorems, loads_spectrum,
+                                               loads_json):
     added = added_modules(DRIVER, *argv)
     assert "markovwords.cli" in added
     # bqf and spectrum neither walk the tree nor read d(n)
     assert added & WALKS == index_layer
     assert ("markovwords.theorems" in added) == loads_theorems
+    # only the commands that print spectrum values or form minima compile spectrum
+    assert ("markovwords.spectrum" in added) == loads_spectrum
     # only the JSON branches import json; no command reads a Fraction
     assert ("json" in added) == loads_json
     assert not added & {"dataclasses", "fractions", "decimal"}

@@ -2,7 +2,7 @@ import random
 import sys
 import tracemalloc
 from array import array
-from itertools import product
+from itertools import product, repeat
 
 import pytest
 
@@ -21,6 +21,7 @@ from oracles import (
     row_symmetry_by_index,
     shift_inequalities_by_index,
     verify_mirror,
+    walk_off_axis,
 )
 
 from markovwords import theorems
@@ -41,7 +42,7 @@ from markovwords.theorems import (
     verify_shift_palindromic,
 )
 from markovwords.tree import _s_rec_cached, run_lengths, s_rec, walk
-from markovwords.words import format_word, is_palindrome, rotate
+from markovwords.words import format_word, is_palindrome, is_symmetric_about, rotate
 
 A, B = (1, 1), (2, 2)
 
@@ -117,10 +118,25 @@ def test_shift_palindromic_range_preconditions():
         verify_shift_palindromic(4, 9, n) for n in range(3, 41)]
 
 
+def test_rotation_test_is_the_axis_test_at_every_shift():
+    # every shift 0 <= s <= |L| of every label word L(n), n <= 2^10, passing
+    # and failing alike: the rotation-equals-reversal test of the sweep is
+    # the axis test about s - 1
+    for labels in walk(*theorems.LABEL_SEEDS, 1, 1 << 10):
+        shifts = range(len(labels) + 1)
+        assert list(theorems._reversed_at(repeat(labels), shifts)) == [
+            is_symmetric_about(labels, s - 1) for s in shifts]
+    # and the sweep's verdicts are the axis test about d(n) - 1, to 2^15
+    shifts = stern_table(1 << 15)[1:]
+    assert list(theorems._shift_verdicts(1, 2, 1, shifts)) == list(map(
+        is_symmetric_about, walk(*theorems.LABEL_SEEDS, 1, 1 << 15), map((-1).__add__, shifts)))
+
+
 def test_failing_shift_report_prints_the_rotation(monkeypatch):
-    # the claim holds everywhere, so force the axis test of the label word
-    # to fail; the counterexample is S(n) on (a,a),(b,b), rotated by d(n)
-    monkeypatch.setattr(theorems, "is_symmetric_about", lambda w, c: False)
+    # the claim holds everywhere, so the walked label word of n = 14 gets one
+    # letter flipped off its mirror axis; the counterexample is S(n) on
+    # (a,a),(b,b), walked apart from the label words, rotated by d(n)
+    monkeypatch.setattr(theorems, "walk", walk_off_axis(theorems.walk, [14]))
     for a_sym, b_sym in ((1, 2), (4, 9), (300, 2)):
         expected = format_word(rotate(s_rec((a_sym, a_sym), (b_sym, b_sym), 14), 3))
         assert set(expected.split(",")) == {str(a_sym), str(b_sym)}
@@ -768,14 +784,16 @@ def test_sweeps_leave_the_memo_caches_alone():
     assert all(rep.passed for rep in iter_shift_palindromic(5000, 4, 9))
     assert len(list(iter_block_rearrangement(300, 8, 42))) == 8
     d, a = stern_table(4 << 12), a_table(5000)
+    labels = list(walk(*theorems.LABEL_SEEDS, 0, 2000))
     for check, args in [
         (theorems.check_length_identity, (d, 5000)),
         (theorems.check_length_is_diatomic, (d, 5000)),
         (theorems.check_half_length_chain, (d, 5000)),
         (theorems.check_shift_inequalities, (d, 5000)),
         (theorems.check_row_symmetry, (d, 12)), (theorems.check_mirror_arithmetic, (d, 12)),
-        (theorems.check_index_identities, (a, 12)), (theorems.check_factorizations, (2000,)),
-        (theorems.check_block_exponents, (2000,)),
+        (theorems.check_index_identities, (a, 12)),
+        (theorems.check_factorizations, (labels, 2000)),
+        (theorems.check_block_exponents, (labels, 2000)),
     ]:
         assert check(*args) is None
     # the mirror check reads both of its words from the walk too
@@ -794,10 +812,17 @@ def walk_with(index, wrong):
     return walk
 
 
+def labels_with(hi, index, wrong):
+    """The label words L(0..hi), with the word of one index replaced by ``wrong``."""
+    labels = list(walk(*theorems.LABEL_SEEDS, 0, hi))
+    labels[index] = bytes(wrong)
+    return labels
+
+
 @pytest.mark.parametrize("k", [3, 4, 8, 17, 100, 1023, 1024, 2000])
-def test_check_factorizations_names_a_wrong_word(monkeypatch, k):
-    monkeypatch.setattr(theorems, "walk", walk_with(k, s_rec(A, B, k) + A))
-    assert theorems.check_factorizations(2000) == {"k": k}
+def test_check_factorizations_names_a_wrong_word(k):
+    assert theorems.check_factorizations(labels_with(2000, k, s_rec(A, B, k) + A), 2000) == {
+        "k": k}
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 64])
@@ -809,25 +834,24 @@ def test_equivalence_names_the_first_index_where_the_builders_differ(monkeypatch
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 1024, 2000])
-def test_check_block_exponents_names_a_wrong_label_word(monkeypatch, n):
+def test_check_block_exponents_names_a_wrong_label_word(n):
     # an A-run and a B-run of length 2 break "all A-runs or all B-runs are 1"
-    monkeypatch.setattr(theorems, "walk", walk_with(n, (1, 1, 2, 2)))
-    assert theorems.check_block_exponents(2000) == {"n": n, "profile": [(2, 2)]}
+    assert theorems.check_block_exponents(labels_with(2000, n, (1, 1, 2, 2)), 2000) == {
+        "n": n, "profile": [(2, 2)]}
 
 
-def test_check_block_exponents_follows_the_run_length_profile(monkeypatch):
-    # every word over {1, 2} of length 1..12, walked as the label word of
+def test_check_block_exponents_follows_the_run_length_profile():
+    # every word over {1, 2} of length 1..12, read as the label word of
     # n = 1: the check must fail exactly where the run-length profile has an
     # A-run and a B-run other than 1, and print that profile
     for length in range(1, 13):
         for letters in product(b"\x01\x02", repeat=length):
             labels = bytes(letters)
-            monkeypatch.setattr(theorems, "walk", lambda a, b, lo, hi: iter([labels]))
             runs = run_lengths(labels, 1)
             alphas, betas = runs[0::2], runs[1::2]
             holds = all(x == 1 for x in alphas) or all(x == 1 for x in betas)
             expected = None if holds else {"n": 1, "profile": list(zip(alphas, betas))}
-            assert theorems.check_block_exponents(1) == expected, labels
+            assert theorems.check_block_exponents([b"\x01", labels], 1) == expected, labels
 
 
 @pytest.mark.parametrize("sweep_fn, args, bound", [
