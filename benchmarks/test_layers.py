@@ -29,6 +29,7 @@ smallest index of each length L, and the Markov form of ``bqf`` at radius
 and the value read from each matrix. ``test_launch`` times whole fresh
 ``python -m markovwords.cli`` launches, as a user runs them, stdout to
 ``/dev/null``: ``bqf`` at radius 1 is start-up and exit alone,
+``scan --json --n-max 320`` is the benchmark's scan,
 ``verify lemmas --k-max 8`` adds the ``verify`` layers and a small sweep,
 and ``verify prop-main --n-max 32768 --a 3 --b 7`` is the benchmark's
 sweep. Each launch runs with ``-B`` on a copy of the package that has no
@@ -177,6 +178,7 @@ def test_lemma_suite(benchmark):
 
 
 LAUNCHES = {"bqf": ["bqf", "--form", "1,1,-1", "--radius", "1"],
+            "scan": ["scan", "--json", "--n-max", "320"],
             "lemmas": ["verify", "lemmas", "--k-max", "8"],
             "prop-main": ["verify", "prop-main", "--a", "3", "--b", "7", "--n-max", "32768"]}
 PACKAGE = Path(cli.__file__).resolve().parent

@@ -25,9 +25,9 @@ for period in [(1, 1), (2, 2), (2, 2, 1, 1)]:
 
 # Everything the seed tree generates from (1,1),(2,2) stays below 3 -
 # these are exactly the periods of Markov forms.
-below = all(markov_value(s_rec((1, 1), (2, 2), n)).value < 3 for n in range(1, 65))
+below = all(markov_value(s_rec((1, 1), (2, 2), n)).value.compare(3) < 0 for n in range(1, 65))
 print("all S(n), n <= 64, lie below 3:", below)
-print("(3) below 3?", markov_value((3,)).value < 3)
+print("(3) below 3?", markov_value((3,)).value.compare(3) < 0)
 
 # The quadratic-form side of the same numbers: the normalised lattice
 # minimum min|f|/sqrt(disc) of an indefinite form. For x^2+xy-y^2 it is

@@ -5,27 +5,30 @@ spectrum, scan, bqf. Results go to stdout, diagnostics to stderr; ``--json``
 switches to one JSON object per line. The exit status is 0 exactly when
 every requested check passed, so verify sweeps can gate CI; a rejected
 input exits 2 with one ``error:`` line on stderr, written only by :func:`main`.
-Only the JSON branches import :mod:`json`, so a text-mode launch never loads it;
+Each handler imports the layers it reads, so a launch compiles only those:
 only the handlers that walk or tabulate import :mod:`~markovwords.tree` and
-:mod:`~markovwords.diatomic`, so ``bqf`` and ``spectrum`` load neither; and
-only ``spectrum``, ``scan`` and ``bqf`` import :mod:`~markovwords.spectrum`,
-so ``verify``, ``seq`` and ``stern`` never compile it.
+:mod:`~markovwords.diatomic`, so ``bqf`` and ``spectrum`` load neither; only
+``spectrum``, ``scan`` and ``bqf`` import :mod:`~markovwords.spectrum`, so
+``verify``, ``seq`` and ``stern`` never compile it; and only the commands that
+read or print a word import :mod:`~markovwords.words`, so ``bqf`` never
+compiles it. Only ``seq``, ``stern`` and ``verify`` import :mod:`json`, in
+their JSON branches; ``spectrum``, ``scan`` and ``bqf`` write their JSON rows
+as text.
 """
 from __future__ import annotations
 
 import argparse
 import gc
 import os
-import re
 import sys
 from functools import partial
 from itertools import count, islice
 from typing import Iterator, Sequence
 
-from .words import format_pieces, format_word, parse_word
-
 
 def _word_arg(text: str):
+    from .words import parse_word
+
     try:
         return parse_word(text)
     except ValueError as exc:
@@ -38,71 +41,83 @@ def _form_arg(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"form needs three coefficients, got {text!r}")
-    if not all(re.fullmatch("[+-]?[0-9]+", p) for p in parts):
+    # each coefficient is an optional sign, then ASCII digits
+    digits = [p[1:] if p.startswith(("+", "-")) else p for p in parts]
+    if not all(d.isascii() and d.isdigit() for d in digits):
         raise argparse.ArgumentTypeError(f"non-integer coefficient in {text!r}")
     return BQForm(*map(int, parts))
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand and its help line, in the order --help lists them
+_COMMANDS = {
+    "seq": "print the word with index n",
+    "stern": "emit the diatomic sequence as index,value CSV",
+    "verify": "run a verification sweep",
+    "spectrum": "exact Perron value of a period",
+    "scan": "tabulate spectrum values of S(1..n)",
+    "bqf": "bounded lattice minimum of an indefinite form",
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of a command line whose subcommand is ``command``.
+
+    Every subcommand is listed, so usage, ``--help`` and a wrong subcommand
+    read as with a full parser; only ``command``'s own arguments are added,
+    since the subcommand is the only one a command line reaches. Adding an
+    argument costs argparse a help formatter, so a launch builds few.
+    """
     parser = argparse.ArgumentParser(
         prog="markovwords",
         description="Ordered Markov words, palindromic shifts, exact spectrum values.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
 
-    p_seq = sub.add_parser("seq", help="print the word with index n")
-    p_seq.add_argument("--A", type=_word_arg, default=(1, 1), metavar="WORD")
-    p_seq.add_argument("--B", type=_word_arg, default=(2, 2), metavar="WORD")
-    p_seq.add_argument("--n", type=int, required=True)
-    p_seq.add_argument("--blocks", action="store_true", help="print the block word instead")
-    p_seq.add_argument("--json", action="store_true")
+    if command == "seq":
+        p["seq"].add_argument("--A", type=_word_arg, default=(1, 1), metavar="WORD")
+        p["seq"].add_argument("--B", type=_word_arg, default=(2, 2), metavar="WORD")
+        p["seq"].add_argument("--n", type=int, required=True)
+        p["seq"].add_argument("--blocks", action="store_true", help="print the block word instead")
+    elif command == "stern":
+        p["stern"].add_argument("--upto", type=int, required=True, metavar="N")
+    elif command == "verify":
+        vsub = p["verify"].add_subparsers(dest="check", required=True)
 
-    p_stern = sub.add_parser("stern", help="emit the diatomic sequence as index,value CSV")
-    p_stern.add_argument("--upto", type=int, required=True, metavar="N")
-    p_stern.add_argument("--json", action="store_true")
+        p_prop = vsub.add_parser("prop-main", help="d(n)-shift palindromicity sweep")
+        p_prop.add_argument("--n-max", type=int, default=4096)
+        p_prop.add_argument("--a", type=int, default=1, help="letter of the first seed (a,a)")
+        p_prop.add_argument("--b", type=int, default=2, help="letter of the second seed (b,b)")
 
-    p_verify = sub.add_parser("verify", help="run a verification sweep")
-    vsub = p_verify.add_subparsers(dest="check", required=True)
+        p_thm = vsub.add_parser("theorem", help="block-rearrangement sweep over random seeds")
+        p_thm.add_argument("--trials", type=int, default=200)
+        p_thm.add_argument("--seed", type=int, default=42)
+        p_thm.add_argument("--n-max", type=int, default=512)
 
-    p_prop = vsub.add_parser("prop-main", help="d(n)-shift palindromicity sweep")
-    p_prop.add_argument("--n-max", type=int, default=4096)
-    p_prop.add_argument("--a", type=int, default=1, help="letter of the first seed (a,a)")
-    p_prop.add_argument("--b", type=int, default=2, help="letter of the second seed (b,b)")
+        p_eq = vsub.add_parser("equivalence", help="graph builder vs index recursion")
+        p_eq.add_argument("--levels", type=int, default=10)
+        p_eq.add_argument("--pairs", type=int, default=20)
+        p_eq.add_argument("--seed", type=int, default=42)
 
-    p_thm = vsub.add_parser("theorem", help="block-rearrangement sweep over random seeds")
-    p_thm.add_argument("--trials", type=int, default=200)
-    p_thm.add_argument("--seed", type=int, default=42)
-    p_thm.add_argument("--n-max", type=int, default=512)
+        p_lem = vsub.add_parser("lemmas", help="supporting identity suite")
+        p_lem.add_argument("--k-max", type=int, default=4096)
 
-    p_eq = vsub.add_parser("equivalence", help="graph builder vs index recursion")
-    p_eq.add_argument("--levels", type=int, default=10)
-    p_eq.add_argument("--pairs", type=int, default=20)
-    p_eq.add_argument("--seed", type=int, default=42)
-
-    p_lem = vsub.add_parser("lemmas", help="supporting identity suite")
-    p_lem.add_argument("--k-max", type=int, default=4096)
-
-    for p in (p_prop, p_thm, p_eq, p_lem):
-        p.add_argument("--json", action="store_true")
-
-    p_spec = sub.add_parser("spectrum", help="exact Perron value of a period")
-    p_spec.add_argument("--period", type=_word_arg, required=True, metavar="WORD")
-    p_spec.add_argument("--digits", type=int, default=30)
-    p_spec.add_argument("--json", action="store_true")
-
-    p_scan = sub.add_parser("scan", help="tabulate spectrum values of S(1..n)")
-    p_scan.add_argument("--n-max", type=int, default=64)
-    p_scan.add_argument("--A", type=_word_arg, default=(1, 1), metavar="WORD")
-    p_scan.add_argument("--B", type=_word_arg, default=(2, 2), metavar="WORD")
-    p_scan.add_argument("--digits", type=int, default=30)
-    p_scan.add_argument("--json", action="store_true")
-
-    p_bqf = sub.add_parser("bqf", help="bounded lattice minimum of an indefinite form")
-    p_bqf.add_argument("--form", type=_form_arg, required=True, metavar="A,B,C")
-    p_bqf.add_argument("--radius", type=int, default=50)
-    p_bqf.add_argument("--digits", type=int, default=30)
-    p_bqf.add_argument("--json", action="store_true")
-
+        for check in (p_prop, p_thm, p_eq, p_lem):
+            check.add_argument("--json", action="store_true")
+    elif command == "spectrum":
+        p["spectrum"].add_argument("--period", type=_word_arg, required=True, metavar="WORD")
+        p["spectrum"].add_argument("--digits", type=int, default=30)
+    elif command == "scan":
+        p["scan"].add_argument("--n-max", type=int, default=64)
+        p["scan"].add_argument("--A", type=_word_arg, default=(1, 1), metavar="WORD")
+        p["scan"].add_argument("--B", type=_word_arg, default=(2, 2), metavar="WORD")
+        p["scan"].add_argument("--digits", type=int, default=30)
+    elif command == "bqf":
+        p["bqf"].add_argument("--form", type=_form_arg, required=True, metavar="A,B,C")
+        p["bqf"].add_argument("--radius", type=int, default=50)
+        p["bqf"].add_argument("--digits", type=int, default=30)
+    if command in ("seq", "stern", "spectrum", "scan", "bqf"):
+        p[command].add_argument("--json", action="store_true")
     return parser
 
 
@@ -119,15 +134,6 @@ def _write_lines(lines: Iterator[str]) -> int:
     return written
 
 
-def _surd_json(surd) -> dict:
-    p, q, r, d = surd.as_tuple()
-    return {"p": p, "q": q, "r": r, "D": d}
-
-
-def _surd_text(fields: dict) -> str:
-    return "({p},{q},{r},{D})".format(**fields)
-
-
 def _report_line(rep, check: str, as_json: bool, failures: list[int]) -> str:
     """The line of one VerificationReport; ``failures`` collects the n of each failing one."""
     if not rep.passed:
@@ -141,17 +147,6 @@ def _report_line(rep, check: str, as_json: bool, failures: list[int]) -> str:
     return f"{status} {rep.claim} n={rep.n}{extra}{counter}"
 
 
-def _spectrum_payload(period, mv, digits: int) -> dict:
-    """The fields of one ``spectrum`` or ``scan`` row, from the period's MarkovValue."""
-    return {
-        "period": list(period),
-        "surd": _surd_json(mv.value),
-        "decimal": mv.value.to_decimal(digits),
-        "argmin": mv.argmin,
-        "is_markov": mv.value.compare(3) < 0,
-    }
-
-
 # the longest word seq builds: S(n) has at most d(2n-1) * max(|A|, |B|)
 # letters and its label word d(2n-1), read before either word is built
 SEQ_MAX_LETTERS = 1 << 24
@@ -160,6 +155,7 @@ SEQ_MAX_LETTERS = 1 << 24
 def _cmd_seq(args) -> int:
     from .diatomic import stern
     from .tree import relabel, walk
+    from .words import format_pieces
 
     n = args.n
     labels = stern(2 * n - 1) if n else 1
@@ -234,53 +230,80 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _spectrum_line(command: str, row: dict, as_json: bool) -> str:
-    """One row of ``spectrum`` or ``scan``; in text, only scan prints n and
-    only spectrum the argmin."""
-    if as_json:
-        import json
-        return json.dumps({"command": command, **row})
-    n = f"n={row['n']} " if command == "scan" else ""
-    argmin = f" argmin={row['argmin']}" if command == "spectrum" else ""
-    return (f"{n}period={format_word(row['period'])} surd={_surd_text(row['surd'])} "
-            f"decimal={row['decimal']}{argmin} markov={str(row['is_markov']).lower()}")
+def _spectrum_lines(command: str, rows, digits: int, as_json: bool) -> Iterator[str]:
+    """The line of each row (n, period text, MarkovValue) of ``spectrum`` or
+    ``scan``; in text, only scan prints n and only spectrum the argmin. The
+    period's text is :func:`~markovwords.words.format_word`'s, with the
+    separator ``", "`` in JSON.
+
+    A JSON line is the text ``json.dumps`` gives the row's record, written
+    directly. Every integer of the row is printed through
+    ``spectrum._int_text``, so a value of any size prints.
+    """
+    from .spectrum import _int_text
+
+    for n, period, (value, argmin) in rows:
+        p, q, r, d = map(_int_text, value.as_tuple())
+        decimal, markov = value.to_decimal(digits), "true" if value.compare(3) < 0 else "false"
+        if as_json:
+            head = f'"n": {_int_text(n)}, ' if command == "scan" else ""
+            yield (f'{{"command": "{command}", {head}"period": [{period}], '
+                   f'"surd": {{"p": {p}, "q": {q}, "r": {r}, "D": {d}}}, '
+                   f'"decimal": "{decimal}", "argmin": {_int_text(argmin)}, '
+                   f'"is_markov": {markov}}}')
+        else:
+            head = f"n={_int_text(n)} " if command == "scan" else ""
+            tail = f" argmin={_int_text(argmin)}" if command == "spectrum" else ""
+            yield (f"{head}period={period} surd=({p},{q},{r},{d}) "
+                   f"decimal={decimal}{tail} markov={markov}")
 
 
 def _cmd_spectrum(args) -> int:
     from .spectrum import markov_value
+    from .words import format_word
 
-    mv = markov_value(args.period)
-    print(_spectrum_line("spectrum", _spectrum_payload(args.period, mv, args.digits), args.json))
+    text = format_word(args.period, ", " if args.json else ",")
+    rows = [(None, text, markov_value(args.period))]
+    _write_lines(_spectrum_lines("spectrum", rows, args.digits, args.json))
     return 0
 
 
 def _cmd_scan(args) -> int:
     from .spectrum import _join_convergents, _markov_value_from, cf_matrix
     from .tree import walk
+    from .words import format_word
 
-    # each walked word comes with its convergent matrix, one 2x2 product per join
+    # each walked word comes with its convergent matrix, one 2x2 product per
+    # join; its text is walked beside it, one concatenation per join
+    sep = ", " if args.json else ","
     seeds = [(w, cf_matrix(w)) for w in (args.A, args.B)]
     pairs = walk(*seeds, 1, args.n_max, join=_join_convergents)
-    rows = ({"n": n, **_spectrum_payload(w, _markov_value_from(w, m), args.digits)}
-            for n, (w, m) in enumerate(pairs, 1))
-    _write_lines(_spectrum_line("scan", row, args.json) for row in rows)
+    texts = walk(format_word(args.A, sep), format_word(args.B, sep), 1, args.n_max,
+                 join=f"{{}}{sep}{{}}".format)
+    rows = ((n, text, _markov_value_from(w, m))
+            for n, (w, m), text in zip(count(1), pairs, texts))
+    _write_lines(_spectrum_lines("scan", rows, args.digits, args.json))
     return 0
 
 
 def _cmd_bqf(args) -> int:
-    from .spectrum import bqf_min
+    """The form's bounded minimum as one line; in JSON, the text ``json.dumps``
+    gives its record, written directly, with every integer printed through
+    ``spectrum._int_text``."""
+    from .spectrum import _int_text, bqf_min
 
     result = bqf_min(args.form, args.radius)
-    row = {"form": list(args.form), "radius": args.radius, "min_abs": result.min_abs,
-           "point": list(result.point), "normalized": _surd_json(result.normalized),
-           "decimal": result.normalized.to_decimal(args.digits)}
+    (a, b, c), (x, y) = map(_int_text, args.form), map(_int_text, result.point)
+    radius, low = _int_text(args.radius), _int_text(result.min_abs)
+    p, q, r, d = map(_int_text, result.normalized.as_tuple())
+    decimal = result.normalized.to_decimal(args.digits)
     if args.json:
-        import json
-        print(json.dumps({"command": "bqf", **row}))
+        print(f'{{"command": "bqf", "form": [{a}, {b}, {c}], "radius": {radius}, '
+              f'"min_abs": {low}, "point": [{x}, {y}], '
+              f'"normalized": {{"p": {p}, "q": {q}, "r": {r}, "D": {d}}}, "decimal": "{decimal}"}}')
     else:
-        print("form={},{},{} radius={} min_abs={} point=({},{}) normalized={} decimal={}".format(
-            *row["form"], row["radius"], row["min_abs"], *row["point"],
-            _surd_text(row["normalized"]), row["decimal"]))
+        print(f"form={a},{b},{c} radius={radius} min_abs={low} point=({x},{y}) "
+              f"normalized=({p},{q},{r},{d}) decimal={decimal}")
     return 0
 
 
@@ -301,8 +324,10 @@ _MINIMA = {"n": 0, "upto": 0, "digits": 0, "n_max": 1, "k_max": 8,
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the subcommand is the first word that names one: the top-level
+    # options take no value, so every word before it is an option
+    args = build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     try:
         for name, low in _MINIMA.items():
             value = getattr(args, name, None)

@@ -1,22 +1,19 @@
 """Exact Perron evaluation of periodic words and a quadratic-form oracle.
 
 Periodic continued fractions are quadratic irrationals, so every value here
-is an exact element (p + q*sqrt(d))/r of a real quadratic field. All
-comparisons and the decimal rendering go through integer arithmetic only;
-nothing is ever rounded before the final digit string. :class:`Fraction`
-operands are accepted wherever an int is; the few methods that read the
-class import it themselves, so importing this module does not load
-:mod:`fractions`.
+is an exact element (p + q*sqrt(d))/r of a real quadratic field. Values are
+compared and rendered in decimal through integer arithmetic only; nothing
+is ever rounded before the final digit string, and every integer the
+commands print is converted in pieces below the interpreter's limit on
+int-to-str conversion (:func:`_int_text`).
 """
 from __future__ import annotations
 
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .words import Word, word
-
 if TYPE_CHECKING:
-    from fractions import Fraction
+    from .words import Word
 
 
 def _sign(n: int) -> int:
@@ -52,16 +49,25 @@ def _decimal_digits(x: int, width: int) -> str:
     return _decimal_digits(high, width - low) + _decimal_digits(rest, low)
 
 
+def _int_text(x: int) -> str:
+    """``str(x)`` for an int of any size. Below 2**2126 < 10**640 it is
+    ``str``; past that the digits come from :func:`_decimal_digits`, at the
+    width bound floor(bits * log10(2)) + 1, with the leading zeros cut."""
+    if x.bit_length() <= 2126:
+        return str(x)
+    text = _decimal_digits(abs(x), x.bit_length() * 30103 // 10 ** 5 + 1).lstrip("0")
+    return "-" + text if x < 0 else text
+
+
 class QuadraticSurd:
     """Exact value (p + q*sqrt(d))/r with arbitrary-precision integers.
 
     Normal form: r > 0, gcd(p, q, r) = 1, and a perfect-square d is folded
-    into the rational part (leaving q = 0, d = 0). Two surds can be added or
-    multiplied when they lie in one field: equal d, d1*d2 a perfect square
-    (the result is written over the left operand's d), or either one
-    rational; order and equality are decided exactly across different d.
-    Instances are immutable. The class is not a tuple on purpose: tuple
-    ``+``, ``*``, ``<`` and ``len`` would sit beside the arithmetic.
+    into the rational part (leaving q = 0, d = 0). A surd holds what the
+    commands print and test: its normal form, an exact comparison with an
+    int or another surd (of any radicand), its reciprocal, which
+    :func:`zero_tail` takes, and its decimal expansion. Instances are
+    immutable.
     """
 
     __slots__ = ("p", "q", "r", "d")
@@ -93,94 +99,22 @@ class QuadraticSurd:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):
-        # pickle would restore the slots through __setattr__; rebuild instead
-        return QuadraticSurd, self.as_tuple()
-
     def __repr__(self) -> str:
         return f"QuadraticSurd(p={self.p!r}, q={self.q!r}, r={self.r!r}, d={self.d!r})"
 
-    @classmethod
-    def from_int(cls, n: int) -> "QuadraticSurd":
-        return cls(n, 0, 1, 0)
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "QuadraticSurd":
-        return cls(f.numerator, 0, f.denominator, 0)
-
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
-    def _coerce(self, other: Union["QuadraticSurd", int, Fraction]) -> "QuadraticSurd":
+    def _coerce(self, other: Union["QuadraticSurd", int]) -> "QuadraticSurd":
         if isinstance(other, QuadraticSurd):
             return other
         if isinstance(other, int):
-            return QuadraticSurd.from_int(other)
-        from fractions import Fraction
-
-        if isinstance(other, Fraction):
-            return QuadraticSurd.from_fraction(other)
+            return QuadraticSurd(other, 0, 1, 0)
         return NotImplemented  # type: ignore[return-value]
-
-    def _common_d(self, other: "QuadraticSurd") -> tuple[int, "QuadraticSurd"]:
-        """A radicand both values can be written over, and ``other`` over it.
-
-        Distinct radicands d1, d2 span the same field exactly when d1*d2 is
-        a perfect square s^2; then sqrt(d2) = (s/d1)*sqrt(d1), and ``other``
-        is rescaled to d1 = self.d.
-        """
-        if self.q == 0:
-            return other.d, other
-        if other.q == 0 or other.d == self.d:
-            return self.d, other
-        s = isqrt(self.d * other.d)
-        if s * s != self.d * other.d:
-            raise ValueError(f"incompatible radicands {self.d} and {other.d}")
-        return self.d, QuadraticSurd(other.p * self.d, other.q * s, other.r * self.d, self.d)
-
-    def __add__(self, other: Union["QuadraticSurd", int, Fraction]) -> "QuadraticSurd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d, o = self._common_d(o)
-        return QuadraticSurd(
-            self.p * o.r + o.p * self.r,
-            self.q * o.r + o.q * self.r,
-            self.r * o.r,
-            d,
-        )
-
-    __radd__ = __add__
 
     def __neg__(self) -> "QuadraticSurd":
         return QuadraticSurd(-self.p, -self.q, self.r, self.d)
 
-    def __sub__(self, other: Union["QuadraticSurd", int, Fraction]) -> "QuadraticSurd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: Union[int, Fraction]) -> "QuadraticSurd":
-        return (-self) + other
-
-    def __mul__(self, other: Union["QuadraticSurd", int, Fraction]) -> "QuadraticSurd":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d, o = self._common_d(o)
-        return QuadraticSurd(
-            self.p * o.p + self.q * o.q * d,
-            self.p * o.q + self.q * o.p,
-            self.r * o.r,
-            d,
-        )
-
-    __rmul__ = __mul__
-
     def reciprocal(self) -> "QuadraticSurd":
         """Exact 1/x via rationalising: r*(p - q*sqrt(d)) / (p^2 - q^2*d)."""
-        if self.is_zero():
+        if self.p == 0 and self.q == 0:
             raise ZeroDivisionError("reciprocal of zero")
         norm = self.p * self.p - self.q * self.q * self.d
         return QuadraticSurd(self.r * self.p, -self.r * self.q, norm, self.d)
@@ -189,7 +123,7 @@ class QuadraticSurd:
         """Exact sign, by comparing p^2 against q^2*d where needed."""
         return _surd_sign(self.p, self.q, self.d)
 
-    def compare(self, other: Union["QuadraticSurd", int, Fraction]) -> int:
+    def compare(self, other: Union["QuadraticSurd", int]) -> int:
         """-1, 0 or +1 as self is below, equal to or above other; exact.
 
         r1*r2*(self - other) = u - v with u = x + y*sqrt(d1), v = z*sqrt(d2);
@@ -211,27 +145,6 @@ class QuadraticSurd:
             return NotImplemented
         return self.compare(o) == 0
 
-    def __hash__(self) -> int:
-        from fractions import Fraction
-
-        if self.q == 0:
-            return hash(Fraction(self.p, self.r))  # equal to the int or Fraction
-        # (p/r, sign q, q^2 d / r^2) determines the value, so hash on that
-        return hash((Fraction(self.p, self.r), _sign(self.q),
-                     Fraction(self.q * self.q * self.d, self.r * self.r)))
-
-    def __lt__(self, other: Union["QuadraticSurd", int, Fraction]) -> bool:
-        return self.compare(other) < 0
-
-    def __le__(self, other: Union["QuadraticSurd", int, Fraction]) -> bool:
-        return self.compare(other) <= 0
-
-    def __gt__(self, other: Union["QuadraticSurd", int, Fraction]) -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: Union["QuadraticSurd", int, Fraction]) -> bool:
-        return self.compare(other) >= 0
-
     def _floor_scaled(self, scale: int) -> int:
         """floor(self * scale) by integer arithmetic only."""
         num = self.p * scale
@@ -250,13 +163,9 @@ class QuadraticSurd:
         negative = self.sign() < 0
         sign = "-" if negative else ""  # kept when truncation reaches zero
         scaled = (-self if negative else self)._floor_scaled(10 ** digits)
-        # an integer of b bits has at most floor(b * log10(2)) + 1 digits
-        text = _decimal_digits(scaled, max(digits + 1, scaled.bit_length() * 30103 // 10 ** 5 + 1))
+        text = _int_text(scaled).zfill(digits + 1)
         whole = text[:len(text) - digits].lstrip("0") or "0"
         return f"{sign}{whole}.{text[len(text) - digits:]}" if digits else f"{sign}{whole}"
-
-    def __float__(self) -> float:
-        return int(self._floor_scaled(10 ** 17)) / 10 ** 17
 
     def __str__(self) -> str:
         if self.q == 0:
@@ -278,6 +187,8 @@ def cf_matrix(x: Sequence[int]) -> Matrix:
     Its determinant is (-1)^len and the first column holds the final
     convergent numerator/denominator.
     """
+    from .words import word
+
     return _fold_convergents(word(x))
 
 
@@ -322,6 +233,8 @@ def markov_value(period: Sequence[int]) -> MarkovValue:
     arithmetic, and the value is sqrt(D)/min q_i. Ties resolve to the
     smallest position.
     """
+    from .words import word
+
     w = word(period)
     return _markov_value_from(w, _fold_convergents(w))
 
@@ -337,12 +250,15 @@ def _markov_value_from(w: Word, m: Matrix) -> MarkovValue:
     """:func:`markov_value` of a validated word whose convergent matrix ``m``
     is already known, as it is for the words ``scan`` walks."""
     (m11, m12), (m21, m22) = m
-    d = (m11 + m22) ** 2 - 4 * (m11 * m22 - m12 * m21)
+    t = m11 + m22
+    d = t * t - 4 * (m11 * m22 - m12 * m21)
     q_min, argmin = m21, 0
     for i, a in enumerate(w[:-1], 1):
-        # M <- [[0, 1], [1, -a]] M [[a, 1], [1, 0]]: the period rotated by one
-        n11 = a * m21 + m22
-        m11, m12, m21, m22 = n11, m21, a * (m11 - n11) + m12, m11 - a * m21
+        # M <- [[0, 1], [1, -a]] M [[a, 1], [1, 0]]: the period rotated by
+        # one letter; conjugation keeps the trace t, so m22 = t - m11 is
+        # never carried, and a step is two multiplications
+        n11 = a * m21 + t - m11
+        m11, m12, m21 = n11, m21, a * (m11 - n11) + m12
         if m21 < q_min:
             q_min, argmin = m21, i
     return MarkovValue(QuadraticSurd(0, 1, q_min, d), argmin)

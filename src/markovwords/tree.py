@@ -77,7 +77,8 @@ def walk(a, b, lo: int, hi: int, join: Callable = add) -> Iterator:
     raises. Any other ``join`` must be associative, as concatenation is;
     the walk then yields the join of the seeds along each word, on seeds
     taken as they are: ``scan`` walks (word, convergent matrix) pairs
-    joined by (u + v, M_u M_v).
+    joined by (u + v, M_u M_v), and beside them the words' texts, joined
+    by their separator.
     """
     if join is add:
         wa, wb = word(a), word(b)

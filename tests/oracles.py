@@ -2,7 +2,11 @@
 
 The float oracles deliberately avoid the library's surd pipeline: tails
 are evaluated by truncating the periodic continued fraction at a fixed
-depth in floats. The exact oracles are the searches the library replaced
+depth in floats. The surd oracle is ``QuadraticSurd`` with the field
+arithmetic no command reads: sums, products, order, hashing and pickling,
+and ``Fraction`` operands; the tests cross-check the parts the library
+keeps (normal form, comparison, reciprocal, decimals) against it. The
+exact oracles are the searches the library replaced
 by closed forms: a Perron value found by comparing the surd sums at every
 position, and a form minimum found by evaluating every point of the box.
 The word oracles are the graph walk, which reaches one index by the L
@@ -33,7 +37,8 @@ from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from typing import Sequence
+from math import isqrt
+from typing import Sequence, Union
 
 from markovwords.diatomic import a_of, a_star
 from markovwords.spectrum import (
@@ -70,6 +75,112 @@ def decimal_truncated(p: int, q: int, r: int, d: int, digits: int) -> str:
         return str(value.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_DOWN))
 
 
+class Surd(QuadraticSurd):
+    """A :class:`QuadraticSurd` that also adds, multiplies, orders, hashes and
+    pickles, and takes ``int`` and ``Fraction`` operands on either side.
+
+    Two surds can be added or multiplied when they lie in one field: equal
+    d, d1*d2 a perfect square (the result is written over the left
+    operand's d), or either one rational. Every result is a ``Surd``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, x: Union[QuadraticSurd, int, Fraction]) -> "Surd":
+        """``x`` as a Surd: a library surd lifted with its fields, or a rational."""
+        if isinstance(x, QuadraticSurd):
+            return cls(*x.as_tuple())
+        return cls.from_fraction(Fraction(x))
+
+    @classmethod
+    def from_fraction(cls, f: Fraction) -> "Surd":
+        return cls(f.numerator, 0, f.denominator, 0)
+
+    def __reduce__(self):
+        # pickle would restore the slots through __setattr__; rebuild instead
+        return type(self), self.as_tuple()
+
+    def is_zero(self) -> bool:
+        return self.p == 0 and self.q == 0
+
+    def _coerce(self, other: Union[QuadraticSurd, int, Fraction]) -> "Surd":
+        if isinstance(other, (QuadraticSurd, int, Fraction)):
+            return Surd.of(other)
+        return NotImplemented  # type: ignore[return-value]
+
+    def _common_d(self, other: "Surd") -> tuple[int, "Surd"]:
+        """A radicand both values can be written over, and ``other`` over it.
+
+        Distinct radicands d1, d2 span the same field exactly when d1*d2 is
+        a perfect square s^2; then sqrt(d2) = (s/d1)*sqrt(d1), and ``other``
+        is rescaled to d1 = self.d.
+        """
+        if self.q == 0:
+            return other.d, other
+        if other.q == 0 or other.d == self.d:
+            return self.d, other
+        s = isqrt(self.d * other.d)
+        if s * s != self.d * other.d:
+            raise ValueError(f"incompatible radicands {self.d} and {other.d}")
+        return self.d, Surd(other.p * self.d, other.q * s, other.r * self.d, self.d)
+
+    def __add__(self, other: Union[QuadraticSurd, int, Fraction]) -> "Surd":
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        d, o = self._common_d(o)
+        return Surd(self.p * o.r + o.p * self.r, self.q * o.r + o.q * self.r, self.r * o.r, d)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Surd":
+        return Surd(-self.p, -self.q, self.r, self.d)
+
+    def __sub__(self, other: Union[QuadraticSurd, int, Fraction]) -> "Surd":
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other: Union[int, Fraction]) -> "Surd":
+        return (-self) + other
+
+    def __mul__(self, other: Union[QuadraticSurd, int, Fraction]) -> "Surd":
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        d, o = self._common_d(o)
+        return Surd(self.p * o.p + self.q * o.q * d, self.p * o.q + self.q * o.p, self.r * o.r, d)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "Surd":
+        return Surd.of(super().reciprocal())
+
+    def __hash__(self) -> int:
+        if self.q == 0:
+            return hash(Fraction(self.p, self.r))  # equal to the int or Fraction
+        # (p/r, sign q, q^2 d / r^2) determines the value, so hash on that
+        return hash((Fraction(self.p, self.r), (self.q > 0) - (self.q < 0),
+                     Fraction(self.q * self.q * self.d, self.r * self.r)))
+
+    def __lt__(self, other: Union[QuadraticSurd, int, Fraction]) -> bool:
+        return self.compare(other) < 0
+
+    def __le__(self, other: Union[QuadraticSurd, int, Fraction]) -> bool:
+        return self.compare(other) <= 0
+
+    def __gt__(self, other: Union[QuadraticSurd, int, Fraction]) -> bool:
+        return self.compare(other) > 0
+
+    def __ge__(self, other: Union[QuadraticSurd, int, Fraction]) -> bool:
+        return self.compare(other) >= 0
+
+    def __float__(self) -> float:
+        return int(self._floor_scaled(10 ** 17)) / 10 ** 17
+
+
 def tail_float(period, depth: int = 60) -> float:
     """[0; period, period, ...] truncated at ``depth`` partial quotients."""
     reps = depth // len(period) + 2
@@ -97,10 +208,10 @@ def markov_value_by_tails(period) -> MarkovValue:
     """Largest exact Perron sum a_i + forward tail + backward tail, ties low."""
     w = word(period)
     n = len(w)
-    best: QuadraticSurd | None = None
+    best: Surd | None = None
     best_i = 0
     for i in range(n):
-        forward = zero_tail(rotate(w, (i + 1) % n))
+        forward = Surd.of(zero_tail(rotate(w, (i + 1) % n)))
         backward = zero_tail(reverse(rotate(w, i)))
         candidate = forward + backward + w[i]
         if best is None or candidate.compare(best) > 0:

@@ -227,7 +227,7 @@ def test_criterion_7_markov_predicate_to_64():
     budget = 10.0
     t0 = time.perf_counter()
     failures = [n for n in range(1, 65)
-                if not markov_value(s_rec(A, B, n)).value < 3]
+                if not markov_value(s_rec(A, B, n)).value.compare(3) < 0]
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < budget
     _report(7, ok, elapsed, budget,

@@ -478,6 +478,89 @@ def test_decimals_past_the_int_to_str_limit(capsys, schema):
                 surd["p"], surd["q"], surd["r"], surd["D"], 5000)
 
 
+@pytest.fixture
+def any_int_digits():
+    """Lifts the interpreter's int-to-str digit limit for a test's own parsing,
+    and puts it back; a test runs the command before it parses."""
+    limit = sys.get_int_max_str_digits()
+    yield lambda: sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(limit)
+
+
+def test_spectrum_prints_a_radicand_past_the_int_to_str_limit(capsys, any_int_digits):
+    # S(87382) on (1,1),(2,2) has 8,362 letters and a D of 4,573 digits,
+    # past the default limit of 4300; the value is sqrt(9m^2 - 4)/m for the
+    # Markov number m = trace/3 of its convergent matrix
+    period = next(walk((1, 1), (2, 2), 87382, 87382))
+    text = run(capsys, "spectrum", "--period", format_word(period))
+    line = run(capsys, "spectrum", "--period", format_word(period), "--json")
+    assert (text[0], text[2], line[0], line[2]) == (0, "", 0, "")
+    any_int_digits()
+    oracles = _perfbench_oracles()
+    assert oracles.check_spectrum(text[1].encode(), period) is None
+    m, argmin = oracles.perron(period)
+    rec = json.loads(line[1])
+    surd = rec.pop("surd")
+    assert len(str(surd["D"])) == 4573
+    assert oracles.surd_is_markov_value(surd["p"], surd["q"], surd["r"], surd["D"], m)
+    assert rec == {"command": "spectrum", "period": list(period),
+                   "decimal": oracles.markov_decimal(m), "argmin": argmin, "is_markov": True}
+    # the same bytes json.dumps writes
+    assert line[1] == json.dumps({"command": "spectrum", "period": list(period), "surd": surd,
+                                  **{k: rec[k] for k in ("decimal", "argmin", "is_markov")}}) + "\n"
+
+
+def test_scan_writes_every_row_past_the_int_to_str_limit(capsys, any_int_digits):
+    # with A = 1200 nines, row 3 (A, A, B: 2,401 letters) is the first whose
+    # radicand has more than 4300 digits; the rows before it and after it
+    # are written too, in text and in JSON
+    nines = ",".join(["9"] * 1200)
+    text = run(capsys, "scan", "--A", nines, "--B", "8", "--n-max", "4")
+    line = run(capsys, "scan", "--A", nines, "--B", "8", "--n-max", "4", "--json")
+    assert (text[0], text[2], line[0], line[2]) == (0, "", 0, "")
+    any_int_digits()
+    words = list(walk(parse_word(nines), (8,), 1, 4))
+    recs = [json.loads(ln) for ln in line[1].splitlines()]
+    assert [r["n"] for r in recs] == [1, 2, 3, 4]
+    digits = [len(str(r["surd"]["D"])) for r in recs]
+    assert digits[1] <= 4300 < digits[2]
+    for n, (w, rec, row) in enumerate(zip(words, recs, text[1].splitlines()), 1):
+        mv = spectrum.markov_value(w)
+        p, q, r, d = mv.value.as_tuple()
+        assert rec == {"command": "scan", "n": n, "period": list(w),
+                       "surd": {"p": p, "q": q, "r": r, "D": d},
+                       "decimal": mv.value.to_decimal(30), "argmin": mv.argmin,
+                       "is_markov": False}, n
+        assert row == (f"n={n} period={format_word(w)} surd=({p},{q},{r},{d}) "
+                       f"decimal={mv.value.to_decimal(30)} markov=false"), n
+        # r is the lower-left entry of the convergent matrix at the argmin, and
+        # D the radicand trace^2 - 4*det every rotation shares
+        (m11, m12), (m21, m22) = spectrum.cf_matrix(w[mv.argmin:] + w[:mv.argmin])
+        assert (p, q, r, d) == (0, 1, m21, (m11 + m22) ** 2 - 4 * (m11 * m22 - m12 * m21)), n
+
+
+def test_bqf_prints_integers_past_the_int_to_str_limit(capsys, any_int_digits):
+    # a form with 2200-digit coefficients has a discriminant of about 4400
+    # digits, which bqf prints as the normalized surd's r and D
+    a = 10 ** 2200 + 1
+    form = f"{a},1,-{a}"
+    text = run(capsys, "bqf", "--form", form, "--radius", "2")
+    line = run(capsys, "bqf", "--form", form, "--radius", "2", "--json")
+    assert (text[0], text[2], line[0], line[2]) == (0, "", 0, "")
+    any_int_digits()
+    result = spectrum.bqf_min(spectrum.BQForm(a, 1, -a), 2)
+    p, q, r, d = result.normalized.as_tuple()
+    assert len(str(d)) > 4300
+    decimal = result.normalized.to_decimal(30)
+    assert text[1] == (f"form={a},1,-{a} radius=2 min_abs={result.min_abs} "
+                       f"point=({result.point[0]},{result.point[1]}) "
+                       f"normalized=({p},{q},{r},{d}) decimal={decimal}\n")
+    assert line[1] == json.dumps({
+        "command": "bqf", "form": [a, 1, -a], "radius": 2, "min_abs": result.min_abs,
+        "point": list(result.point), "normalized": {"p": p, "q": q, "r": r, "D": d},
+        "decimal": decimal}) + "\n"
+
+
 def test_scan_rows_match_tail_oracle(capsys, schema):
     status, out, _ = run(capsys, "scan", "--n-max", "40", "--json")
     assert status == 0
@@ -586,6 +669,38 @@ def test_form_coefficients_take_a_sign(capsys):
     status, out, _ = run(capsys, "bqf", "--form", "+1,+1,-1", "--radius", "5")
     assert status == 0
     assert out.startswith("form=1,1,-1 radius=5 ")
+
+
+# the usage line of each subcommand; a launch builds only its subcommand's
+# arguments, and the top-level help lists every subcommand
+USAGE = {
+    (): "[-h] {seq,stern,verify,spectrum,scan,bqf} ...",
+    ("seq",): "seq [-h] [--A WORD] [--B WORD] --n N [--blocks] [--json]",
+    ("stern",): "stern [-h] --upto N [--json]",
+    ("verify",): "verify [-h] {prop-main,theorem,equivalence,lemmas} ...",
+    ("verify", "prop-main"): "verify prop-main [-h] [--n-max N_MAX] [--a A] [--b B] [--json]",
+    ("verify", "theorem"): "verify theorem [-h] [--trials TRIALS] [--seed SEED] [--n-max N_MAX] "
+                           "[--json]",
+    ("verify", "equivalence"): "verify equivalence [-h] [--levels LEVELS] [--pairs PAIRS] "
+                               "[--seed SEED] [--json]",
+    ("verify", "lemmas"): "verify lemmas [-h] [--k-max K_MAX] [--json]",
+    ("spectrum",): "spectrum [-h] --period WORD [--digits DIGITS] [--json]",
+    ("scan",): "scan [-h] [--n-max N_MAX] [--A WORD] [--B WORD] [--digits DIGITS] [--json]",
+    ("bqf",): "bqf [-h] --form A,B,C [--radius RADIUS] [--digits DIGITS] [--json]",
+}
+
+
+@pytest.mark.parametrize("words", list(USAGE), ids=lambda w: " ".join(w) or "top")
+def test_each_subcommand_parses_its_own_arguments(capsys, monkeypatch, words):
+    monkeypatch.setenv("COLUMNS", "300")
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "usage: markovwords " + USAGE[words]
+    if not words:
+        # the top-level help is the same whichever subcommand a parser was built for
+        assert all(cli.build_parser(c).format_help() == out for c in [None, *cli._COMMANDS])
 
 
 def test_unknown_subcommand(capsys):

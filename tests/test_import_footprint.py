@@ -46,19 +46,22 @@ WALKS = {"markovwords.tree", "markovwords.diatomic"}
 TABULATES = {"markovwords.diatomic"}
 
 
-@pytest.mark.parametrize("argv, index_layer, loads_theorems, loads_spectrum, loads_json", [
-    (["bqf", "--form", "5,11,-5", "--radius", "20"], set(), False, True, False),
-    (["spectrum", "--period", "1,1,2,2"], set(), False, True, False),
-    (["scan", "--n-max", "8", "--json"], WALKS, False, True, True),
-    (["seq", "--n", "14", "--blocks"], WALKS, False, False, False),
-    (["seq", "--n", "14", "--json"], WALKS, False, False, True),
-    (["stern", "--upto", "20"], TABULATES, False, False, False),
-    (["verify", "lemmas", "--k-max", "8"], WALKS, True, False, False),
-    (["verify", "prop-main", "--n-max", "40"], WALKS, True, False, False),
-], ids=["bqf", "spectrum", "scan", "seq", "seq-json", "stern", "verify-lemmas",
-        "verify-prop-main"])
+@pytest.mark.parametrize(
+    "argv, index_layer, loads_theorems, loads_spectrum, loads_words, loads_json", [
+    (["bqf", "--form", "5,11,-5", "--radius", "20"], set(), False, True, False, False),
+    (["bqf", "--form", "5,11,-5", "--radius", "20", "--json"], set(), False, True, False, False),
+    (["spectrum", "--period", "1,1,2,2"], set(), False, True, True, False),
+    (["spectrum", "--period", "1,1,2,2", "--json"], set(), False, True, True, False),
+    (["scan", "--n-max", "8", "--json"], WALKS, False, True, True, False),
+    (["seq", "--n", "14", "--blocks"], WALKS, False, False, True, False),
+    (["seq", "--n", "14", "--json"], WALKS, False, False, True, True),
+    (["stern", "--upto", "20"], TABULATES, False, False, False, False),
+    (["verify", "lemmas", "--k-max", "8"], WALKS, True, False, True, False),
+    (["verify", "prop-main", "--n-max", "40"], WALKS, True, False, True, False),
+], ids=["bqf", "bqf-json", "spectrum", "spectrum-json", "scan", "seq", "seq-json", "stern",
+        "verify-lemmas", "verify-prop-main"])
 def test_each_command_loads_only_what_it_runs(argv, index_layer, loads_theorems, loads_spectrum,
-                                               loads_json):
+                                               loads_words, loads_json):
     added = added_modules(DRIVER, *argv)
     assert "markovwords.cli" in added
     # bqf and spectrum neither walk the tree nor read d(n)
@@ -66,6 +69,8 @@ def test_each_command_loads_only_what_it_runs(argv, index_layer, loads_theorems,
     assert ("markovwords.theorems" in added) == loads_theorems
     # only the commands that print spectrum values or form minima compile spectrum
     assert ("markovwords.spectrum" in added) == loads_spectrum
-    # only the JSON branches import json; no command reads a Fraction
+    # bqf and stern read and print no word
+    assert ("markovwords.words" in added) == loads_words
+    # spectrum, scan and bqf write their JSON rows as text; no command reads a Fraction
     assert ("json" in added) == loads_json
     assert not added & {"dataclasses", "fractions", "decimal"}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    Surd,
     bqf_min_brute,
     cf_eval,
     decimal_truncated,
@@ -18,7 +19,7 @@ from oracles import (
     tail_float,
 )
 
-from markovwords import spectrum
+from markovwords import spectrum, words
 from markovwords.spectrum import (
     BQForm,
     QuadraticSurd,
@@ -75,13 +76,13 @@ def test_zero_tail_in_unit_interval(w):
 @given(periods)
 def test_zero_tail_satisfies_its_quadratic(w):
     (m11, m12), (m21, m22) = cf_matrix(w)
-    y = zero_tail(w).reciprocal()
+    y = Surd.of(zero_tail(w).reciprocal())
     residue = y * y * m21 + y * (m22 - m11) - m12
     assert residue.is_zero()
 
 
 def test_surd_arithmetic_examples():
-    assert GOLDEN_TAIL + GOLDEN_TAIL + 1 == SQRT5
+    assert Surd.of(GOLDEN_TAIL) + GOLDEN_TAIL + 1 == SQRT5
     assert GOLDEN_TAIL.reciprocal() == QuadraticSurd(1, 1, 2, 5)  # (sqrt(5)+1)/2
     assert SQRT5.compare(3) < 0
     assert QuadraticSurd(0, 1, 1, 8) == QuadraticSurd(0, 1, 2, 32) == QuadraticSurd(0, 2, 1, 2)
@@ -99,12 +100,16 @@ def test_surd_normalisation():
 
 def test_surd_compare_and_errors():
     with pytest.raises(ValueError):
-        QuadraticSurd(0, 1, 1, 5) + QuadraticSurd(0, 1, 1, 7)
+        Surd(0, 1, 1, 5) + QuadraticSurd(0, 1, 1, 7)
     assert QuadraticSurd(0, 1, 1, 5) != QuadraticSurd(0, 1, 1, 7)
     with pytest.raises(ZeroDivisionError):
         QuadraticSurd(0, 0, 1, 0).reciprocal()
     # rationals combine with any radicand
-    assert QuadraticSurd(3, 0, 2, 0) + QuadraticSurd(0, 1, 1, 5) == QuadraticSurd(3, 2, 2, 5)
+    assert Surd(3, 0, 2, 0) + QuadraticSurd(0, 1, 1, 5) == QuadraticSurd(3, 2, 2, 5)
+    # the library's surd compares with an int or a surd, and nothing else
+    with pytest.raises(TypeError):
+        SQRT5.compare(Fraction(3, 2))
+    assert SQRT5 != Fraction(3, 2) and SQRT5 != 2.25
 
 
 def test_surd_decimal():
@@ -121,7 +126,7 @@ def test_surd_decimal():
        st.integers(0, 30))
 def test_rational_surd_hash_matches_fraction(p, q, r, root):
     # q*sqrt(root^2) folds into the rational part, so x is rational
-    x = QuadraticSurd(p, q, r, root * root)
+    x = Surd(p, q, r, root * root)
     f = Fraction(p + q * root, r)
     assert x == f
     assert hash(x) == hash(f)
@@ -129,9 +134,8 @@ def test_rational_surd_hash_matches_fraction(p, q, r, root):
 
 
 def test_fraction_operands_on_either_side():
-    # the module imports Fraction only in the methods that read it; these
-    # pin the interop those methods give
-    s, f = QuadraticSurd(1, 2, 3, 5), Fraction(3, 4)  # (1 + 2*sqrt(5))/3, 3/4
+    # the field arithmetic of the surd oracle, with Fraction operands
+    s, f = Surd(1, 2, 3, 5), Fraction(3, 4)  # (1 + 2*sqrt(5))/3, 3/4
     assert (s + f).as_tuple() == (f + s).as_tuple() == (13, 8, 12, 5)
     assert (s - f).as_tuple() == (-5, 8, 12, 5)
     assert (f - s).as_tuple() == (5, -8, 12, 5)
@@ -144,30 +148,30 @@ def test_fraction_operands_on_either_side():
 
 
 def test_rational_surd_equals_and_hashes_as_its_fraction():
-    x = QuadraticSurd(3, 0, 2, 0)
+    x = Surd(3, 0, 2, 0)
     assert x == Fraction(3, 2) and Fraction(3, 2) == x
     assert hash(x) == hash(Fraction(3, 2))
 
 
 def test_irrational_surd_hash_is_unchanged():
     # (p/r, sign q, q^2 d / r^2) determines the value; the hash is that tuple's
-    s = QuadraticSurd(1, -2, 3, 5)
+    s = Surd(1, -2, 3, 5)
     assert hash(s) == hash((Fraction(1, 3), -1, Fraction(20, 9)))
-    assert hash(QuadraticSurd(2, 4, 6, 5)) == hash(QuadraticSurd(1, 2, 3, 5))
+    assert hash(Surd(2, 4, 6, 5)) == hash(Surd(1, 2, 3, 5))
 
 
 @given(st.integers(-100, 100) | st.integers(-10**6, 10**6), st.integers(1, 10**4),
        st.integers(0, 6))
 def test_decimal_of_fraction_truncates_toward_zero_keeping_sign(num, den, digits):
     f = Fraction(num, den)
-    text = QuadraticSurd.from_fraction(f).to_decimal(digits)
+    text = Surd.from_fraction(f).to_decimal(digits)
     assert text.startswith("-") == (f < 0)
     scale = 10 ** digits
     assert Fraction(text) == Fraction(math.trunc(f * scale), scale)
 
 
 def test_decimal_sign_survives_truncation_to_zero():
-    assert QuadraticSurd.from_fraction(Fraction(-1, 20)).to_decimal(1) == "-0.0"
+    assert Surd.from_fraction(Fraction(-1, 20)).to_decimal(1) == "-0.0"
     assert QuadraticSurd(0, -1, 1000, 5).to_decimal(2) == "-0.00"
     assert QuadraticSurd(0, 0, 1, 0).to_decimal(2) == "0.00"
 
@@ -197,7 +201,7 @@ surd_ints = st.integers(min_value=-50, max_value=50)
 
 @given(surd_ints, surd_ints, st.integers(1, 20), st.sampled_from([2, 3, 5, 7, 10]))
 def test_surd_reciprocal_roundtrip(p, q, r, d):
-    x = QuadraticSurd(p, q, r, d)
+    x = Surd(p, q, r, d)
     if not x.is_zero():
         assert x.reciprocal().reciprocal() == x
         assert x * x.reciprocal() == QuadraticSurd(1, 0, 1, 0)
@@ -208,6 +212,8 @@ def test_surd_reciprocal_roundtrip(p, q, r, d):
 def test_surd_order_consistent_with_floats(p1, q1, p2, q2, r1, r2, d):
     x = QuadraticSurd(p1, q1, r1, d)
     y = QuadraticSurd(p2, q2, r2, d)
+    # the oracle's difference has the sign compare gives
+    assert x.compare(y) == (Surd.of(x) - y).sign()
     fx = (p1 + q1 * d ** 0.5) / r1
     fy = (p2 + q2 * d ** 0.5) / r2
     if abs(fx - fy) > 1e-9:
@@ -242,7 +248,7 @@ SAME_FIELD_RADICANDS = [2, 8, 18, 3, 12, 27]
 @given(surd_ints, surd_ints, st.integers(1, 9), st.sampled_from(SAME_FIELD_RADICANDS),
        surd_ints, surd_ints, st.integers(1, 9), st.sampled_from(SAME_FIELD_RADICANDS))
 def test_surd_arithmetic_across_radicands_matches_decimal(p1, q1, r1, d1, p2, q2, r2, d2):
-    x = QuadraticSurd(p1, q1, r1, d1)
+    x = Surd(p1, q1, r1, d1)
     y = QuadraticSurd(p2, q2, r2, d2)
     if math.isqrt(x.d * y.d) ** 2 != x.d * y.d:
         # sqrt(2) and sqrt(3) span different fields: no exact sum or product
@@ -260,7 +266,7 @@ def test_surd_arithmetic_across_radicands_matches_decimal(p1, q1, r1, d1, p2, q2
 
 
 def test_surd_arithmetic_across_radicands_examples():
-    root8, two_root2 = QuadraticSurd(0, 1, 1, 8), QuadraticSurd(0, 2, 1, 2)
+    root8, two_root2 = Surd(0, 1, 1, 8), Surd(0, 2, 1, 2)
     assert root8 + two_root2 == QuadraticSurd(0, 2, 1, 8)
     assert (root8 + two_root2).as_tuple() == (0, 2, 1, 8)
     assert (two_root2 + root8).as_tuple() == (0, 4, 1, 2)
@@ -276,7 +282,7 @@ def test_surd_compare_across_fields_examples():
     value = bqf_min(BQForm(1, 3, -1), 3).normalized
     element = markov_value((1, 1)).value.reciprocal()
     assert value.compare(element) == -1
-    assert element > value
+    assert element.compare(value) == 1
 
 
 def test_markov_value_examples():
@@ -293,7 +299,7 @@ def test_markov_value_and_zero_tail_validate_each_letter_once(monkeypatch):
     # the convergent matrix is folded from the validated word, without a
     # second validating pass through cf_matrix
     validated = []
-    monkeypatch.setattr(spectrum, "word", lambda x: validated.append(x) or word(x))
+    monkeypatch.setattr(words, "word", lambda x: validated.append(x) or word(x))
     assert markov_value((2, 2, 1, 1)).value == QuadraticSurd(0, 1, 5, 221)
     assert zero_tail((2, 2)) == QuadraticSurd(-1, 1, 1, 2)
     assert validated == [(2, 2, 1, 1), (2, 2)]
@@ -317,6 +323,20 @@ def test_markov_value_matches_tail_oracle(w):
 def test_markov_value_matches_tail_oracle_on_tree_words():
     for n in range(513):
         assert_same_markov_value(s_rec((1, 1), (2, 2), n))
+
+
+def test_markov_value_matches_tail_oracle_on_nine_letters():
+    # the conjugation walk carries (m11, m12, m21) and reads m22 off the
+    # trace; on letters up to 9, on repeated words, whose positions tie, and
+    # on the tree words of the seeds (1,2,1), (3), the value and the argmin
+    # are the oracle's
+    rng = random.Random(31)
+    for _ in range(300):
+        w = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 24)))
+        assert_same_markov_value(w)
+        assert_same_markov_value(w * rng.randint(2, 3))
+    for w in walk((1, 2, 1), (3,), 1, 160):
+        assert_same_markov_value(w)
 
 
 def test_markov_value_rotation_invariant():
@@ -356,15 +376,15 @@ def test_markov_element_examples():
 
 def test_is_markov_sequence():
     # a Markov sequence is a period whose Perron value lies strictly below 3
-    assert markov_value((1, 1)).value < 3
-    assert markov_value((2, 2, 1, 1)).value < 3  # 221 < 225
-    assert not markov_value((3,)).value < 3
-    assert not markov_value((1, 3)).value < 3  # contains a letter above 2
+    assert markov_value((1, 1)).value.compare(3) < 0
+    assert markov_value((2, 2, 1, 1)).value.compare(3) < 0  # 221 < 225
+    assert not markov_value((3,)).value.compare(3) < 0
+    assert not markov_value((1, 3)).value.compare(3) < 0  # contains a letter above 2
 
 
 def test_tree_words_are_markov_sequences():
     for n in range(1, 65):
-        assert markov_value(s_rec((1, 1), (2, 2), n)).value < 3, n
+        assert markov_value(s_rec((1, 1), (2, 2), n)).value.compare(3) < 0, n
 
 
 @pytest.mark.parametrize("a, b", [((1, 1), (2, 2)), ((1,), (2,)), ((1, 2, 1), (3,)),
