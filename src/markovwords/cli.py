@@ -1,124 +1,157 @@
-"""Command-line front end.
+"""Command-line front end: seq, stern, verify (prop-main | theorem |
+equivalence | lemmas), spectrum, scan, bqf. Results go to stdout, diagnostics
+to stderr; ``--json`` switches to one JSON object per line. The exit status is
+0 exactly when every requested check passed, so verify sweeps can gate CI; a
+rejected input exits 2 with one ``error:`` line on stderr, written only by
+:func:`main`.
 
-Subcommands: seq, stern, verify (prop-main | theorem | equivalence | lemmas),
-spectrum, scan, bqf. Results go to stdout, diagnostics to stderr; ``--json``
-switches to one JSON object per line. The exit status is 0 exactly when
-every requested check passed, so verify sweeps can gate CI; a rejected
-input exits 2 with one ``error:`` line on stderr, written only by :func:`main`.
-Each handler imports the layers it reads, so a launch compiles only those:
-only the handlers that walk or tabulate import :mod:`~markovwords.tree` and
-:mod:`~markovwords.diatomic`, so ``bqf`` and ``spectrum`` load neither; only
-``spectrum``, ``scan`` and ``bqf`` import :mod:`~markovwords.spectrum`, so
-``verify``, ``seq`` and ``stern`` never compile it; and only the commands that
-read or print a word import :mod:`~markovwords.words`, so ``bqf`` never
-compiles it. Only ``seq``, ``stern`` and ``verify`` import :mod:`json`, in
-their JSON branches; ``spectrum``, ``scan`` and ``bqf`` write their JSON rows
-as text.
+:func:`parse` reads a command line by one table, ``_COMMANDS``: first the
+command words, then flags ``--name value`` or ``--name=value``, each name in
+full (no abbreviation), and switches ``--name``. A value is the next word
+unless that starts with ``--``, so ``--form -7,-7,6`` parses; a repeated flag
+keeps its last value; ``-h`` or ``--help`` prints the help of the command
+words read so far. Each handler imports only the layers it reads, and
+``spectrum``, ``scan`` and ``bqf`` write their JSON rows as text, without
+:mod:`json`, so a launch compiles little beyond what it runs.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from functools import partial
 from itertools import count, islice
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 
-def _word_arg(text: str):
+def _word(text: str):
     from .words import parse_word
 
-    try:
-        return parse_word(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return parse_word(text)
 
 
-def _form_arg(text: str):
+def _form(text: str):
     from .spectrum import BQForm
 
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"form needs three coefficients, got {text!r}")
+        raise ValueError(f"form needs three coefficients, got {text!r}")
     # each coefficient is an optional sign, then ASCII digits
     digits = [p[1:] if p.startswith(("+", "-")) else p for p in parts]
     if not all(d.isascii() and d.isdigit() for d in digits):
-        raise argparse.ArgumentTypeError(f"non-integer coefficient in {text!r}")
+        raise ValueError(f"non-integer coefficient in {text!r}")
     return BQForm(*map(int, parts))
 
 
-# each subcommand and its help line, in the order --help lists them
+_SEEDS = {"--A": ("WORD", _word, (1, 1), None, "first seed"),
+          "--B": ("WORD", _word, (2, 2), None, "second seed")}
+_SEED, _DIGITS = ("SEED", int, 42, None, "random seed"), ("DIGITS", int, 30, 0, "decimal digits")
+_JSON = {"--json": (None, None, False, None, "one JSON object per line")}
+
+# each command path with its help line and flags, in the order --help lists
+# them; a group (the top level, verify) has no flags and names a member. A
+# flag is (metavar, converter, default, least value, help): a switch has no
+# metavar, a required flag the default ``...``, and None is no least value
 _COMMANDS = {
-    "seq": "print the word with index n",
-    "stern": "emit the diatomic sequence as index,value CSV",
-    "verify": "run a verification sweep",
-    "spectrum": "exact Perron value of a period",
-    "scan": "tabulate spectrum values of S(1..n)",
-    "bqf": "bounded lattice minimum of an indefinite form",
+    (): ("Ordered Markov words, palindromic shifts, exact spectrum values.", {}),
+    ("seq",): ("print the word with index n", {
+        **_SEEDS, "--n": ("N", int, ..., 0, "index of the word"),
+        "--blocks": (None, None, False, None, "print the block word instead"), **_JSON}),
+    ("stern",): ("emit the diatomic sequence as index,value CSV",
+                 {"--upto": ("N", int, ..., 0, "last index"), **_JSON}),
+    ("verify",): ("run a verification sweep", {}),
+    ("verify", "prop-main"): ("d(n)-shift palindromicity sweep", {
+        "--n-max": ("N_MAX", int, 4096, 1, "last index"),
+        "--a": ("A", int, 1, 1, "first seed (a,a)"), "--b": ("B", int, 2, 1, "second seed (b,b)"),
+        **_JSON}),
+    ("verify", "theorem"): ("block-rearrangement sweep over random seeds", {
+        "--trials": ("TRIALS", int, 200, 1, "random seed pairs"), "--seed": _SEED,
+        "--n-max": ("N_MAX", int, 512, 1, "last index"), **_JSON}),
+    ("verify", "equivalence"): ("graph builder vs index recursion", {
+        "--levels": ("LEVELS", int, 10, 0, "tree levels"),
+        "--pairs": ("PAIRS", int, 20, 0, "random seed pairs"), "--seed": _SEED, **_JSON}),
+    ("verify", "lemmas"): ("supporting identity suite", {  # below 8, some identity has no level
+        "--k-max": ("K_MAX", int, 4096, 8, "last index"), **_JSON}),
+    ("spectrum",): ("exact Perron value of a period", {
+        "--period": ("WORD", _word, ..., None, "the period"), "--digits": _DIGITS, **_JSON}),
+    ("scan",): ("tabulate spectrum values of S(1..n)", {
+        "--n-max": ("N_MAX", int, 64, 1, "last index"), **_SEEDS, "--digits": _DIGITS, **_JSON}),
+    ("bqf",): ("bounded lattice minimum of an indefinite form", {
+        "--form": ("A,B,C", _form, ..., None, "the coefficients"),
+        "--radius": ("RADIUS", int, 50, None, "half the side of the box"),
+        "--digits": _DIGITS, **_JSON}),
 }
+_MEMBERS = {path: [p[-1] for p in _COMMANDS if p and p[:-1] == path] for path in _COMMANDS}
+_MEMBER = ("command", "check")  # what the member of the top level and of verify is
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of a command line whose subcommand is ``command``.
+def _help(path: tuple) -> str:
+    """The help of ``path``: its usage line, help line, and members or flags."""
+    text, flags = _COMMANDS[path]
+    members = {m: _COMMANDS[(*path, m)][0] for m in _MEMBERS[path]}
+    usage = [f"{{{','.join(members)}}}", "..."] if members else []
+    rows = {"-h, --help": "show this help and exit", **members}
+    for name, (metavar, _, default, _, line) in flags.items():
+        given = f"{name} {metavar}" if metavar else name
+        usage.append(given if default is ... else f"[{given}]")
+        rows[given] = line
+    width = max(map(len, rows)) + 2
+    return (" ".join(["usage: markovwords", *path, "[-h]", *usage]) + f"\n\n{text}\n\n"
+            + "".join(f"  {key:<{width}}{line}\n" for key, line in rows.items()))
 
-    Every subcommand is listed, so usage, ``--help`` and a wrong subcommand
-    read as with a full parser; only ``command``'s own arguments are added,
-    since the subcommand is the only one a command line reaches. Adding an
-    argument costs argparse a help formatter, so a launch builds few.
-    """
-    parser = argparse.ArgumentParser(
-        prog="markovwords",
-        description="Ordered Markov words, palindromic shifts, exact spectrum values.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS.items()}
 
-    if command == "seq":
-        p["seq"].add_argument("--A", type=_word_arg, default=(1, 1), metavar="WORD")
-        p["seq"].add_argument("--B", type=_word_arg, default=(2, 2), metavar="WORD")
-        p["seq"].add_argument("--n", type=int, required=True)
-        p["seq"].add_argument("--blocks", action="store_true", help="print the block word instead")
-    elif command == "stern":
-        p["stern"].add_argument("--upto", type=int, required=True, metavar="N")
-    elif command == "verify":
-        vsub = p["verify"].add_subparsers(dest="check", required=True)
+def _convert(name: str, convert, text: str):
+    # int() refuses a literal past the interpreter's digit limit with a hint
+    # at sys.set_int_max_str_digits(); name the flag and the limit instead
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and any(sum(map(str.isdigit, piece)) > limit for piece in text.split(",")):
+        raise ValueError(f"argument {name}: an integer literal has more than {limit} digits")
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {name}: "
+                         + (f"invalid int value: {text!r}" if convert is int else str(exc)))
 
-        p_prop = vsub.add_parser("prop-main", help="d(n)-shift palindromicity sweep")
-        p_prop.add_argument("--n-max", type=int, default=4096)
-        p_prop.add_argument("--a", type=int, default=1, help="letter of the first seed (a,a)")
-        p_prop.add_argument("--b", type=int, default=2, help="letter of the second seed (b,b)")
 
-        p_thm = vsub.add_parser("theorem", help="block-rearrangement sweep over random seeds")
-        p_thm.add_argument("--trials", type=int, default=200)
-        p_thm.add_argument("--seed", type=int, default=42)
-        p_thm.add_argument("--n-max", type=int, default=512)
-
-        p_eq = vsub.add_parser("equivalence", help="graph builder vs index recursion")
-        p_eq.add_argument("--levels", type=int, default=10)
-        p_eq.add_argument("--pairs", type=int, default=20)
-        p_eq.add_argument("--seed", type=int, default=42)
-
-        p_lem = vsub.add_parser("lemmas", help="supporting identity suite")
-        p_lem.add_argument("--k-max", type=int, default=4096)
-
-        for check in (p_prop, p_thm, p_eq, p_lem):
-            check.add_argument("--json", action="store_true")
-    elif command == "spectrum":
-        p["spectrum"].add_argument("--period", type=_word_arg, required=True, metavar="WORD")
-        p["spectrum"].add_argument("--digits", type=int, default=30)
-    elif command == "scan":
-        p["scan"].add_argument("--n-max", type=int, default=64)
-        p["scan"].add_argument("--A", type=_word_arg, default=(1, 1), metavar="WORD")
-        p["scan"].add_argument("--B", type=_word_arg, default=(2, 2), metavar="WORD")
-        p["scan"].add_argument("--digits", type=int, default=30)
-    elif command == "bqf":
-        p["bqf"].add_argument("--form", type=_form_arg, required=True, metavar="A,B,C")
-        p["bqf"].add_argument("--radius", type=int, default=50)
-        p["bqf"].add_argument("--digits", type=int, default=30)
-    if command in ("seq", "stern", "spectrum", "scan", "bqf"):
-        p[command].add_argument("--json", action="store_true")
-    return parser
+def parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The arguments of a command line, by the rules of the module docstring,
+    or None once its help is printed; a rejected line raises ValueError."""
+    path, given, extras, tokens = (), {}, [], iter(argv)
+    for token in tokens:
+        flags, (name, eq, value) = _COMMANDS[path][1], token.partition("=")
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(path))
+            return None
+        if not flags and not token.startswith("-"):
+            if token not in (members := _MEMBERS[path]):
+                raise ValueError(f"argument {_MEMBER[len(path)]}: invalid choice: {token!r} "
+                                 f"(choose from {', '.join(map(repr, members))})")
+            path += (token,)
+        elif name not in flags:
+            extras.append(token)
+        elif flags[name][0] is None:
+            if eq:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            given[name] = True
+        elif not eq and ((value := next(tokens, None)) is None or value.startswith("--")):
+            raise ValueError(f"argument {name}: expected one argument")
+        else:
+            given[name] = _convert(name, flags[name][1], value)
+    if not (flags := _COMMANDS[path][1]):
+        raise ValueError(f"the following arguments are required: {_MEMBER[len(path)]}")
+    if missing := [name for name, spec in flags.items() if spec[2] is ... and name not in given]:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    args = SimpleNamespace(**dict(zip(_MEMBER, path)))
+    for name, (_, _, default, least, _) in flags.items():
+        if least is not None and given.get(name, default) < least:
+            raise ValueError(f"{name} must be >= {least}")
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    if path == ("verify", "prop-main") and args.a == args.b:
+        raise ValueError("--a and --b must differ")
+    return args
 
 
 WRITE_LINES = 1024  # per stdout write; under ``python -u`` each print is a write
@@ -232,14 +265,9 @@ def _cmd_verify(args) -> int:
 
 def _spectrum_lines(command: str, rows, digits: int, as_json: bool) -> Iterator[str]:
     """The line of each row (n, period text, MarkovValue) of ``spectrum`` or
-    ``scan``; in text, only scan prints n and only spectrum the argmin. The
-    period's text is :func:`~markovwords.words.format_word`'s, with the
-    separator ``", "`` in JSON.
-
-    A JSON line is the text ``json.dumps`` gives the row's record, written
-    directly. Every integer of the row is printed through
-    ``spectrum._int_text``, so a value of any size prints.
-    """
+    ``scan``; in text, only scan prints n and only spectrum the argmin. A JSON
+    line is the text ``json.dumps`` gives the row's record, its period joined
+    by ``", "``. Every integer prints through ``spectrum._int_text``, at any size."""
     from .spectrum import _int_text
 
     for n, period, (value, argmin) in rows:
@@ -287,9 +315,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_bqf(args) -> int:
-    """The form's bounded minimum as one line; in JSON, the text ``json.dumps``
-    gives its record, written directly, with every integer printed through
-    ``spectrum._int_text``."""
+    """The form's bounded minimum as one line, in JSON the text ``json.dumps``
+    gives its record; every integer prints through ``spectrum._int_text``."""
     from .spectrum import _int_text, bqf_min
 
     result = bqf_min(args.form, args.radius)
@@ -307,35 +334,14 @@ def _cmd_bqf(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "seq": _cmd_seq,
-    "stern": _cmd_stern,
-    "verify": _cmd_verify,
-    "spectrum": _cmd_spectrum,
-    "scan": _cmd_scan,
-    "bqf": _cmd_bqf,
-}
-
-
-# smallest accepted value of each integer flag checked before dispatch; below
-# k_max = 8 the lemma suite has too few levels to check every identity
-_MINIMA = {"n": 0, "upto": 0, "digits": 0, "n_max": 1, "k_max": 8,
-           "levels": 0, "pairs": 0, "trials": 1, "a": 1, "b": 1}
+_HANDLERS = {"seq": _cmd_seq, "stern": _cmd_stern, "verify": _cmd_verify,
+             "spectrum": _cmd_spectrum, "scan": _cmd_scan, "bqf": _cmd_bqf}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # the subcommand is the first word that names one: the top-level
-    # options take no value, so every word before it is an option
-    args = build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     try:
-        for name, low in _MINIMA.items():
-            value = getattr(args, name, None)
-            if value is not None and value < low:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
-        if getattr(args, "check", None) == "prop-main" and args.a == args.b:
-            raise ValueError("--a and --b must differ")
-        return _HANDLERS[args.command](args)
+        args = parse(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else _HANDLERS[args.command](args)
     except ValueError as exc:
         message = str(exc)
     except (MemoryError, OverflowError):  # a table past RAM, or past sys.maxsize entries

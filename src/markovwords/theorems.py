@@ -19,14 +19,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 
 from .diatomic import PIECE, a_of, a_star, a_table, lanes, stern, stern_table
 from .tree import relabel, run_lengths, s_rec, walk
-from .words import (
-    Word,
-    format_word,
-    is_palindrome,
-    is_palindromic_rotation,
-    rotate,
-    word,
-)
+from .words import Word, format_word, is_palindrome, is_palindromic_rotation, rotate, word
 
 # the seeds every walking sweep uses: the label words on (1),(2), as
 # bytes, so concatenations and comparisons copy and compare whole blocks

@@ -29,10 +29,13 @@ S(n). The path order is the paper's comparison of move words, which the
 library's level order must reproduce, and the continued-fraction fold is
 the reference for the convergent matrix. The axis breaker is no oracle:
 it wraps a walk so that chosen label words fail the shift claim, by one
-letter flipped off the mirror axis that prop-main tests.
+letter flipped off the mirror axis that prop-main tests. The parser oracle
+is the argparse parser the command line was read by before its flag table:
+on a valid command line, ``markovwords.cli.parse`` must give its values.
 """
 from __future__ import annotations
 
+import argparse
 from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 from functools import cache
@@ -50,7 +53,7 @@ from markovwords.spectrum import (
 )
 from markovwords.theorems import LABEL_SEEDS, VerificationReport
 from markovwords.tree import Vertex, root, run_lengths, walk
-from markovwords.words import format_word, reverse, rotate, word
+from markovwords.words import format_word, parse_word, reverse, rotate, word
 
 Path = tuple[int, ...]
 
@@ -553,3 +556,93 @@ def row_symmetry_by_index(n_hi: int, d, a):
             if d(lo + i) != d(hi - i):
                 return {"n": n, "i": i}
     return None
+
+
+def _word_arg(text: str):
+    try:
+        return parse_word(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _form_arg(text: str):
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"form needs three coefficients, got {text!r}")
+    # each coefficient is an optional sign, then ASCII digits
+    digits = [p[1:] if p.startswith(("+", "-")) else p for p in parts]
+    if not all(d.isascii() and d.isdigit() for d in digits):
+        raise argparse.ArgumentTypeError(f"non-integer coefficient in {text!r}")
+    return BQForm(*map(int, parts))
+
+
+# each subcommand and its help line, in the order --help lists them
+COMMANDS = {
+    "seq": "print the word with index n",
+    "stern": "emit the diatomic sequence as index,value CSV",
+    "verify": "run a verification sweep",
+    "spectrum": "exact Perron value of a period",
+    "scan": "tabulate spectrum values of S(1..n)",
+    "bqf": "bounded lattice minimum of an indefinite form",
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The argparse parser of a command line whose subcommand is ``command``.
+
+    Every subcommand is listed, so usage, ``--help`` and a wrong subcommand
+    read as with a full parser; only ``command``'s own arguments are added.
+    It applies no least value: the command line checked those after parsing.
+    """
+    parser = argparse.ArgumentParser(
+        prog="markovwords",
+        description="Ordered Markov words, palindromic shifts, exact spectrum values.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = {name: sub.add_parser(name, help=text) for name, text in COMMANDS.items()}
+
+    if command == "seq":
+        p["seq"].add_argument("--A", type=_word_arg, default=(1, 1), metavar="WORD")
+        p["seq"].add_argument("--B", type=_word_arg, default=(2, 2), metavar="WORD")
+        p["seq"].add_argument("--n", type=int, required=True)
+        p["seq"].add_argument("--blocks", action="store_true", help="print the block word instead")
+    elif command == "stern":
+        p["stern"].add_argument("--upto", type=int, required=True, metavar="N")
+    elif command == "verify":
+        vsub = p["verify"].add_subparsers(dest="check", required=True)
+
+        p_prop = vsub.add_parser("prop-main", help="d(n)-shift palindromicity sweep")
+        p_prop.add_argument("--n-max", type=int, default=4096)
+        p_prop.add_argument("--a", type=int, default=1, help="letter of the first seed (a,a)")
+        p_prop.add_argument("--b", type=int, default=2, help="letter of the second seed (b,b)")
+
+        p_thm = vsub.add_parser("theorem", help="block-rearrangement sweep over random seeds")
+        p_thm.add_argument("--trials", type=int, default=200)
+        p_thm.add_argument("--seed", type=int, default=42)
+        p_thm.add_argument("--n-max", type=int, default=512)
+
+        p_eq = vsub.add_parser("equivalence", help="graph builder vs index recursion")
+        p_eq.add_argument("--levels", type=int, default=10)
+        p_eq.add_argument("--pairs", type=int, default=20)
+        p_eq.add_argument("--seed", type=int, default=42)
+
+        p_lem = vsub.add_parser("lemmas", help="supporting identity suite")
+        p_lem.add_argument("--k-max", type=int, default=4096)
+
+        for check in (p_prop, p_thm, p_eq, p_lem):
+            check.add_argument("--json", action="store_true")
+    elif command == "spectrum":
+        p["spectrum"].add_argument("--period", type=_word_arg, required=True, metavar="WORD")
+        p["spectrum"].add_argument("--digits", type=int, default=30)
+    elif command == "scan":
+        p["scan"].add_argument("--n-max", type=int, default=64)
+        p["scan"].add_argument("--A", type=_word_arg, default=(1, 1), metavar="WORD")
+        p["scan"].add_argument("--B", type=_word_arg, default=(2, 2), metavar="WORD")
+        p["scan"].add_argument("--digits", type=int, default=30)
+    elif command == "bqf":
+        p["bqf"].add_argument("--form", type=_form_arg, required=True, metavar="A,B,C")
+        p["bqf"].add_argument("--radius", type=int, default=50)
+        p["bqf"].add_argument("--digits", type=int, default=30)
+    if command in ("seq", "stern", "spectrum", "scan", "bqf"):
+        p[command].add_argument("--json", action="store_true")
+    return parser

@@ -10,8 +10,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oracles import (decimal_truncated, markov_value_by_tails, s_graph, stern_by_bits,
-                     walk_off_axis)
+from oracles import (build_parser, decimal_truncated, markov_value_by_tails, s_graph,
+                     stern_by_bits, walk_off_axis)
 
 from markovwords import cli, spectrum, theorems
 from markovwords.cli import main
@@ -390,10 +390,8 @@ def test_sweeps_reject_workers(capsys):
     # every sweep runs as one serial stream; --workers is no flag of any
     for argv in (["verify", "prop-main"], ["verify", "theorem"], ["verify", "equivalence"],
                  ["verify", "lemmas"], ["scan"]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--workers", "2"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert run(capsys, *argv, "--workers", "2") == (
+            2, "", "error: unrecognized arguments: --workers 2\n")
 
 
 def test_stern_reads_a_table_not_the_memo(capsys):
@@ -639,11 +637,8 @@ def test_bqf_rejects_definite_form(capsys):
 
 
 def test_malformed_word_literal(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["seq", "--A", "1,x,1", "--B", "2,2", "--n", "3"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "'x'" in err
+    assert run(capsys, "seq", "--A", "1,x,1", "--B", "2,2", "--n", "3") == (
+        2, "", "error: argument --A: invalid word letter 'x' in '1,x,1'\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -655,14 +650,11 @@ def test_malformed_word_literal(capsys):
     (["bqf", "--form", "1,--1,-1"], "non-integer coefficient"),
 ])
 def test_literals_are_ascii_decimals(capsys, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
-    assert len(errors) == 1 and message in errors[0]
-    assert captured.err.startswith("usage:")
+    # one line: the flag, the converter's message, and the literal it refused
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: argument {argv[-2]}: {message}")
+    assert err.endswith(f"{argv[-1]!r}\n") and err.count("\n") == 1
 
 
 def test_form_coefficients_take_a_sign(capsys):
@@ -671,8 +663,7 @@ def test_form_coefficients_take_a_sign(capsys):
     assert out.startswith("form=1,1,-1 radius=5 ")
 
 
-# the usage line of each subcommand; a launch builds only its subcommand's
-# arguments, and the top-level help lists every subcommand
+# the usage line of each command path, as its --help prints it
 USAGE = {
     (): "[-h] {seq,stern,verify,spectrum,scan,bqf} ...",
     ("seq",): "seq [-h] [--A WORD] [--B WORD] --n N [--blocks] [--json]",
@@ -692,28 +683,25 @@ USAGE = {
 
 @pytest.mark.parametrize("words", list(USAGE), ids=lambda w: " ".join(w) or "top")
 def test_each_subcommand_parses_its_own_arguments(capsys, monkeypatch, words):
-    monkeypatch.setenv("COLUMNS", "300")
-    with pytest.raises(SystemExit) as exc:
-        main([*words, "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
+    status, out, err = run(capsys, *words, "--help")
+    assert (status, err) == (0, "")
     assert out.splitlines()[0] == "usage: markovwords " + USAGE[words]
-    if not words:
-        # the top-level help is the same whichever subcommand a parser was built for
-        assert all(cli.build_parser(c).format_help() == out for c in [None, *cli._COMMANDS])
+    # argparse, the parser's oracle, prints the same usage on a line wide enough for it
+    monkeypatch.setenv("COLUMNS", "300")
+    with pytest.raises(SystemExit):
+        build_parser(words[0] if words else None).parse_args([*words, "--help"])
+    assert capsys.readouterr().out.splitlines()[0] == out.splitlines()[0]
 
 
 def test_unknown_subcommand(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
-    assert "usage" in capsys.readouterr().err
+    assert run(capsys, "frobnicate") == (
+        2, "", "error: argument command: invalid choice: 'frobnicate' "
+               "(choose from 'seq', 'stern', 'verify', 'spectrum', 'scan', 'bqf')\n")
 
 
 def test_unknown_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["stern", "--upto", "3", "--bogus"])
-    assert exc.value.code == 2
+    assert run(capsys, "stern", "--upto", "3", "--bogus") == (
+        2, "", "error: unrecognized arguments: --bogus\n")
 
 
 # one command per exit status: the lemma suite passes, six random seed pairs

@@ -44,6 +44,8 @@ def test_import_markovwords_loads_no_layer():
 # imports diatomic, so a command that walks loads both
 WALKS = {"markovwords.tree", "markovwords.diatomic"}
 TABULATES = {"markovwords.diatomic"}
+# argparse and the modules it loads to translate its messages
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize(
@@ -58,8 +60,9 @@ TABULATES = {"markovwords.diatomic"}
     (["stern", "--upto", "20"], TABULATES, False, False, False, False),
     (["verify", "lemmas", "--k-max", "8"], WALKS, True, False, True, False),
     (["verify", "prop-main", "--n-max", "40"], WALKS, True, False, True, False),
+    (["verify", "prop-main", "--help"], set(), False, False, False, False),
 ], ids=["bqf", "bqf-json", "spectrum", "spectrum-json", "scan", "seq", "seq-json", "stern",
-        "verify-lemmas", "verify-prop-main"])
+        "verify-lemmas", "verify-prop-main", "help"])
 def test_each_command_loads_only_what_it_runs(argv, index_layer, loads_theorems, loads_spectrum,
                                                loads_words, loads_json):
     added = added_modules(DRIVER, *argv)
@@ -74,3 +77,12 @@ def test_each_command_loads_only_what_it_runs(argv, index_layer, loads_theorems,
     # spectrum, scan and bqf write their JSON rows as text; no command reads a Fraction
     assert ("json" in added) == loads_json
     assert not added & {"dataclasses", "fractions", "decimal"}
+    # the flags are read from cli's own table, not by argparse and its translations
+    assert not added & ARGPARSE
+
+
+def test_import_markovwords_cli_loads_no_argparse():
+    added = added_modules("import sys; before = set(sys.modules); import markovwords.cli; "
+                          "sys.stderr.write(' '.join(set(sys.modules) - before))")
+    assert "markovwords.cli" in added
+    assert not added & ARGPARSE
