@@ -19,7 +19,9 @@ of their two medians. The lemma checks are the cases of
 ``verify lemmas --k-max 262144``, read from the suite's own case list with
 the tables it shares, built once outside the timed calls;
 ``test_lemma_suite`` times the whole suite, its one table build included.
-``test_prop_main_sweep`` times the library's report for every index;
+``test_prop_main_sweep`` times the verdict stream ``verify prop-main``
+reads, ``theorems._shift_verdicts`` over its table of d(n), without the
+writer;
 ``test_prop_main_command`` times ``verify prop-main`` as the command line
 runs it, stdout to ``/dev/null``. The theorem sweep is the default
 ``verify theorem``. The spectrum cases take S(n) on (1,1), (2,2) at the
@@ -141,7 +143,7 @@ def test_scan_values(benchmark):
 
 def test_prop_main_sweep(benchmark):
     def sweep():
-        assert all(rep.passed for rep in theorems.iter_shift_palindromic(32768, 1, 2))
+        assert all(theorems._shift_verdicts(1, stern_table(32768)[1:]))
 
     measure(benchmark, sweep, size=32768)
 

@@ -6,7 +6,7 @@ reversal, left rotation, the two palindromicity notions, and half-splits.
 
 Run: python demos/01_words_and_rotations.py
 """
-from markovwords import is_palindrome, is_palindromic_rotation, reverse, rotate
+from markovwords import is_palindrome, is_palindromic_rotation, rotate
 
 
 def smallest_palindromic_shift(w):
@@ -43,4 +43,4 @@ for w in [(2, 2), (1, 2, 1), (1, 2, 2, 1)]:
 
 # For an even-length palindrome the halves mirror each other.
 p = (1, 2, 2, 1)
-print("reverse(floor) == ceil for", p, ":", reverse(p[:2]) == p[2:])
+print("reverse(floor) == ceil for", p, ":", p[:2][::-1] == p[2:])

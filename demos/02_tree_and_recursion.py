@@ -15,14 +15,14 @@ left-flank rule.
 
 Run: python demos/02_tree_and_recursion.py
 """
-from markovwords import a_of, a_star, root, s_rec, stern, walk
+from markovwords import a_of, a_star, s_rec, stern, walk
 
 A, B = (1, 1), (2, 2)
 
-# The root and its two children, the vertices of level 2, centred at S(3)
-# and S(4).
-v = root(A, B)
-print("root:", v)
+# The root (A, A+B, B) and its two children, the vertices of level 2,
+# centred at S(3) and S(4).
+left, right, center = walk(A, B, 0, 2)  # S(0) = A, S(1) = B, S(2) = A+B
+print(f"root: Vertex(left={left}, center={center}, right={right})")
 left, right = walk(A, B, 3, 4)
 print("L(root) centre:", left, " R(root) centre:", right)
 

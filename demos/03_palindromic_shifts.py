@@ -11,10 +11,10 @@ Run: python demos/03_palindromic_shifts.py
 """
 from markovwords import (
     block_rearrangement,
+    format_word,
     is_palindrome,
     rotate,
     stern,
-    verify_block_rearrangement,
     verify_shift_palindromic,
     walk,
 )
@@ -48,9 +48,9 @@ for n in (3, 7, 12, 14):
 # palindrome in general - and some words over odd-length seeds have no
 # palindromic rotation at all, by letter counting.
 wa, wb = (1, 2, 1), (3,)
-rep = verify_block_rearrangement(wa, wb, 7)
+arr = block_rearrangement(wa, wb, 7)
 print("\nodd-length seeds", wa, wb, "at n=7:")
-print("  arrangement:", rep.counterexample, "passed:", rep.passed)
+print("  arrangement:", format_word(arr), "passed:", is_palindrome(arr))
 s5 = next(walk(wa, wb, 5, 5))
 print("  S(5) =", s5)
 print("  rotations palindromic?",

@@ -5,8 +5,11 @@ The package is organised around three layers: word algebra (``words``),
 the integer sequences and concatenation graph generating the family S(n)
 (``diatomic``, ``tree``), and the verification / spectrum layers on top
 (``theorems``, ``spectrum``). A CLI (``markovwords``) fronts all of it.
-The names exported here are the ones a command or a claim reads; the
-reference constructions the tests compare against live in the tests.
+The names exported here are the ones a command or a claim reads, and three
+more: ``verify_shift_palindromic``, which ``perfbench``'s trace wraps by
+name, ``block_rearrangement``, whose docstring proves the block claim, and
+``zero_tail``, read by demo 04 and the tail oracle. The reference
+constructions the tests compare against live in the tests.
 
 ``import markovwords`` loads none of the layers: each exported name is
 imported from its home module on first use (PEP 562), so a command
@@ -24,11 +27,10 @@ _HOME = {name: module for module, names in [
                  " markov_value zero_tail"),
     ("theorems", "VerificationReport block_rearrangement even_index_factorization"
                  " iter_block_rearrangement iter_equivalence iter_lemma_checks"
-                 " iter_shift_palindromic odd_index_factorization"
-                 " verify_block_rearrangement verify_shift_palindromic"),
-    ("tree", "Vertex root s_rec walk"),
+                 " odd_index_factorization verify_shift_palindromic"),
+    ("tree", "s_rec walk"),
     ("words", "Word format_word is_palindrome is_palindromic_rotation parse_word"
-              " reverse rotate word"),
+              " rotate word"),
 ] for name in names.split()}
 
 __all__ = list(_HOME)

@@ -36,11 +36,13 @@ def _form(text: str):
 
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"form needs three coefficients, got {text!r}")
-    # each coefficient is an optional sign, then ASCII digits
-    digits = [p[1:] if p.startswith(("+", "-")) else p for p in parts]
-    if not all(d.isascii() and d.isdigit() for d in digits):
-        raise ValueError(f"non-integer coefficient in {text!r}")
+        raise ValueError(f"form needs three coefficients, got {len(parts)}")
+    for i, part in enumerate(parts, 1):
+        # an optional sign, then ASCII digits; the message quotes ten characters
+        digits = part[1:] if part.startswith(("+", "-")) else part
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"non-integer coefficient {part[:10]!r}"
+                             f"{'...' * (len(part) > 10)} at position {i}")
     return BQForm(*map(int, parts))
 
 
@@ -248,7 +250,7 @@ def _cmd_verify(args) -> int:
     failures: list[int] = []
     if args.check == "prop-main":
         shifts = stern_table(args.n_max)[1:]
-        lines = _shift_lines(shifts, theorems._shift_verdicts(args.a, args.b, 1, shifts),
+        lines = _shift_lines(shifts, theorems._shift_verdicts(1, shifts),
                              partial(theorems._shift_report, args.a, args.b), args.json, failures)
     else:
         if args.check == "theorem":

@@ -4,15 +4,14 @@ Each check returns a :class:`VerificationReport`; batch runners stream
 reports instead of aborting, so a sweep always yields the complete
 regression surface. A failing report carries a reproducible witness.
 Every sweep is one lazy iterator, read by the command line as it writes.
-Each per-index claim is a stream of verdicts, one bool per index, and a
-builder of one index's report from its verdict, which walks S(n) again
-only for a failing index; sweeps and single-index checks read that pair.
+Each per-index claim is a stream of verdicts, one bool per index, read by
+its sweep; only a failing index walks S(n) again, to build its report.
 """
 from __future__ import annotations
 
 import random
 from array import array
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, compress, count, repeat, starmap, tee
 from operator import add, eq, itemgetter, lt, mul, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Sized
@@ -39,22 +38,19 @@ class VerificationReport(NamedTuple):
         return {key: value for key, value in self._asdict().items() if value is not None}
 
 
-def _check_shift_letters(a_sym: int, b_sym: int) -> None:
-    if a_sym == b_sym:
-        raise ValueError("seed letters must differ")
-    word((a_sym, b_sym))
-
-
 def verify_shift_palindromic(a_sym: int, b_sym: int, n: int) -> VerificationReport:
     """Check that rotating S(n) by d(n) gives a palindrome, seeds (a,a),(b,b):
     :func:`_shift_report` of the one verdict :func:`_shift_verdicts` gives n."""
+    if a_sym == b_sym:
+        raise ValueError("seed letters must differ")
+    word((a_sym, b_sym))
     d = stern(n)
-    return _shift_report(a_sym, b_sym, n, d, next(_shift_verdicts(a_sym, b_sym, n, [d])))
+    return _shift_report(a_sym, b_sym, n, d, next(_shift_verdicts(n, [d])))
 
 
-def _shift_verdicts(a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]) -> Iterator[bool]:
-    """Whether S(n) rotated by d(n) is a palindrome, for n = lo, ...,
-    lo + len(shifts) - 1: :func:`_reversed_at` over one
+def _shift_verdicts(lo: int, shifts: Sequence[int]) -> Iterator[bool]:
+    """Whether S(n) on (a,a),(b,b) rotated by d(n) is a palindrome, for
+    n = lo, ..., lo + len(shifts) - 1: :func:`_reversed_at` over one
     :func:`~markovwords.tree.walk` of the label words L(n) of the range on
     :data:`LABEL_SEEDS`, at the shifts d(n) in ``shifts``.
 
@@ -63,24 +59,20 @@ def _shift_verdicts(a_sym: int, b_sym: int, lo: int, shifts: Sequence[int]) -> I
     is a palindrome exactly when S[i] == S[(2d - 1 - i) % 2m] for every i.
     Both i = 2j and i = 2j + 1 halve to L[j] == L[(d - 1 - j) % m], so it
     is one exactly when L is symmetric about d - 1. Each shift is in range:
-    d(n) <= d(n) + d(n - 1) = d(2n - 1) = |L(n)|.
+    d(n) <= d(n) + d(n - 1) = d(2n - 1) = |L(n)|. So the verdicts are the
+    same for any two distinct letters a, b, and the caller checks its own.
     """
-    _check_shift_letters(a_sym, b_sym)
     if lo < 1:
         raise ValueError("indices start at 1")
     return _reversed_at(walk(*LABEL_SEEDS, lo, lo + len(shifts) - 1), shifts)
 
 
 def _reversed_at(words: Iterable[bytes], shifts: Iterable[int]) -> Iterator[bool]:
-    """Whether each word L rotated by its shift d is reverse(L), for
-    0 <= d <= |L|; that is ``words.is_symmetric_about(L, d - 1)``.
-
-    With m = |L|, (L + L)[d:d + m] is L[d:] + L[:d], the rotation, and
-    reverse(L) is reverse(L[d:]) + reverse(L[:d]); the parts have equal
-    lengths, so the two agree exactly when L[:d] and L[d:] are palindromes,
-    which is L[j] == L[(d - 1 - j) % m] for j < d and for j >= d. So each
-    verdict is one ``bytes.startswith`` of L + L and L reversed at d, a map
-    of builtins over one ``tee`` of ``words``, each word dropped once tested.
+    """Whether each word L rotated by its shift d is L reversed, for
+    0 <= d <= |L|: ``words.is_symmetric_about(L, d - 1)``, by the identity
+    its docstring proves, mapped over a walk. Each verdict is one
+    ``bytes.startswith`` of L + L and L reversed at d, a map of builtins over
+    one ``tee`` of ``words``, each word dropped once tested.
     """
     words, mirrors = tee(words)
     return map(bytes.startswith, map(mul, words, repeat(2)),
@@ -110,33 +102,20 @@ def _rearrangement_shift(seeds: tuple[Word, Word], labels: Sequence[int], d: int
 
 
 def _rearrangement_verdicts(
-    a: Sequence[int], b: Sequence[int], lo: int, shifts: Sequence[int]
+    a: Sequence[int], b: Sequence[int], shifts: Sequence[int]
 ) -> Iterator[bool]:
-    """Whether the block rearrangement of S(n) is palindromic, for n = lo,
-    ..., lo + len(shifts) - 1; ``shifts`` holds d(n) for those indices.
+    """Whether the block rearrangement of S(n) is palindromic, for n = 1,
+    ..., len(shifts); ``shifts`` holds d(n) for those indices.
 
     S(n) is walked on the seeds :func:`~markovwords.tree.relabel` gives,
     beside its label word on :data:`LABEL_SEEDS`, and each word is dropped
     once it is tested.
     """
     seeds = _palindromic_seeds(a, b)
-    if lo < 1:
-        raise ValueError("indices start at 1")
     _, *relabelled = relabel(*seeds)
-    hi = lo + len(shifts) - 1
+    hi = len(shifts)
     return (is_palindromic_rotation(s, _rearrangement_shift(seeds, labels, d))
-            for s, labels, d in zip(walk(*relabelled, lo, hi), walk(*LABEL_SEEDS, lo, hi), shifts))
-
-
-def _rearrangement_report(
-    a: Sequence[int], b: Sequence[int], n: int, d: int, ok: bool
-) -> VerificationReport:
-    """The report of index n, given d = d(n) and its verdict from
-    :func:`_rearrangement_verdicts`. A failing index walks S(n) again on
-    its own, and builds its arrangement."""
-    return VerificationReport(
-        "block-rearrangement", n, ok, {"shift": d, "A": format_word(a), "B": format_word(b)},
-        None if ok else format_word(_arrangement(_palindromic_seeds(a, b), n, d)))
+            for s, labels, d in zip(walk(*relabelled, 1, hi), walk(*LABEL_SEEDS, 1, hi), shifts))
 
 
 def _arrangement(seeds: tuple[Word, Word], n: int, d: int) -> Word:
@@ -172,19 +151,6 @@ def block_rearrangement(a: Sequence[int], b: Sequence[int], n: int) -> Word:
     if n < 1:
         raise ValueError("indices start at 1")
     return _arrangement(seeds, n, stern(n))
-
-
-def verify_block_rearrangement(
-    a: Sequence[int], b: Sequence[int], n: int
-) -> VerificationReport:
-    """Check that the block rearrangement of S(n) is palindromic.
-
-    The claim is proved only when d(n) is even or the split block
-    (d(n)+1)/2 has even length (see :func:`block_rearrangement`); outside
-    that scope a failing report records a fact, not a defect.
-    """
-    d = stern(n)
-    return _rearrangement_report(a, b, n, d, next(_rearrangement_verdicts(a, b, n, [d])))
 
 
 def even_index_factorization(k: int) -> tuple[int, int, int]:
@@ -252,23 +218,10 @@ def verify_rearrangement_pair(
     """Sweep one seed pair through all n <= n_max and name the first index
     whose :func:`_rearrangement_verdicts` fails, with its arrangement."""
     shifts = stern_table(n_max)[1:]
-    n = _first_false(_rearrangement_verdicts(a, b, 1, shifts), count(1))
+    n = _first_false(_rearrangement_verdicts(a, b, shifts), count(1))
     first = None if n is None else {
         "n": n, "arrangement": format_word(_arrangement(_palindromic_seeds(a, b), n, shifts[n - 1]))}
     return _pair_report("block-rearrangement-pair", pair_index, a, b, first)
-
-
-def iter_shift_palindromic(
-    n_max: int, a_sym: int = 1, b_sym: int = 2
-) -> Iterator[VerificationReport]:
-    """One report per index n <= n_max, in index order: :func:`_shift_report`
-    over the verdicts :func:`_shift_verdicts` reads from one walk of
-    L(1..n_max) beside one table of d(1..n_max), one report at a time."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    shifts = stern_table(n_max)[1:]
-    verdicts = _shift_verdicts(a_sym, b_sym, 1, shifts)
-    return map(partial(_shift_report, a_sym, b_sym), count(1), shifts, verdicts)
 
 
 def iter_block_rearrangement(

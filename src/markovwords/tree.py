@@ -17,22 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import groupby
 from operator import add
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .diatomic import a_of, a_star
 from .words import Word, word
-
-
-class Vertex(NamedTuple):
-    left: Word
-    center: Word
-    right: Word
-
-
-def root(a: Sequence[int], b: Sequence[int]) -> Vertex:
-    """The root vertex (A, A+B, B)."""
-    wa, wb = word(a), word(b)
-    return Vertex(wa, wa + wb, wb)
 
 
 def run_lengths(symbols: Iterable[Hashable], first: Hashable) -> tuple[int, ...]:

@@ -1,13 +1,13 @@
 """Finite words over the positive integers.
 
 A word doubles as a continued-fraction period, so letters are positive
-integers throughout. Words are plain tuples, so concatenation and
-halving are tuple ``+`` and slicing; this module adds what tuples lack:
-validation, the text form, rotation and the palindrome tests, all pure.
-The checks of :mod:`markovwords.theorems` carry their words internally
-as ``bytes`` over relabelled letters 1, 2, ..., which
-:func:`is_symmetric_about` reads as they are; the words the public
-API returns are tuples.
+integers throughout. Words are plain tuples, so concatenation, halving
+and reversal are tuple ``+`` and slicing (``w[::-1]``); this module adds
+what tuples lack: validation, the text form, rotation and the palindrome
+tests, all pure. The checks of :mod:`markovwords.theorems` carry their
+words internally as ``bytes`` over relabelled letters 1, 2, ..., which
+:func:`is_symmetric_about` reads as they are, one slice of ``x + x``
+against ``x`` reversed; the words the public API returns are tuples.
 """
 from __future__ import annotations
 
@@ -42,9 +42,11 @@ def parse_word(text: str) -> Word:
     if not text:
         raise ValueError("empty word literal")
     out = []
-    for token in text.split(","):
+    for i, token in enumerate(text.split(","), 1):
         if not (token.isascii() and token.isdigit()) or int(token) < 1:
-            raise ValueError(f"invalid word letter {token!r} in {text!r}")
+            # the message quotes ten characters, so it stays short
+            raise ValueError(f"invalid word letter {token[:10]!r}"
+                             f"{'...' * (len(token) > 10)} at position {i}")
         out.append(int(token))
     return tuple(out)
 
@@ -68,10 +70,6 @@ def format_word(w: Iterable[int], sep: str = ",") -> str:
     return "".join(format_pieces(w, sep))
 
 
-def reverse(x: Sequence[int]) -> Word:
-    return tuple(x)[::-1]
-
-
 def rotate(x: Sequence[int], i: int) -> Word:
     """Left rotation by ``i`` (mod length): the letter at zero-based position
     ``i`` comes first."""
@@ -93,25 +91,22 @@ def is_symmetric_about(x: Sequence[int], c: int) -> bool:
     """Whether ``x[j] == x[(c - j) % len(x)]`` for every j: read around the
     circle, the word mirrors itself about position c/2.
 
-    Each pair of mirrored positions is compared once: the floor(m/2)
-    letters read forwards from position c//2 + 1 against the floor(m/2)
-    letters read backwards from position c - c//2 - 1, wrapping around the
-    end of the word. The windows are slices of ``x`` itself, so a ``bytes``
-    word is compared without converting its letters.
+    That is x rotated left by d = (c + 1) mod m, m = |x|, equal to x
+    reversed. The rotation (x + x)[d:d + m] is x[d:] + x[:d], and x reversed
+    is x[d:] reversed, then x[:d] reversed; the parts have equal lengths, so
+    the two agree exactly when x[:d] and x[d:] are palindromes, which is
+    x[j] == x[(d - 1 - j) % m] for j < d and for j >= d, at every 0 <= d <= m.
+    A ``bytes`` word is sliced as it is, without converting its letters.
     """
     m = len(x)
     if not m:
         raise ValueError("the empty word has no mirror axis")
-    c %= m
-    h = m // 2
-    # with 0 <= c < m the forward window ends by x[m-1], and the backward one
-    # runs x[b], ..., x[0], then x[m-1], ... down to h letters in all
-    f, b = c // 2 + 1, (c - 1) // 2  # b = c - c//2 - 1 is -1 at c = 0
-    return x[f:f + h] == x[:b + 1][::-1] + x[:m - h + b:-1]
+    d = (c + 1) % m
+    return (x + x)[d:d + m] == x[::-1]
 
 
 def is_palindromic_rotation(x: Sequence[int], s: int) -> bool:
-    """``is_palindrome(rotate(x, s))`` without building the rotation: its
+    """``is_palindrome(rotate(x, s))``, read on ``x`` as it is: the rotation's
     letters i and m-1-i are x[s + i] and x[2s - 1 - (s + i)], mod m, so it
     is one exactly when :func:`is_symmetric_about` ``(x, 2s - 1)``."""
     return is_symmetric_about(x, 2 * s - 1)

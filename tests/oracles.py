@@ -9,7 +9,8 @@ keeps (normal form, comparison, reciprocal, decimals) against it. The
 exact oracles are the searches the library replaced
 by closed forms: a Perron value found by comparing the surd sums at every
 position, and a form minimum found by evaluating every point of the box.
-The word oracles are the graph walk, which reaches one index by the L
+The word oracles are the tree's vertices and its root (A, A+B, B), word
+reversal as a tuple, the graph walk, which reaches one index by the L
 and R moves along the binary digits of n - 1, the levels built from the
 root one level at a time by the same moves, and the two-branch index
 recursion with an injectable left-flank rule, which the tests use to pin
@@ -25,7 +26,8 @@ oracles are the per-index loops that the table-driven lemma checks
 replaced, reading d and a through callables so that a test can feed
 them a deliberately wrong table. The block oracle
 builds the block rearrangement block by block, where the library rotates
-S(n). The path order is the paper's comparison of move words, which the
+S(n). The shift reports are the report of every index of the prop-main
+stream, which the command builds only for a failing index. The path order is the paper's comparison of move words, which the
 library's level order must reproduce, and the continued-fraction fold is
 the reference for the convergent matrix. The axis breaker is no oracle:
 it wraps a walk so that chosen label words fail the shift claim, by one
@@ -38,12 +40,13 @@ from __future__ import annotations
 import argparse
 from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
-from functools import cache
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, count
 from math import isqrt
-from typing import Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
-from markovwords.diatomic import a_of, a_star
+from markovwords import theorems
+from markovwords.diatomic import a_of, a_star, stern_table
 from markovwords.spectrum import (
     BQForm,
     LatticeMinimum,
@@ -52,10 +55,37 @@ from markovwords.spectrum import (
     zero_tail,
 )
 from markovwords.theorems import LABEL_SEEDS, VerificationReport
-from markovwords.tree import Vertex, root, run_lengths, walk
-from markovwords.words import format_word, parse_word, reverse, rotate, word
+from markovwords.tree import run_lengths, walk
+from markovwords.words import format_word, parse_word, rotate, word
 
 Path = tuple[int, ...]
+
+
+class Vertex(NamedTuple):
+    """A vertex (left, centre, right) of the concatenation tree."""
+    left: tuple[int, ...]
+    center: tuple[int, ...]
+    right: tuple[int, ...]
+
+
+def root(a, b) -> Vertex:
+    """The root vertex (A, A+B, B) of the seeds, each validated by ``word``."""
+    wa, wb = word(a), word(b)
+    return Vertex(wa, wa + wb, wb)
+
+
+def reverse(x: Sequence[int]) -> tuple[int, ...]:
+    """The letters of ``x`` in reverse order, as a tuple."""
+    return tuple(x)[::-1]
+
+
+def shift_reports(n_max: int, a_sym: int, b_sym: int) -> Iterator[VerificationReport]:
+    """The report of every index n <= n_max of prop-main on (a,a),(b,b), in
+    index order: ``theorems._shift_report`` over ``theorems._shift_verdicts``,
+    one lazy report per verdict."""
+    shifts = stern_table(n_max)[1:]
+    return map(partial(theorems._shift_report, a_sym, b_sym), count(1), shifts,
+               theorems._shift_verdicts(1, shifts))
 
 
 def cf_eval(x: Sequence[int]) -> Fraction:

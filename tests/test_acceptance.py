@@ -15,8 +15,8 @@ from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.spectrum import BQForm, QuadraticSurd, bqf_min, markov_value
 from markovwords.theorems import (
     LABEL_SEEDS,
-    _rearrangement_report,
     _rearrangement_verdicts,
+    block_rearrangement,
     check_block_exponents,
     check_factorizations,
     check_half_length_chain,
@@ -32,7 +32,7 @@ from markovwords.theorems import (
     verify_shift_palindromic,
 )
 from markovwords.tree import s_rec, walk
-from markovwords.words import rotate
+from markovwords.words import format_word, rotate
 
 A, B = (1, 1), (2, 2)
 
@@ -107,7 +107,7 @@ def test_criterion_4_block_rearrangement_random_seeds():
     # block (d+1)/2 has even length (argument in block_rearrangement's
     # docstring). Each pair's verdict stream judges every (pair, n) on its
     # own, so a failure at one n does not hide the in-scope indices after it;
-    # only a failing case builds its report.
+    # only a failing case builds its arrangement.
     budget = 60.0
     t0 = time.perf_counter()
     pairs = random_seed_pairs(trials=200, seed=42)  # lengths 1..8, letters 1..9
@@ -117,7 +117,7 @@ def test_criterion_4_block_rearrangement_random_seeds():
     shifts = stern_table(512)[1:]
     for idx, (wa, wb) in enumerate(pairs, 1):
         seeds = {"A": wa, "B": wb}
-        verdicts = list(_rearrangement_verdicts(wa, wb, 1, shifts))
+        verdicts = list(_rearrangement_verdicts(wa, wb, shifts))
         assert len(verdicts) == 512
         for n, ok in enumerate(verdicts, 1):
             d = stern(n)
@@ -126,7 +126,7 @@ def test_criterion_4_block_rearrangement_random_seeds():
                 continue
             in_scope += 1
             if not ok:
-                failures.append((idx, _rearrangement_report(wa, wb, n, d, ok)))
+                failures.append((idx, wa, wb, n, d))
     elapsed = time.perf_counter() - t0
     ok = not failures and out_of_scope > 0 and elapsed < budget
     _report(4, ok, elapsed, budget,
@@ -135,11 +135,11 @@ def test_criterion_4_block_rearrangement_random_seeds():
             f"even length ({in_scope} cases in scope, {len(failures)} failed; "
             f"{out_of_scope} out of scope, not judged)")
     if failures:
-        idx, rep = failures[0]
+        idx, wa, wb, n, d = failures[0]
         raise AssertionError(
             f"{len(failures)}/{in_scope} in-scope cases fail, first: pair {idx} "
-            f"A={rep.witness['A']} B={rep.witness['B']} at n={rep.n}, "
-            f"d(n)={rep.witness['shift']}, arrangement {rep.counterexample}")
+            f"A={format_word(wa)} B={format_word(wb)} at n={n}, "
+            f"d(n)={d}, arrangement {format_word(block_rearrangement(wa, wb, n))}")
     # the sweep must still reach odd-length split blocks, or lengths 1..8
     # would test no more than the even-length refinement below
     assert out_of_scope > 0

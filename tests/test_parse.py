@@ -9,6 +9,8 @@ from oracles import build_parser
 
 from markovwords import cli
 from markovwords.cli import main, parse
+from markovwords.tree import walk
+from markovwords.words import format_word
 
 # the command paths that take flags: every path but the two groups
 LEAVES = [path for path, (_, flags) in cli._COMMANDS.items() if flags]
@@ -105,6 +107,13 @@ def test_flag_names_are_not_abbreviated(capsys):
         2, "", "error: unrecognized arguments: --n 5\n")
 
 
+# a literal of 8,363 letters, the text of S(87382) and one bad letter, and a
+# bad token of 4,000 characters, under the digit limit: a refused letter or
+# coefficient is named by its position and quoted by ten characters
+LITERAL = format_word(next(walk((1, 1), (2, 2), 87382, 87382))) + ",x"
+TOKEN = "1" * 3999 + "x"
+ESCAPED = "\U000e0001" * 4000  # ten characters of repr per character
+
 # one command line of each kind that is rejected, and its one line on stderr
 REJECTIONS = {
     "unknown subcommand": (["frobnicate", "--n", "3"],
@@ -125,20 +134,37 @@ REJECTIONS = {
     "value given to a switch": (["seq", "--n", "3", "--blocks=yes"],
                                 "argument --blocks: ignored explicit argument 'yes'"),
     "bad int": (["stern", "--upto", "ten"], "argument --upto: invalid int value: 'ten'"),
-    "bad word": (["scan", "--B", "2,0"], "argument --B: invalid word letter '0' in '2,0'"),
+    "bad word": (["scan", "--B", "2,0"], "argument --B: invalid word letter '0' at position 2"),
     "bad form": (["bqf", "--form", "1,1"],
-                 "argument --form: form needs three coefficients, got '1,1'"),
+                 "argument --form: form needs three coefficients, got 2"),
     "bad form coefficient": (["bqf", "--form", "1,x,1"],
-                             "argument --form: non-integer coefficient in '1,x,1'"),
+                             "argument --form: non-integer coefficient 'x' at position 2"),
     "below minimum": (["verify", "theorem", "--trials", "0"], "--trials must be >= 1"),
     "equal seed letters": (["verify", "prop-main", "--a", "3", "--b=3"],
                            "--a and --b must differ"),
+    "long period literal": (["spectrum", "--period", LITERAL],
+                            "argument --period: invalid word letter 'x' at position 8363"),
+    "long seed literal": (["seq", "--n", "3", "--A", LITERAL],
+                          "argument --A: invalid word letter 'x' at position 8363"),
+    "long form literal": (["bqf", "--form", LITERAL],
+                          "argument --form: form needs three coefficients, got 8363"),
+    "long period letter": (["spectrum", "--period", f"1,{TOKEN}"],
+                           "argument --period: invalid word letter '1111111111'... at position 2"),
+    "long seed letter": (["seq", "--n", "3", "--A", f"{TOKEN},1"],
+                         "argument --A: invalid word letter '1111111111'... at position 1"),
+    "long form coefficient": (["bqf", "--form", f"1,-{TOKEN},1"],
+                              "argument --form: non-integer coefficient '-111111111'... "
+                              "at position 2"),
+    "escaped form coefficient": (["bqf", "--form", f"1,1,{ESCAPED}"],
+                                 f"argument --form: non-integer coefficient {ESCAPED[:10]!r}... "
+                                 "at position 3"),
 }
 
 
 @pytest.mark.parametrize("argv, message", list(REJECTIONS.values()), ids=list(REJECTIONS))
 def test_each_rejection_is_one_error_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert len(f"error: {message}\n".encode()) < 200  # however long the command line
 
 
 # one literal past the interpreter's int-to-str digit limit per kind of flag

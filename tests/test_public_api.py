@@ -14,7 +14,6 @@ PUBLIC = [
     "MarkovValue",
     "QuadraticSurd",
     "VerificationReport",
-    "Vertex",
     "Word",
     "a_of",
     "a_star",
@@ -29,17 +28,13 @@ PUBLIC = [
     "iter_block_rearrangement",
     "iter_equivalence",
     "iter_lemma_checks",
-    "iter_shift_palindromic",
     "markov_value",
     "odd_index_factorization",
     "parse_word",
-    "reverse",
-    "root",
     "rotate",
     "s_rec",
     "stern",
     "stern_table",
-    "verify_block_rearrangement",
     "verify_shift_palindromic",
     "walk",
     "word",

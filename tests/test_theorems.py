@@ -20,6 +20,7 @@ from oracles import (
     odd_index_factorization_by_chain,
     row_symmetry_by_index,
     shift_inequalities_by_index,
+    shift_reports,
     verify_mirror,
     walk_off_axis,
 )
@@ -33,11 +34,9 @@ from markovwords.theorems import (
     iter_block_rearrangement,
     iter_equivalence,
     iter_lemma_checks,
-    iter_shift_palindromic,
     odd_index_factorization,
     random_palindrome,
     random_seed_pairs,
-    verify_block_rearrangement,
     verify_rearrangement_pair,
     verify_shift_palindromic,
 )
@@ -60,14 +59,18 @@ def test_shift_palindromic_examples():
 
 
 def test_shift_palindromic_preconditions():
+    # the single check validates its letters itself, before any word is walked
     with pytest.raises(ValueError):
         verify_shift_palindromic(1, 1, 3)
+    for a_sym, b_sym in ((0, 2), (3, -1), (True, 2)):
+        with pytest.raises(ValueError):
+            verify_shift_palindromic(a_sym, b_sym, 3)
     with pytest.raises(ValueError):
         verify_shift_palindromic(1, 2, 0)
 
 
 def test_shift_palindromic_sweep_small():
-    assert all(rep.passed for rep in iter_shift_palindromic(256))
+    assert all(theorems._shift_verdicts(1, stern_table(256)[1:]))
 
 
 def test_shift_palindromic_sweep_matches_single_queries():
@@ -81,7 +84,7 @@ def test_shift_palindromic_sweep_matches_single_queries():
                                is_palindrome(rotate(s_rec(*seeds, n), stern(n))), stern(n))
             for n in range(1, 3001)]
         single = [verify_shift_palindromic(a_sym, b_sym, n) for n in range(1, 3001)]
-        assert list(iter_shift_palindromic(3000, a_sym, b_sym)) == single == expected
+        assert list(shift_reports(3000, a_sym, b_sym)) == single == expected
 
 
 def test_shift_palindromic_sweep_reads_one_word_per_report(monkeypatch):
@@ -95,24 +98,18 @@ def test_shift_palindromic_sweep_reads_one_word_per_report(monkeypatch):
             drawn.append(w)
             yield w
     monkeypatch.setattr(theorems, "walk", counting_walk)
-    assert next(iter_shift_palindromic(4096)) == first
+    assert next(shift_reports(4096, 1, 2)) == first
     assert len(drawn) == 1
 
 
 def test_shift_palindromic_range_preconditions():
     # the verdict stream is checked as it is made, before any word is walked
     with pytest.raises(ValueError):
-        theorems._shift_verdicts(1, 1, 3, [2])
-    # the stream walks the letters 1, 2, but still rejects a letter below 1
-    for a_sym, b_sym in ((0, 2), (3, -1), (True, 2)):
-        with pytest.raises(ValueError):
-            theorems._shift_verdicts(a_sym, b_sym, 3, [2])
-    with pytest.raises(ValueError):
-        theorems._shift_verdicts(1, 2, 0, [0, 1])
-    assert list(theorems._shift_verdicts(1, 2, 3, [])) == []
+        theorems._shift_verdicts(0, [0, 1])
+    assert list(theorems._shift_verdicts(3, [])) == []
     # a verdict and its report: the report of a range index is the single check's
     shifts = stern_table(40)[3:]
-    verdicts = list(theorems._shift_verdicts(4, 9, 3, shifts))
+    verdicts = list(theorems._shift_verdicts(3, shifts))
     assert [theorems._shift_report(4, 9, n, d, ok)
             for n, d, ok in zip(range(3, 41), shifts, verdicts)] == [
         verify_shift_palindromic(4, 9, n) for n in range(3, 41)]
@@ -128,7 +125,7 @@ def test_rotation_test_is_the_axis_test_at_every_shift():
             is_symmetric_about(labels, s - 1) for s in shifts]
     # and the sweep's verdicts are the axis test about d(n) - 1, to 2^15
     shifts = stern_table(1 << 15)[1:]
-    assert list(theorems._shift_verdicts(1, 2, 1, shifts)) == list(map(
+    assert list(theorems._shift_verdicts(1, shifts)) == list(map(
         is_symmetric_about, walk(*theorems.LABEL_SEEDS, 1, 1 << 15), map((-1).__add__, shifts)))
 
 
@@ -141,7 +138,7 @@ def test_failing_shift_report_prints_the_rotation(monkeypatch):
         expected = format_word(rotate(s_rec((a_sym, a_sym), (b_sym, b_sym), 14), 3))
         assert set(expected.split(",")) == {str(a_sym), str(b_sym)}
         for rep in (verify_shift_palindromic(a_sym, b_sym, 14),
-                    list(iter_shift_palindromic(14, a_sym, b_sym))[-1]):
+                    list(shift_reports(14, a_sym, b_sym))[-1]):
             assert not rep.passed and rep.witness == 3
             assert rep.counterexample == expected
 
@@ -150,8 +147,7 @@ def test_arrangement_even_case():
     # d(3)=2: blocks rotate to ABA
     assert block_rearrangement(A, B, 3) == (1, 1, 2, 2, 1, 1)
     # d(12)=2: blocks rotate to ABABABA
-    r12 = verify_block_rearrangement(A, B, 12)
-    assert r12.passed
+    assert is_palindrome(block_rearrangement(A, B, 12))
     assert block_rearrangement(A, B, 12) == rotate(s_rec(A, B, 12), 2)
 
 
@@ -160,7 +156,7 @@ def test_arrangement_odd_case():
     arr = block_rearrangement(A, B, 14)
     assert arr == (2, 1, 1, 2, 2, 2, 2, 1, 1, 2, 2, 2, 2, 1, 1, 2)
     assert arr == rotate(s_rec(A, B, 14), 3)
-    assert verify_block_rearrangement(A, B, 14).passed
+    assert is_palindrome(arr)
 
 
 def test_arrangement_single_block():
@@ -198,10 +194,9 @@ def test_rearrangement_rotation_matches_the_block_construction():
 
 def test_pair_sweep_reports_the_first_failing_index():
     # one pair's verdict stream holds every index n <= 128, the ones after a
-    # failure too; the report built from each verdict equals the
-    # single-index check and judges the arrangement built block by block;
-    # the pair sweep names the stream's first failure, with the same
-    # arrangement
+    # failure too; each verdict judges the arrangement built block by block,
+    # which block_rearrangement gives; the pair sweep names the stream's
+    # first failure, with that arrangement
     failed = 0
     labels = list(walk((1,), (2,), 0, 128))
     # letters >= 256, and more than 255 distinct letters (walked as tuples)
@@ -210,32 +205,31 @@ def test_pair_sweep_reports_the_first_failing_index():
     wide = tuple(x + 1000 for x in even)
     pairs = random_seed_pairs(40, 7) + [
         ((300,), (7, 1000, 7)), ((300, 300), (7, 1000, 1000, 7)), (odd, wide), (even, wide)]
+    shifts = stern_table(128)[1:]
     for idx, (wa, wb) in enumerate(pairs, 1):
-        shifts = stern_table(128)[1:]
-        verdicts = theorems._rearrangement_verdicts(wa, wb, 1, shifts)
-        stream = [theorems._rearrangement_report(wa, wb, n, d, ok)
-                  for n, d, ok in zip(range(1, 129), shifts, verdicts)]
-        assert stream == [verify_block_rearrangement(wa, wb, n) for n in range(1, 129)]
-        for n, r in enumerate(stream, 1):
-            arrangement = arrangement_by_blocks((wa, wb), labels[n], stern(n))
-            assert r.passed == is_palindrome(arrangement), (wa, wb, n)
-            assert r.counterexample == (None if r.passed else format_word(arrangement))
+        verdicts = list(theorems._rearrangement_verdicts(wa, wb, shifts))
+        arrangements = [arrangement_by_blocks((wa, wb), labels[n], stern(n))
+                        for n in range(1, 129)]
+        assert arrangements == [block_rearrangement(wa, wb, n) for n in range(1, 129)]
+        assert verdicts == list(map(is_palindrome, arrangements)), (wa, wb)
         rep = verify_rearrangement_pair(idx, wa, wb, 128)
-        first = next((r for r in stream if not r.passed), None)
+        first = next((n for n, ok in enumerate(verdicts, 1) if not ok), None)
         assert rep.passed == (first is None)
         if first is not None:
             failed += 1
-            assert rep.counterexample == {"n": first.n, "arrangement": first.counterexample}
+            assert rep.counterexample == {
+                "n": first, "arrangement": format_word(arrangements[first - 1])}
     assert 0 < failed < 40
 
 
 def test_even_length_seeds_always_pass():
     rng = random.Random(11)
+    shifts = stern_table(128)[1:]
     for _ in range(25):
         wa = random_palindrome(rng, lengths=(2, 4, 6, 8))
         wb = random_palindrome(rng, lengths=(2, 4, 6, 8))
-        for n in range(1, 129):
-            assert verify_block_rearrangement(wa, wb, n).passed, (wa, wb, n)
+        assert all(theorems._rearrangement_verdicts(wa, wb, shifts)), (wa, wb)
+        assert all(is_palindrome(block_rearrangement(wa, wb, n)) for n in (1, 7, 64, 127))
 
 
 def test_odd_length_seed_failure_is_real():
@@ -246,12 +240,14 @@ def test_odd_length_seed_failure_is_real():
     # be a palindrome at all (palindromes of even length have even letter
     # counts). The block-rearrangement claim genuinely needs even-length
     # seeds when the split block has odd length.
-    rep = verify_block_rearrangement((1, 2, 1), (3,), 7)
-    assert not rep.passed
-    assert block_rearrangement((1, 2, 1), (3,), 7) == (3, 1, 2, 1, 3, 3, 1, 2, 1)
+    arr = block_rearrangement((1, 2, 1), (3,), 7)
+    assert arr == (3, 1, 2, 1, 3, 3, 1, 2, 1) and not is_palindrome(arr)
     s5 = s_rec((1, 2, 1), (3,), 5)
     assert not any(is_palindrome(rotate(s5, k)) for k in range(len(s5)))
-    assert not verify_block_rearrangement((1, 2, 1), (3,), 5).passed
+    assert not is_palindrome(block_rearrangement((1, 2, 1), (3,), 5))
+    # the pair stream judges both indices the same way
+    verdicts = list(theorems._rearrangement_verdicts((1, 2, 1), (3,), stern_table(7)[1:]))
+    assert not verdicts[4] and not verdicts[6]
 
 
 def test_even_factorization_examples():
@@ -781,7 +777,7 @@ def test_sweeps_leave_the_memo_caches_alone():
     # the words come from the walk and d(n), a(j) from tables, not from
     # the memoised recursions that serve single queries
     before = stern.cache_info(), _s_rec_cached.cache_info()
-    assert all(rep.passed for rep in iter_shift_palindromic(5000, 4, 9))
+    assert all(rep.passed for rep in shift_reports(5000, 4, 9))
     assert len(list(iter_block_rearrangement(300, 8, 42))) == 8
     d, a = stern_table(4 << 12), a_table(5000)
     labels = list(walk(*theorems.LABEL_SEEDS, 0, 2000))
@@ -855,12 +851,13 @@ def test_check_block_exponents_follows_the_run_length_profile():
 
 
 @pytest.mark.parametrize("sweep_fn, args, bound", [
-    (iter_shift_palindromic, (-1,), "n_max"),
+    # prop-main's stream starts at an index >= 1; the CLI checks its --n-max
+    (theorems._shift_verdicts, (-1, []), "indices"),
     (iter_block_rearrangement, (-1, 2, 42), "n_max"),
     (iter_equivalence, (-1, 2), "levels"),
     (iter_lemma_checks, (-5,), "k_max"),
     # the CLI's minima: n_max >= 1, k_max >= 8
-    (iter_shift_palindromic, (0,), "n_max"),
+    (theorems._shift_verdicts, (0, [0]), "indices"),
     (iter_block_rearrangement, (0, 2, 42), "n_max"),
     (iter_lemma_checks, (0,), "k_max"),
     (iter_lemma_checks, (7,), "k_max"),

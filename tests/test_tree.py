@@ -5,16 +5,18 @@ from collections import deque
 import pytest
 
 from oracles import (
+    Vertex,
     level,
     level_entries,
     lower_christoffel,
     path_precedes,
+    root,
     s_graph,
     s_rec_with_rule,
 )
 
 from markovwords.diatomic import a_of, a_star, stern, stern_table
-from markovwords.tree import Vertex, root, run_lengths, s_rec, walk
+from markovwords.tree import run_lengths, s_rec, walk
 
 A, B = (1, 1), (2, 2)
 

@@ -3,11 +3,11 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import verify_mirror
+from oracles import reverse, verify_mirror
 
 from markovwords.spectrum import cf_matrix, markov_value, zero_tail
-from markovwords.theorems import block_rearrangement, verify_block_rearrangement
-from markovwords.tree import root, s_rec, walk
+from markovwords.theorems import block_rearrangement, verify_rearrangement_pair
+from markovwords.tree import s_rec, walk
 from markovwords.words import (
     FORMAT_SLICE,
     format_word,
@@ -15,7 +15,6 @@ from markovwords.words import (
     is_palindromic_rotation,
     is_symmetric_about,
     parse_word,
-    reverse,
     rotate,
     word,
 )
@@ -78,8 +77,6 @@ def test_word_validation():
 
 @pytest.mark.parametrize("call", [
     lambda: word(()),
-    lambda: root((), (2,)),
-    lambda: root((1,), ()),
     lambda: next(walk((), (2,), 0, 0)),
     lambda: next(walk((1,), (), 5, 9)),
     lambda: s_rec((), (2,), 3),
@@ -89,12 +86,12 @@ def test_word_validation():
     lambda: markov_value(()),
     lambda: block_rearrangement((), (3,), 5),
     lambda: block_rearrangement((1,), (), 5),
-    lambda: verify_block_rearrangement((), (3,), 5),
+    lambda: verify_rearrangement_pair(1, (), (3,), 5),
     lambda: verify_mirror((), (2,), 3),
     lambda: verify_mirror((1,), (), 3),
-], ids=["word", "root-A", "root-B", "walk-A", "walk-B", "s_rec-A", "s_rec-B", "cf_matrix",
+], ids=["word", "walk-A", "walk-B", "s_rec-A", "s_rec-B", "cf_matrix",
         "zero_tail", "markov_value", "block_rearrangement-A", "block_rearrangement-B",
-        "verify_block_rearrangement", "verify_mirror-A", "verify_mirror-B"])
+        "verify_rearrangement_pair", "verify_mirror-A", "verify_mirror-B"])
 def test_every_word_taking_entry_point_rejects_the_empty_word_through_word(call):
     # a word, seed or period has at least one letter; word() is the one
     # place that says so, and each entry point raises its message
