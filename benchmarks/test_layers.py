@@ -23,7 +23,9 @@ the tables it shares, built once outside the timed calls;
 reads, ``theorems._shift_verdicts`` over its table of d(n), without the
 writer;
 ``test_prop_main_command`` times ``verify prop-main`` as the command line
-runs it, stdout to ``/dev/null``. The theorem sweep is the default
+runs it, stdout to ``/dev/null``, and ``test_seq_command`` times ``seq``
+the same way, on the default seeds at about 2^20 letters and at
+11,405,774. The theorem sweep is the default
 ``verify theorem``. The spectrum cases take S(n) on (1,1), (2,2) at the
 smallest index of each length L, and the Markov form of ``bqf`` at radius
 200 and at the benchmark's 350. ``test_scan_values`` times the values
@@ -157,6 +159,22 @@ def test_prop_main_command(benchmark):
             return cli.main(["verify", "prop-main", "--n-max", "32768", "--a", "3", "--b", "7"])
 
     assert measure(benchmark, command, size=32768) == 0
+
+
+# seq indices on the default seeds by the letters of S(n): 1,028,458, about
+# 2^20, and 11,405,774
+SEQ_INDEX = {1028458: 89478486, 11405774: 2863311531}
+
+
+@pytest.mark.parametrize("letters", list(SEQ_INDEX))
+def test_seq_command(benchmark, letters):
+    # the command in process: one walk of the label word, translated to the
+    # text of S(n) piece by piece, with its output thrown away
+    def command():
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            return cli.main(["seq", "--n", str(SEQ_INDEX[letters])])
+
+    assert measure(benchmark, command, size=letters) == 0
 
 
 def test_theorem_sweep(benchmark):

@@ -10,9 +10,10 @@ command words, then flags ``--name value`` or ``--name=value``, each name in
 full (no abbreviation), and switches ``--name``. A value is the next word
 unless that starts with ``--``, so ``--form -7,-7,6`` parses; a repeated flag
 keeps its last value; ``-h`` or ``--help`` prints the help of the command
-words read so far. Each handler imports only the layers it reads, and
-``spectrum``, ``scan`` and ``bqf`` write their JSON rows as text, without
-:mod:`json`, so a launch compiles little beyond what it runs.
+words read so far. A refusal quotes a token by ten characters. Each handler
+imports only the layers it reads, and every command but ``verify`` writes its
+JSON rows as text, without :mod:`json`, so a launch compiles little beyond
+what it runs.
 """
 from __future__ import annotations
 
@@ -31,6 +32,12 @@ def _word(text: str):
     return parse_word(text)
 
 
+def _quote(token: str, show=repr) -> str:
+    """``token`` shown by its first ten characters, then ``...`` if it is
+    longer, so a refusal that quotes it stays short."""
+    return show(token[:10]) + "..." * (len(token) > 10)
+
+
 def _form(text: str):
     from .spectrum import BQForm
 
@@ -38,11 +45,9 @@ def _form(text: str):
     if len(parts) != 3:
         raise ValueError(f"form needs three coefficients, got {len(parts)}")
     for i, part in enumerate(parts, 1):
-        # an optional sign, then ASCII digits; the message quotes ten characters
-        digits = part[1:] if part.startswith(("+", "-")) else part
+        digits = part[1:] if part.startswith(("+", "-")) else part  # an optional sign
         if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"non-integer coefficient {part[:10]!r}"
-                             f"{'...' * (len(part) > 10)} at position {i}")
+            raise ValueError(f"non-integer coefficient {_quote(part)} at position {i}")
     return BQForm(*map(int, parts))
 
 
@@ -113,7 +118,7 @@ def _convert(name: str, convert, text: str):
         return convert(text)
     except ValueError as exc:
         raise ValueError(f"argument {name}: "
-                         + (f"invalid int value: {text!r}" if convert is int else str(exc)))
+                         + (f"invalid int value: {_quote(text)}" if convert is int else str(exc)))
 
 
 def parse(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -127,14 +132,14 @@ def parse(argv: Sequence[str]) -> SimpleNamespace | None:
             return None
         if not flags and not token.startswith("-"):
             if token not in (members := _MEMBERS[path]):
-                raise ValueError(f"argument {_MEMBER[len(path)]}: invalid choice: {token!r} "
+                raise ValueError(f"argument {_MEMBER[len(path)]}: invalid choice: {_quote(token)} "
                                  f"(choose from {', '.join(map(repr, members))})")
             path += (token,)
         elif name not in flags:
             extras.append(token)
         elif flags[name][0] is None:
             if eq:
-                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+                raise ValueError(f"argument {name}: ignored explicit argument {_quote(value)}")
             given[name] = True
         elif not eq and ((value := next(tokens, None)) is None or value.startswith("--")):
             raise ValueError(f"argument {name}: expected one argument")
@@ -144,8 +149,10 @@ def parse(argv: Sequence[str]) -> SimpleNamespace | None:
         raise ValueError(f"the following arguments are required: {_MEMBER[len(path)]}")
     if missing := [name for name, spec in flags.items() if spec[2] is ... and name not in given]:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    if extras:  # the first three words, and how many more
+        more = f" and {len(extras) - 3} more" * (len(extras) > 3)
+        raise ValueError(f"unrecognized arguments: "
+                         f"{' '.join(_quote(word, str) for word in extras[:3])}{more}")
     args = SimpleNamespace(**dict(zip(_MEMBER, path)))
     for name, (_, _, default, least, _) in flags.items():
         if least is not None and given.get(name, default) < least:
@@ -188,31 +195,34 @@ SEQ_MAX_LETTERS = 1 << 24
 
 
 def _cmd_seq(args) -> int:
+    """Print S(n), its label word L(n) with ``--blocks``, or their JSON record,
+    written as text. L(n) is walked once, on b"A", b"B"; S(n) is L(n) with
+    each label replaced by its seed, so its text is ``str.translate`` of L(n),
+    each label to the separator and its seed's text, the first separator
+    dropped. A piece of L(n) holds at most FORMAT_SLICE letters of S(n)."""
     from .diatomic import stern
-    from .tree import relabel, walk
-    from .words import format_pieces
+    from .tree import walk
+    from .words import FORMAT_SLICE, format_word
 
-    n = args.n
-    labels = stern(2 * n - 1) if n else 1
-    letters = labels if args.blocks and not args.json else labels * max(len(args.A), len(args.B))
+    n, longest = args.n, max(len(args.A), len(args.B))
+    length = stern(2 * n - 1) if n else 1  # of L(n)
+    letters = length if args.blocks and not args.json else length * longest
     if letters > SEQ_MAX_LETTERS:
         raise ValueError(f"--n {n} gives a word of up to {letters} letters; "
                          f"seq builds at most {SEQ_MAX_LETTERS}")
-    # S(n) is walked on bytes seeds and decoded through the letter table as it is written
-    letters, a, b = relabel(args.A, args.B)
+    labels = next(walk(b"A", b"B", n, n)).decode()
+    if args.blocks and not args.json:
+        print(labels)
+        return 0
+    sep = ", " if args.json else ","
+    a, b = format_word(args.A, sep), format_word(args.B, sep)
+    seeds, step = {ord("A"): sep + a, ord("B"): sep + b}, max(FORMAT_SLICE // longest, 1)
+    pieces = (labels[i:i + step].translate(seeds) for i in range(0, len(labels), step))
     if args.json:
-        import json
-        # json.dumps of the whole record, written in pieces
-        head = json.dumps({"command": "seq", "n": n, "A": list(args.A), "B": list(args.B)})
-        sys.stdout.write(head[:-1] + ', "sequence": [')
-        sys.stdout.writelines(
-            format_pieces(map(letters.__getitem__, next(walk(a, b, n, n))), ", "))
-        print('], "blocks": ' + json.dumps(next(walk(b"A", b"B", n, n)).decode()) + "}")
-    elif args.blocks:
-        print(next(walk(b"A", b"B", n, n)).decode())
-    else:
-        sys.stdout.writelines(format_pieces(map(letters.__getitem__, next(walk(a, b, n, n)))))
-        print()
+        sys.stdout.write(f'{{"command": "seq", "n": {n}, "A": [{a}], "B": [{b}], "sequence": [')
+    sys.stdout.write(next(pieces)[len(sep):])
+    sys.stdout.writelines(pieces)
+    print(f'], "blocks": "{labels}"}}' if args.json else "")
     return 0
 
 
@@ -221,8 +231,7 @@ def _cmd_stern(args) -> int:
 
     table = enumerate(stern_table(args.upto))
     if args.json:
-        import json
-        _write_lines(json.dumps({"command": "stern", "n": n, "value": value}) for n, value in table)
+        _write_lines(f'{{"command": "stern", "n": {n}, "value": {value}}}' for n, value in table)
     else:
         _write_lines(f"{n},{value}" for n, value in table)
     return 0

@@ -69,10 +69,16 @@ def _shift_verdicts(lo: int, shifts: Sequence[int]) -> Iterator[bool]:
 
 def _reversed_at(words: Iterable[bytes], shifts: Iterable[int]) -> Iterator[bool]:
     """Whether each word L rotated by its shift d is L reversed, for
-    0 <= d <= |L|: ``words.is_symmetric_about(L, d - 1)``, by the identity
-    its docstring proves, mapped over a walk. Each verdict is one
-    ``bytes.startswith`` of L + L and L reversed at d, a map of builtins over
-    one ``tee`` of ``words``, each word dropped once tested.
+    0 <= d <= |L|; it is exactly when L is symmetric about d - 1, that is
+    L[j] == L[(d - 1 - j) % m] for every j, m = |L|. The rotation
+    (L + L)[d:d + m] is L[d:] + L[:d], and L reversed is L[d:] reversed,
+    then L[:d] reversed; the parts have equal lengths, so the two agree
+    exactly when L[:d] and L[d:] are palindromes, which is the symmetry
+    for j < d and for j >= d.
+
+    Each verdict is one ``bytes.startswith`` of L + L and L reversed at d,
+    a map of builtins over one ``tee`` of ``words``, each word dropped once
+    tested.
     """
     words, mirrors = tee(words)
     return map(bytes.startswith, map(mul, words, repeat(2)),
@@ -112,10 +118,10 @@ def _rearrangement_verdicts(
     once it is tested.
     """
     seeds = _palindromic_seeds(a, b)
-    _, *relabelled = relabel(*seeds)
     hi = len(shifts)
     return (is_palindromic_rotation(s, _rearrangement_shift(seeds, labels, d))
-            for s, labels, d in zip(walk(*relabelled, 1, hi), walk(*LABEL_SEEDS, 1, hi), shifts))
+            for s, labels, d in zip(walk(*relabel(*seeds), 1, hi), walk(*LABEL_SEEDS, 1, hi),
+                                    shifts))
 
 
 def _arrangement(seeds: tuple[Word, Word], n: int, d: int) -> Word:

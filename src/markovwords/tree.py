@@ -36,14 +36,14 @@ def run_lengths(symbols: Iterable[Hashable], first: Hashable) -> tuple[int, ...]
     return tuple(runs + [0] * (len(runs) % 2))
 
 
-def relabel(a: Sequence[int], b: Sequence[int]) -> tuple[tuple, Word, Word]:
-    """The table of the seeds' sorted letters, 0 first, and the seeds with
-    each letter replaced by its place in it: ``bytes`` for up to 255
-    letters, tuples beyond. The relabelling is injective, so a rotation of
-    a walked word is a palindrome exactly when the same rotation of S(n) is."""
+def relabel(a: Sequence[int], b: Sequence[int]) -> tuple[Word, Word]:
+    """The seeds with each letter replaced by its place among the seeds'
+    sorted letters, counted from 1: ``bytes`` for up to 255 letters, tuples
+    beyond. The relabelling is injective, so a rotation of a walked word is
+    a palindrome exactly when the same rotation of S(n) is."""
     letters = (0, *sorted(set(a) | set(b)))
     encode = bytes if len(letters) <= 256 else tuple
-    return letters, encode(map(letters.index, a)), encode(map(letters.index, b))
+    return encode(map(letters.index, a)), encode(map(letters.index, b))
 
 
 def walk(a, b, lo: int, hi: int, join: Callable = add) -> Iterator:

@@ -10,7 +10,9 @@ exact oracles are the searches the library replaced
 by closed forms: a Perron value found by comparing the surd sums at every
 position, and a form minimum found by evaluating every point of the box.
 The word oracles are the tree's vertices and its root (A, A+B, B), word
-reversal as a tuple, the graph walk, which reaches one index by the L
+reversal as a tuple, the mirror-axis test that the shift sweep's rotation
+test decides (the proof is in ``theorems._reversed_at``), the graph walk,
+which reaches one index by the L
 and R moves along the binary digits of n - 1, the levels built from the
 root one level at a time by the same moves, and the two-branch index
 recursion with an injectable left-flank rule, which the tests use to pin
@@ -77,6 +79,17 @@ def root(a, b) -> Vertex:
 def reverse(x: Sequence[int]) -> tuple[int, ...]:
     """The letters of ``x`` in reverse order, as a tuple."""
     return tuple(x)[::-1]
+
+
+def is_symmetric_about(x: Sequence[int], c: int) -> bool:
+    """Whether ``x[j] == x[(c - j) % len(x)]`` for every j: x rotated left by
+    (c + 1) mod |x|, one slice of ``x + x``, equals x reversed, on tuples or
+    ``bytes`` as they are."""
+    m = len(x)
+    if not m:
+        raise ValueError("the empty word has no mirror axis")
+    d = (c + 1) % m
+    return (x + x)[d:d + m] == x[::-1]
 
 
 def shift_reports(n_max: int, a_sym: int, b_sym: int) -> Iterator[VerificationReport]:

@@ -18,7 +18,7 @@ from markovwords import cli, spectrum, theorems
 from markovwords.cli import main
 from markovwords.diatomic import stern
 from markovwords.tree import walk
-from markovwords.words import format_word, parse_word
+from markovwords.words import FORMAT_SLICE, format_word, parse_word
 
 SRC = str(Path(cli.__file__).parents[1])
 
@@ -61,8 +61,8 @@ def test_seq_blocks(capsys):
 
 
 def test_seq_builds_only_what_it_prints(capsys, monkeypatch):
-    # one walk per word printed: S(n) on its seeds relabelled as bytes,
-    # the label word on b"A", b"B"
+    # one walk in every mode, the label word on b"A", b"B": S(n) is written
+    # from it, each label translated to its seed's text
     walked = []
 
     def counting(a, b, lo, hi):
@@ -71,13 +71,13 @@ def test_seq_builds_only_what_it_prints(capsys, monkeypatch):
 
     monkeypatch.setattr("markovwords.tree.walk", counting)
     assert run(capsys, "seq", "--n", "5") == (0, "1,1,1,1,1,1,2,2\n", "")
-    assert walked == [(b"\x01\x01", b"\x02\x02", 5, 5)]
+    assert walked == [(b"A", b"B", 5, 5)]
     walked.clear()
     assert run(capsys, "seq", "--n", "5", "--blocks") == (0, "AAAB\n", "")
     assert walked == [(b"A", b"B", 5, 5)]
     walked.clear()
     assert run(capsys, "seq", "--n", "5", "--json")[0] == 0
-    assert walked == [(b"\x01\x01", b"\x02\x02", 5, 5), (b"A", b"B", 5, 5)]
+    assert walked == [(b"A", b"B", 5, 5)]
 
 
 @pytest.mark.parametrize("n", [2 ** 40, 2 ** 62 - 2])
@@ -156,10 +156,14 @@ sys.exit(status)
 """
 
 
+# the index of a word of 11,405,774 letters on the default seeds
+LONG_WORD = ("--n", "2863311531")
+
+
 def seq_peak_kb(*flags):
-    """The peak resident set of ``seq`` on a word of 11,405,774 letters, in kB."""
+    """The peak resident set of ``seq`` on ``flags``, in kB."""
     env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-c", SEQ_PEAK, "seq", "--n", "2863311531", *flags],
+    proc = subprocess.run([sys.executable, "-c", SEQ_PEAK, "seq", *flags],
                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -167,16 +171,24 @@ def seq_peak_kb(*flags):
 
 
 def test_seq_long_word_peak_memory_is_bounded():
-    # the whole text, joined from every slice at once, peaked near 62 MB;
-    # written slice by slice, the command peaks near 41 MB, most of it the
-    # bytes word and its walk
-    assert seq_peak_kb() < 48 * 1024
+    # translated from its label word piece by piece, the text is never held
+    # whole: the command peaks near 27 MB; the whole text peaked near 62 MB
+    assert seq_peak_kb(*LONG_WORD) < 40 * 1024
 
 
 def test_seq_json_long_word_peak_memory_is_bounded():
-    # the sequence as one string of 3 bytes per letter peaked near 95 MB;
-    # written slice by slice, the record peaks near 41 MB
-    assert seq_peak_kb("--json") < 48 * 1024
+    # the record is written piece by piece the same way and peaks near 31 MB;
+    # the sequence joined as one string peaked near 95 MB
+    assert seq_peak_kb(*LONG_WORD, "--json") < 40 * 1024
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_seq_long_seed_peak_memory_is_bounded(flags):
+    # 2^24 letters, the cap, from 4096 labels of a 4096-letter seed: each
+    # translated piece holds at most FORMAT_SLICE letters, 16 labels, where
+    # one piece of the whole label word would peak near 78 MB (109 in JSON)
+    ones = ",".join(["1"] * 4096)
+    assert seq_peak_kb("--A", ones, "--B", "2", "--n", "169067", *flags) < 24 * 1024
 
 
 @pytest.mark.parametrize("flags", [
@@ -193,7 +205,7 @@ def test_seq_json_writes_one_json_dumps_record(capsys, flags):
 
 
 def test_seq_decodes_more_than_255_letters(capsys, schema):
-    # 300 distinct letters relabel to tuples, not bytes
+    # 300 distinct letters, more than a byte holds
     wa, wb = tuple(range(1, 201)), tuple(range(1000, 1100))
     flags = ["seq", "--A", format_word(wa), "--B", format_word(wb), "--n", "11"]
     word = s_graph(wa, wb, 11)
@@ -201,6 +213,21 @@ def test_seq_decodes_more_than_255_letters(capsys, schema):
     status, out, _ = run(capsys, *flags, "--json")
     assert status == 0
     (rec,) = validate_lines(schema, out)
+    assert rec["sequence"] == list(word)
+
+
+def test_seq_long_seed_spans_several_pieces(capsys, schema):
+    # a 300-letter seed: each translated piece holds FORMAT_SLICE // 300 =
+    # 218 labels, and L(21846) has 1597, so S(n) is written in 8 pieces
+    wa, wb = tuple(range(300, 0, -1)), (7, 300)
+    flags = ["seq", "--A", format_word(wa), "--B", format_word(wb), "--n", "21846"]
+    word = s_graph(wa, wb, 21846)
+    assert stern(2 * 21846 - 1) > 7 * (FORMAT_SLICE // 300)
+    assert run(capsys, *flags) == (0, format_word(word) + "\n", "")
+    status, out, _ = run(capsys, *flags, "--json")
+    assert status == 0
+    (rec,) = validate_lines(schema, out)
+    assert out == json.dumps(rec) + "\n"
     assert rec["sequence"] == list(word)
 
 
@@ -224,6 +251,8 @@ def test_stern_json(capsys, schema):
     _, out, _ = run(capsys, "stern", "--upto", "4", "--json")
     recs = validate_lines(schema, out)
     assert [r["value"] for r in recs] == [0, 1, 1, 2, 1]
+    # each row is written as text, byte for byte as json.dumps writes it
+    assert out == "".join(json.dumps(rec) + "\n" for rec in recs)
 
 
 def test_verify_prop_main_small(capsys):
@@ -710,7 +739,12 @@ def test_unknown_flag(capsys):
 BY_STATUS = {0: ["verify", "lemmas", "--k-max", "8"],
              1: ["verify", "theorem", "--trials", "6", "--n-max", "24"],
              2: ["bqf", "--form", "1,1,1"]}
-CLOSED_PIPE = ["verify", "prop-main", "--n-max", "32768", "--a", "3", "--b", "7"]
+# commands whose stdout the reader closes after 40 bytes, and those bytes
+CLOSED_PIPE = {
+    "prop-main": (["verify", "prop-main", "--n-max", "32768", "--a", "3", "--b", "7"],
+                  b"PASS shift-palindromic n=1 witness=1\nPAS"),
+    "seq": (["seq", *LONG_WORD], b"1,1,1,1,2,2,1,1,1,1,2,2,1,1,2,2,1,1,1,1,"),
+}
 
 
 @pytest.fixture
@@ -767,11 +801,13 @@ def test_the_shutdown_sees_a_frozen_collector():
 
 
 def test_a_closed_stdout_pipe_ends_with_status_1_and_no_traceback():
-    # the reader takes 40 bytes of about 1.2 MB and closes the pipe
-    proc = launch_cli(*CLOSED_PIPE)
-    head = proc.stdout.read(40)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
-    assert err == b""
-    assert head == b"PASS shift-palindromic n=1 witness=1\nPAS"
+    # the reader takes 40 bytes of about 1.2 MB (prop-main) or 22.8 MB (seq)
+    # and closes the pipe
+    for argv, expected in CLOSED_PIPE.values():
+        proc = launch_cli(*argv)
+        head = proc.stdout.read(40)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1, argv
+        assert err == b"", argv
+        assert head == expected, argv

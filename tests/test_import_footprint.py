@@ -56,13 +56,14 @@ ARGPARSE = {"argparse", "gettext", "locale"}
     (["spectrum", "--period", "1,1,2,2", "--json"], set(), False, True, True, False),
     (["scan", "--n-max", "8", "--json"], WALKS, False, True, True, False),
     (["seq", "--n", "14", "--blocks"], WALKS, False, False, True, False),
-    (["seq", "--n", "14", "--json"], WALKS, False, False, True, True),
+    (["seq", "--n", "14", "--json"], WALKS, False, False, True, False),
     (["stern", "--upto", "20"], TABULATES, False, False, False, False),
+    (["stern", "--upto", "20", "--json"], TABULATES, False, False, False, False),
     (["verify", "lemmas", "--k-max", "8"], WALKS, True, False, True, False),
     (["verify", "prop-main", "--n-max", "40"], WALKS, True, False, True, False),
     (["verify", "prop-main", "--help"], set(), False, False, False, False),
 ], ids=["bqf", "bqf-json", "spectrum", "spectrum-json", "scan", "seq", "seq-json", "stern",
-        "verify-lemmas", "verify-prop-main", "help"])
+        "stern-json", "verify-lemmas", "verify-prop-main", "help"])
 def test_each_command_loads_only_what_it_runs(argv, index_layer, loads_theorems, loads_spectrum,
                                                loads_words, loads_json):
     added = added_modules(DRIVER, *argv)
@@ -74,7 +75,7 @@ def test_each_command_loads_only_what_it_runs(argv, index_layer, loads_theorems,
     assert ("markovwords.spectrum" in added) == loads_spectrum
     # bqf and stern read and print no word
     assert ("markovwords.words" in added) == loads_words
-    # spectrum, scan and bqf write their JSON rows as text; no command reads a Fraction
+    # only verify writes its JSON rows through json; no command reads a Fraction
     assert ("json" in added) == loads_json
     assert not added & {"dataclasses", "fractions", "decimal"}
     # the flags are read from cli's own table, not by argparse and its translations

@@ -109,7 +109,8 @@ def test_flag_names_are_not_abbreviated(capsys):
 
 # a literal of 8,363 letters, the text of S(87382) and one bad letter, and a
 # bad token of 4,000 characters, under the digit limit: a refused letter or
-# coefficient is named by its position and quoted by ten characters
+# coefficient is named by its position, and every refused token is quoted by
+# ten characters; of many stray words, three are named and the rest counted
 LITERAL = format_word(next(walk((1, 1), (2, 2), 87382, 87382))) + ",x"
 TOKEN = "1" * 3999 + "x"
 ESCAPED = "\U000e0001" * 4000  # ten characters of repr per character
@@ -158,6 +159,17 @@ REJECTIONS = {
     "escaped form coefficient": (["bqf", "--form", f"1,1,{ESCAPED}"],
                                  f"argument --form: non-integer coefficient {ESCAPED[:10]!r}... "
                                  "at position 3"),
+    "long int": (["stern", "--upto", TOKEN], "argument --upto: invalid int value: '1111111111'..."),
+    "long subcommand": (["x" * 4000], "argument command: invalid choice: 'xxxxxxxxxx'... "
+                                      "(choose from 'seq', 'stern', 'verify', 'spectrum', 'scan', "
+                                      "'bqf')"),
+    "long stray word": (["verify", "lemmas", "x" * 4000],
+                        "unrecognized arguments: xxxxxxxxxx..."),
+    "many stray words": (["verify", "lemmas", *["x"] * 2000],
+                         "unrecognized arguments: x x x and 1997 more"),
+    "long value given to a switch": (["seq", "--n", "3", f"--blocks={TOKEN}"],
+                                     "argument --blocks: ignored explicit argument "
+                                     "'1111111111'..."),
 }
 
 

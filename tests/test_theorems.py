@@ -12,6 +12,7 @@ from oracles import (
     even_index_factorization_by_halving,
     half_length_chain_by_index,
     index_identities_by_index,
+    is_symmetric_about,
     length_identity_by_index,
     length_is_diatomic_by_index,
     mirror_arithmetic_by_index,
@@ -41,7 +42,7 @@ from markovwords.theorems import (
     verify_shift_palindromic,
 )
 from markovwords.tree import _s_rec_cached, run_lengths, s_rec, walk
-from markovwords.words import format_word, is_palindrome, is_symmetric_about, rotate
+from markovwords.words import format_word, is_palindrome, rotate
 
 A, B = (1, 1), (2, 2)
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import reverse, verify_mirror
+from oracles import is_symmetric_about, reverse, verify_mirror
 
 from markovwords.spectrum import cf_matrix, markov_value, zero_tail
 from markovwords.theorems import block_rearrangement, verify_rearrangement_pair
@@ -13,7 +13,6 @@ from markovwords.words import (
     format_word,
     is_palindrome,
     is_palindromic_rotation,
-    is_symmetric_about,
     parse_word,
     rotate,
     word,
