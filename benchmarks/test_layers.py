@@ -20,13 +20,13 @@ of their two medians. The lemma checks are the cases of
 the tables it shares, built once outside the timed calls;
 ``test_lemma_suite`` times the whole suite, its one table build included.
 ``test_prop_main_sweep`` times the verdict stream ``verify prop-main``
-reads, ``theorems._shift_verdicts`` over its table of d(n), without the
-writer;
+reads, ``tree._shift_verdicts`` over its table of d(n), without the
+writer, at the benchmark's 2^15 and at the depths 2^17 and 2^20;
 ``test_prop_main_command`` times ``verify prop-main`` as the command line
 runs it, stdout to ``/dev/null``, and ``test_seq_command`` times ``seq``
 the same way, on the default seeds at about 2^20 letters and at
 11,405,774. The theorem sweep is the default
-``verify theorem``. The spectrum cases take S(n) on (1,1), (2,2) at the
+``verify theorem`` (``seedpairs.iter_block_rearrangement``). The spectrum cases take S(n) on (1,1), (2,2) at the
 smallest index of each length L, and the Markov form of ``bqf`` at radius
 200 and at the benchmark's 350. ``test_scan_values`` times the values
 ``scan --n-max 320`` prints: the walk of (word, convergent matrix) pairs
@@ -52,11 +52,11 @@ from pathlib import Path
 
 import pytest
 
-from markovwords import cli, theorems
+from markovwords import cli, seedpairs, theorems
 from markovwords.diatomic import a_of, stern, stern_table
 from markovwords.spectrum import (BQForm, _join_convergents, _markov_value_from, bqf_min,
                                   cf_matrix, markov_value)
-from markovwords.tree import _s_rec_cached, walk
+from markovwords.tree import LABEL_SEEDS, _s_rec_cached, _shift_verdicts, walk
 
 ROUNDS = 7
 K_MAX = 262144
@@ -104,7 +104,7 @@ def test_a_of(benchmark):
 
 
 def test_walk(benchmark):
-    measure(benchmark, lambda: drain(walk(*theorems.LABEL_SEEDS, 1, 2 ** 15)), size=2 ** 15)
+    measure(benchmark, lambda: drain(walk(*LABEL_SEEDS, 1, 2 ** 15)), size=2 ** 15)
 
 
 def spectrum_word(length):
@@ -143,11 +143,12 @@ def test_scan_values(benchmark):
     assert len(measure(benchmark, values, size=320)) == 320
 
 
-def test_prop_main_sweep(benchmark):
+@pytest.mark.parametrize("n_max", [2 ** 15, 2 ** 17, 2 ** 20])
+def test_prop_main_sweep(benchmark, n_max):
     def sweep():
-        assert all(theorems._shift_verdicts(1, stern_table(32768)[1:]))
+        assert all(_shift_verdicts(1, stern_table(n_max)[1:]))
 
-    measure(benchmark, sweep, size=32768)
+    measure(benchmark, sweep, size=n_max)
 
 
 def test_prop_main_command(benchmark):
@@ -179,7 +180,7 @@ def test_seq_command(benchmark, letters):
 
 def test_theorem_sweep(benchmark):
     def sweep():
-        assert len(list(theorems.iter_block_rearrangement(512, 200, 42))) == 200
+        assert len(list(seedpairs.iter_block_rearrangement(512, 200, 42))) == 200
 
     measure(benchmark, sweep, size=512)
 

@@ -4,7 +4,11 @@ Markov spectrum values via the Perron identity.
 The package is organised around three layers: word algebra (``words``),
 the integer sequences and concatenation graph generating the family S(n)
 (``diatomic``, ``tree``), and the verification / spectrum layers on top
-(``theorems``, ``spectrum``). A CLI (``markovwords``) fronts all of it.
+(``theorems``, ``seedpairs``, ``spectrum``). A CLI (``markovwords``) fronts
+all of it. ``tree`` also holds the verdict stream of ``verify prop-main``,
+and ``seedpairs`` the two random-seed-pair sweeps (``verify theorem``,
+``verify equivalence``): only those two commands, through the map below,
+import it.
 The names exported here are the ones a command or a claim reads, and three
 more: ``verify_shift_palindromic``, which ``perfbench``'s trace wraps by
 name, ``block_rearrangement``, whose docstring proves the block claim, and
@@ -25,8 +29,8 @@ _HOME = {name: module for module, names in [
     ("diatomic", "a_of a_star a_table stern stern_table"),
     ("spectrum", "BQForm LatticeMinimum MarkovValue QuadraticSurd bqf_min cf_matrix"
                  " markov_value zero_tail"),
-    ("theorems", "VerificationReport block_rearrangement even_index_factorization"
-                 " iter_block_rearrangement iter_equivalence iter_lemma_checks"
+    ("seedpairs", "block_rearrangement iter_block_rearrangement iter_equivalence"),
+    ("theorems", "VerificationReport even_index_factorization iter_lemma_checks"
                  " odd_index_factorization verify_shift_palindromic"),
     ("tree", "s_rec walk"),
     ("words", "Word format_word is_palindrome is_palindromic_rotation parse_word"

@@ -11,16 +11,14 @@ full (no abbreviation), and switches ``--name``. A value is the next word
 unless that starts with ``--``, so ``--form -7,-7,6`` parses; a repeated flag
 keeps its last value; ``-h`` or ``--help`` prints the help of the command
 words read so far. A refusal quotes a token by ten characters. Each handler
-imports only the layers it reads, and every command but ``verify`` writes its
-JSON rows as text, without :mod:`json`, so a launch compiles little beyond
-what it runs.
+imports only the modules it reads (prop-main ``theorems`` only for a failing
+index) and writes JSON rows as text, only a ``verify`` report via :mod:`json`.
 """
 from __future__ import annotations
 
 import gc
 import os
 import sys
-from functools import partial
 from itertools import count, islice
 from types import SimpleNamespace
 from typing import Iterator, Sequence
@@ -33,9 +31,10 @@ def _word(text: str):
 
 
 def _quote(token: str, show=repr) -> str:
-    """``token`` shown by its first ten characters, then ``...`` if it is
-    longer, so a refusal that quotes it stays short."""
-    return show(token[:10]) + "..." * (len(token) > 10)
+    """``token`` by its first ten characters, or by ``repr`` of its first three
+    if one of those is not printable, then ``...`` if it is longer."""
+    k = 10 if (printable := token[:10].isprintable()) else 3
+    return (show if printable else repr)(token[:k]) + "..." * (len(token) > k)
 
 
 def _form(text: str):
@@ -183,10 +182,9 @@ def _report_line(rep, check: str, as_json: bool, failures: list[int]) -> str:
     if as_json:
         import json
         return json.dumps({"command": "verify", "check": check, **rep.to_json()})
-    status = "PASS" if rep.passed else "FAIL"
-    extra = f" witness={rep.witness}" if rep.witness is not None else ""
+    extra = "" if rep.witness is None else f" witness={rep.witness}"
     counter = "" if rep.counterexample is None else f" counterexample={rep.counterexample}"
-    return f"{status} {rep.claim} n={rep.n}{extra}{counter}"
+    return f"{'PASS' if rep.passed else 'FAIL'} {rep.claim} n={rep.n}{extra}{counter}"
 
 
 # the longest word seq builds: S(n) has at most d(2n-1) * max(|A|, |B|)
@@ -196,10 +194,9 @@ SEQ_MAX_LETTERS = 1 << 24
 
 def _cmd_seq(args) -> int:
     """Print S(n), its label word L(n) with ``--blocks``, or their JSON record,
-    written as text. L(n) is walked once, on b"A", b"B"; S(n) is L(n) with
-    each label replaced by its seed, so its text is ``str.translate`` of L(n),
-    each label to the separator and its seed's text, the first separator
-    dropped. A piece of L(n) holds at most FORMAT_SLICE letters of S(n)."""
+    as text. L(n) is walked once, on b"A", b"B"; the text of S(n) is
+    ``str.translate`` of L(n), each label to the separator and its seed's text,
+    the first separator dropped, a piece of at most FORMAT_SLICE letters at a time."""
     from .diatomic import stern
     from .tree import walk
     from .words import FORMAT_SLICE, format_word
@@ -208,8 +205,8 @@ def _cmd_seq(args) -> int:
     length = stern(2 * n - 1) if n else 1  # of L(n)
     letters = length if args.blocks and not args.json else length * longest
     if letters > SEQ_MAX_LETTERS:
-        raise ValueError(f"--n {n} gives a word of up to {letters} letters; "
-                         f"seq builds at most {SEQ_MAX_LETTERS}")
+        raise ValueError("--n %s gives a word of up to %s letters; seq builds at most %d" % (
+            _quote(str(n), str), _quote(str(letters), str), SEQ_MAX_LETTERS))
     labels = next(walk(b"A", b"B", n, n)).decode()
     if args.blocks and not args.json:
         print(labels)
@@ -237,39 +234,44 @@ def _cmd_stern(args) -> int:
     return 0
 
 
-def _shift_lines(shifts, verdicts: Iterator[bool], report, as_json: bool,
-                 failures: list[int]) -> Iterator[str]:
-    """prop-main's line of each index n = 1, ..., len(shifts), from its verdict.
-    A passing index is one f-string, the line :func:`_report_line` writes
-    for its report, in JSON as ``json.dumps`` gives it; only a failing index
-    builds its report, ``report(n, d(n), False)``."""
-    rows = zip(count(1), shifts, verdicts)
-    if as_json:
-        return (f'{{"command": "verify", "check": "prop-main", "claim": "shift-palindromic", '
-                f'"n": {n}, "passed": true, "witness": {d}}}' if ok else
-                _report_line(report(n, d, ok), "prop-main", True, failures) for n, d, ok in rows)
-    return (f"PASS shift-palindromic n={n} witness={d}" if ok else
-            _report_line(report(n, d, ok), "prop-main", False, failures) for n, d, ok in rows)
+def _write_shifts(args, failures: list[int]) -> int:
+    """Write prop-main's lines, WRITE_LINES per write, and return how many.
+    An all-pass piece is one %-format of the line :func:`_report_line` writes
+    for a passing report; only a failing index builds one, from ``theorems``."""
+    from .diatomic import stern_table
+    from .tree import _shift_verdicts
+
+    verdicts = _shift_verdicts(1, shifts := stern_table(args.n_max)[1:])
+    line = ('{"command": "verify", "check": "prop-main", "claim": "shift-palindromic", '
+            '"n": %s, "passed": true, "witness": %s}\n' if args.json else
+            "PASS shift-palindromic n=%s witness=%s\n")
+    for lo in range(0, len(shifts), WRITE_LINES):
+        ds, oks = shifts[lo:lo + WRITE_LINES], list(islice(verdicts, WRITE_LINES))
+        rows = [0, 0] * len(ds)  # n and d(n) of each index, in turn
+        rows[0::2], rows[1::2] = range(lo + 1, lo + len(ds) + 1), ds
+        if all(oks):
+            sys.stdout.write(line * len(ds) % tuple(rows))
+            continue
+        from .theorems import _shift_report
+        sys.stdout.write("".join(line % (n, d) if ok else _report_line(_shift_report(
+            args.a, args.b, n, d, ok), "prop-main", args.json, failures) + "\n"
+            for n, d, ok in zip(count(lo + 1), ds, oks)))
+    return len(shifts)
 
 
 def _cmd_verify(args) -> int:
-    from . import theorems  # only verify reads the claims
-    from .diatomic import stern_table
-
     failures: list[int] = []
     if args.check == "prop-main":
-        shifts = stern_table(args.n_max)[1:]
-        lines = _shift_lines(shifts, theorems._shift_verdicts(1, shifts),
-                             partial(theorems._shift_report, args.a, args.b), args.json, failures)
-    else:
+        written = _write_shifts(args, failures)
+    else:  # the package imports each sweep from its home module on first use
+        package = sys.modules[__package__]
         if args.check == "theorem":
-            reports = theorems.iter_block_rearrangement(args.n_max, args.trials, args.seed)
+            reports = package.iter_block_rearrangement(args.n_max, args.trials, args.seed)
         elif args.check == "equivalence":
-            reports = theorems.iter_equivalence(args.levels, args.pairs, args.seed)
+            reports = package.iter_equivalence(args.levels, args.pairs, args.seed)
         else:
-            reports = theorems.iter_lemma_checks(args.k_max)
-        lines = (_report_line(rep, args.check, args.json, failures) for rep in reports)
-    written = _write_lines(lines)
+            reports = package.iter_lemma_checks(args.k_max)
+        written = _write_lines(_report_line(r, args.check, args.json, failures) for r in reports)
     print(f"{args.check}: {written - len(failures)}/{written} passed", file=sys.stderr)
     return 1 if failures else 0
 
@@ -363,14 +365,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     """The console script and ``python -m``: run :func:`main` on ``sys.argv``
-    and exit with its status.
-
-    A reader that closes stdout early (``| head``) ends the launch with status
-    1 and nothing on stderr: what stdout still holds goes to ``os.devnull``,
-    as the SIGPIPE note of the ``signal`` docs does. The collector is frozen
-    before the exit, so the interpreter's shutdown collections skip every
-    object the launch still holds. :func:`main` leaves the collector alone,
-    because tests and in-process callers share it.
+    and exit with its status. A reader that closes stdout early (``| head``)
+    ends the launch with status 1 and nothing on stderr: what stdout still
+    holds goes to ``os.devnull``, as the SIGPIPE note of the ``signal`` docs
+    does. The collector is frozen before the exit, so the interpreter's
+    shutdown collections skip every object the launch still holds;
+    :func:`main` leaves it alone, because tests and in-process callers share it.
     """
     try:
         status = main()

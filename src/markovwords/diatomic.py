@@ -22,14 +22,21 @@ PIECE = 1 << 12
 
 @lru_cache(maxsize=None)
 def stern(n: int) -> int:
-    """Stern's diatomic sequence: d(0)=0, d(1)=1, d(2n)=d(n), d(2n-1)=d(n)+d(n-1)."""
+    """Stern's diatomic sequence: d(0)=0, d(1)=1, d(2n)=d(n), d(2n-1)=d(n)+d(n-1).
+
+    One pass over the bits of n, highest first, so an index of any size
+    needs no recursion: (x, y) = (d(m), d(m+1)) for the number m the bits
+    read so far form. A 0 bit takes m to 2m, (x, x+y); a 1 bit to 2m+1, (x+y, y).
+    """
     if n < 0:
         raise ValueError("stern is defined for n >= 0")
-    if n <= 1:
-        return n
-    if n % 2 == 0:
-        return stern(n // 2)
-    return stern((n + 1) // 2) + stern((n - 1) // 2)
+    x, y = 0, 1
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            x += y
+        else:
+            y += x
+    return x
 
 
 def a_of(j: int) -> int:

@@ -11,16 +11,24 @@ is the walk on the one-letter seeds. The vertex centred at S(n) is
 (S(a*(n-1)), S(n), S(a(n))), so S(n) = S(a*(n-1)) + S(a(n)) for n >= 2;
 :func:`s_rec` builds the words by that index recursion instead, and only
 ``verify equivalence`` reads it, to check it against the walk.
+
+The verdict stream of ``verify prop-main``, :func:`_shift_verdicts`, lives
+here beside the walk it reads, so a sweep that passes everywhere compiles
+no module of claims; :mod:`markovwords.theorems` builds its reports.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
-from operator import add
+from itertools import groupby, repeat, tee
+from operator import add, itemgetter, mul
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .diatomic import a_of, a_star
 from .words import Word, word
+
+# the seeds every walking sweep uses: the label words on (1),(2), as
+# bytes, so concatenations and comparisons copy and compare whole blocks
+LABEL_SEEDS = (b"\x01", b"\x02")
 
 
 def run_lengths(symbols: Iterable[Hashable], first: Hashable) -> tuple[int, ...]:
@@ -113,3 +121,40 @@ def _s_rec_cached(a: tuple, b: tuple, n: int) -> tuple:
         return b if n else a
     return _s_rec_cached(a, b, a_star(n - 1)) + _s_rec_cached(a, b, a_of(n))
 
+
+
+def _shift_verdicts(lo: int, shifts: Sequence[int]) -> Iterator[bool]:
+    """Whether S(n) on (a,a),(b,b) rotated by d(n) is a palindrome, for
+    n = lo, ..., lo + len(shifts) - 1: :func:`_reversed_at` over one
+    :func:`walk` of the label words L(n) of the range on
+    :data:`LABEL_SEEDS`, at the shifts d(n) in ``shifts``.
+
+    S(n) on (a,a),(b,b) is L(n) with every letter doubled, S[i] = L[i//2]
+    with |S| = 2m, and a -> 1, b -> 2 is injective. The rotation of S by d
+    is a palindrome exactly when S[i] == S[(2d - 1 - i) % 2m] for every i.
+    Both i = 2j and i = 2j + 1 halve to L[j] == L[(d - 1 - j) % m], so it
+    is one exactly when L is symmetric about d - 1. Each shift is in range:
+    d(n) <= d(n) + d(n - 1) = d(2n - 1) = |L(n)|. So the verdicts are the
+    same for any two distinct letters a, b, and the caller checks its own.
+    """
+    if lo < 1:
+        raise ValueError("indices start at 1")
+    return _reversed_at(walk(*LABEL_SEEDS, lo, lo + len(shifts) - 1), shifts)
+
+
+def _reversed_at(words: Iterable[bytes], shifts: Iterable[int]) -> Iterator[bool]:
+    """Whether each word L rotated by its shift d is L reversed, for
+    0 <= d <= |L|; it is exactly when L is symmetric about d - 1, that is
+    L[j] == L[(d - 1 - j) % m] for every j, m = |L|. The rotation
+    (L + L)[d:d + m] is L[d:] + L[:d], and L reversed is L[d:] reversed,
+    then L[:d] reversed; the parts have equal lengths, so the two agree
+    exactly when L[:d] and L[d:] are palindromes, which is the symmetry
+    for j < d and for j >= d.
+
+    Each verdict is one ``bytes.startswith`` of L + L and L reversed at d,
+    a map of builtins over one ``tee`` of ``words``, each word dropped once
+    tested.
+    """
+    words, mirrors = tee(words)
+    return map(bytes.startswith, map(mul, words, repeat(2)),
+               map(itemgetter(slice(None, None, -1)), mirrors), shifts)

@@ -11,7 +11,7 @@ by closed forms: a Perron value found by comparing the surd sums at every
 position, and a form minimum found by evaluating every point of the box.
 The word oracles are the tree's vertices and its root (A, A+B, B), word
 reversal as a tuple, the mirror-axis test that the shift sweep's rotation
-test decides (the proof is in ``theorems._reversed_at``), the graph walk,
+test decides (the proof is in ``tree._reversed_at``), the graph walk,
 which reaches one index by the L
 and R moves along the binary digits of n - 1, the levels built from the
 root one level at a time by the same moves, and the two-branch index
@@ -56,8 +56,8 @@ from markovwords.spectrum import (
     QuadraticSurd,
     zero_tail,
 )
-from markovwords.theorems import LABEL_SEEDS, VerificationReport
-from markovwords.tree import run_lengths, walk
+from markovwords.theorems import VerificationReport
+from markovwords.tree import LABEL_SEEDS, _shift_verdicts, run_lengths, walk
 from markovwords.words import format_word, parse_word, rotate, word
 
 Path = tuple[int, ...]
@@ -94,11 +94,11 @@ def is_symmetric_about(x: Sequence[int], c: int) -> bool:
 
 def shift_reports(n_max: int, a_sym: int, b_sym: int) -> Iterator[VerificationReport]:
     """The report of every index n <= n_max of prop-main on (a,a),(b,b), in
-    index order: ``theorems._shift_report`` over ``theorems._shift_verdicts``,
+    index order: ``theorems._shift_report`` over ``tree._shift_verdicts``,
     one lazy report per verdict."""
     shifts = stern_table(n_max)[1:]
     return map(partial(theorems._shift_report, a_sym, b_sym), count(1), shifts,
-               theorems._shift_verdicts(1, shifts))
+               _shift_verdicts(1, shifts))
 
 
 def cf_eval(x: Sequence[int]) -> Fraction:
@@ -452,6 +452,18 @@ def _reversed_level(j: int) -> dict[tuple[int, ...], int]:
     found = {tuple(reversed(s_rec_with_rule((2, 2), (1, 1), m, a_star))): m for m in level}
     assert len(found) == len(level)
     return found
+
+
+@cache
+def stern_by_recursion(n: int) -> int:
+    """d(n) by its defining recursion, memoised: d(0) = 0, d(1) = 1,
+    d(2m) = d(m) and d(2m - 1) = d(m) + d(m - 1). It recurses once per bit
+    of n, so it serves indices of a few hundred bits at most."""
+    if n <= 1:
+        return n
+    if n % 2 == 0:
+        return stern_by_recursion(n // 2)
+    return stern_by_recursion((n + 1) // 2) + stern_by_recursion((n - 1) // 2)
 
 
 def stern_by_bits(n: int) -> int:

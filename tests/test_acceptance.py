@@ -13,10 +13,14 @@ from oracles import perron_float, s_graph, s_rec_with_rule
 
 from markovwords.diatomic import a_of, a_table, stern, stern_table
 from markovwords.spectrum import BQForm, QuadraticSurd, bqf_min, markov_value
-from markovwords.theorems import (
-    LABEL_SEEDS,
+from markovwords.seedpairs import (
     _rearrangement_verdicts,
     block_rearrangement,
+    iter_equivalence,
+    random_seed_pairs,
+    verify_rearrangement_pair,
+)
+from markovwords.theorems import (
     check_block_exponents,
     check_factorizations,
     check_half_length_chain,
@@ -26,12 +30,9 @@ from markovwords.theorems import (
     check_mirror_arithmetic,
     check_row_symmetry,
     check_shift_inequalities,
-    iter_equivalence,
-    random_seed_pairs,
-    verify_rearrangement_pair,
     verify_shift_palindromic,
 )
-from markovwords.tree import s_rec, walk
+from markovwords.tree import LABEL_SEEDS, s_rec, walk
 from markovwords.words import format_word, rotate
 
 A, B = (1, 1), (2, 2)

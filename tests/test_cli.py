@@ -14,7 +14,7 @@ import pytest
 from oracles import (build_parser, decimal_truncated, markov_value_by_tails, s_graph,
                      shift_reports, stern_by_bits, walk_off_axis)
 
-from markovwords import cli, spectrum, theorems
+from markovwords import cli, spectrum, theorems, tree
 from markovwords.cli import main
 from markovwords.diatomic import stern
 from markovwords.tree import walk
@@ -136,10 +136,27 @@ def test_seq_refuses_a_word_past_the_cap(capsys, monkeypatch, n, flags, per_labe
     if letters <= 2 ** 24:
         with pytest.raises(_Built):
             main(argv)
-    else:
+    else:  # n and the letters quoted by ten digits, as a refused token is
         assert run(capsys, *argv) == (
-            2, "", f"error: --n {n} gives a word of up to {letters} letters; "
-                   f"seq builds at most {2 ** 24}\n")
+            2, "", f"error: --n {ten_digits(n)} gives a word of up to {ten_digits(letters)} "
+                   f"letters; seq builds at most {2 ** 24}\n")
+
+
+def ten_digits(x: int) -> str:
+    """The first ten digits of x, then ``...`` if it has more."""
+    return str(x)[:10] + "..." * (len(str(x)) > 10)
+
+
+@pytest.mark.parametrize("digits", [150, 4000])
+def test_seq_refuses_an_index_of_any_size_in_one_line(capsys, digits):
+    # d(2n - 1) is read bit by bit, with no recursion, up to the digit limit
+    n = 10 ** digits - 1
+    letters = stern_by_bits(2 * n - 1) * 2
+    status, out, err = run(capsys, "seq", "--n", str(n))
+    assert (status, out) == (2, "")
+    assert err == (f"error: --n 9999999999... gives a word of up to {ten_digits(letters)} "
+                   f"letters; seq builds at most {2 ** 24}\n")
+    assert len(err.encode()) <= 200
 
 
 # runs the CLI on its arguments, then writes on stderr the peak resident set
@@ -339,7 +356,7 @@ def test_prop_main_failing_pieces_print_through_the_report_path(capsys, monkeypa
     # 1024-line write batches, and twice inside one batch. Index 3 is the
     # first whose label word has a letter off its axis (L(1), L(2) have none)
     failing = [3, 1023, 1024, 1025, 2048, 5000, 5003, 32768]
-    monkeypatch.setattr(theorems, "walk", walk_off_axis(theorems.walk, failing))
+    monkeypatch.setattr(tree, "walk", walk_off_axis(tree.walk, failing))
     expected = prop_main_oracle(32768, 3, 7, as_json)
     assert expected[1].count("counterexample") == len(failing)
     assert expected[0::2] == (1, f"prop-main: {32768 - len(failing)}/32768 passed\n")
@@ -356,14 +373,16 @@ def test_prop_main_failing_piece_reuses_its_verdicts(capsys, monkeypatch):
     # 2048 label words drawn from one walk of the range, each tested once,
     # and one walk of the failing index for its counterexample
     drawn, walks = [], []
-    broken = walk_off_axis(theorems.walk, [1025])
+    broken = walk_off_axis(tree.walk, [1025])
 
     def counted_walk(*args):
         walks.append(args[2:])
         for w in broken(*args):
-            if args[:2] == theorems.LABEL_SEEDS:
+            if args[:2] == tree.LABEL_SEEDS:
                 drawn.append(w)
             yield w
+    # the verdict stream walks in tree, and a failing report in theorems
+    monkeypatch.setattr(tree, "walk", counted_walk)
     monkeypatch.setattr(theorems, "walk", counted_walk)
     status, out, err = run(capsys, "verify", "prop-main", "--n-max", "2048",
                            "--a", "3", "--b", "7")

@@ -1,9 +1,10 @@
+import random
 import sys
 from array import array
 
 import pytest
 
-from oracles import a_of_by_halving, stern_by_bits
+from oracles import a_of_by_halving, stern_by_bits, stern_by_recursion
 
 from markovwords import diatomic
 from markovwords.diatomic import a_of, a_star, a_table, lanes, stern, stern_table
@@ -114,11 +115,30 @@ def test_mirror_arithmetic_identity():
             assert stern(2 * k - 1) - stern(k) == stern(3 * 2 ** n + 1 - k), k
 
 
+def test_stern_agrees_with_the_recursion_and_the_low_bit_loop_on_wide_indices():
+    # stern reads the bits of n highest first, stern_by_bits lowest first, and
+    # the memoised recursion checks both on indices of up to 300 bits, as deep
+    # as the recursion goes (every n to 2^16 is checked with the table below)
+    rng = random.Random(35)
+    wide = [rng.getrandbits(bits) for bits in (64, 150, 300) for _ in range(30)]
+    for n in [*wide, 10 ** 90 - 1, 2 ** 299 + 1]:
+        assert stern(n) == stern_by_bits(n) == stern_by_recursion(n), n
+
+
+def test_stern_of_an_index_of_any_size():
+    # no recursion: an index of 4000 digits, past any recursion limit, reads
+    # one pass over its 13,288 bits
+    for n in (10 ** 150 - 1, 10 ** 4000 - 1, 2 ** 20000 - 1):
+        assert stern(n) == stern_by_bits(n), n
+    assert stern(2 ** 20000 - 1) == 20000  # d(2^k - 1) = k
+
+
 def test_stern_table_matches_memo_and_bit_loop():
     table = stern_table(2 ** 16)
     assert len(table) == 2 ** 16 + 1
     assert list(table) == [stern(n) for n in range(2 ** 16 + 1)]
     assert list(table) == [stern_by_bits(n) for n in range(2 ** 16 + 1)]
+    assert list(table) == [stern_by_recursion(n) for n in range(2 ** 16 + 1)]
     # the rows are filled up to n: sizes on both sides of a row boundary
     for m in range(17):
         for n in (2 ** m - 1, 2 ** m, 2 ** m + 1):

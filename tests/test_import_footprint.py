@@ -44,38 +44,51 @@ def test_import_markovwords_loads_no_layer():
 # imports diatomic, so a command that walks loads both
 WALKS = {"markovwords.tree", "markovwords.diatomic"}
 TABULATES = {"markovwords.diatomic"}
+# the claims: theorems checks the lemmas, and seedpairs, which imports it,
+# holds the two random-seed-pair sweeps; a prop-main run that passes
+# everywhere reads its verdicts from tree and loads neither
+CLAIMS = {"markovwords.theorems", "markovwords.seedpairs"}
+THEOREMS = {"markovwords.theorems"}
 # argparse and the modules it loads to translate its messages
 ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize(
-    "argv, index_layer, loads_theorems, loads_spectrum, loads_words, loads_json", [
-    (["bqf", "--form", "5,11,-5", "--radius", "20"], set(), False, True, False, False),
-    (["bqf", "--form", "5,11,-5", "--radius", "20", "--json"], set(), False, True, False, False),
-    (["spectrum", "--period", "1,1,2,2"], set(), False, True, True, False),
-    (["spectrum", "--period", "1,1,2,2", "--json"], set(), False, True, True, False),
-    (["scan", "--n-max", "8", "--json"], WALKS, False, True, True, False),
-    (["seq", "--n", "14", "--blocks"], WALKS, False, False, True, False),
-    (["seq", "--n", "14", "--json"], WALKS, False, False, True, False),
-    (["stern", "--upto", "20"], TABULATES, False, False, False, False),
-    (["stern", "--upto", "20", "--json"], TABULATES, False, False, False, False),
-    (["verify", "lemmas", "--k-max", "8"], WALKS, True, False, True, False),
-    (["verify", "prop-main", "--n-max", "40"], WALKS, True, False, True, False),
-    (["verify", "prop-main", "--help"], set(), False, False, False, False),
+    "argv, index_layer, claims, loads_spectrum, loads_words, loads_json", [
+    (["bqf", "--form", "5,11,-5", "--radius", "20"], set(), set(), True, False, False),
+    (["bqf", "--form", "5,11,-5", "--radius", "20", "--json"], set(), set(), True, False, False),
+    (["spectrum", "--period", "1,1,2,2"], set(), set(), True, True, False),
+    (["spectrum", "--period", "1,1,2,2", "--json"], set(), set(), True, True, False),
+    (["scan", "--n-max", "8", "--json"], WALKS, set(), True, True, False),
+    (["seq", "--n", "14", "--blocks"], WALKS, set(), False, True, False),
+    (["seq", "--n", "14", "--json"], WALKS, set(), False, True, False),
+    (["stern", "--upto", "20"], TABULATES, set(), False, False, False),
+    (["stern", "--upto", "20", "--json"], TABULATES, set(), False, False, False),
+    (["verify", "lemmas", "--k-max", "8"], WALKS, THEOREMS, False, True, False),
+    (["verify", "prop-main", "--n-max", "40"], WALKS, set(), False, True, False),
+    (["verify", "prop-main", "--n-max", "3000", "--json"], WALKS, set(), False, True, False),
+    (["verify", "theorem", "--trials", "2", "--n-max", "16", "--seed", "3"], WALKS, CLAIMS,
+     False, True, False),
+    (["verify", "equivalence", "--levels", "4", "--pairs", "2"], WALKS, CLAIMS,
+     False, True, False),
+    (["verify", "prop-main", "--help"], set(), set(), False, False, False),
 ], ids=["bqf", "bqf-json", "spectrum", "spectrum-json", "scan", "seq", "seq-json", "stern",
-        "stern-json", "verify-lemmas", "verify-prop-main", "help"])
-def test_each_command_loads_only_what_it_runs(argv, index_layer, loads_theorems, loads_spectrum,
+        "stern-json", "verify-lemmas", "verify-prop-main", "verify-prop-main-json",
+        "verify-theorem", "verify-equivalence", "help"])
+def test_each_command_loads_only_what_it_runs(argv, index_layer, claims, loads_spectrum,
                                                loads_words, loads_json):
     added = added_modules(DRIVER, *argv)
     assert "markovwords.cli" in added
     # bqf and spectrum neither walk the tree nor read d(n)
     assert added & WALKS == index_layer
-    assert ("markovwords.theorems" in added) == loads_theorems
+    # only verify compiles a module of claims, and each check only the one it runs
+    assert added & CLAIMS == claims
     # only the commands that print spectrum values or form minima compile spectrum
     assert ("markovwords.spectrum" in added) == loads_spectrum
     # bqf and stern read and print no word
     assert ("markovwords.words" in added) == loads_words
-    # only verify writes its JSON rows through json; no command reads a Fraction
+    # a JSON report line goes through json, but a passing prop-main writes its
+    # rows as text, and so does every other command; none reads a Fraction
     assert ("json" in added) == loads_json
     assert not added & {"dataclasses", "fractions", "decimal"}
     # the flags are read from cli's own table, not by argparse and its translations

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import build_parser
+from oracles import build_parser, stern_by_bits
 
 from markovwords import cli
 from markovwords.cli import main, parse
@@ -114,6 +114,8 @@ def test_flag_names_are_not_abbreviated(capsys):
 LITERAL = format_word(next(walk((1, 1), (2, 2), 87382, 87382))) + ",x"
 TOKEN = "1" * 3999 + "x"
 ESCAPED = "\U000e0001" * 4000  # ten characters of repr per character
+NINES = "9" * 100  # an index whose word has a 70-digit length
+CHOICES = "(choose from 'seq', 'stern', 'verify', 'spectrum', 'scan', 'bqf')"
 
 # one command line of each kind that is rejected, and its one line on stderr
 REJECTIONS = {
@@ -157,8 +159,21 @@ REJECTIONS = {
                               "argument --form: non-integer coefficient '-111111111'... "
                               "at position 2"),
     "escaped form coefficient": (["bqf", "--form", f"1,1,{ESCAPED}"],
-                                 f"argument --form: non-integer coefficient {ESCAPED[:10]!r}... "
+                                 f"argument --form: non-integer coefficient {ESCAPED[:3]!r}... "
                                  "at position 3"),
+    "escaped subcommand": ([ESCAPED[:10]],
+                           f"argument command: invalid choice: {ESCAPED[:3]!r}... {CHOICES}"),
+    "escaped check": (["verify", ESCAPED[:10]],
+                      f"argument check: invalid choice: {ESCAPED[:3]!r}... (choose from "
+                      "'prop-main', 'theorem', 'equivalence', 'lemmas')"),
+    "control character in a stray word": (["seq", "--n", "3", "a\nb"],
+                                          "unrecognized arguments: 'a\\nb'"),
+    "control character in a long stray word": (["seq", "--n", "3", "x\tyz" * 1000],
+                                               "unrecognized arguments: 'x\\ty'..."),
+    "long index": (["seq", "--n", NINES],
+                   f"--n 9999999999... gives a word of up to "
+                   f"{str(2 * stern_by_bits(2 * int(NINES) - 1))[:10]}... letters; "
+                   f"seq builds at most {2 ** 24}"),
     "long int": (["stern", "--upto", TOKEN], "argument --upto: invalid int value: '1111111111'..."),
     "long subcommand": (["x" * 4000], "argument command: invalid choice: 'xxxxxxxxxx'... "
                                       "(choose from 'seq', 'stern', 'verify', 'spectrum', 'scan', "

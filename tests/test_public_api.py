@@ -58,7 +58,7 @@ import importlib
 import markovwords
 names = {name: getattr(markovwords, name) for name in markovwords.__all__}
 layers = [importlib.import_module("markovwords." + m)
-          for m in ("diatomic", "spectrum", "theorems", "tree", "words")]
+          for m in ("diatomic", "seedpairs", "spectrum", "theorems", "tree", "words")]
 for name, value in names.items():
     homes = [m for m in layers if name in vars(m)]
     assert homes, name

@@ -26,22 +26,24 @@ from oracles import (
     walk_off_axis,
 )
 
-from markovwords import theorems
+from markovwords import seedpairs, theorems, tree
 from markovwords.diatomic import PIECE, a_of, a_table, lanes, stern, stern_table
-from markovwords.theorems import (
-    VerificationReport,
+from markovwords.seedpairs import (
     block_rearrangement,
-    even_index_factorization,
     iter_block_rearrangement,
     iter_equivalence,
-    iter_lemma_checks,
-    odd_index_factorization,
     random_palindrome,
     random_seed_pairs,
     verify_rearrangement_pair,
+)
+from markovwords.theorems import (
+    VerificationReport,
+    even_index_factorization,
+    iter_lemma_checks,
+    odd_index_factorization,
     verify_shift_palindromic,
 )
-from markovwords.tree import _s_rec_cached, run_lengths, s_rec, walk
+from markovwords.tree import LABEL_SEEDS, _s_rec_cached, run_lengths, s_rec, walk
 from markovwords.words import format_word, is_palindrome, rotate
 
 A, B = (1, 1), (2, 2)
@@ -71,7 +73,7 @@ def test_shift_palindromic_preconditions():
 
 
 def test_shift_palindromic_sweep_small():
-    assert all(theorems._shift_verdicts(1, stern_table(256)[1:]))
+    assert all(tree._shift_verdicts(1, stern_table(256)[1:]))
 
 
 def test_shift_palindromic_sweep_matches_single_queries():
@@ -92,13 +94,13 @@ def test_shift_palindromic_sweep_reads_one_word_per_report(monkeypatch):
     # the sweep is one lazy walk: its first report draws one word, not a run
     first = verify_shift_palindromic(1, 2, 1)
     drawn = []
-    real = theorems.walk
+    real = tree.walk
 
     def counting_walk(a, b, lo, hi):
         for w in real(a, b, lo, hi):
             drawn.append(w)
             yield w
-    monkeypatch.setattr(theorems, "walk", counting_walk)
+    monkeypatch.setattr(tree, "walk", counting_walk)
     assert next(shift_reports(4096, 1, 2)) == first
     assert len(drawn) == 1
 
@@ -106,11 +108,11 @@ def test_shift_palindromic_sweep_reads_one_word_per_report(monkeypatch):
 def test_shift_palindromic_range_preconditions():
     # the verdict stream is checked as it is made, before any word is walked
     with pytest.raises(ValueError):
-        theorems._shift_verdicts(0, [0, 1])
-    assert list(theorems._shift_verdicts(3, [])) == []
+        tree._shift_verdicts(0, [0, 1])
+    assert list(tree._shift_verdicts(3, [])) == []
     # a verdict and its report: the report of a range index is the single check's
     shifts = stern_table(40)[3:]
-    verdicts = list(theorems._shift_verdicts(3, shifts))
+    verdicts = list(tree._shift_verdicts(3, shifts))
     assert [theorems._shift_report(4, 9, n, d, ok)
             for n, d, ok in zip(range(3, 41), shifts, verdicts)] == [
         verify_shift_palindromic(4, 9, n) for n in range(3, 41)]
@@ -120,21 +122,21 @@ def test_rotation_test_is_the_axis_test_at_every_shift():
     # every shift 0 <= s <= |L| of every label word L(n), n <= 2^10, passing
     # and failing alike: the rotation-equals-reversal test of the sweep is
     # the axis test about s - 1
-    for labels in walk(*theorems.LABEL_SEEDS, 1, 1 << 10):
+    for labels in walk(*LABEL_SEEDS, 1, 1 << 10):
         shifts = range(len(labels) + 1)
-        assert list(theorems._reversed_at(repeat(labels), shifts)) == [
+        assert list(tree._reversed_at(repeat(labels), shifts)) == [
             is_symmetric_about(labels, s - 1) for s in shifts]
     # and the sweep's verdicts are the axis test about d(n) - 1, to 2^15
     shifts = stern_table(1 << 15)[1:]
-    assert list(theorems._shift_verdicts(1, shifts)) == list(map(
-        is_symmetric_about, walk(*theorems.LABEL_SEEDS, 1, 1 << 15), map((-1).__add__, shifts)))
+    assert list(tree._shift_verdicts(1, shifts)) == list(map(
+        is_symmetric_about, walk(*LABEL_SEEDS, 1, 1 << 15), map((-1).__add__, shifts)))
 
 
 def test_failing_shift_report_prints_the_rotation(monkeypatch):
     # the claim holds everywhere, so the walked label word of n = 14 gets one
     # letter flipped off its mirror axis; the counterexample is S(n) on
     # (a,a),(b,b), walked apart from the label words, rotated by d(n)
-    monkeypatch.setattr(theorems, "walk", walk_off_axis(theorems.walk, [14]))
+    monkeypatch.setattr(tree, "walk", walk_off_axis(tree.walk, [14]))
     for a_sym, b_sym in ((1, 2), (4, 9), (300, 2)):
         expected = format_word(rotate(s_rec((a_sym, a_sym), (b_sym, b_sym), 14), 3))
         assert set(expected.split(",")) == {str(a_sym), str(b_sym)}
@@ -208,7 +210,7 @@ def test_pair_sweep_reports_the_first_failing_index():
         ((300,), (7, 1000, 7)), ((300, 300), (7, 1000, 1000, 7)), (odd, wide), (even, wide)]
     shifts = stern_table(128)[1:]
     for idx, (wa, wb) in enumerate(pairs, 1):
-        verdicts = list(theorems._rearrangement_verdicts(wa, wb, shifts))
+        verdicts = list(seedpairs._rearrangement_verdicts(wa, wb, shifts))
         arrangements = [arrangement_by_blocks((wa, wb), labels[n], stern(n))
                         for n in range(1, 129)]
         assert arrangements == [block_rearrangement(wa, wb, n) for n in range(1, 129)]
@@ -229,7 +231,7 @@ def test_even_length_seeds_always_pass():
     for _ in range(25):
         wa = random_palindrome(rng, lengths=(2, 4, 6, 8))
         wb = random_palindrome(rng, lengths=(2, 4, 6, 8))
-        assert all(theorems._rearrangement_verdicts(wa, wb, shifts)), (wa, wb)
+        assert all(seedpairs._rearrangement_verdicts(wa, wb, shifts)), (wa, wb)
         assert all(is_palindrome(block_rearrangement(wa, wb, n)) for n in (1, 7, 64, 127))
 
 
@@ -247,7 +249,7 @@ def test_odd_length_seed_failure_is_real():
     assert not any(is_palindrome(rotate(s5, k)) for k in range(len(s5)))
     assert not is_palindrome(block_rearrangement((1, 2, 1), (3,), 5))
     # the pair stream judges both indices the same way
-    verdicts = list(theorems._rearrangement_verdicts((1, 2, 1), (3,), stern_table(7)[1:]))
+    verdicts = list(seedpairs._rearrangement_verdicts((1, 2, 1), (3,), stern_table(7)[1:]))
     assert not verdicts[4] and not verdicts[6]
 
 
@@ -781,7 +783,7 @@ def test_sweeps_leave_the_memo_caches_alone():
     assert all(rep.passed for rep in shift_reports(5000, 4, 9))
     assert len(list(iter_block_rearrangement(300, 8, 42))) == 8
     d, a = stern_table(4 << 12), a_table(5000)
-    labels = list(walk(*theorems.LABEL_SEEDS, 0, 2000))
+    labels = list(walk(*LABEL_SEEDS, 0, 2000))
     for check, args in [
         (theorems.check_length_identity, (d, 5000)),
         (theorems.check_length_is_diatomic, (d, 5000)),
@@ -799,9 +801,9 @@ def test_sweeps_leave_the_memo_caches_alone():
 
 
 def walk_with(index, wrong):
-    """``theorems.walk`` with the word of one index replaced by ``wrong``,
+    """``seedpairs.walk`` with the word of one index replaced by ``wrong``,
     converted to the type of the walked words so that only its letters differ."""
-    real = theorems.walk
+    real = seedpairs.walk
 
     def walk(a, b, lo, hi):
         for n, w in enumerate(real(a, b, lo, hi), lo):
@@ -811,7 +813,7 @@ def walk_with(index, wrong):
 
 def labels_with(hi, index, wrong):
     """The label words L(0..hi), with the word of one index replaced by ``wrong``."""
-    labels = list(walk(*theorems.LABEL_SEEDS, 0, hi))
+    labels = list(walk(*LABEL_SEEDS, 0, hi))
     labels[index] = bytes(wrong)
     return labels
 
@@ -825,8 +827,8 @@ def test_check_factorizations_names_a_wrong_word(k):
 @pytest.mark.parametrize("k", [0, 1, 5, 64])
 def test_equivalence_names_the_first_index_where_the_builders_differ(monkeypatch, k):
     # a wrong walked word at k, and the recursion still right there
-    monkeypatch.setattr(theorems, "walk", walk_with(k, (9,)))
-    rep = theorems.verify_equivalence_pair(3, A, B, 6)
+    monkeypatch.setattr(seedpairs, "walk", walk_with(k, (9,)))
+    rep = seedpairs.verify_equivalence_pair(3, A, B, 6)
     assert (rep.passed, rep.counterexample) == (False, k)
 
 
@@ -853,12 +855,12 @@ def test_check_block_exponents_follows_the_run_length_profile():
 
 @pytest.mark.parametrize("sweep_fn, args, bound", [
     # prop-main's stream starts at an index >= 1; the CLI checks its --n-max
-    (theorems._shift_verdicts, (-1, []), "indices"),
+    (tree._shift_verdicts, (-1, []), "indices"),
     (iter_block_rearrangement, (-1, 2, 42), "n_max"),
     (iter_equivalence, (-1, 2), "levels"),
     (iter_lemma_checks, (-5,), "k_max"),
     # the CLI's minima: n_max >= 1, k_max >= 8
-    (theorems._shift_verdicts, (0, [0]), "indices"),
+    (tree._shift_verdicts, (0, [0]), "indices"),
     (iter_block_rearrangement, (0, 2, 42), "n_max"),
     (iter_lemma_checks, (0,), "k_max"),
     (iter_lemma_checks, (7,), "k_max"),

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from oracles import is_symmetric_about, reverse, verify_mirror
 
 from markovwords.spectrum import cf_matrix, markov_value, zero_tail
-from markovwords.theorems import block_rearrangement, verify_rearrangement_pair
+from markovwords.seedpairs import block_rearrangement, verify_rearrangement_pair
 from markovwords.tree import s_rec, walk
 from markovwords.words import (
     FORMAT_SLICE,
